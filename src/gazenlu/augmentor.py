@@ -1,16 +1,17 @@
 """Gaze-augmented classifier: fixation-ordered embeddings into a GRU.
 
-Token embeddings are rearranged in the order words are fixated. A hard
-scanpath gathers each fixated word's token rows left to right; a
-relaxed scanpath contributes one row per step, its position weights
-applied to the word-pooled embedding matrix. A GRU whose initial state
-comes from the [CLS] vector reads the rearranged rows; the last step's
-output feeds the task head. Predictions across several sampled
-scanpaths combine by averaging pre-softmax outputs.
+Word embeddings are rearranged in the order words are fixated: every
+sampled step contributes one row, its position weights applied to the
+word-pooled embedding matrix (a one-hot row picks one word's vector),
+in training and prediction alike. A GRU whose initial state comes from
+the [CLS] vector reads the rearranged rows; the last step's output
+feeds the task head. Predictions across several sampled scanpaths
+combine by averaging pre-softmax outputs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,6 @@ from .diffcore import (
     RngState,
     Tensor,
     add,
-    concat,
     cross_entropy,
     dropout,
     matmul,
@@ -30,30 +30,20 @@ from .diffcore import (
     mul,
     no_grad,
     reshape,
-    stack,
-    take_rows,
 )
 from .gazegen import (
     GeneratorConfig,
     GumbelConfig,
-    SOFT_CONVOLUTION,
-    SampledBatch,
-    Scanpath,
+    STRAIGHT_THROUGH,
     ScanpathGenerator,
     default_max_fixations,
 )
-from .textenc import Batch, EncodedText, TextEncoder, TextEncoderConfig, TextEncoderOutput
+from .textenc import Batch, TextEncoder, TextEncoderConfig
 
 GAZE = "gaze"
 TEXT_ONLY = "text_only"
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
-
-
-@dataclass
-class ReorderedSequence:
-    embeddings: Tensor                       # (F', d)
-    source_map: list[tuple[int, int, int]]   # (step, word, token); token -1 = pooled
 
 
 def average_logits(per_path: list[np.ndarray]) -> np.ndarray:
@@ -71,29 +61,15 @@ def average_logits(per_path: list[np.ndarray]) -> np.ndarray:
     return first + acc / len(per_path)
 
 
-def reorder(tokens: TextEncoderOutput, enc: EncodedText, sp: Scanpath) -> ReorderedSequence:
-    """Fixation-ordered rows; hard paths expand to token spans."""
-    W = enc.n_words
-    for i, f in enumerate(sp.fixations):
-        if not 0 <= f < W:
-            raise ValueError(f"fixation {f} at step {i} out of range for {W} words")
-    if sp.soft_weights is None:
-        idx: list[int] = []
-        source: list[tuple[int, int, int]] = []
-        for step, f in enumerate(sp.fixations):
-            s, e = enc.word_spans[f]
-            for t in range(s, e):
-                idx.append(t)
-                source.append((step, f, t))
-        emb = take_rows(tokens.token_embeddings, np.array(idx, dtype=np.int64))
-        return ReorderedSequence(emb, source)
-    emb = matmul(sp.soft_weights, tokens.word_embeddings)
-    source = [(step, int(f), -1) for step, f in enumerate(sp.fixations)]
-    return ReorderedSequence(emb, source)
+def fixation_steps(rows: list[Tensor], words: Tensor) -> list[Tensor]:
+    """GRU inputs in fixation order: each step's (B, W) position weights
+    applied to the (B, W, d) word vectors; a one-hot row picks one word."""
+    B = words.shape[0]
+    return [reshape(matmul(reshape(r, (B, 1, -1)), words), (B, -1)) for r in rows]
 
 
 class ScanpathEncoder(Module):
-    """Single-direction GRU over reordered rows, h0 from [CLS]."""
+    """Single-direction GRU over fixation-ordered rows, h0 from [CLS]."""
 
     def __init__(self, d_in: int, d_hidden: int, rng: RngState, p_drop: float = 0.1):
         super().__init__()
@@ -123,20 +99,6 @@ class ScanpathEncoder(Module):
             m = step_mask[:, t].astype(dt).reshape(-1, 1)
             h = add(mul(hn, Tensor(m)), mul(h, Tensor(1.0 - m)))
         return h
-
-
-def scanpath_encode(encoder: ScanpathEncoder, seq: ReorderedSequence, cls: Tensor,
-                    rng: RngState | None = None) -> Tensor:
-    """Final feature for one reordered sequence; (h,) vector."""
-    F = seq.embeddings.shape[0]
-    if F < 1:
-        raise ValueError("empty reordered sequence")
-    d = seq.embeddings.shape[1]
-    steps = [reshape(seq.embeddings[t], (1, d)) for t in range(F)]
-    out = encoder.run_steps(
-        steps, np.ones((1, F), dtype=np.float32), reshape(cls, (1, d)), rng
-    )
-    return out[0]
 
 
 class TaskHead(Module):
@@ -236,57 +198,26 @@ class JointModel(Module):
             if name.startswith(pref):
                 p.requires_grad = not flag
 
-    # -- sampling glue ---------------------------------------------------
+    # -- fixation-ordered steps ------------------------------------------
 
-    def _generator_words(self, batch: Batch, rng: RngState | None):
-        if self.cfg.share_text_encoder:
-            return None  # caller reuses classifier words
-        _, _, words = self.gen_encoder.forward_batch(batch, rng)
-        return words
+    def _word_states(self, batch: Batch, words: Tensor, rng: RngState | None) -> Tensor:
+        """Generator word states; ``words`` serve when the encoder is shared."""
+        if not self.cfg.share_text_encoder:
+            _, _, words = self.gen_encoder.forward_batch(batch, rng)
+        return self.generator.encode_words_batch(words, batch.word_counts)
 
-    def _sample(self, batch: Batch, gen_words: Tensor, pair_rngs: list[RngState],
-                surrogate: bool = False) -> SampledBatch:
+    def _scan_steps(self, batch: Batch, words: Tensor, word_states: Tensor,
+                    pair_rngs: list[RngState], gumbel: GumbelConfig):
+        """One sampled path per row, as GRU steps over the classifier's
+        word vectors, and the step mask."""
         counts = batch.word_counts
-        ws = self.generator.encode_words_batch(gen_words, counts)
         # per-sentence caps: a row's path length never depends on how long
         # the other sentences in its batch happen to be
         caps = np.array([default_max_fixations(int(c)) for c in counts])
-        if self.cfg.gumbel.mode == SOFT_CONVOLUTION:
-            return self._sample_soft(ws, counts, pair_rngs, caps)
-        return self.generator.sample_gumbel_batch(
-            ws, counts, pair_rngs, self.cfg.gumbel, caps, surrogate=surrogate
+        sampled = self.generator.sample_gumbel_batch(
+            word_states, counts, pair_rngs, gumbel, caps
         )
-
-    def _sample_soft(self, ws: Tensor, counts: np.ndarray, pair_rngs, caps):
-        B, Wmax, _ = ws.shape
-        paths = []
-        for b in range(B):
-            w = int(counts[b])
-            paths.append(
-                self.generator.sample_gumbel(
-                    ws[b, :w, :], b, pair_rngs[b], self.cfg.gumbel, int(caps[b])
-                )
-            )
-        S = max(p.n_fix for p in paths)
-        rows: list[Tensor] = []
-        mask = np.zeros((B, S), dtype=np.float32)
-        zero = Tensor(np.zeros(Wmax, dtype=ws.dtype))
-        for t in range(S):
-            per_b = []
-            for b, p in enumerate(paths):
-                if t < p.n_fix:
-                    mask[b, t] = 1.0
-                    row = p.soft_weights[t]
-                    w = int(counts[b])
-                    if w < Wmax:
-                        row = concat([row, Tensor(np.zeros(Wmax - w, dtype=ws.dtype))])
-                    per_b.append(row)
-                else:
-                    per_b.append(zero)
-            rows.append(stack(per_b))
-        return SampledBatch(rows, mask,
-                            [p.fixations for p in paths],
-                            np.array([p.stopped for p in paths]))
+        return fixation_steps(sampled.rows, words), sampled.row_mask
 
     # -- training loss ---------------------------------------------------
 
@@ -301,16 +232,10 @@ class JointModel(Module):
         if self.cfg.model_kind == TEXT_ONLY:
             steps, mask = self._content_steps(batch, tokens)
         else:
-            gen_rng = rng.substream("gen_enc") if rng else None
-            gen_words = words if self.cfg.share_text_encoder else None
-            if gen_words is None:
-                gen_words = self._generator_words(batch, gen_rng)
-            sampled = self._sample(batch, gen_words, pair_rngs)
-            steps = [
-                reshape(matmul(reshape(r, (B, 1, -1)), words), (B, -1))
-                for r in sampled.rows
-            ]
-            mask = sampled.row_mask
+            ws = self._word_states(batch, words,
+                                   rng.substream("gen_enc") if rng else None)
+            steps, mask = self._scan_steps(batch, words, ws, pair_rngs,
+                                           self.cfg.gumbel)
         feature = self.scan.run_steps(
             steps, mask, cls, rng.substream("scan") if rng else None
         )
@@ -345,70 +270,33 @@ class JointModel(Module):
 
     def predict_batch(self, batch: Batch, sentence_ids, n_scanpaths: int,
                       rng: RngState) -> np.ndarray:
-        """Averaged pre-softmax outputs, (B, n_out); eval mode, no graph."""
+        """Averaged pre-softmax outputs, (B, n_out); eval mode, no graph.
+
+        Path p of a sentence draws from ``rng.substream(sentence_id, p)``.
+        With ``hard_eval`` the paths are hard Gumbel-max draws whatever
+        the training relaxation.
+        """
         if n_scanpaths < 1:
             raise ValueError("n_scanpaths must be >= 1")
         was_training = self.training
         self.eval()
         try:
             with no_grad():
-                B = batch.size
                 tokens, cls, words = self.cls_encoder.forward_batch(batch)
                 if self.cfg.model_kind == TEXT_ONLY:
                     steps, mask = self._content_steps(batch, tokens)
-                    out = self.head(self.scan.run_steps(steps, mask, cls))
-                    return out.data.copy()
-                gen_words = (
-                    words if self.cfg.share_text_encoder
-                    else self._generator_words(batch, None)
-                )
+                    return self.head(self.scan.run_steps(steps, mask, cls)).data.copy()
+                gumbel = self.cfg.gumbel
+                if gumbel.hard_eval:
+                    gumbel = dataclasses.replace(gumbel, mode=STRAIGHT_THROUGH)
+                ws = self._word_states(batch, words, None)
                 outs: list[np.ndarray] = []
                 for p in range(n_scanpaths):
-                    pair_rngs = [
-                        rng.substream(sid, p) for sid in sentence_ids
-                    ]
-                    if self.cfg.gumbel.hard_eval:
-                        out = self._predict_hard(batch, tokens, cls, gen_words, pair_rngs)
-                    else:
-                        sampled = self._sample(batch, gen_words, pair_rngs)
-                        steps = [
-                            reshape(matmul(reshape(r, (B, 1, -1)), words), (B, -1))
-                            for r in sampled.rows
-                        ]
-                        out = self.head(
-                            self.scan.run_steps(steps, sampled.row_mask, cls)
-                        ).data.copy()
-                    outs.append(out)
+                    pair_rngs = [rng.substream(sid, p) for sid in sentence_ids]
+                    steps, mask = self._scan_steps(batch, words, ws, pair_rngs, gumbel)
+                    outs.append(
+                        self.head(self.scan.run_steps(steps, mask, cls)).data.copy()
+                    )
                 return average_logits(outs)
         finally:
             self.train(was_training)
-
-    def _predict_hard(self, batch: Batch, tokens: Tensor, cls: Tensor,
-                      gen_words: Tensor, pair_rngs) -> np.ndarray:
-        B = batch.size
-        counts = batch.word_counts
-        ws = self.generator.encode_words_batch(gen_words, counts)
-        outs = np.zeros((B, self.head.n_out), dtype=np.float32)
-        for b in range(B):
-            w = int(counts[b])
-            sp = self.generator.sample_hard(ws[b, :w, :], b, pair_rngs[b])
-            enc = EncodedText(
-                token_ids=list(batch.token_ids[b]),
-                word_spans=[
-                    (int(batch.span_starts[b, i]), int(batch.span_ends[b, i]))
-                    for i in range(w)
-                ],
-                segment_ids=list(batch.segment_ids[b]),
-                attention_mask=list(batch.attention_mask[b].astype(int)),
-            )
-            seq = reorder(TextEncoderOutput(tokens[b], cls[b], None), enc, sp)
-            feat = scanpath_encode(self.scan, seq, cls[b])
-            outs[b] = self.head(reshape(feat, (1, -1))).data[0]
-        return outs
-
-    def predict(self, enc: EncodedText, sentence_id, n_scanpaths: int,
-                rng: RngState) -> np.ndarray:
-        from .textenc import collate
-
-        batch = collate([enc])
-        return self.predict_batch(batch, [sentence_id], n_scanpaths, rng)[0]

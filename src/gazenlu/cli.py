@@ -24,13 +24,15 @@ from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
 from .corpus import (DatasetSpec, GazeRecord, TextInstance, load_dataset,
                      load_gaze_corpus, make_synthetic_suite, write_dataset,
                      write_gaze_corpus)
-from .diffcore import RngState, checkpoint_hash, load_checkpoint, save_checkpoint
+from .diffcore import (RngState, Tensor, checkpoint_hash, load_checkpoint,
+                       no_grad, save_checkpoint)
 from .evalkit import (ABLATIONS, EvalReport, Experiment, load_reports, metric,
                       metric_fn_for, reports_to_csv, run_ablations,
                       run_crossval, run_lowresource, save_reports,
                       scores_from_logits, sweep_scanpaths)
-from .gazegen import SOFT_CONVOLUTION, STRAIGHT_THROUGH, GumbelConfig
-from .textenc import TextEncoderConfig, Vocab, build_vocab, tokenize
+from .gazegen import (SOFT_CONVOLUTION, STRAIGHT_THROUGH, GumbelConfig,
+                     default_max_fixations)
+from .textenc import TextEncoderConfig, Vocab, build_vocab, collate, tokenize
 from .trainkit import (GazeModel, TrainConfig, encode_instances, load_config,
                        predict_instances, pretrain_generator, train_joint)
 
@@ -38,6 +40,7 @@ SUITE_FILE = "suite.json"
 MANIFEST = "manifest.json"
 MODEL_META = "model.json"
 VOCAB_FILE = "vocab.txt"
+GENERATE_BATCH = 64     # sentences per sampler call in generate
 
 
 # -- plumbing ------------------------------------------------------------
@@ -90,42 +93,16 @@ def _resolved(args, skip=("out", "func", "verb")) -> dict:
 # -- config (de)serialization --------------------------------------------
 
 
-def _text_cfg_dict(cfg: TextEncoderConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
-def _model_meta(model_cfg: ModelConfig, train_cfg: TrainConfig | None) -> dict:
-    meta = {
-        "kind": "joint",
-        "text": _text_cfg_dict(model_cfg.text),
-        "gen_hidden": model_cfg.gen_hidden,
-        "l_max": model_cfg.l_max,
-        "scan_hidden": model_cfg.scan_hidden,
-        "task_kind": model_cfg.task_kind,
-        "n_classes": model_cfg.n_classes,
-        "share_text_encoder": model_cfg.share_text_encoder,
-        "model_kind": model_cfg.model_kind,
-        "gumbel": dataclasses.asdict(model_cfg.gumbel),
-        "scan_dropout": model_cfg.scan_dropout,
-    }
-    if train_cfg is not None:
-        meta["train"] = dataclasses.asdict(train_cfg)
-    return meta
+def _model_meta(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
+    return {"kind": "joint", **dataclasses.asdict(model_cfg),
+            "train": dataclasses.asdict(train_cfg)}
 
 
 def _model_cfg_from_meta(meta: dict) -> ModelConfig:
-    return ModelConfig(
-        text=TextEncoderConfig(**meta["text"]),
-        gen_hidden=meta["gen_hidden"],
-        l_max=meta["l_max"],
-        scan_hidden=meta["scan_hidden"],
-        task_kind=meta["task_kind"],
-        n_classes=meta["n_classes"],
-        share_text_encoder=meta["share_text_encoder"],
-        model_kind=meta["model_kind"],
-        gumbel=GumbelConfig(**meta["gumbel"]),
-        scan_dropout=meta["scan_dropout"],
-    )
+    kw = {f.name: meta[f.name] for f in dataclasses.fields(ModelConfig)}
+    kw["text"] = TextEncoderConfig(**kw["text"])
+    kw["gumbel"] = GumbelConfig(**kw["gumbel"])
+    return ModelConfig(**kw)
 
 
 def _spec_from_dict(d: dict) -> DatasetSpec:
@@ -345,7 +322,7 @@ def cmd_pretrain_gaze(args, parser) -> int:
     vocab.save(os.path.join(run_dir, VOCAB_FILE))
     _write_json(os.path.join(run_dir, MODEL_META), {
         "kind": "gaze_pretrain",
-        "text": _text_cfg_dict(text_cfg),
+        "text": dataclasses.asdict(text_cfg),
         "gen_hidden": args.gen_hidden,
         "l_max": args.l_max,
         "train": dataclasses.asdict(cfg),
@@ -452,6 +429,8 @@ def cmd_generate(args, parser) -> int:
     meta = _read_json(os.path.join(args.model, MODEL_META))
     if meta.get("kind") != "gaze_pretrain":
         raise ValueError(f"{args.model}: not a gaze pretraining run directory")
+    if args.n_paths < 1:
+        raise ValueError(f"--n-paths must be >= 1, got {args.n_paths}")
     vocab = Vocab.load(os.path.join(args.model, VOCAB_FILE))
     text_cfg = TextEncoderConfig(**meta["text"])
     model = GazeModel(text_cfg, gen_hidden=meta["gen_hidden"],
@@ -461,25 +440,26 @@ def cmd_generate(args, parser) -> int:
 
     with open(args.input, encoding="utf-8") as f:
         texts = [line.strip() for line in f if line.strip()]
+    encs = [tokenize(text, None, vocab, text_cfg.max_len) for text in texts]
     rng = RngState(args.seed, 0).substream("generate")
     rows = []
-    from .diffcore import no_grad
     with no_grad():
-        for i, text in enumerate(texts):
-            enc = tokenize(text, None, vocab, text_cfg.max_len)
-            from .textenc import collate
-
-            batch = collate([enc])
-            _, _, words = model.gen_encoder.forward_batch(batch, None)
-            ws = model.generator.encode_words_batch(words, batch.word_counts)
-            n_words = int(batch.word_counts[0])
-            for p in range(args.n_paths):
-                sp = model.generator.sample_hard(
-                    ws[0, :n_words, :], f"s{i}", rng.substream(f"s{i}", p)
-                )
-                rows.append({"sentence_id": f"s{i}",
-                             "fixations": sp.fixations,
-                             "stopped": bool(sp.stopped)})
+        for at in range(0, len(encs), GENERATE_BATCH):
+            ids = range(at, min(at + GENERATE_BATCH, len(encs)))
+            batch = collate([encs[i] for i in ids])
+            ws = model.word_states(batch, None)
+            # one sampler row per (sentence, path), in output order
+            pick = np.repeat(np.arange(len(ids)), args.n_paths)
+            counts = batch.word_counts[pick]
+            sampled = model.generator.sample_gumbel_batch(
+                Tensor(ws.data[pick]), counts,
+                [rng.substream(f"s{i}", p) for i in ids for p in range(args.n_paths)],
+                GumbelConfig(), [default_max_fixations(int(c)) for c in counts],
+            )
+            for r, b in enumerate(pick):
+                rows.append({"sentence_id": f"s{ids[b]}",
+                             "fixations": sampled.fixations[r],
+                             "stopped": bool(sampled.stopped[r])})
     with open(args.out, "w", encoding="utf-8") as f:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True) + "\n")
@@ -497,7 +477,7 @@ def _driver_common(args, parser):
 def cmd_crossval(args, parser) -> int:
     exp, splits, cfg = _driver_common(args, parser)
     instances = splits["train"] + splits["dev"] + splits["test"]
-    report = run_crossval(exp, instances, cfg, folds=args.folds, jobs=args.jobs)
+    report = run_crossval(exp, instances, cfg, folds=args.folds)
     resolved = _resolved(args)
     resolved["train_config"] = dataclasses.asdict(cfg)
     run_dir = _run_dir(args, "crossval", resolved, cfg.seed)
@@ -513,7 +493,7 @@ def cmd_lowresource(args, parser) -> int:
     exp, splits, cfg = _driver_common(args, parser)
     reports = run_lowresource(
         exp, splits["train"], splits["test"], cfg,
-        Ks=args.ks, data_seeds=args.data_seeds, jobs=args.jobs,
+        Ks=args.ks, data_seeds=args.data_seeds,
     )
     resolved = _resolved(args)
     resolved["train_config"] = dataclasses.asdict(cfg)
@@ -531,7 +511,7 @@ def cmd_sweep(args, parser) -> int:
     exp, splits, cfg = _driver_common(args, parser)
     points = sweep_scanpaths(
         exp, splits["train"], splits["dev"], splits["test"], cfg,
-        counts=args.counts, seeds=args.seeds, jobs=args.jobs,
+        counts=args.counts, seeds=args.seeds,
     )
     resolved = _resolved(args)
     resolved["train_config"] = dataclasses.asdict(cfg)
@@ -551,7 +531,7 @@ def cmd_ablate(args, parser) -> int:
     if exp.generator_state is None:
         parser.error("--generator checkpoint is required for ablations")
     reports = run_ablations(exp, splits["train"], splits["dev"],
-                            splits["test"], cfg, jobs=args.jobs)
+                            splits["test"], cfg)
     resolved = _resolved(args)
     resolved["train_config"] = dataclasses.asdict(cfg)
     run_dir = _run_dir(args, "ablate", resolved, cfg.seed)
@@ -627,7 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--generator", help="pretrained generator checkpoint")
         _add_model_flags(q)
         _add_train_flags(q)
-        q.add_argument("--jobs", type=int, default=1)
         q.add_argument("--out")
         return q
 

@@ -9,7 +9,7 @@ compared against the true conditional entropy rather than a guess.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class LowResourceSplit:
     data_seed: int
     train_ids: list[int]
     dev_ids: list[int]
-    test_ids: list[int] = field(default_factory=list)
 
 
 # -- TSV IO --------------------------------------------------------------
@@ -191,12 +190,10 @@ def kfold(n_instances: int, folds: int = 10, seed: int = 42) -> list[np.ndarray]
     return out
 
 
-def low_resource_split(n_instances: int, K: int, data_seed: int,
-                       n_test: int = 0) -> LowResourceSplit:
+def low_resource_split(n_instances: int, K: int, data_seed: int) -> LowResourceSplit:
     """Shuffle once by data_seed; first K train, next up-to-1000 dev.
 
     The same seed at a larger K extends the train prefix, never reshuffles.
-    Test ids index a separate held-out pool (the task's own dev set).
     """
     if K <= 0:
         raise ValueError(f"K must be positive, got {K}")
@@ -209,7 +206,6 @@ def low_resource_split(n_instances: int, K: int, data_seed: int,
         data_seed=data_seed,
         train_ids=list(order[:K]),
         dev_ids=list(order[K:K + dev_n]),
-        test_ids=list(range(n_test)),
     )
 
 

@@ -258,21 +258,17 @@ def cv_fold_split(instances: list[TextInstance], folds: int, fold: int,
 
 
 def run_crossval(exp: Experiment, instances: list[TextInstance],
-                 config: TrainConfig, folds: int = 10, jobs: int = 1) -> EvalReport:
+                 config: TrainConfig, folds: int = 10) -> EvalReport:
     """K-fold protocol with averaged-logit predictions per test fold."""
-    def one(fold: int):
-        tr, dv, te = cv_fold_split(instances, folds, fold, config.seed)
-        value, _ = train_and_score(exp, tr, dv, te, config,
-                                   model_seed=_fold_seed(config.seed, fold))
-        return value
-
-    results = _run_indexed(one, range(folds), jobs)
     report = EvalReport(
         task=exp.spec.name, metric_id=exp.spec.metric_id,
         values=[], run_labels=[],
         config=_config_echo(exp, config, folds=folds),
     )
-    for fold, value in results:
+    for fold in range(folds):
+        tr, dv, te = cv_fold_split(instances, folds, fold, config.seed)
+        value, _ = train_and_score(exp, tr, dv, te, config,
+                                   model_seed=_fold_seed(config.seed, fold))
         report.run_labels.append(f"fold{fold}")
         report.values.append(value)
     return report
@@ -280,59 +276,50 @@ def run_crossval(exp: Experiment, instances: list[TextInstance],
 
 def run_lowresource(exp: Experiment, train_pool: list[TextInstance],
                     test_insts: list[TextInstance], config: TrainConfig,
-                    Ks=(200, 500, 1000), data_seeds=(111, 222, 333, 444, 555),
-                    jobs: int = 1) -> dict[str, EvalReport]:
+                    Ks=(200, 500, 1000), data_seeds=(111, 222, 333, 444, 555)
+                    ) -> dict[str, EvalReport]:
     """One report per K, aggregating runs over the data-shuffling seeds."""
     reports: dict[str, EvalReport] = {}
     for K in Ks:
-        def one(ds: int, K=K):
+        report = EvalReport(
+            task=exp.spec.name, metric_id=exp.spec.metric_id,
+            values=[], run_labels=[],
+            config=_config_echo(exp, config, K=K, data_seeds=list(data_seeds)),
+        )
+        for ds in data_seeds:
             try:
                 split = low_resource_split(len(train_pool), K, ds)
                 tr = [train_pool[i] for i in split.train_ids]
                 dv = [train_pool[i] for i in split.dev_ids]
                 value, _ = train_and_score(exp, tr, dv, test_insts, config,
                                            model_seed=config.seed)
-                return value, None
             except ValueError as ex:
-                return None, f"data_seed {ds}: {ex}"
-
-        report = EvalReport(
-            task=exp.spec.name, metric_id=exp.spec.metric_id,
-            values=[], run_labels=[],
-            config=_config_echo(exp, config, K=K, data_seeds=list(data_seeds)),
-        )
-        for ds, (value, err) in _run_indexed(one, data_seeds, jobs):
-            if err is not None:
-                report.errors.append(err)
-            else:
-                report.run_labels.append(f"seed{ds}")
-                report.values.append(value)
+                report.errors.append(f"data_seed {ds}: {ex}")
+                continue
+            report.run_labels.append(f"seed{ds}")
+            report.values.append(value)
         reports[f"K{K}"] = report
     return reports
 
 
 def sweep_scanpaths(exp: Experiment, train_insts, dev_insts, test_insts,
                     config: TrainConfig, counts=(1, 3, 5, 7),
-                    seeds=(42,), jobs: int = 1) -> dict[str, EvalReport]:
+                    seeds=(42,)) -> dict[str, EvalReport]:
     """Training and application scanpath counts move together."""
     if not counts:
         raise ValueError("counts must be non-empty")
     points: dict[str, EvalReport] = {}
     for count in counts:
         cfg = dataclasses.replace(config, n_scanpaths_train=count)
-
-        def one(seed: int, cfg=cfg):
-            run_cfg = dataclasses.replace(cfg, seed=seed)
-            value, _ = train_and_score(exp, train_insts, dev_insts, test_insts,
-                                       run_cfg, model_seed=seed)
-            return value
-
         report = EvalReport(
             task=exp.spec.name, metric_id=exp.spec.metric_id,
             values=[], run_labels=[],
             config=_config_echo(exp, cfg, seeds=list(seeds)),
         )
-        for seed, value in _run_indexed(one, seeds, jobs):
+        for seed in seeds:
+            run_cfg = dataclasses.replace(cfg, seed=seed)
+            value, _ = train_and_score(exp, train_insts, dev_insts, test_insts,
+                                       run_cfg, model_seed=seed)
             report.run_labels.append(f"seed{seed}")
             report.values.append(value)
         points[f"n{count}"] = report
@@ -343,7 +330,7 @@ ABLATIONS = ("full", "frozen", "scratch")
 
 
 def run_ablations(exp: Experiment, train_insts, dev_insts, test_insts,
-                  config: TrainConfig, jobs: int = 1) -> dict[str, EvalReport]:
+                  config: TrainConfig) -> dict[str, EvalReport]:
     """full vs frozen-generator vs scratch-generator, same seed and data."""
     if exp.generator_state is None:
         raise ValueError("ablations need a pretrained generator state")
@@ -355,15 +342,11 @@ def run_ablations(exp: Experiment, train_insts, dev_insts, test_insts,
         "scratch": dataclasses.replace(config, pretrained_generator=False,
                                        freeze_generator=False),
     }
-
-    def one(name: str):
-        value, _ = train_and_score(exp, train_insts, dev_insts, test_insts,
-                                   variants[name], model_seed=config.seed)
-        return value
-
     out: dict[str, EvalReport] = {}
-    for name, value in _run_indexed(one, ABLATIONS, jobs):
+    for name in ABLATIONS:
         cfg = variants[name]
+        value, _ = train_and_score(exp, train_insts, dev_insts, test_insts,
+                                   cfg, model_seed=config.seed)
         out[name] = EvalReport(
             task=exp.spec.name, metric_id=exp.spec.metric_id,
             values=[value], run_labels=[name],
@@ -372,20 +355,5 @@ def run_ablations(exp: Experiment, train_insts, dev_insts, test_insts,
     return out
 
 
-# -- parallel plumbing ---------------------------------------------------
-
-
 def _fold_seed(seed: int, fold: int) -> int:
     return seed * 1000 + fold
-
-
-def _run_indexed(fn, keys, jobs: int):
-    """Run fn over keys, optionally in worker threads; order-stable."""
-    keys = list(keys)
-    if jobs <= 1 or len(keys) <= 1:
-        return [(k, fn(k)) for k in keys]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        values = list(pool.map(fn, keys))
-    return list(zip(keys, values))

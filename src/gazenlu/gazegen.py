@@ -7,9 +7,11 @@ aligns the two; a linear head scores saccade offset classes
 virtual position -1, so the first decision is an entry saccade and STOP
 is invalid until at least one word has been fixated.
 
-Sampling comes in three forms: hard autoregressive (categorical),
-straight-through Gumbel (hard forward, relaxed backward), and a soft
-convolution that transports a whole position distribution per step.
+One batched Gumbel-softmax sampler draws every path, in either of two
+relaxations: straight-through (hard one-hot rows forward, relaxed
+gradient backward; under ``no_grad`` these are exact Gumbel-max draws)
+and a soft convolution that transports a whole position distribution
+per step.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .diffcore import (
     cross_entropy,
     matmul,
     mul,
-    no_grad,
     reshape,
     select_steps,
     softmax,
@@ -40,7 +41,6 @@ from .diffcore import (
     take_rows,
     transpose,
 )
-from .textenc import TextEncoderOutput
 
 STRAIGHT_THROUGH = "straight_through"
 SOFT_CONVOLUTION = "soft_convolution"
@@ -51,6 +51,9 @@ SOFT_STOP_MASS = 0.5
 
 @dataclass(frozen=True)
 class GumbelConfig:
+    """Sampler settings; ``hard_eval`` makes prediction use hard Gumbel-max
+    paths whatever the training relaxation."""
+
     temperature: float = 0.5
     mode: str = STRAIGHT_THROUGH
     hard_eval: bool = False
@@ -60,30 +63,6 @@ class GumbelConfig:
             raise ValueError(f"temperature must be > 0, got {self.temperature}")
         if self.mode not in (STRAIGHT_THROUGH, SOFT_CONVOLUTION):
             raise ValueError(f"unknown gumbel mode {self.mode!r}")
-
-
-@dataclass
-class SaccadeStep:
-    logits: Tensor              # (n_classes,)
-    valid_mask: np.ndarray      # (n_classes,) bool
-
-    def probs(self) -> np.ndarray:
-        z = self.logits.data + np.where(self.valid_mask, 0.0, NEG_INF)
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
-
-
-@dataclass
-class Scanpath:
-    sentence_id: object
-    fixations: list[int]
-    stopped: bool = True
-    soft_weights: Tensor | None = None
-
-    @property
-    def n_fix(self) -> int:
-        return len(self.fixations)
 
 
 @dataclass(frozen=True)
@@ -118,7 +97,8 @@ class SampledBatch:
     """One sampled path per batch row, step-major, for the training loop."""
 
     rows: list[Tensor]          # per step, (B, W) position weights
-    row_mask: np.ndarray        # (B, S) 1 where row b fixates at step s
+    row_mask: np.ndarray        # (B, S) 1 where row b fixates at step s;
+                                # rows where it is 0 carry no meaning
     fixations: list[list[int]]
     stopped: np.ndarray         # (B,) bool
 
@@ -180,14 +160,6 @@ class ScanpathGenerator(Module):
         gru_out = concat([stack(fwd, axis=1), stack(bwd, axis=1)], axis=2)
         return add(self.word_proj(x), gru_out)
 
-    def encode_words(self, out: TextEncoderOutput) -> Tensor:
-        """(W, h) word states for a single sentence."""
-        W = out.word_embeddings.shape[0]
-        batched = self.encode_words_batch(
-            reshape(out.word_embeddings, (1, W, -1)), np.array([W])
-        )
-        return batched[0]
-
     # -- history encoder -------------------------------------------------
 
     def start_state(self, batch: int, dtype=np.float32) -> Tensor:
@@ -198,20 +170,6 @@ class ScanpathGenerator(Module):
         inp = concat([word_row, pos_emb], axis=1)
         h_new = self.gru_hist(inp, h_prev)
         return add(self.hist_proj(inp), h_new), h_new
-
-    def encode_history(self, prefix, word_states: Tensor) -> Tensor:
-        """Decoder state after the given fixation prefix; (h,) vector."""
-        W, h = word_states.shape
-        for i, f in enumerate(prefix):
-            if not 0 <= f < W:
-                raise ValueError(f"fixation {f} at step {i} out of range for {W} words")
-        state = self.start_state(1, word_states.dtype)
-        hid = Tensor(np.zeros((1, h), dtype=word_states.dtype))
-        for f in prefix:
-            row = word_states[f:f + 1, :]
-            pe = self.fix_pos(np.array([f]))
-            state, hid = self.history_step(row, pe, hid)
-        return state[0]
 
     # -- decoder ---------------------------------------------------------
 
@@ -240,16 +198,6 @@ class ScanpathGenerator(Module):
         attn = softmax(scores, mask=key_mask)
         ctx = reshape(matmul(attn, word_states), (B, h))
         return self.head(concat([ctx, state], axis=1))
-
-    def decode_step(self, decoder_state: Tensor, word_states: Tensor,
-                    current_pos: int) -> SaccadeStep:
-        W, h = word_states.shape
-        if not (current_pos == -1 or 0 <= current_pos < W):
-            raise ValueError(f"current_pos {current_pos} invalid for {W} words")
-        logits = self.decode_logits_batch(
-            reshape(decoder_state, (1, h)), reshape(word_states, (1, W, h)), np.array([W])
-        )
-        return SaccadeStep(logits[0], self.valid_mask(current_pos, W))
 
     # -- teacher forcing -------------------------------------------------
 
@@ -317,45 +265,34 @@ class ScanpathGenerator(Module):
             positions[feeders] = feed[feeders]
         return mul(total, 1.0 / n_terms), n_terms
 
-    def nll_teacher_forced(self, out: TextEncoderOutput, gold: Scanpath) -> Tensor:
-        """Mean per-decision cross-entropy for one gold path, STOP included."""
-        word_states = self.encode_words(out)
-        W = word_states.shape[0]
-        loss, _ = self.nll_batch(
-            reshape(word_states, (1, W, -1)), np.array([W]), [list(gold.fixations)]
-        )
-        return loss
-
     # -- sampling --------------------------------------------------------
 
-    def sample_hard(self, word_states: Tensor, sentence_id, rng: RngState,
-                    max_fixations: int | None = None) -> Scanpath:
-        W = word_states.shape[0]
-        if max_fixations is None:
-            max_fixations = default_max_fixations(W)
-        if max_fixations < 1:
-            raise ValueError("max_fixations must be >= 1")
-        cfg = self.cfg
-        with no_grad():
-            fixations: list[int] = []
-            stopped = False
-            pos = -1
-            state = self.start_state(1, word_states.dtype)
-            hid = Tensor(np.zeros((1, cfg.d_hidden), dtype=word_states.dtype))
-            ws3 = reshape(word_states, (1, W, cfg.d_hidden))
-            counts = np.array([W])
-            while len(fixations) < max_fixations:
-                logits = self.decode_logits_batch(state, ws3, counts)
-                step = SaccadeStep(logits[0], self.valid_mask(pos, W))
-                cls = int(rng.categorical(step.probs()))
-                if cls == cfg.stop_class:
-                    stopped = True
-                    break
-                pos = pos + cfg.class_to_offset(cls)
-                fixations.append(pos)
-                rows = select_steps(ws3, np.array([pos]))
-                state, hid = self.history_step(rows, self.fix_pos(np.array([pos])), hid)
-        return Scanpath(sentence_id, fixations, stopped)
+    def _landing_scatter(self, positions: np.ndarray, counts: np.ndarray,
+                         rows: np.ndarray, W: int, dtype) -> np.ndarray:
+        """(B, C, W) class -> landing word for the given rows' positions."""
+        B = len(positions)
+        offs = np.arange(self.cfg.n_classes - 1) - (self.cfg.l_max - 1)
+        scatter = np.zeros((B, self.cfg.n_classes, W), dtype=dtype)
+        for b in np.flatnonzero(rows):
+            landing = positions[b] + offs
+            ok = (landing >= 0) & (landing < counts[b])
+            scatter[b, np.flatnonzero(ok), landing[ok]] = 1.0
+        return scatter
+
+    def _spread_kernel(self, counts: np.ndarray, W: int, dtype) -> np.ndarray:
+        """(B, W*W, C): mass moved i -> j by each offset class.
+
+        Each row's landings clamp to its own last word, so no mass ever
+        reaches the padding. STOP moves nothing.
+        """
+        C = self.cfg.n_classes
+        offs = np.arange(C - 1) - (self.cfg.l_max - 1)
+        kernel = np.zeros((len(counts), W, W, C), dtype=dtype)
+        for b, n in enumerate(counts):
+            src = np.arange(n)[:, None]
+            dst = np.clip(src + offs, 0, n - 1)
+            kernel[b, np.broadcast_to(src, dst.shape), dst, np.arange(C - 1)] = 1.0
+        return kernel.reshape(len(counts), W * W, C)
 
     def sample_gumbel_batch(
         self,
@@ -366,22 +303,33 @@ class ScanpathGenerator(Module):
         max_fixations,
         surrogate: bool = False,
     ) -> SampledBatch:
-        """Straight-through sampling for a batch, one path per row.
+        """Gumbel-softmax sampling for a batch, one path per row.
 
         ``max_fixations`` is a scalar cap or one per row; a row's draws
-        and path depend only on its own cap and noise stream, never on
-        which other rows share the batch. ``surrogate=True`` keeps the
+        and path depend only on its own word count, cap and noise stream
+        (``rngs[b]``, drawn only while the row is live), never on which
+        other rows share the batch.
+
+        ``straight_through``: each step fixates the argmax of logits plus
+        noise (the Gumbel-max draw) and emits its one-hot row, carrying
+        the relaxed softmax's gradient. ``surrogate=True`` keeps the
         relaxed rows as the forward values (positions still advance by
         the hard offsets); the analytic gradient of the straight-through
         rows is exactly the gradient of this surrogate forward, which is
         what finite differences can see.
+
+        ``soft_convolution``: each row carries a distribution over its
+        words, moved every step by the relaxed offset distribution, with
+        landings clamped to the row's word range. The row is emitted as
+        is and its argmax reported as the fixation; the path ends once
+        the expected probability of having stopped reaches
+        SOFT_STOP_MASS.
         """
-        if cfg.mode != STRAIGHT_THROUGH:
-            raise ValueError("batched sampling implements straight_through only")
         B, W, h = word_states.shape
         gc = self.cfg
         C = gc.n_classes
         dt = word_states.dtype
+        soft = cfg.mode == SOFT_CONVOLUTION
         inv_tau = 1.0 / cfg.temperature
         caps = np.broadcast_to(
             np.asarray(max_fixations, dtype=np.int64), (B,)
@@ -397,139 +345,74 @@ class ScanpathGenerator(Module):
         fixations: list[list[int]] = [[] for _ in range(B)]
         rows: list[Tensor] = []
         row_mask: list[np.ndarray] = []
-        offs = np.arange(C - 1) - (gc.l_max - 1)
+        dist = None     # soft: (B, W) position distribution after entry
+        if soft:
+            kernel = Tensor(self._spread_kernel(counts, W, dt))
+            reach = np.abs(np.arange(C) - (gc.l_max - 1))[None, :] < counts[:, None]
+            reach[:, gc.stop_class] = False
+            move_mask = np.where(reach, 0.0, NEG_INF).astype(np.float32)
+            stop_mask = move_mask.copy()
+            stop_mask[:, gc.stop_class] = 0.0
+            stop_mass = np.zeros(B)
         for _ in range(int(caps.max())):
             if not alive.any():
                 break
             logits = self.decode_logits_batch(state, word_states, counts)
-            masks = self._additive_masks(positions, counts)
             g = np.zeros((B, C), dtype=dt)
             for b in np.flatnonzero(alive):
                 g[b] = rngs[b].gumbel((C,)).astype(dt)
-            y = softmax(mul(add(logits, Tensor(g)), inv_tau), mask=masks)
-            hard = y.data.argmax(axis=1)
-            chose_stop = alive & (hard == gc.stop_class)
-            cont = alive & ~chose_stop
-            stopped |= chose_stop
-            n_fix[cont] += 1
-            alive = cont & (n_fix < caps)
-            if not cont.any():
-                break
-            new_pos = positions.copy()
-            new_pos[cont] = positions[cont] + (hard[cont] - (gc.l_max - 1))
-            # class -> word scatter for the current source positions
-            scatter = np.zeros((B, C, W), dtype=dt)
-            for b in np.flatnonzero(cont):
-                landing = positions[b] + offs
-                ok = (landing >= 0) & (landing < counts[b])
-                scatter[b, np.flatnonzero(ok), landing[ok]] = 1.0
-            y_words = reshape(matmul(reshape(y, (B, 1, C)), Tensor(scatter)), (B, W))
-            if surrogate:
-                row = y_words
+            z = mul(add(logits, Tensor(g)), inv_tau)
+            if dist is None:
+                # a hard step from the current positions; for a soft
+                # path, the entry saccade
+                y = softmax(z, mask=self._additive_masks(positions, counts))
+                hard = y.data.argmax(axis=1)
+                live = alive & (hard != gc.stop_class)
+                stopped |= alive & ~live
+                if not live.any():
+                    break
+                scatter = self._landing_scatter(positions, counts, live, W, dt)
+                y_words = reshape(matmul(reshape(y, (B, 1, C)), Tensor(scatter)), (B, W))
+                if soft:
+                    dist = y_words
             else:
-                onehot = np.zeros((B, W), dtype=dt)
-                onehot[cont, new_pos[cont]] = 1.0
-                row = add(y_words, Tensor(onehot - y_words.data))
+                live = alive
+                p_stop = softmax(z, mask=stop_mask).data[:, gc.stop_class]
+                q = softmax(z, mask=move_mask)
+                spread = reshape(matmul(kernel, reshape(q, (B, C, 1))), (B, W, W))
+                dist = reshape(matmul(reshape(dist, (B, 1, W)), spread), (B, W))
+                stop_mass[live] += (1.0 - stop_mass[live]) * p_stop[live]
+            if soft:
+                row = dist
+                fix = dist.data.argmax(axis=1)
+                pe = matmul(dist, self.fix_pos.w[0:W, :])
+                stopped |= live & (stop_mass >= SOFT_STOP_MASS)
+            else:
+                fix = np.where(live, positions + hard - (gc.l_max - 1), positions)
+                if surrogate:
+                    row = y_words
+                else:
+                    onehot = np.zeros((B, W), dtype=dt)
+                    onehot[live, fix[live]] = 1.0
+                    row = add(y_words, Tensor(onehot - y_words.data))
+                pe = self.fix_pos(np.maximum(fix, 0))
+                positions = fix
             rows.append(row)
-            row_mask.append(cont.astype(np.float32))
-            for b in np.flatnonzero(cont):
-                fixations[b].append(int(new_pos[b]))
+            row_mask.append(live.astype(np.float32))
+            for b in np.flatnonzero(live):
+                fixations[b].append(int(fix[b]))
+            n_fix[live] += 1
+            moving = live & ~stopped
+            alive = moving & (n_fix < caps)
+            if not alive.any():
+                break
             word_row = reshape(matmul(reshape(row, (B, 1, W)), word_states), (B, h))
-            pe = self.fix_pos(np.maximum(new_pos, 0))
             out, hn = self.history_step(word_row, pe, hid)
-            m = Tensor(cont.astype(dt).reshape(B, 1))
-            keep = Tensor((~cont).astype(dt).reshape(B, 1))
+            m = Tensor(moving.astype(dt).reshape(B, 1))
+            keep = Tensor((~moving).astype(dt).reshape(B, 1))
             state = add(mul(out, m), mul(state, keep))
             hid = add(mul(hn, m), mul(hid, keep))
-            positions = new_pos
         mask_arr = (
             np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), dtype=np.float32)
         )
         return SampledBatch(rows, mask_arr, fixations, stopped)
-
-    def _sample_soft_conv(self, word_states: Tensor, sentence_id, rng: RngState,
-                          cfg: GumbelConfig, max_fixations: int) -> Scanpath:
-        W, h = word_states.shape
-        gc = self.cfg
-        C = gc.n_classes
-        dt = word_states.dtype
-        inv_tau = 1.0 / cfg.temperature
-        ws3 = reshape(word_states, (1, W, h))
-        counts = np.array([W])
-        offs = np.arange(C - 1) - (gc.l_max - 1)
-
-        # spread[i, j] mass of moving i -> j for offset class c, landing
-        # clamped to the nearest boundary word
-        kernel = np.zeros((W * W, C), dtype=dt)
-        for i in range(W):
-            landing = np.clip(i + offs, 0, W - 1)
-            for c, j in enumerate(landing):
-                kernel[i * W + j, c] += 1.0
-
-        # offsets impossible from every source position stay masked
-        some_valid = np.zeros(C, dtype=bool)
-        for i in range(W):
-            some_valid |= np.concatenate([(i + offs >= 0) & (i + offs < W), [False]])
-        off_mask = np.where(some_valid, 0.0, NEG_INF).astype(np.float32)
-
-        state = self.start_state(1, dt)
-        hid = Tensor(np.zeros((1, h), dtype=dt))
-        fixations: list[int] = []
-        soft_rows: list[Tensor] = []
-        stop_mass = 0.0
-        stopped = False
-        a = None            # (1, W) position distribution
-        for step in range(max_fixations):
-            logits = self.decode_logits_batch(state, ws3, counts)
-            g = Tensor(rng.gumbel((1, C)).astype(dt))
-            z = mul(add(logits, g), inv_tau)
-            if a is None:
-                entry_mask = np.where(self.valid_mask(-1, W), 0.0, NEG_INF).astype(
-                    np.float32
-                )
-                y = softmax(z, mask=entry_mask)
-                scatter = np.zeros((C, W), dtype=dt)
-                landing = -1 + offs
-                ok = (landing >= 0) & (landing < W)
-                scatter[np.flatnonzero(ok), landing[ok]] = 1.0
-                a = matmul(y, Tensor(scatter))
-            else:
-                with_stop = off_mask.copy()
-                with_stop[gc.stop_class] = 0.0  # STOP valid after entry
-                p = softmax(z, mask=with_stop.reshape(1, C))
-                p_stop = float(p.data[0, gc.stop_class])
-                q = softmax(z, mask=off_mask.reshape(1, C))
-                spread = reshape(matmul(Tensor(kernel), transpose(q, (1, 0))), (W, W))
-                a = matmul(a, spread)
-                stop_mass = stop_mass + (1.0 - stop_mass) * p_stop
-            fixations.append(int(a.data[0].argmax()))
-            soft_rows.append(a[0])
-            if stop_mass >= SOFT_STOP_MASS:
-                stopped = True
-                break
-            word_row = matmul(a, word_states)
-            pe = matmul(a, self.fix_pos.w[0:W, :])
-            state, hid = self.history_step(word_row, pe, hid)
-        return Scanpath(sentence_id, fixations, stopped, soft_weights=stack(soft_rows))
-
-    def sample_gumbel(self, word_states: Tensor, sentence_id, rng: RngState,
-                      cfg: GumbelConfig, max_fixations: int | None = None,
-                      surrogate: bool = False) -> Scanpath:
-        """Differentiable sampling for one sentence; rows in soft_weights."""
-        W = word_states.shape[0]
-        if max_fixations is None:
-            max_fixations = default_max_fixations(W)
-        if cfg.mode == SOFT_CONVOLUTION:
-            return self._sample_soft_conv(word_states, sentence_id, rng, cfg,
-                                          max_fixations)
-        batch = self.sample_gumbel_batch(
-            reshape(word_states, (1, W, -1)), np.array([W]), [rng], cfg,
-            max_fixations, surrogate=surrogate,
-        )
-        steps = [t[0] for t, m in zip(batch.rows, batch.row_mask.T) if m[0] > 0]
-        return Scanpath(
-            sentence_id,
-            batch.fixations[0],
-            bool(batch.stopped[0]),
-            soft_weights=stack(steps) if steps else None,
-        )

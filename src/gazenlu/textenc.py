@@ -84,10 +84,6 @@ class Vocab:
                 i += 1
         return pieces
 
-    def decode_word(self, piece_ids: list[int]) -> str:
-        toks = self.id_to_token
-        return "".join(toks[i] for i in piece_ids)
-
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as f:
             for tok in self.id_to_token:
@@ -375,6 +371,3 @@ class TextEncoder(Module):
             word_embeddings=words[0],
         )
 
-
-def make_text_encoder(cfg: TextEncoderConfig, seed: int, stream: str = "textenc") -> TextEncoder:
-    return TextEncoder(cfg, RngState(seed, 0).substream(stream))

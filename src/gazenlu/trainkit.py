@@ -4,8 +4,8 @@ Phase one fits the generator to recorded fixation sequences by
 teacher-forced NLL. Phase two trains the full model on a labeled task,
 optionally starting from (and optionally freezing) the pretrained
 generator. Both phases early-stop on a dev signal and keep the best-dev
-parameter snapshot. Single-threaded runs are bit-reproducible from
-(seed, data, config).
+parameter snapshot. Runs are bit-reproducible from (seed, data,
+config).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .augmentor import TEXT_ONLY, JointModel
 from .corpus import GazeRecord, TextInstance
-from .diffcore import Module, RngState, no_grad
+from .diffcore import Module, RngState, Tensor, no_grad
 from .gazegen import GeneratorConfig, ScanpathGenerator
 from .textenc import (Batch, EncodedText, TextEncoder, TextEncoderConfig,
                       Vocab, collate, tokenize)
@@ -27,7 +27,6 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 IMPROVE_TOL = 1e-6
-LR_GRID = (5e-5, 4e-5, 3e-5, 2e-5)
 
 
 @dataclass
@@ -249,10 +248,13 @@ class GazeModel(Module):
             root.substream("generator"),
         )
 
+    def word_states(self, batch: Batch, drop_rng: RngState | None) -> Tensor:
+        _, _, words = self.gen_encoder.forward_batch(batch, drop_rng)
+        return self.generator.encode_words_batch(words, batch.word_counts)
+
     def batch_nll(self, batch: Batch, paths: list[list[int]],
                   drop_rng: RngState | None):
-        _, _, words = self.gen_encoder.forward_batch(batch, drop_rng)
-        ws = self.generator.encode_words_batch(words, batch.word_counts)
+        ws = self.word_states(batch, drop_rng)
         return self.generator.nll_batch(ws, batch.word_counts, paths)
 
 
@@ -433,27 +435,3 @@ def train_joint(model: JointModel, train_instances: list[TextInstance],
         "n_params": opt.n_params,
         "n_trainable": n_trainable,
     }
-
-
-# -- learning-rate selection ---------------------------------------------
-
-
-def pick_lr(grid, metrics) -> float:
-    """Argmax dev metric; exact ties resolve to the smaller rate."""
-    if not grid or len(grid) != len(metrics):
-        raise ValueError("grid and metrics must be non-empty and aligned")
-    best = max(metrics)
-    return min(lr for lr, m in zip(grid, metrics) if m == best)
-
-
-def select_lr(run_fn, grid=LR_GRID):
-    """Train once per rate via run_fn(lr) -> (dev_metric, payload).
-
-    Returns (best_lr, runs) with runs = [(lr, dev_metric, payload), ...].
-    """
-    runs = []
-    for lr in grid:
-        dev_metric, payload = run_fn(lr)
-        runs.append((lr, float(dev_metric), payload))
-    best = pick_lr([r[0] for r in runs], [r[1] for r in runs])
-    return best, runs

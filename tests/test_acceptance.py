@@ -16,20 +16,20 @@ import scipy.stats
 
 from conftest import record_acceptance
 
-from gazenlu.augmentor import JointModel, ModelConfig, average_logits, reorder
+from gazenlu.augmentor import (JointModel, ModelConfig, average_logits,
+                               fixation_steps)
 from gazenlu.cli import main as cli_main
 from gazenlu.corpus import (MarkovGazeModel, kfold, low_resource_split,
                             make_synthetic_suite)
 from gazenlu.diffcore import (RngState, Tensor, add, checkpoint_hash,
-                              grad_check, mul, no_grad, reshape,
+                              grad_check, matmul, mul, no_grad, reshape,
                               save_checkpoint, softmax, standard_op_checks,
                               tsum)
 from gazenlu.evalkit import (Experiment, metric, run_crossval, run_lowresource,
                              sweep_scanpaths)
 from gazenlu.gazegen import (SOFT_CONVOLUTION, GeneratorConfig, GumbelConfig,
-                             Scanpath, ScanpathGenerator)
-from gazenlu.textenc import (EncodedText, TextEncoderConfig,
-                             TextEncoderOutput, build_vocab, collate)
+                             ScanpathGenerator)
+from gazenlu.textenc import TextEncoderConfig, build_vocab, collate
 from gazenlu.trainkit import (GazeModel, TrainConfig, accuracy_from_logits,
                               encode_instances, pretrain_generator,
                               train_joint)
@@ -167,24 +167,20 @@ def test_criterion_02_gumbel_max_fidelity():
 # -- criterion 3 ----------------------------------------------------------
 
 
-def _random_reorder_fixture(k, rng):
+def _mixed_width_fixture(k, rng):
+    """Two sentences of different widths in one padded batch of word
+    vectors, and a random fixation path for each."""
     r = rng.substream("fix", k)
-    W = 2 + k % 11
+    widths = [2 + k % 11, 1 + int(r.substream("w2").integers(0, 12, ()))]
+    W = max(widths)
     d = 4 + (k % 5) * 3
-    lens = [1 + int(v) for v in r.substream("lens").integers(0, 3, (W,))]
-    spans, pos = [], 1
-    for ln in lens:
-        spans.append((pos, pos + ln))
-        pos += ln
-    T = pos + 1
-    tok = Tensor(r.substream("tok").normal((T, d)))
-    wd = Tensor(r.substream("wd").normal((W, d)))
-    out = TextEncoderOutput(tok, tok[0], wd)
-    enc = EncodedText(token_ids=[0] * T, word_spans=spans,
-                      segment_ids=[0] * T, attention_mask=[1] * T)
-    L = 1 + int(r.substream("L").integers(0, 2 * W, ()))
-    fix = [int(f) for f in r.substream("path").integers(0, W, (L,))]
-    return out, enc, tok, wd, spans, fix
+    words = r.substream("wd").normal((2, W, d))
+    paths = []
+    for b, n in enumerate(widths):
+        words[b, n:] = 0.0
+        L = 1 + int(r.substream("L", b).integers(0, 2 * n, ()))
+        paths.append([int(f) for f in r.substream("path", b).integers(0, n, (L,))])
+    return Tensor(words), widths, paths
 
 
 def _delta_walk_oracle(gen, word_states, W, rng, max_fix):
@@ -227,7 +223,6 @@ def _delta_walk_oracle(gen, word_states, W, rng, max_fix):
             one = np.zeros((1, W), dtype=dt)
             one[0, pos] = 1.0
             a = Tensor(one)
-            from gazenlu.diffcore import matmul
             word_row = matmul(a, word_states)
             pe = matmul(a, gen.fix_pos.w[0:W, :])
             state, hid = gen.history_step(word_row, pe, hid)
@@ -238,55 +233,57 @@ def test_criterion_03_reordering_oracle():
     rng = RngState(30303, 0)
     n_fixtures = 1000
     for k in range(n_fixtures):
-        out, enc, tok, wd, spans, fix = _random_reorder_fixture(k, rng)
-        L, W = len(fix), len(spans)
-
-        hard = reorder(out, enc, Scanpath("s", fix, True))
-        idx = [t for f in fix for t in range(*spans[f])]
-        assert np.array_equal(hard.embeddings.data, tok.data[np.array(idx)])
-        assert hard.source_map == [
-            (step, f, t) for step, f in enumerate(fix)
-            for t in range(*spans[f])
-        ]
-
-        onehot = np.zeros((L, W))
-        onehot[np.arange(L), fix] = 1.0
-        soft = reorder(out, enc, Scanpath("s", fix, True,
-                                          soft_weights=Tensor(onehot)))
-        assert np.array_equal(soft.embeddings.data, wd.data[np.array(fix)])
-        assert soft.source_map == [(step, f, -1) for step, f in enumerate(fix)]
+        words, widths, paths = _mixed_width_fixture(k, rng)
+        onehot = np.zeros((max(len(p) for p in paths), 2, words.shape[1]))
+        for b, path in enumerate(paths):
+            onehot[np.arange(len(path)), b, path] = 1.0
+        steps = fixation_steps([Tensor(row) for row in onehot], words)
+        for b, path in enumerate(paths):
+            got = np.stack([steps[t].data[b] for t in range(len(path))])
+            assert np.array_equal(got, words.data[b, path])
 
     n_walks, steps = 120, 0
     for seed in range(n_walks):
         r = RngState(40404, seed)
         W = 2 + seed % 5
-        l_max = W + 1 + seed % 3
+        l_max = W + 2 + seed % 3
+        # the walk's row sits beside a longer sentence, padded to its width
+        me = seed % 2
+        counts = np.array([l_max - 1, l_max - 1])
+        counts[me] = W
         gen = ScanpathGenerator(GeneratorConfig(d_word=4, d_hidden=6,
                                                 l_max=l_max),
                                 r.substream("init"))
-        emb = Tensor(r.substream("emb").normal((1, W, 4)).astype(np.float32))
+        emb = r.substream("emb").normal((2, l_max - 1, 4)).astype(np.float32)
+        emb[me, W:] = 0.0
+        rngs = [r.substream("n"), r.substream("n")]
+        rngs[me] = r.substream("g")
         with no_grad():
-            ws = gen.encode_words_batch(emb, np.array([W]))[0, :W, :]
-            sp = gen.sample_gumbel(
-                ws, "s", r.substream("g"),
+            ws = gen.encode_words_batch(Tensor(emb), counts)
+            sb = gen.sample_gumbel_batch(
+                ws, counts, rngs,
                 GumbelConfig(temperature=1e-8, mode=SOFT_CONVOLUTION),
                 max_fixations=6,
             )
-        rows = sp.soft_weights.data
+        rows = np.stack([row.data[me] for row, m in
+                         zip(sb.rows, sb.row_mask[me]) if m])
+        assert np.all(rows[:, W:] == 0.0)  # no mass reaches the padding
+        rows = rows[:, :W]
         assert np.all(rows.max(axis=1) == 1.0)  # exact deltas
         assert np.all(rows.sum(axis=1) == 1.0)
         oracle_fix, oracle_stop = _delta_walk_oracle(
-            gen, ws, W, r.substream("g"), 6
+            gen, Tensor(ws.data[me, :W]), W, r.substream("g"), 6
         )
-        assert sp.fixations == oracle_fix
+        assert sb.fixations[me] == oracle_fix
         assert [int(i) for i in rows.argmax(axis=1)] == oracle_fix
-        assert sp.stopped == oracle_stop
+        assert bool(sb.stopped[me]) == oracle_stop
         steps += len(oracle_fix)
 
     ok = True
-    detail = (f"{n_fixtures} mixture-vs-gather fixtures bit-exact; "
-              f"{n_walks} zero-temperature relaxed walks ({steps} steps) "
-              f"match the integer replay exactly")
+    detail = (f"{n_fixtures} mixture-vs-gather fixtures (padded batches of "
+              f"mixed width) bit-exact; {n_walks} zero-temperature relaxed "
+              f"walks ({steps} steps) beside a longer sentence match the "
+              f"integer replay exactly")
     record_acceptance(3, "reordering oracle", ok, detail)
 
 

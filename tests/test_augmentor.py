@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, JointModel, ModelConfig,
-                               ReorderedSequence, ScanpathEncoder, TEXT_ONLY,
-                               average_logits, reorder, scanpath_encode)
-from gazenlu.diffcore import RngState, Tensor, no_grad
-from gazenlu.gazegen import GumbelConfig, Scanpath
-from gazenlu.textenc import (TextEncoderConfig, TextEncoderOutput, build_vocab,
-                             collate, tokenize)
+                               ScanpathEncoder, TEXT_ONLY, average_logits,
+                               fixation_steps)
+from gazenlu.diffcore import RngState, Tensor, no_grad, reshape
+from gazenlu.gazegen import GumbelConfig
+from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 
 
 # -- logit averaging -----------------------------------------------------
@@ -53,37 +52,19 @@ def toy_text():
     return vocab, cfg, enc, out
 
 
-def test_hard_reorder_expands_token_spans(toy_text):
-    _, _, enc, out = toy_text
-    sp = Scanpath("s", [1, 0, 1])
-    seq = reorder(out, enc, sp)
-    expected_tokens = []
-    for step, f in enumerate(sp.fixations):
-        s, e = enc.word_spans[f]
-        expected_tokens.extend(range(s, e))
-    assert [t for _, _, t in seq.source_map] == expected_tokens
-    assert [w for _, w, _ in seq.source_map] == [
-        f for step, f in enumerate(sp.fixations)
-        for _ in range(enc.word_spans[f][1] - enc.word_spans[f][0])
-    ]
-    manual = out.token_embeddings.data[np.array(expected_tokens)]
-    assert np.array_equal(seq.embeddings.data, manual)
-
-
-def test_soft_reorder_mixes_word_embeddings(toy_text):
-    _, _, enc, out = toy_text
-    weights = np.array([[0.2, 0.5, 0.3], [1.0, 0.0, 0.0]], dtype=np.float32)
-    sp = Scanpath("s", [1, 0], soft_weights=Tensor(weights))
-    seq = reorder(out, enc, sp)
-    manual = weights @ out.word_embeddings.data
-    assert np.abs(seq.embeddings.data - manual).max() < 1e-6
-    assert seq.source_map == [(0, 1, -1), (1, 0, -1)]
-
-
-def test_reorder_rejects_out_of_range_fixation(toy_text):
-    _, _, enc, out = toy_text
-    with pytest.raises(ValueError):
-        reorder(out, enc, Scanpath("s", [0, 3]))
+def test_soft_reorder_mixes_word_embeddings():
+    """Each step's position weights mix that row's own word vectors,
+    across a padded batch of mixed width."""
+    r = RngState(39, 0)
+    words = Tensor(r.substream("w").normal((2, 3, 4)).astype(np.float32))
+    words.data[0, 2] = 0.0          # row 0 has two words; word 2 is padding
+    weights = [np.array([[0.4, 0.6, 0.0], [0.2, 0.5, 0.3]], dtype=np.float32),
+               np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)]
+    steps = fixation_steps([Tensor(w) for w in weights], words)
+    for w, step in zip(weights, steps):
+        manual = np.einsum("bw,bwd->bd", w, words.data)
+        assert step.shape == (2, 4)
+        assert np.abs(step.data - manual).max() < 1e-6
 
 
 # -- scanpath encoder ----------------------------------------------------
@@ -122,19 +103,21 @@ def test_encoder_is_order_sensitive(toy_text):
     _, cfg, enc, out = toy_text
     sc = ScanpathEncoder(cfg.d_model, cfg.d_model, RngState(45, 0))
     sc.eval()
+    cls = reshape(out.cls_embedding, (1, -1))
+
+    def feature(order):
+        steps = [out.word_embeddings[f:f + 1, :] for f in order]
+        return sc.run_steps(steps, np.ones((1, len(order))), cls)
+
     with no_grad():
-        f_ab = scanpath_encode(sc, reorder(out, enc, Scanpath("s", [0, 1])),
-                               out.cls_embedding)
-        f_ba = scanpath_encode(sc, reorder(out, enc, Scanpath("s", [1, 0])),
-                               out.cls_embedding)
+        f_ab, f_ba = feature([0, 1]), feature([1, 0])
     assert not np.allclose(f_ab.data, f_ba.data)
 
 
 def test_empty_sequence_rejected():
     sc = ScanpathEncoder(4, 4, RngState(46, 0))
-    seq = ReorderedSequence(Tensor(np.zeros((0, 4), dtype=np.float32)), [])
     with pytest.raises(ValueError):
-        scanpath_encode(sc, seq, Tensor(np.zeros(4, dtype=np.float32)))
+        sc.run_steps([], np.zeros((1, 0)), Tensor(np.zeros((1, 4), dtype=np.float32)))
 
 
 # -- joint model ---------------------------------------------------------
@@ -266,12 +249,14 @@ def test_predict_deterministic_under_same_stream(joint_setup):
 
 
 def test_single_prediction_matches_batch_row(joint_setup):
-    vocab, _, model, _ = joint_setup
-    enc = tokenize("aa ab", None, vocab, 32)
-    single = model.predict(enc, "s0", 2, RngState(59, 0).substream("eval"))
-    row = model.predict_batch(collate([enc]), ["s0"], 2,
-                              RngState(59, 0).substream("eval"))[0]
-    assert np.array_equal(single, row)
+    """A sentence predicted alone matches its row of a padded batch."""
+    vocab, _, model, batch = joint_setup
+    rows = model.predict_batch(batch, ["s0", "s1"], 2,
+                               RngState(59, 0).substream("eval"))
+    alone = collate([tokenize("aa ab", None, vocab, 32)])
+    single = model.predict_batch(alone, ["s0"], 2,
+                                 RngState(59, 0).substream("eval"))[0]
+    assert np.allclose(single, rows[0], atol=1e-5), (single, rows[0])
 
 
 def test_predict_requires_positive_path_count(joint_setup):
@@ -297,6 +282,19 @@ def test_hard_eval_prediction_deterministic(joint_setup):
     out1 = model.predict_batch(batch, ["s0", "s1"], 2, RngState(63, 0))
     out2 = model.predict_batch(batch, ["s0", "s1"], 2, RngState(63, 0))
     assert np.array_equal(out1, out2)
+
+
+def test_hard_eval_ignores_training_relaxation(joint_setup):
+    """hard_eval samples hard Gumbel-max paths whatever the training
+    relaxation: a soft-convolution model predicts like its
+    straight-through twin."""
+    vocab, _, _, batch = joint_setup
+    outs = []
+    for mode in ("straight_through", "soft_convolution"):
+        cfg = _tiny_cfg(vocab, gumbel=GumbelConfig(mode=mode, hard_eval=True))
+        model = JointModel(cfg, RngState(62, 0))
+        outs.append(model.predict_batch(batch, ["s0", "s1"], 2, RngState(63, 0)))
+    assert np.array_equal(outs[0], outs[1])
 
 
 def test_prediction_depends_on_path_count(joint_setup):

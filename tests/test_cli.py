@@ -1,13 +1,18 @@
 """End-to-end command-line pipeline in a temp directory."""
 
+import dataclasses
 import json
 import os
 import re
 
 import pytest
 
-from gazenlu.cli import main
+from gazenlu.augmentor import ModelConfig
+from gazenlu.cli import _model_cfg_from_meta, _model_meta, main
 from gazenlu.evalkit import load_reports
+from gazenlu.gazegen import GumbelConfig
+from gazenlu.textenc import TextEncoderConfig
+from gazenlu.trainkit import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +143,59 @@ def test_generate_emits_jsonl_scanpaths(pipeline):
         "--n-paths", "2", "--seed", "3", "--out", str(out2),
     ]) == 0
     assert out.read_bytes() == out2.read_bytes()
+
+
+def test_generate_paths_do_not_depend_on_later_sentences(pipeline):
+    """Sentences are sampled in batches, yet the paths of a file's first
+    sentences stay the same when longer sentences follow them."""
+    root = pipeline["root"]
+    first = ["aa bb cc dd", "ee ff"]
+    more = ["gg hh ii jj kk ll mm nn", "oo pp qq", "rr ss tt uu vv ww"]
+    outs = []
+    for name, lines in (("few", first), ("many", first + more)):
+        texts = root / f"{name}.txt"
+        texts.write_text("\n".join(lines) + "\n")
+        out = root / f"{name}.jsonl"
+        assert main([
+            "generate", "--model", pipeline["pre"], "--input", str(texts),
+            "--n-paths", "3", "--seed", "5", "--out", str(out),
+        ]) == 0
+        outs.append(out.read_text().splitlines())
+    assert len(outs[0]) == 6 and len(outs[1]) == 15
+    assert outs[1][:6] == outs[0]
+
+
+def _non_default(cls, value):
+    """Assert that every field of dataclass ``value`` differs from its default."""
+    for f in dataclasses.fields(cls):
+        if f.default is not dataclasses.MISSING:
+            assert getattr(value, f.name) != f.default, f.name
+        elif f.default_factory is not dataclasses.MISSING:
+            assert getattr(value, f.name) != f.default_factory(), f.name
+
+
+def test_model_meta_round_trips_every_field():
+    text = TextEncoderConfig(vocab_size=77, d_model=24, n_layers=3, n_heads=6,
+                             d_ff=48, max_len=40, n_segments=3, dropout=0.25)
+    gumbel = GumbelConfig(temperature=0.3, mode="soft_convolution",
+                          hard_eval=True)
+    cfg = ModelConfig(text=text, gen_hidden=18, l_max=9, scan_hidden=20,
+                      task_kind="regression", n_classes=5,
+                      share_text_encoder=True, model_kind="text_only",
+                      gumbel=gumbel, scan_dropout=0.3)
+    for cls, value in ((ModelConfig, cfg), (TextEncoderConfig, text),
+                       (GumbelConfig, gumbel)):
+        _non_default(cls, value)
+    meta = json.loads(json.dumps(_model_meta(cfg, TrainConfig(lr=2e-4))))
+    # the keys existing run directories hold
+    assert set(meta) == {"kind", "text", "gen_hidden", "l_max", "scan_hidden",
+                         "task_kind", "n_classes", "share_text_encoder",
+                         "model_kind", "gumbel", "scan_dropout", "train"}
+    assert meta["kind"] == "joint" and meta["train"]["lr"] == 2e-4
+    assert meta["gumbel"] == {"temperature": 0.3, "mode": "soft_convolution",
+                              "hard_eval": True}
+    assert meta["text"]["n_segments"] == 3
+    assert _model_cfg_from_meta(meta) == cfg
 
 
 def test_report_verb_prints_and_exports_csv(pipeline, capsys):

@@ -1,14 +1,32 @@
-"""Scanpath generator: masks, teacher forcing, and the three samplers."""
+"""Scanpath generator: masks, teacher forcing, and the batched sampler in
+its straight-through, hard (Gumbel-max) and soft-convolution forms."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
-from gazenlu.diffcore import RngState, Tensor, grad_check, mul, reshape, tsum
+from gazenlu.diffcore import (RngState, Tensor, grad_check, mul, no_grad,
+                              softmax, tsum)
 from gazenlu.gazegen import (GeneratorConfig, GumbelConfig, ScanpathGenerator,
-                             SOFT_CONVOLUTION, STRAIGHT_THROUGH, Scanpath,
-                             default_max_fixations)
+                             SOFT_CONVOLUTION, default_max_fixations)
 
 CFG = GeneratorConfig(d_word=10, d_hidden=12, l_max=6)
+ST = GumbelConfig(temperature=0.5)
+SOFT = GumbelConfig(temperature=0.7, mode=SOFT_CONVOLUTION)
+
+
+def sample(gen, ws, rng, cfg=ST, cap=None, hard=False, **kw):
+    """One path for a single-row batch; ``hard`` samples under no_grad."""
+    W = ws.shape[1]
+    cap = cap if cap is not None else default_max_fixations(W)
+    with no_grad() if hard else nullcontext():
+        return gen.sample_gumbel_batch(ws, np.array([W]), [rng], cfg, cap, **kw)
+
+
+def live_rows(batch, b=0):
+    """Row b's (n_fix, W) position weights, one per fixation."""
+    return np.stack([r.data[b] for r, m in zip(batch.rows, batch.row_mask[b]) if m])
 
 
 @pytest.fixture(scope="module")
@@ -76,23 +94,12 @@ def test_single_word_mask(gen):
 
 
 def test_step_probs_zero_on_invalid_and_normalized(gen, words3):
-    state = gen.encode_history([], words3[0])
-    step = gen.decode_step(state, words3[0], -1)
-    p = step.probs()
+    logits = gen.decode_logits_batch(gen.start_state(1), words3, np.array([3]))
+    valid = gen.valid_mask(-1, 3)
+    p = softmax(logits, mask=np.where(valid, 0.0, -np.inf)[None]).data[0]
     assert p[CFG.stop_class] == 0.0
     assert abs(p.sum() - 1.0) < 1e-6
-    assert (p[~step.valid_mask] == 0.0).all()
-
-
-def test_decode_step_rejects_bad_position(gen, words3):
-    state = gen.encode_history([], words3[0])
-    with pytest.raises(ValueError):
-        gen.decode_step(state, words3[0], 5)
-
-
-def test_encode_history_rejects_out_of_range_fixation(gen, words3):
-    with pytest.raises(ValueError):
-        gen.encode_history([0, 3], words3[0])
+    assert (p[~valid] == 0.0).all()
 
 
 def test_word_encoder_rejects_overlong_sentence(gen):
@@ -104,18 +111,29 @@ def test_word_encoder_rejects_overlong_sentence(gen):
 # -- teacher forcing -----------------------------------------------------
 
 
+def _replay_step_probs(gen, ws, n_words, prefix, pos):
+    """Decision probabilities after ``prefix``, stepping the history GRU
+    one fixation at a time on a single sentence."""
+    state = gen.start_state(1, ws.dtype)
+    hid = Tensor(np.zeros((1, gen.cfg.d_hidden), dtype=ws.dtype))
+    for f in prefix:
+        state, hid = gen.history_step(ws[:, f, :], gen.fix_pos(np.array([f])), hid)
+    logits = gen.decode_logits_batch(state, ws, np.array([n_words])).data[0]
+    z = np.where(gen.valid_mask(pos, n_words), logits, -np.inf)
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
 def test_nll_matches_stepwise_oracle(gen, words3):
     """Batched loss equals the mean of per-decision -log p computed by
     replaying each prefix through the sequential decode path."""
-    ws = words3[0]
     path = [0, 1]
     prefixes = [[], [0], [0, 1]]
     positions = [-1, 0, 1]
     golds = [CFG.offset_to_class(1), CFG.offset_to_class(1), CFG.stop_class]
     total = 0.0
     for pre, pos, gold in zip(prefixes, positions, golds):
-        state = gen.encode_history(pre, ws)
-        p = gen.decode_step(state, ws, pos).probs()
+        p = _replay_step_probs(gen, words3, 3, pre, pos)
         total += -np.log(p[gold])
     manual = total / 3
     loss, n = gen.nll_batch(words3, np.array([3]), [path])
@@ -165,32 +183,29 @@ def test_nll_backward_reaches_word_encoder(gen):
 
 
 def test_sample_hard_deterministic_and_bounded(gen, words3):
-    ws = words3[0]
-    a = gen.sample_hard(ws, "s", RngState(5, 0).substream("path"))
-    b = gen.sample_hard(ws, "s", RngState(5, 0).substream("path"))
-    assert a.fixations == b.fixations and a.stopped == b.stopped
-    assert all(0 <= f < 3 for f in a.fixations)
-    assert a.n_fix >= 1  # the entry step cannot choose STOP
+    a = sample(gen, words3, RngState(5, 0).substream("path"), hard=True)
+    b = sample(gen, words3, RngState(5, 0).substream("path"), hard=True)
+    assert a.fixations == b.fixations and (a.stopped == b.stopped).all()
+    assert all(0 <= f < 3 for f in a.fixations[0])
+    assert len(a.fixations[0]) >= 1  # the entry step cannot choose STOP
 
 
 def test_sample_hard_cap_and_stop_flag(gen, words3):
-    ws = words3[0]
     for k in range(30):
-        sp = gen.sample_hard(ws, k, RngState(60, 0).substream("p", k),
-                             max_fixations=4)
-        assert sp.n_fix <= 4
-        if not sp.stopped:
-            assert sp.n_fix == 4
+        sp = sample(gen, words3, RngState(60, 0).substream("p", k), cap=4,
+                    hard=True)
+        assert len(sp.fixations[0]) <= 4
+        if not sp.stopped[0]:
+            assert len(sp.fixations[0]) == 4
     with pytest.raises(ValueError):
-        gen.sample_hard(ws, 0, RngState(0, 0), max_fixations=0)
+        sample(gen, words3, RngState(0, 0), cap=0, hard=True)
 
 
 def test_sampled_offsets_respect_span(gen, words3):
-    ws = words3[0]
     for k in range(20):
-        sp = gen.sample_hard(ws, k, RngState(61, 0).substream("p", k))
+        sp = sample(gen, words3, RngState(61, 0).substream("p", k), hard=True)
         prev = -1
-        for f in sp.fixations:
+        for f in sp.fixations[0]:
             assert abs(f - prev) <= CFG.l_max - 1
             prev = f
 
@@ -199,16 +214,15 @@ def test_sampled_offsets_respect_span(gen, words3):
 
 
 def test_straight_through_rows_are_one_hot_at_fixation(gen, words3):
-    ws = words3[0]
-    cfg = GumbelConfig(temperature=0.5)
-    sp = gen.sample_gumbel(ws, "s", RngState(12, 0).substream("g"), cfg)
-    assert sp.soft_weights is not None
-    rows = sp.soft_weights.data
-    assert rows.shape == (sp.n_fix, 3)
-    for i, f in enumerate(sp.fixations):
-        assert rows[i, f] == 1.0
-        assert abs(rows[i].sum() - 1.0) < 1e-6
-        assert rows[i].argmax() == f
+    """Exact one-hot forward rows, with or without a graph."""
+    for hard in (False, True):
+        sp = sample(gen, words3, RngState(12, 0).substream("g"), hard=hard)
+        rows = live_rows(sp)
+        n = len(sp.fixations[0])
+        assert rows.shape == (n, 3)
+        onehot = np.zeros((n, 3), dtype=rows.dtype)
+        onehot[np.arange(n), sp.fixations[0]] = 1.0
+        assert np.array_equal(rows, onehot)
 
 
 def test_straight_through_gradients_reach_generator(gen, words3):
@@ -216,9 +230,8 @@ def test_straight_through_gradients_reach_generator(gen, words3):
         Tensor(RngState(8, 0).normal((1, 3, CFG.d_word)).astype(np.float32)),
         np.array([3]),
     )
-    cfg = GumbelConfig(temperature=0.5)
     batch = gen.sample_gumbel_batch(ws, np.array([3]),
-                                    [RngState(13, 0).substream("g")], cfg,
+                                    [RngState(13, 0).substream("g")], ST,
                                     max_fixations=4)
     readout = RngState(14, 0).normal((3,)).astype(np.float32)
     loss = None
@@ -230,32 +243,44 @@ def test_straight_through_gradients_reach_generator(gen, words3):
     assert gen.gru_hist.w_ih.grad is not None
 
 
-def test_batch_rows_match_solo_sampling(gen):
-    """The path drawn for an instance depends only on its own noise
-    stream, not on which other rows share the batch."""
+@pytest.fixture(scope="module")
+def mixed_pair(gen):
+    """Word states for a 3-word and a 5-word sentence in one padded batch."""
     r = RngState(15, 0)
-    d1 = r.substream("a").normal((3, CFG.d_word)).astype(np.float32)
-    d2 = r.substream("b").normal((3, CFG.d_word)).astype(np.float32)
-    both = gen.encode_words_batch(
-        Tensor(np.stack([d1, d2])), np.array([3, 3]))
-    cfg = GumbelConfig(temperature=0.5)
+    data = np.zeros((2, 5, CFG.d_word), dtype=np.float32)
+    data[0, :3] = r.substream("a").normal((3, CFG.d_word))
+    data[1] = r.substream("b").normal((5, CFG.d_word))
+    return gen.encode_words_batch(Tensor(data), np.array([3, 5]))
+
+
+def test_batch_rows_match_solo_sampling(gen, mixed_pair):
+    """The path drawn for an instance depends only on its own noise
+    stream, not on which other rows share the batch, in every form of
+    the sampler: straight-through, soft convolution and hard."""
+    counts = np.array([3, 5])
 
     def rngs():
         return [RngState(16, 0).substream("g", i) for i in range(2)]
 
-    batch = gen.sample_gumbel_batch(both, np.array([3, 3]), rngs(), cfg, 6)
-    for i, data in enumerate([d1, d2]):
-        ws = gen.encode_words_batch(Tensor(data[None]), np.array([3]))
-        solo = gen.sample_gumbel(ws[0], i, rngs()[i], cfg, max_fixations=6)
-        assert solo.fixations == batch.fixations[i]
+    for cfg, hard in ((ST, False), (SOFT, False), (ST, True)):
+        label = f"{cfg.mode}, hard={hard}"
+        with no_grad() if hard else nullcontext():
+            batch = gen.sample_gumbel_batch(mixed_pair, counts, rngs(), cfg, 6)
+        for i, w in enumerate(counts):
+            ws = Tensor(mixed_pair.data[i:i + 1, :w])
+            solo = sample(gen, ws, rngs()[i], cfg, cap=6, hard=hard)
+            assert solo.fixations[0] == batch.fixations[i], label
+            assert solo.stopped[0] == batch.stopped[i], label
+            padded = live_rows(batch, i)
+            assert np.abs(padded[:, :w] - live_rows(solo)).max() < 1e-6, label
+            assert (padded[:, w:] == 0.0).all(), label
 
 
 def test_straight_through_temperature_keeps_hard_forward(gen, words3):
-    ws = words3[0]
-    hot = gen.sample_gumbel(ws, "s", RngState(17, 0).substream("g"),
-                            GumbelConfig(temperature=5.0))
-    cold = gen.sample_gumbel(ws, "s", RngState(17, 0).substream("g"),
-                             GumbelConfig(temperature=0.05))
+    hot = sample(gen, words3, RngState(17, 0).substream("g"),
+                 GumbelConfig(temperature=5.0))
+    cold = sample(gen, words3, RngState(17, 0).substream("g"),
+                  GumbelConfig(temperature=0.05))
     # hard forward choices follow logits+noise argmax, independent of tau
     assert hot.fixations == cold.fixations
 
@@ -263,35 +288,34 @@ def test_straight_through_temperature_keeps_hard_forward(gen, words3):
 # -- soft convolution ----------------------------------------------------
 
 
-def test_soft_rows_stay_normalized(gen, words3):
-    ws = words3[0]
-    cfg = GumbelConfig(temperature=0.7, mode=SOFT_CONVOLUTION)
-    sp = gen.sample_gumbel(ws, "s", RngState(18, 0).substream("g"), cfg,
-                           max_fixations=6)
-    rows = sp.soft_weights.data
-    assert rows.shape[1] == 3
-    assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-5
-    assert all(0 <= f < 3 for f in sp.fixations)
+def test_soft_rows_stay_normalized(gen, mixed_pair):
+    """Mass stays on each row's own words: landings clamp at its last word."""
+    batch = gen.sample_gumbel_batch(
+        mixed_pair, np.array([3, 5]),
+        [RngState(18, 0).substream("g", i) for i in range(2)], SOFT, 6)
+    for i, w in enumerate((3, 5)):
+        rows = live_rows(batch, i)
+        assert np.abs(rows.sum(axis=1) - 1.0).max() < 1e-5
+        assert (rows[:, w:] == 0.0).all()
+        assert all(0 <= f < w for f in batch.fixations[i])
 
 
 def test_soft_single_word_collapses_to_delta(gen):
     data = RngState(19, 0).normal((1, 1, CFG.d_word)).astype(np.float32)
-    ws = gen.encode_words_batch(Tensor(data), np.array([1]))[0]
-    cfg = GumbelConfig(temperature=0.7, mode=SOFT_CONVOLUTION)
-    sp = gen.sample_gumbel(ws, "s", RngState(20, 0).substream("g"), cfg,
-                           max_fixations=5)
-    rows = sp.soft_weights.data
+    ws = gen.encode_words_batch(Tensor(data), np.array([1]))
+    sp = sample(gen, ws, RngState(20, 0).substream("g"), SOFT, cap=5)
+    rows = live_rows(sp)
     assert np.abs(rows - 1.0).max() < 1e-6  # every step is the delta on word 0
-    assert sp.fixations == [0] * sp.n_fix
+    assert sp.fixations[0] == [0] * len(rows)
 
 
 def test_soft_gradients_reach_generator(gen, words3):
-    ws = words3[0]
-    cfg = GumbelConfig(temperature=0.7, mode=SOFT_CONVOLUTION)
-    sp = gen.sample_gumbel(ws, "s", RngState(21, 0).substream("g"), cfg,
-                           max_fixations=4)
-    readout = RngState(22, 0).normal(sp.soft_weights.shape).astype(np.float32)
-    loss = tsum(mul(sp.soft_weights, Tensor(readout)))
+    sp = sample(gen, words3, RngState(21, 0).substream("g"), SOFT, cap=4)
+    readout = RngState(22, 0).normal((len(sp.rows), 3)).astype(np.float32)
+    loss = None
+    for t, row in enumerate(sp.rows):
+        term = tsum(mul(row, Tensor(readout[t:t + 1])))
+        loss = term if loss is None else loss + term
     loss.backward()
     assert gen.head.w.grad is not None and np.abs(gen.head.w.grad).max() > 0
 
@@ -312,10 +336,13 @@ def test_surrogate_path_gradcheck():
 
     def build():
         ws = gen.encode_words_batch(Tensor(base), np.array([2]))
-        sp = gen.sample_gumbel(ws[0], "s", RngState(33, 0).substream("g"),
-                               gcfg, max_fixations=3, surrogate=True)
-        r = readout[: sp.n_fix]
-        return tsum(mul(sp.soft_weights, Tensor(r)))
+        sp = sample(gen, ws, RngState(33, 0).substream("g"), gcfg, cap=3,
+                    surrogate=True)
+        loss = None
+        for t, row in enumerate(sp.rows):
+            term = tsum(mul(row, Tensor(readout[t:t + 1])))
+            loss = term if loss is None else loss + term
+        return loss
 
     params = dict(gen.named_parameters())
     report = grad_check(build, params, h=1e-5, tol=1e-4, sample=3,

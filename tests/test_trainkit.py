@@ -7,11 +7,11 @@ import pytest
 
 from gazenlu.augmentor import JointModel, ModelConfig, TEXT_ONLY
 from gazenlu.diffcore import Linear, Module, RngState
-from gazenlu.trainkit import (AdamW, EarlyStopper, GazeModel, LR_GRID,
-                              TrainConfig, accuracy_from_logits, adamw_step,
-                              encode_instances, load_config, pick_lr,
+from gazenlu.trainkit import (AdamW, EarlyStopper, GazeModel, TrainConfig,
+                              accuracy_from_logits, adamw_step,
+                              encode_instances, load_config,
                               predict_instances, pretrain_generator,
-                              save_config, select_lr, train_joint)
+                              save_config, train_joint)
 
 
 # -- optimizer ------------------------------------------------------------
@@ -183,30 +183,6 @@ def test_config_bool_coercion(tmp_path):
     path.write_text("lr=1e-3\nfreeze_generator=maybe\n")
     with pytest.raises(ValueError, match="true/false"):
         load_config(path)
-
-
-# -- learning-rate selection ----------------------------------------------
-
-
-def test_pick_lr_breaks_exact_ties_toward_smaller():
-    assert pick_lr(LR_GRID, [0.8, 0.9, 0.9, 0.7]) == 3e-5
-    assert pick_lr(LR_GRID, [0.8, 0.9, 0.8, 0.7]) == 4e-5
-    with pytest.raises(ValueError):
-        pick_lr(LR_GRID, [0.8])
-
-
-def test_select_lr_runs_the_whole_grid():
-    calls = []
-
-    def run(lr):
-        calls.append(lr)
-        return {5e-5: 0.8, 4e-5: 0.9, 3e-5: 0.9, 2e-5: 0.7}[lr], {"lr": lr}
-
-    best, runs = select_lr(run)
-    assert calls == list(LR_GRID)
-    assert best == 3e-5
-    assert [r[0] for r in runs] == list(LR_GRID)
-    assert runs[1][1] == 0.9 and runs[1][2] == {"lr": 4e-5}
 
 
 # -- generator pretraining ------------------------------------------------
