@@ -44,6 +44,7 @@ GAZE = "gaze"
 TEXT_ONLY = "text_only"
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
+SCAN_DROPOUT = 0.1
 
 
 def average_logits(per_path: list[np.ndarray]) -> np.ndarray:
@@ -71,7 +72,7 @@ def fixation_steps(rows: list[Tensor], words: Tensor) -> list[Tensor]:
 class ScanpathEncoder(Module):
     """Single-direction GRU over fixation-ordered rows, h0 from [CLS]."""
 
-    def __init__(self, d_in: int, d_hidden: int, rng: RngState, p_drop: float = 0.1):
+    def __init__(self, d_in: int, d_hidden: int, rng: RngState):
         super().__init__()
         self.d_hidden = d_hidden
         self.gru = GRUCell(d_in, d_hidden, rng.substream("gru"))
@@ -79,7 +80,6 @@ class ScanpathEncoder(Module):
             self.cls_proj = Linear(d_in, d_hidden, rng.substream("cls_proj"))
         else:
             object.__setattr__(self, "cls_proj", None)
-        self.p_drop = p_drop
 
     def init_state(self, cls: Tensor) -> Tensor:
         return self.cls_proj(cls) if self.cls_proj is not None else cls
@@ -94,7 +94,7 @@ class ScanpathEncoder(Module):
         train = self.training and rng is not None
         for t, x in enumerate(steps):
             if train:
-                x = dropout(x, self.p_drop, rng.substream("drop", t), True)
+                x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t), True)
             hn = self.gru(x, h)
             m = step_mask[:, t].astype(dt).reshape(-1, 1)
             h = add(mul(hn, Tensor(m)), mul(h, Tensor(1.0 - m)))
@@ -125,7 +125,6 @@ class ModelConfig:
     share_text_encoder: bool = False
     model_kind: str = GAZE
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
-    scan_dropout: float = 0.1
 
     @property
     def d_scan(self) -> int:
@@ -154,9 +153,7 @@ class JointModel(Module):
             )
         elif cfg.model_kind != TEXT_ONLY:
             raise ValueError(f"unknown model kind {cfg.model_kind!r}")
-        self.scan = ScanpathEncoder(
-            cfg.text.d_model, cfg.d_scan, rng.substream("scan"), cfg.scan_dropout
-        )
+        self.scan = ScanpathEncoder(cfg.text.d_model, cfg.d_scan, rng.substream("scan"))
         self.head = TaskHead(cfg.task_kind, cfg.d_scan, cfg.n_classes, rng.substream("head"))
 
     # -- generator checkpoint unit --------------------------------------

@@ -21,11 +21,10 @@ import time
 import numpy as np
 
 from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
-from .corpus import (DatasetSpec, GazeRecord, TextInstance, load_dataset,
-                     load_gaze_corpus, make_synthetic_suite, write_dataset,
-                     write_gaze_corpus)
-from .diffcore import (RngState, Tensor, checkpoint_hash, load_checkpoint,
-                       no_grad, save_checkpoint)
+from .corpus import (DatasetSpec, load_dataset, load_gaze_corpus,
+                     make_synthetic_suite, write_dataset, write_gaze_corpus)
+from .diffcore import (RngState, Tensor, atomic_write, checkpoint_hash,
+                       load_checkpoint, no_grad, save_checkpoint)
 from .evalkit import (ABLATIONS, EvalReport, Experiment, load_reports, metric,
                       metric_fn_for, reports_to_csv, run_ablations,
                       run_crossval, run_lowresource, save_reports,
@@ -41,13 +40,15 @@ MANIFEST = "manifest.json"
 MODEL_META = "model.json"
 VOCAB_FILE = "vocab.txt"
 GENERATE_BATCH = 64     # sentences per sampler call in generate
+# what a joint model.json holds besides the ModelConfig fields
+RUN_KEYS = ("kind", "train", "task", "best_epoch", "best_dev_metric")
 
 
 # -- plumbing ------------------------------------------------------------
 
 
 def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -98,19 +99,26 @@ def _model_meta(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
             "train": dataclasses.asdict(train_cfg)}
 
 
-def _model_cfg_from_meta(meta: dict) -> ModelConfig:
-    kw = {f.name: meta[f.name] for f in dataclasses.fields(ModelConfig)}
-    kw["text"] = TextEncoderConfig(**kw["text"])
-    kw["gumbel"] = GumbelConfig(**kw["gumbel"])
-    return ModelConfig(**kw)
+def _from_dict(cls, d: dict, where: str):
+    """``cls(**d)`` for settings read back from a file; keys ``cls`` does
+    not have fail by name, as in a run directory of an older version."""
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}; the file "
+                         f"was written by another gazenlu version, re-run it")
+    return cls(**d)
+
+
+def _model_cfg_from_meta(meta: dict, where: str) -> ModelConfig:
+    kw = {k: v for k, v in meta.items() if k not in RUN_KEYS}
+    kw["text"] = _from_dict(TextEncoderConfig, kw["text"], f"{where} text")
+    kw["gumbel"] = _from_dict(GumbelConfig, kw["gumbel"], f"{where} gumbel")
+    return _from_dict(ModelConfig, kw, where)
 
 
 def _spec_from_dict(d: dict) -> DatasetSpec:
-    return DatasetSpec(
-        name=d["name"], fields=d["fields"], label_kind=d["label_kind"],
-        metric_id=d["metric_id"], n_classes=d["n_classes"],
-        label_range=tuple(d["label_range"]),
-    )
+    return _from_dict(DatasetSpec, {**d, "label_range": tuple(d["label_range"])},
+                      f"{SUITE_FILE} spec")
 
 
 def _load_task(data_dir: str, task: str):
@@ -126,10 +134,6 @@ def _load_task(data_dir: str, task: str):
     return spec, splits
 
 
-def _load_vocab_for(args) -> Vocab:
-    return Vocab.load(args.vocab)
-
-
 def _build_text_cfg(args, vocab: Vocab) -> TextEncoderConfig:
     return TextEncoderConfig(
         vocab_size=len(vocab.token_to_id), d_model=args.d_model,
@@ -138,30 +142,24 @@ def _build_text_cfg(args, vocab: Vocab) -> TextEncoderConfig:
     )
 
 
-def _train_cfg_from_args(args, parser, require_lr: bool = True) -> TrainConfig:
-    flag_map = {
-        "lr": args.lr, "batch_size": args.batch_size,
-        "max_epochs": args.max_epochs, "patience": args.patience,
-        "tau": args.tau, "n_scanpaths_train": args.n_scanpaths,
-        "freeze_generator": args.freeze_generator,
-        "pretrained_generator": args.pretrained_generator,
-        "seed": args.seed, "weight_decay": args.weight_decay,
-        "pretrain_lr": args.pretrain_lr,
-    }
-    overrides = {k: v for k, v in flag_map.items() if v is not None}
-    if args.config:
-        return load_config(args.config, overrides)
-    if "lr" not in overrides:
-        if require_lr:
-            parser.error("--lr is required when no --config file is given")
-        overrides["lr"] = overrides.get("pretrain_lr", TrainConfig(lr=1.0).pretrain_lr)
-    return TrainConfig(**overrides)
+def _train_cfg_from_args(args, parser) -> TrainConfig:
+    """The --config file, then the flags the verb takes; flag dests are the
+    TrainConfig field names, and a flag given wins over the file."""
+    flags = {f.name: getattr(args, f.name) for f in dataclasses.fields(TrainConfig)
+             if getattr(args, f.name, None) is not None}
+    cfg = load_config(args.config, flags) if args.config else TrainConfig(**flags)
+    if "lr" in vars(args) and cfg.lr is None:     # a joint-training verb
+        if args.config:
+            raise ValueError(f"{args.config}: no lr= key and no --lr flag")
+        parser.error("--lr is required when no --config file is given")
+    return cfg
 
 
-# -- shared flags --------------------------------------------------------
+# -- flags by phase ------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_shared_flags(p: argparse.ArgumentParser) -> None:
+    """Encoder and generator shape, and the settings both phases read."""
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--n-layers", type=int, default=2)
     p.add_argument("--n-heads", type=int, default=4)
@@ -169,6 +167,24 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-len", type=int, default=64)
     p.add_argument("--gen-hidden", type=int, default=64)
     p.add_argument("--l-max", type=int, default=32)
+    p.add_argument("--config", help="flat key=value file of TrainConfig fields")
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--max-epochs", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--weight-decay", type=float)
+
+
+def _add_joint_flags(p: argparse.ArgumentParser) -> None:
+    """Settings only joint training reads."""
+    p.add_argument("--lr", type=float)
+    p.add_argument("--n-scanpaths", type=int, dest="n_scanpaths_train")
+    p.add_argument("--freeze-generator", action=argparse.BooleanOptionalAction,
+                   default=None)
+    p.add_argument("--pretrained-generator",
+                   action=argparse.BooleanOptionalAction, default=None)
+    p.add_argument("--tau", type=float, default=GumbelConfig().temperature,
+                   help="Gumbel-softmax temperature")
     p.add_argument("--scan-hidden", type=int, default=None)
     p.add_argument("--gumbel-mode", choices=[STRAIGHT_THROUGH, SOFT_CONVOLUTION],
                    default=STRAIGHT_THROUGH)
@@ -178,39 +194,17 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
                    help="no-gaze baseline: original-order content tokens")
 
 
-def _add_train_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value training config file")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--max-epochs", type=int)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--n-scanpaths", type=int)
-    p.add_argument("--freeze-generator", action=argparse.BooleanOptionalAction,
-                   default=None)
-    p.add_argument("--pretrained-generator",
-                   action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--pretrain-lr", type=float)
-
-
-def _model_cfg_from_args(args, vocab: Vocab, spec: DatasetSpec | None,
-                         tau: float) -> ModelConfig:
-    n_classes = spec.n_classes if spec else 2
-    task_kind = "classification"
-    if spec and spec.label_kind == "real":
-        task_kind = "regression"
+def _model_cfg_from_args(args, vocab: Vocab, spec: DatasetSpec) -> ModelConfig:
     return ModelConfig(
         text=_build_text_cfg(args, vocab),
         gen_hidden=args.gen_hidden,
         l_max=args.l_max,
         scan_hidden=args.scan_hidden,
-        task_kind=task_kind,
-        n_classes=n_classes,
+        task_kind="regression" if spec.label_kind == "real" else "classification",
+        n_classes=spec.n_classes,
         share_text_encoder=args.share_text_encoder,
         model_kind=TEXT_ONLY if args.text_only else GAZE,
-        gumbel=GumbelConfig(temperature=tau, mode=args.gumbel_mode,
+        gumbel=GumbelConfig(temperature=args.tau, mode=args.gumbel_mode,
                             hard_eval=args.hard_eval),
     )
 
@@ -218,11 +212,11 @@ def _model_cfg_from_args(args, vocab: Vocab, spec: DatasetSpec | None,
 def _experiment(args, parser):
     """Common setup for train/eval-style verbs: task, vocab, model, config."""
     spec, splits = _load_task(args.data_dir, args.task)
-    vocab = _load_vocab_for(args)
+    vocab = Vocab.load(args.vocab)
     cfg = _train_cfg_from_args(args, parser)
-    model_cfg = _model_cfg_from_args(args, vocab, spec, cfg.tau)
+    model_cfg = _model_cfg_from_args(args, vocab, spec)
     gen_state = None
-    if getattr(args, "generator", None):
+    if args.generator:
         gen_state = load_checkpoint(args.generator)
     return spec, splits, vocab, cfg, model_cfg, gen_state
 
@@ -252,11 +246,7 @@ def cmd_make_synthetic(args, parser) -> int:
         ("pairs", suite.pairs_spec,
          (suite.pairs_train, suite.pairs_dev, suite.pairs_test)),
     ):
-        entry = {"spec": {
-            "name": spec.name, "fields": spec.fields,
-            "label_kind": spec.label_kind, "metric_id": spec.metric_id,
-            "n_classes": spec.n_classes, "label_range": list(spec.label_range),
-        }}
+        entry = {"spec": dataclasses.asdict(spec)}
         for split, insts in zip(("train", "dev", "test"), splits):
             fname = f"{name}_{split}.tsv"
             write_dataset(os.path.join(out, fname), spec, insts)
@@ -293,16 +283,15 @@ def cmd_build_vocab(args, parser) -> int:
                         lines.append(inst.text2)
     if not lines:
         raise ValueError("no corpus text: pass --corpus and/or --from-synthetic")
-    vocab = build_vocab(lines, args.vocab_size,
-                        max_pieces_per_word=args.max_pieces_per_word)
+    vocab = build_vocab(lines, args.vocab_size)
     vocab.save(args.out)
     print(f"{args.out}: {len(vocab.token_to_id)} tokens")
     return 0
 
 
 def cmd_pretrain_gaze(args, parser) -> int:
-    vocab = _load_vocab_for(args)
-    cfg = _train_cfg_from_args(args, parser, require_lr=False)
+    vocab = Vocab.load(args.vocab)
+    cfg = _train_cfg_from_args(args, parser)
     train_recs = load_gaze_corpus(args.train)
     dev_recs = load_gaze_corpus(args.dev)
     resolved = _resolved(args)
@@ -371,12 +360,13 @@ def cmd_train(args, parser) -> int:
 
 
 def _load_joint(run_dir: str):
-    meta = _read_json(os.path.join(run_dir, MODEL_META))
+    where = os.path.join(run_dir, MODEL_META)
+    meta = _read_json(where)
     if meta.get("kind") != "joint":
         raise ValueError(f"{run_dir}: not a joint-model run directory")
-    model_cfg = _model_cfg_from_meta(meta)
+    model_cfg = _model_cfg_from_meta(meta, where)
+    cfg = _from_dict(TrainConfig, meta["train"], f"{where} train")
     vocab = Vocab.load(os.path.join(run_dir, VOCAB_FILE))
-    cfg = TrainConfig(**meta["train"])
     model = JointModel(model_cfg, RngState(cfg.seed, 0).substream("model"))
     ckpt = os.path.join(run_dir, "model.ckpt")
     model.load_state_dict(load_checkpoint(ckpt))
@@ -426,21 +416,26 @@ def cmd_evaluate(args, parser) -> int:
 
 
 def cmd_generate(args, parser) -> int:
-    meta = _read_json(os.path.join(args.model, MODEL_META))
+    where = os.path.join(args.model, MODEL_META)
+    meta = _read_json(where)
     if meta.get("kind") != "gaze_pretrain":
         raise ValueError(f"{args.model}: not a gaze pretraining run directory")
     if args.n_paths < 1:
         raise ValueError(f"--n-paths must be >= 1, got {args.n_paths}")
+    text_cfg = _from_dict(TextEncoderConfig, meta["text"], f"{where} text")
+    cfg = _from_dict(TrainConfig, meta["train"], f"{where} train")
     vocab = Vocab.load(os.path.join(args.model, VOCAB_FILE))
-    text_cfg = TextEncoderConfig(**meta["text"])
     model = GazeModel(text_cfg, gen_hidden=meta["gen_hidden"],
-                      l_max=meta["l_max"], seed=meta["train"]["seed"])
+                      l_max=meta["l_max"], seed=cfg.seed)
     model.load_state_dict(load_checkpoint(os.path.join(args.model, "generator.ckpt")))
     model.eval()
 
     with open(args.input, encoding="utf-8") as f:
-        texts = [line.strip() for line in f if line.strip()]
-    encs = [tokenize(text, None, vocab, text_cfg.max_len) for text in texts]
+        lines = [(n, line.strip()) for n, line in enumerate(f, start=1)
+                 if line.strip()]
+    encs = [tokenize(text, None, vocab, text_cfg.max_len) for _, text in lines]
+    for (n, _), enc in zip(lines, encs):
+        model.generator.check_width(enc.n_words, f"{args.input}:{n}")
     rng = RngState(args.seed, 0).substream("generate")
     rows = []
     with no_grad():
@@ -460,7 +455,7 @@ def cmd_generate(args, parser) -> int:
                 rows.append({"sentence_id": f"s{ids[b]}",
                              "fixations": sampled.fixations[r],
                              "stopped": bool(sampled.stopped[r])})
-    with open(args.out, "w", encoding="utf-8") as f:
+    with atomic_write(args.out) as f:
         for row in rows:
             f.write(json.dumps(row, sort_keys=True) + "\n")
     print(f"{args.out}: {len(rows)} scanpaths")
@@ -585,7 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="plain text file, one line per text (repeatable)")
     p.add_argument("--from-synthetic", help="synthetic suite directory")
     p.add_argument("--vocab-size", type=int, default=512)
-    p.add_argument("--max-pieces-per-word", type=int, default=16)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_vocab)
 
@@ -593,20 +587,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", required=True, help="gaze corpus TSV")
     p.add_argument("--dev", required=True, help="held-out gaze corpus TSV")
     p.add_argument("--vocab", required=True)
-    _add_model_flags(p)
-    _add_train_flags(p)
+    _add_shared_flags(p)
+    p.add_argument("--pretrain-lr", type=float)
     p.add_argument("--out")
     p.set_defaults(func=cmd_pretrain_gaze)
 
-    def task_parser(name, help_text, needs_generator=True):
+    def task_parser(name, help_text):
         q = sub.add_parser(name, help=help_text)
         q.add_argument("--task", required=True)
         q.add_argument("--data-dir", required=True)
         q.add_argument("--vocab", required=True)
-        if needs_generator:
-            q.add_argument("--generator", help="pretrained generator checkpoint")
-        _add_model_flags(q)
-        _add_train_flags(q)
+        q.add_argument("--generator", help="pretrained generator checkpoint")
+        _add_shared_flags(q)
+        _add_joint_flags(q)
         q.add_argument("--out")
         return q
 

@@ -37,10 +37,6 @@ class DatasetSpec:
         if self.metric_id not in METRICS:
             raise ValueError(f"metric_id must be one of {METRICS}, got {self.metric_id!r}")
 
-    def scale_label(self, value: float) -> float:
-        lo, hi = self.label_range
-        return (value - lo) / (hi - lo)
-
 
 @dataclass
 class TextInstance:

@@ -15,7 +15,9 @@ tensor writes ``-`` for its shape. Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import os
 
 import numpy as np
 
@@ -32,6 +34,22 @@ def _parse_shape(text: str) -> tuple:
     return tuple(int(s) for s in text.split(","))
 
 
+@contextlib.contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file beside ``path``; a clean exit moves it onto
+    ``path`` with ``os.replace``, an error removes it and leaves ``path``
+    as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
     """Write named arrays; values are stored as little-endian float32."""
     metas = []
@@ -45,7 +63,7 @@ def save_checkpoint(path, tensors: dict[str, np.ndarray]) -> None:
         blobs.append(a.tobytes())
         offset += a.nbytes
     text = "\n".join([HEADER, f"tensors {len(metas)}", *metas, "end"]) + "\n"
-    with open(path, "wb") as f:
+    with atomic_write(path, "wb") as f:
         f.write(text.encode("utf-8"))
         for b in blobs:
             f.write(b)

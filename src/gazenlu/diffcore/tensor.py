@@ -104,9 +104,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor._leaf(self.data)
-
     # -- operators -------------------------------------------------------
 
     def __add__(self, other):

@@ -18,7 +18,7 @@ import numpy as np
 
 from .augmentor import ModelConfig, JointModel
 from .corpus import DatasetSpec, TextInstance, kfold, low_resource_split
-from .diffcore import RngState
+from .diffcore import RngState, atomic_write
 from .textenc import Vocab
 from .trainkit import (TrainConfig, encode_instances, predict_instances,
                        train_joint)
@@ -151,30 +151,19 @@ class EvalReport:
         return float(np.std(self.values, ddof=1) / np.sqrt(len(self.values)))
 
     def to_dict(self) -> dict:
-        return {
-            "task": self.task,
-            "metric_id": self.metric_id,
-            "values": self.values,
-            "run_labels": self.run_labels,
-            "mean": self.mean,
-            "stderr": self.stderr,
-            "config": self.config,
-            "errors": self.errors,
-        }
+        """The fields, plus the derived mean and stderr for readers."""
+        return {**dataclasses.asdict(self), "mean": self.mean,
+                "stderr": self.stderr}
 
     @staticmethod
     def from_dict(d: dict) -> "EvalReport":
-        return EvalReport(
-            task=d["task"], metric_id=d["metric_id"],
-            values=[float(v) for v in d["values"]],
-            run_labels=list(d["run_labels"]), config=dict(d["config"]),
-            errors=list(d.get("errors", [])),
-        )
+        return EvalReport(**{f.name: d[f.name]
+                             for f in dataclasses.fields(EvalReport) if f.name in d})
 
 
 def save_reports(path, reports: dict[str, EvalReport]) -> None:
     payload = {name: r.to_dict() for name, r in reports.items()}
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
         f.write("\n")
 
@@ -215,7 +204,7 @@ def _config_echo(exp: Experiment, config: TrainConfig, **extra) -> dict:
         "model_kind": exp.model_cfg.model_kind,
         "n_scanpaths": config.n_scanpaths_train,
         "lr": config.lr,
-        "tau": config.tau,
+        "tau": exp.model_cfg.gumbel.temperature,
         "seed": config.seed,
         "freeze_generator": config.freeze_generator,
         "pretrained_generator": config.pretrained_generator,

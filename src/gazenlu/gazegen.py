@@ -88,9 +88,6 @@ class GeneratorConfig:
     def offset_to_class(self, offset: int) -> int:
         return offset + self.l_max - 1
 
-    def class_to_offset(self, cls: int) -> int:
-        return cls - (self.l_max - 1)
-
 
 @dataclass
 class SampledBatch:
@@ -127,18 +124,21 @@ class ScanpathGenerator(Module):
 
     # -- word encoder ----------------------------------------------------
 
-    def _check_width(self, n_words: int):
+    def check_width(self, n_words: int, what: str = "sentence"):
+        """The generator reads at most l_max-1 words; ``what`` names the
+        input in the error."""
         if n_words < 1:
-            raise ValueError("sentence must contain at least one word")
+            raise ValueError(f"{what} must contain at least one word")
         if n_words > self.cfg.l_max - 1:
             raise ValueError(
-                f"{n_words} words exceeds generator span l_max-1={self.cfg.l_max - 1}"
+                f"{what}: {n_words} words exceeds generator span "
+                f"l_max-1={self.cfg.l_max - 1}"
             )
 
     def encode_words_batch(self, words: Tensor, counts: np.ndarray) -> Tensor:
         """(B, W, d_word) pooled word vectors to (B, W, h) word states."""
         B, W, _ = words.shape
-        self._check_width(int(counts.max(initial=1)))
+        self.check_width(int(counts.max(initial=1)))
         x = add(words, self.word_pos(np.arange(W)))
         half = self.cfg.d_hidden // 2
         dt = words.dtype

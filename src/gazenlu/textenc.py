@@ -24,6 +24,7 @@ from .diffcore import (
     RngState,
     Tensor,
     add,
+    atomic_write,
     dropout,
     matmul,
     mul,
@@ -39,12 +40,14 @@ MAX_NGRAM = 8
 # an n-gram earns a slot only when it repeats; hapax substrings stay
 # covered by their single characters
 MIN_NGRAM_COUNT = 2
+MAX_PIECES_PER_WORD = 16
+N_SEGMENTS = 2      # [CLS] t1 [SEP] is segment 0, t2 [SEP] segment 1
+DROPOUT = 0.1
 
 
 @dataclass(frozen=True)
 class Vocab:
     token_to_id: dict[str, int]
-    max_pieces_per_word: int = 16
 
     def __post_init__(self):
         for i, tok in enumerate(SPECIALS):
@@ -72,7 +75,7 @@ class Vocab:
         pieces: list[int] = []
         i, n = 0, len(word)
         longest = self._max_piece_len()
-        while i < n and len(pieces) < self.max_pieces_per_word:
+        while i < n and len(pieces) < MAX_PIECES_PER_WORD:
             for L in range(min(longest, n - i), 0, -1):
                 tid = self.token_to_id.get(word[i:i + L])
                 if tid is not None and tid > UNK_ID:
@@ -85,20 +88,20 @@ class Vocab:
         return pieces
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as f:
+        with atomic_write(path) as f:
             for tok in self.id_to_token:
                 f.write(tok + "\n")
 
     @staticmethod
-    def load(path, max_pieces_per_word: int = 16) -> "Vocab":
+    def load(path) -> "Vocab":
         with open(path, encoding="utf-8") as f:
             toks = [line.rstrip("\n") for line in f]
         while toks and toks[-1] == "":
             toks.pop()
-        return Vocab({t: i for i, t in enumerate(toks)}, max_pieces_per_word)
+        return Vocab({t: i for i, t in enumerate(toks)})
 
 
-def build_vocab(lines, vocab_size: int, max_pieces_per_word: int = 16) -> Vocab:
+def build_vocab(lines, vocab_size: int) -> Vocab:
     """Specials, then every character, then repeated n-grams by frequency.
 
     Characters are always admitted even when they overflow ``vocab_size``;
@@ -126,7 +129,7 @@ def build_vocab(lines, vocab_size: int, max_pieces_per_word: int = 16) -> Vocab:
         key=lambda g: (-grams[g], g),
     )
     toks.extend(ranked[:max(room, 0)])
-    return Vocab({t: i for i, t in enumerate(toks)}, max_pieces_per_word)
+    return Vocab({t: i for i, t in enumerate(toks)})
 
 
 @dataclass
@@ -203,13 +206,6 @@ def tokenize(text1: str, text2: str | None, vocab: Vocab, max_len: int) -> Encod
 
 
 @dataclass
-class TextEncoderOutput:
-    token_embeddings: Tensor
-    cls_embedding: Tensor
-    word_embeddings: Tensor
-
-
-@dataclass
 class Batch:
     """Padded arrays for a list of encoded texts, plus span pooling."""
 
@@ -258,8 +254,6 @@ class TextEncoderConfig:
     n_heads: int = 4
     d_ff: int = 512
     max_len: int = 128
-    n_segments: int = 2
-    dropout: float = 0.1
 
 
 class MultiHeadAttention(Module):
@@ -296,17 +290,16 @@ class EncoderBlock(Module):
         self.ln2 = LayerNorm(cfg.d_model)
         self.ff1 = Linear(cfg.d_model, cfg.d_ff, rng.substream("ff1"))
         self.ff2 = Linear(cfg.d_ff, cfg.d_model, rng.substream("ff2"))
-        self.p_drop = cfg.dropout
 
     def __call__(self, x: Tensor, key_mask: np.ndarray, rng: RngState | None) -> Tensor:
         train = self.training and rng is not None
         a = self.attn(self.ln1(x), key_mask)
         if train:
-            a = dropout(a, self.p_drop, rng.substream("attn_drop"), True)
+            a = dropout(a, DROPOUT, rng.substream("attn_drop"), True)
         x = add(x, a)
         f = self.ff2(relu(self.ff1(self.ln2(x))))
         if train:
-            f = dropout(f, self.p_drop, rng.substream("ff_drop"), True)
+            f = dropout(f, DROPOUT, rng.substream("ff_drop"), True)
         return add(x, f)
 
 
@@ -318,12 +311,11 @@ class TextEncoder(Module):
         self.cfg = cfg
         self.tok = Embedding(cfg.vocab_size, cfg.d_model, rng.substream("tok"))
         self.pos = Embedding(cfg.max_len, cfg.d_model, rng.substream("pos"))
-        self.seg = Embedding(cfg.n_segments, cfg.d_model, rng.substream("seg"))
+        self.seg = Embedding(N_SEGMENTS, cfg.d_model, rng.substream("seg"))
         self.blocks = ModuleList(
             [EncoderBlock(cfg, rng.substream("block", i)) for i in range(cfg.n_layers)]
         )
         self.final_ln = LayerNorm(cfg.d_model)
-        self.p_drop = cfg.dropout
 
     def forward_ids(
         self,
@@ -345,7 +337,7 @@ class TextEncoder(Module):
         x = add(add(self.tok(token_ids), self.pos(positions)), self.seg(segment_ids))
         train = self.training and rng is not None
         if train:
-            x = dropout(x, self.p_drop, rng.substream("emb_drop"), True)
+            x = dropout(x, DROPOUT, rng.substream("emb_drop"), True)
         key_mask = ((1.0 - np.asarray(attention_mask, dtype=x.dtype)) * NEG_INF).astype(
             x.dtype
         )
@@ -361,13 +353,3 @@ class TextEncoder(Module):
         cls = tokens[:, 0, :]
         words = matmul(Tensor(batch.pool.astype(tokens.dtype)), tokens)
         return tokens, cls, words
-
-    def encode(self, enc: EncodedText, rng: RngState | None = None) -> TextEncoderOutput:
-        batch = collate([enc])
-        tokens, cls, words = self.forward_batch(batch, rng)
-        return TextEncoderOutput(
-            token_embeddings=tokens[0],
-            cls_embedding=cls[0],
-            word_embeddings=words[0],
-        )
-

@@ -31,11 +31,15 @@ IMPROVE_TOL = 1e-6
 
 @dataclass
 class TrainConfig:
-    lr: float
+    """Both phases read batch_size, max_epochs, patience, seed and
+    weight_decay; pretraining reads pretrain_lr, joint training the rest.
+    Pretraining never reads lr, so it may stay None; joint training
+    refuses to start without it."""
+
+    lr: float | None = None
     batch_size: int = 32
     max_epochs: int = 20
     patience: int = 3
-    tau: float = 0.5
     n_scanpaths_train: int = 3
     freeze_generator: bool = False
     pretrained_generator: bool = True
@@ -44,27 +48,16 @@ class TrainConfig:
     pretrain_lr: float = 1e-3
 
     def __post_init__(self):
-        if self.lr <= 0:
+        if self.lr is not None and self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
         if self.n_scanpaths_train < 1:
             raise ValueError(
                 f"n_scanpaths_train must be >= 1, got {self.n_scanpaths_train}"
             )
-
-
-def save_config(path, config: TrainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for fld in dataclasses.fields(config):
-            v = getattr(config, fld.name)
-            if isinstance(v, bool):
-                v = "true" if v else "false"
-            f.write(f"{fld.name}={v}\n")
 
 
 def load_config(path, overrides: dict | None = None) -> TrainConfig:
@@ -89,8 +82,6 @@ def load_config(path, overrides: dict | None = None) -> TrainConfig:
         raw[key] = value if not isinstance(value, str) else _coerce(
             key, types[key], value, "override"
         )
-    if "lr" not in raw:
-        raise ValueError(f"{path}: missing required key 'lr'")
     return TrainConfig(**raw)
 
 
@@ -111,14 +102,13 @@ def _coerce(key: str, typ: str, value: str, where: str):
 
 
 def adamw_step(params: dict, grads: dict, state: dict, lr: float,
-               betas: tuple = ADAM_BETAS, eps: float = ADAM_EPS,
                weight_decay: float = WEIGHT_DECAY):
     """One decoupled-weight-decay Adam update; functional in, functional out.
 
     state maps name -> (m, v, t); missing entries start at zero. Returns
     (new_params, new_state) without touching the inputs.
     """
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     new_params, new_state = {}, {}
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
@@ -131,7 +121,7 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float,
         v = b2 * v + (1.0 - b2) * g * g
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
-        step = m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p
+        step = m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p
         new_params[name] = (p - lr * step).astype(p.dtype)
         new_state[name] = (m, v, t)
     return new_params, new_state
@@ -140,15 +130,12 @@ def adamw_step(params: dict, grads: dict, state: dict, lr: float,
 class AdamW:
     """Stateful wrapper applying adamw_step to a module's trainable params."""
 
-    def __init__(self, model: Module, lr: float, betas: tuple = ADAM_BETAS,
-                 eps: float = ADAM_EPS, weight_decay: float = WEIGHT_DECAY):
+    def __init__(self, model: Module, lr: float, weight_decay: float = WEIGHT_DECAY):
         self.slots = [(n, t) for n, t in model.named_parameters() if t.requires_grad]
         names = [n for n, _ in self.slots]
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names")
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.state: dict = {}
 
@@ -161,8 +148,7 @@ class AdamW:
         params = {n: t.data for n, t in live}
         grads = {n: t.grad for n, t in live}
         new_params, new_state = adamw_step(
-            params, grads, self.state, self.lr, self.betas, self.eps,
-            self.weight_decay,
+            params, grads, self.state, self.lr, self.weight_decay
         )
         self.state.update(new_state)
         for n, t in live:
@@ -172,13 +158,11 @@ class AdamW:
 class EarlyStopper:
     """Patience counter with strict improvement beyond a small tolerance."""
 
-    def __init__(self, patience: int = 3, mode: str = "max",
-                 tol: float = IMPROVE_TOL):
+    def __init__(self, patience: int = 3, mode: str = "max"):
         if mode not in ("max", "min"):
             raise ValueError(f"mode must be max|min, got {mode!r}")
         self.patience = patience
         self.mode = mode
-        self.tol = tol
         self.best_value = -np.inf if mode == "max" else np.inf
         self.best_epoch = 0
         self.bad_epochs = 0
@@ -188,9 +172,9 @@ class EarlyStopper:
         """Record one epoch's dev value; returns True on improvement."""
         self.epoch += 1
         if self.mode == "max":
-            improved = value > self.best_value + self.tol
+            improved = value > self.best_value + IMPROVE_TOL
         else:
-            improved = value < self.best_value - self.tol
+            improved = value < self.best_value - IMPROVE_TOL
         if improved:
             self.best_value = value
             self.best_epoch = self.epoch
@@ -289,6 +273,9 @@ def pretrain_generator(model: GazeModel, train_records: list[GazeRecord],
     max_len = model.gen_encoder.cfg.max_len
     tr_encs = [tokenize(r.text, None, vocab, max_len) for r in train_records]
     dev_encs = [tokenize(r.text, None, vocab, max_len) for r in dev_records]
+    for r, enc in zip(train_records + dev_records, tr_encs + dev_encs):
+        model.generator.check_width(
+            enc.n_words, f"gaze sentence {r.sentence_id} (reader {r.reader_id})")
     tr_paths = [r.fixations for r in train_records]
     dev_paths = [r.fixations for r in dev_records]
 
@@ -362,6 +349,8 @@ def train_joint(model: JointModel, train_instances: list[TextInstance],
     trainable parameters; freezing the generator removes its parameters
     from the update set before the first step.
     """
+    if config.lr is None:
+        raise ValueError("joint training needs config.lr")
     if metric_fn is None:
         metric_fn = accuracy_from_logits
     uses_gaze = model.cfg.model_kind != TEXT_ONLY
@@ -374,11 +363,16 @@ def train_joint(model: JointModel, train_instances: list[TextInstance],
             model.load_generator_state(generator_state)
         if config.freeze_generator:
             model.freeze_generator()
-    model.cfg.gumbel = dataclasses.replace(model.cfg.gumbel, temperature=config.tau)
 
     max_len = model.cfg.text.max_len
     tr_encs = encode_instances(train_instances, vocab, max_len)
     dev_encs = encode_instances(dev_instances, vocab, max_len)
+    if uses_gaze:
+        for split, insts, encs in (("train", train_instances, tr_encs),
+                                   ("dev", dev_instances, dev_encs)):
+            for inst, enc in zip(insts, encs):
+                model.generator.check_width(
+                    enc.n_words, f"{split} instance {inst.instance_id}")
     tr_labels = np.array([i.label for i in train_instances])
     dev_labels = np.array([i.label for i in dev_instances])
     dev_ids = [i.instance_id for i in dev_instances]

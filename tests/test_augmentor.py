@@ -6,7 +6,7 @@ import pytest
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, JointModel, ModelConfig,
                                ScanpathEncoder, TEXT_ONLY, average_logits,
                                fixation_steps)
-from gazenlu.diffcore import RngState, Tensor, no_grad, reshape
+from gazenlu.diffcore import RngState, Tensor, no_grad
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 
@@ -48,8 +48,8 @@ def toy_text():
     enc_model = TextEncoder(cfg, RngState(40, 0))
     enc = tokenize("aa ab ba", None, vocab, 32)
     with no_grad():
-        out = enc_model.encode(enc)
-    return vocab, cfg, enc, out
+        _, cls, words = enc_model.forward_batch(collate([enc]))
+    return vocab, cfg, enc, (cls, words)
 
 
 def test_soft_reorder_mixes_word_embeddings():
@@ -100,13 +100,12 @@ def test_step_mask_freezes_finished_rows():
 
 
 def test_encoder_is_order_sensitive(toy_text):
-    _, cfg, enc, out = toy_text
+    _, cfg, enc, (cls, words) = toy_text
     sc = ScanpathEncoder(cfg.d_model, cfg.d_model, RngState(45, 0))
     sc.eval()
-    cls = reshape(out.cls_embedding, (1, -1))
 
     def feature(order):
-        steps = [out.word_embeddings[f:f + 1, :] for f in order]
+        steps = [words[:, f, :] for f in order]
         return sc.run_steps(steps, np.ones((1, len(order))), cls)
 
     with no_grad():

@@ -8,7 +8,9 @@ import re
 import pytest
 
 from gazenlu.augmentor import ModelConfig
-from gazenlu.cli import _model_cfg_from_meta, _model_meta, main
+from gazenlu.cli import (_model_cfg_from_meta, _model_meta, _spec_from_dict,
+                         build_parser, main)
+from gazenlu.corpus import DatasetSpec, make_synthetic_suite
 from gazenlu.evalkit import load_reports
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.textenc import TextEncoderConfig
@@ -176,13 +178,13 @@ def _non_default(cls, value):
 
 def test_model_meta_round_trips_every_field():
     text = TextEncoderConfig(vocab_size=77, d_model=24, n_layers=3, n_heads=6,
-                             d_ff=48, max_len=40, n_segments=3, dropout=0.25)
+                             d_ff=48, max_len=40)
     gumbel = GumbelConfig(temperature=0.3, mode="soft_convolution",
                           hard_eval=True)
     cfg = ModelConfig(text=text, gen_hidden=18, l_max=9, scan_hidden=20,
                       task_kind="regression", n_classes=5,
                       share_text_encoder=True, model_kind="text_only",
-                      gumbel=gumbel, scan_dropout=0.3)
+                      gumbel=gumbel)
     for cls, value in ((ModelConfig, cfg), (TextEncoderConfig, text),
                        (GumbelConfig, gumbel)):
         _non_default(cls, value)
@@ -190,12 +192,117 @@ def test_model_meta_round_trips_every_field():
     # the keys existing run directories hold
     assert set(meta) == {"kind", "text", "gen_hidden", "l_max", "scan_hidden",
                          "task_kind", "n_classes", "share_text_encoder",
-                         "model_kind", "gumbel", "scan_dropout", "train"}
+                         "model_kind", "gumbel", "train"}
     assert meta["kind"] == "joint" and meta["train"]["lr"] == 2e-4
     assert meta["gumbel"] == {"temperature": 0.3, "mode": "soft_convolution",
                               "hard_eval": True}
-    assert meta["text"]["n_segments"] == 3
-    assert _model_cfg_from_meta(meta) == cfg
+    assert set(meta["text"]) == {"vocab_size", "d_model", "n_layers", "n_heads",
+                                 "d_ff", "max_len"}
+    assert "tau" not in meta["train"]
+    assert _model_cfg_from_meta(meta, "model.json") == cfg
+
+
+def test_dataset_spec_round_trips_through_suite_json(pipeline):
+    suite = json.load(open(os.path.join(pipeline["data"], "suite.json")))
+    made = make_synthetic_suite(11, n_gaze_train=2, n_gaze_dev=2,
+                                n_keyword=(2, 2, 2), n_pairs=(2, 2, 2))
+    for task, spec in (("keyword", made.keyword_spec),
+                       ("pairs", made.pairs_spec)):
+        assert _spec_from_dict(suite["tasks"][task]["spec"]) == spec
+    spec = DatasetSpec("sim", fields="pair", label_kind="real",
+                       metric_id="spearman", n_classes=1,
+                       label_range=(1.0, 5.0))
+    _non_default(DatasetSpec, spec)
+    stored = json.loads(json.dumps(dataclasses.asdict(spec)))
+    assert _spec_from_dict(stored) == spec
+
+
+# the flags only joint training reads, with a value where they take one
+JOINT_ONLY = [["--lr", "1e-3"], ["--n-scanpaths", "2"], ["--tau", "0.5"],
+              ["--freeze-generator"], ["--pretrained-generator"],
+              ["--scan-hidden", "8"], ["--gumbel-mode", "soft_convolution"],
+              ["--hard-eval"], ["--share-text-encoder"], ["--text-only"]]
+
+
+def test_each_verb_rejects_flags_it_would_ignore():
+    parser = build_parser()
+
+    def rejected(argv):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        return exc.value.code == 2
+
+    pretrain = ["pretrain-gaze", "--train", "t", "--dev", "d", "--vocab", "v"]
+    parser.parse_args(pretrain + ["--pretrain-lr", "1e-3", "--seed", "1"])
+    for flag in JOINT_ONLY:
+        assert rejected(pretrain + flag), flag
+    for verb in ("train", "crossval", "lowresource", "sweep", "ablate"):
+        task = [verb, "--task", "k", "--data-dir", "d", "--vocab", "v"]
+        parser.parse_args(task + [f for flag in JOINT_ONLY for f in flag])
+        assert rejected(task + ["--pretrain-lr", "1e-3"]), verb
+    assert rejected(["build-vocab", "--out", "v", "--max-pieces-per-word", "4"])
+
+
+def test_tau_is_a_model_flag_not_a_config_key(pipeline, capsys):
+    cfg_file = pipeline["root"] / "tau.cfg"
+    cfg_file.write_text("lr=1e-3\ntau=0.5\n")
+    assert main([
+        "train", "--task", "keyword", "--data-dir", pipeline["data"],
+        "--vocab", pipeline["vocab"], "--config", str(cfg_file),
+        "--out", str(pipeline["root"] / "joint_tau"),
+    ]) == 1
+    assert re.search(r"tau\.cfg:2: unknown config key 'tau'", capsys.readouterr().err)
+
+
+def test_pretrain_config_needs_no_lr(pipeline):
+    cfg_file = pipeline["root"] / "pre.cfg"
+    cfg_file.write_text("pretrain_lr=2e-3\nmax_epochs=1\n")
+    out = str(pipeline["root"] / "pre_cfg")
+    assert main([
+        "pretrain-gaze",
+        "--train", os.path.join(pipeline["data"], "gaze_train.tsv"),
+        "--dev", os.path.join(pipeline["data"], "gaze_dev.tsv"),
+        "--vocab", pipeline["vocab"], "--d-model", "32", "--n-layers", "1",
+        "--d-ff", "64", "--gen-hidden", "32", "--config", str(cfg_file),
+        "--out", out,
+    ]) == 0
+    train = json.load(open(os.path.join(out, "model.json")))["train"]
+    assert train["pretrain_lr"] == 2e-3 and train["lr"] is None
+
+
+@pytest.mark.parametrize("run, section, key", [
+    ("train", None, "scan_dropout"), ("train", "text", "n_segments"),
+    ("train", "text", "dropout"), ("train", "train", "tau"),
+    ("pre", "text", "n_segments"), ("pre", "train", "tau"),
+])
+def test_stale_run_directory_exits_one_naming_the_key(pipeline, tmp_path,
+                                                      capsys, run, section, key):
+    """model.json from before the single-temperature change, one stale key
+    at a time."""
+    meta = json.load(open(os.path.join(pipeline[run], "model.json")))
+    (meta[section] if section else meta)[key] = 0.1
+    (tmp_path / "model.json").write_text(json.dumps(meta))
+    if run == "train":
+        argv = ["evaluate", "--model", str(tmp_path), "--task", "keyword",
+                "--data-dir", pipeline["data"], "--out", str(tmp_path / "e")]
+    else:
+        texts = tmp_path / "texts.txt"
+        texts.write_text("aa bb\n")
+        argv = ["generate", "--model", str(tmp_path), "--input", str(texts),
+                "--out", str(tmp_path / "paths.jsonl")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "model.json" in err and key in err
+
+
+def test_generate_rejects_overlong_line_before_sampling(pipeline, capsys):
+    texts = pipeline["root"] / "long.txt"
+    texts.write_text("aa bb\n\n" + " ".join(["x"] * 40) + "\n")
+    out = pipeline["root"] / "long.jsonl"
+    assert main(["generate", "--model", pipeline["pre"], "--input", str(texts),
+                 "--out", str(out)]) == 1
+    assert f"{texts}:3: 40 words exceeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_verb_prints_and_exports_csv(pipeline, capsys):

@@ -161,14 +161,6 @@ def test_spec_validation():
         DatasetSpec("x", metric_id="bleu")
 
 
-def test_scale_label_maps_range_to_unit_interval():
-    spec = DatasetSpec("x", label_kind=REAL, metric_id="spearman",
-                       label_range=(1.0, 5.0))
-    assert spec.scale_label(1.0) == 0.0
-    assert spec.scale_label(5.0) == 1.0
-    assert spec.scale_label(3.0) == 0.5
-
-
 # -- TSV IO --------------------------------------------------------------
 
 

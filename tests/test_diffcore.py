@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
                               ModuleList, RngState, ShapeError, Tensor, add,
-                              checkpoint_hash, concat, cross_entropy, dropout,
+                              atomic_write, checkpoint_hash, concat, cross_entropy, dropout,
                               grad_check, is_grad_enabled, layer_norm,
                               load_checkpoint, matmul, mse_loss, mul, no_grad,
                               relu, reshape, run_standard_checks,
@@ -277,6 +277,22 @@ def test_checkpoint_hash_tracks_content(tmp_path):
     h1 = checkpoint_hash(p)
     save_checkpoint(p, {"w": np.ones(3, dtype=np.float32)})
     assert checkpoint_hash(p) != h1
+
+
+def test_atomic_write_failure_keeps_old_file(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(p, {"w": np.zeros(3, dtype=np.float32)})
+    old = p.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_write(p, "wb") as f:
+            f.write(b"half a new checkpoint")
+            raise RuntimeError("writer died")
+    assert p.read_bytes() == old
+    assert os.listdir(tmp_path) == ["m.ckpt"]
+    with atomic_write(p, "wb") as f:
+        f.write(b"new")
+    assert p.read_bytes() == b"new"
+    assert os.listdir(tmp_path) == ["m.ckpt"]
 
 
 # -- misc op semantics ---------------------------------------------------

@@ -158,6 +158,17 @@ def test_report_json_round_trip(tmp_path):
     assert back["aux"].errors == []
 
 
+def test_report_writer_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "report.json"
+    save_reports(path, {"a": EvalReport("kw", "accuracy", [0.5], ["s1"], {})})
+    old = path.read_bytes()
+    bad = EvalReport("kw", "accuracy", [0.5], ["s1"], {"x": object()})
+    with pytest.raises(TypeError):     # json.dump fails part-way
+        save_reports(path, {"a": bad})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_report_csv_rows_round_trip_values(tmp_path):
     reports = {
         "b": EvalReport("kw", "accuracy", [0.1234567890123], ["s1"], {"K": 40}),

@@ -44,8 +44,9 @@ def words3(gen):
 
 
 def test_offset_class_round_trip():
-    for off in range(-(CFG.l_max - 1), CFG.l_max):
-        assert CFG.class_to_offset(CFG.offset_to_class(off)) == off
+    offsets = range(-(CFG.l_max - 1), CFG.l_max)
+    # one class per offset, in order, then STOP
+    assert [CFG.offset_to_class(off) for off in offsets] == list(range(CFG.n_classes - 1))
     assert CFG.n_classes == 2 * CFG.l_max
     assert CFG.stop_class == CFG.n_classes - 1
 

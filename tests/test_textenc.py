@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazenlu.diffcore import RngState, grad_check, no_grad
-from gazenlu.textenc import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, Batch,
-                             TextEncoder, TextEncoderConfig, Vocab,
-                             build_vocab, collate, tokenize)
+from gazenlu.textenc import (CLS_ID, MAX_PIECES_PER_WORD, PAD_ID, SEP_ID,
+                             UNK_ID, Batch, TextEncoder, TextEncoderConfig,
+                             Vocab, build_vocab, collate, tokenize)
 
 
 # -- vocabulary ----------------------------------------------------------
@@ -59,8 +59,8 @@ def test_segment_unknown_char_falls_back_to_unk():
 
 
 def test_segment_piece_cap():
-    vocab = build_vocab(["q q"], 10, max_pieces_per_word=4)
-    assert len(vocab.segment_word("q" * 50)) == 4
+    vocab = build_vocab(["q q"], 10)
+    assert len(vocab.segment_word("q" * 50)) == MAX_PIECES_PER_WORD
 
 
 @given(st.text(alphabet="abcd", min_size=1, max_size=12))
@@ -71,7 +71,7 @@ def test_segmentation_concatenates_back(word):
     rev = {v: k for k, v in vocab.token_to_id.items()}
     rebuilt = "".join(rev[i] for i in pieces if i != UNK_ID)
     assert rebuilt == word[: len(rebuilt)]
-    if UNK_ID not in pieces and len(pieces) < vocab.max_pieces_per_word:
+    if UNK_ID not in pieces and len(pieces) < MAX_PIECES_PER_WORD:
         assert rebuilt == word
 
 
@@ -159,21 +159,21 @@ def test_encoder_eval_deterministic(small_encoder):
     vocab, cfg, enc = small_encoder
     e = tokenize("aa ab", None, vocab, 16)
     with no_grad():
-        out1 = enc.encode(e)
-        out2 = enc.encode(e)
-    assert np.array_equal(out1.token_embeddings.data, out2.token_embeddings.data)
-    assert np.array_equal(out1.cls_embedding.data, out2.cls_embedding.data)
+        tok1, cls1, _ = enc.forward_batch(collate([e]))
+        tok2, cls2, _ = enc.forward_batch(collate([e]))
+    assert np.array_equal(tok1.data, tok2.data)
+    assert np.array_equal(cls1.data, cls2.data)
 
 
 def test_word_pooling_is_token_mean(small_encoder):
     vocab, cfg, enc = small_encoder
     e = tokenize("aa ab", None, vocab, 16)
     with no_grad():
-        out = enc.encode(e)
-    toks = out.token_embeddings.data
+        tokens, _, words = enc.forward_batch(collate([e]))
+    toks = tokens.data[0]
     for w, (s, t) in enumerate(e.word_spans):
         manual = toks[s:t].mean(axis=0)
-        assert np.abs(out.word_embeddings.data[w] - manual).max() < 1e-6
+        assert np.abs(words.data[0, w] - manual).max() < 1e-6
 
 
 def test_padding_permutation_invariance(small_encoder):
@@ -195,7 +195,7 @@ def test_encoder_rejects_bad_ids(small_encoder):
                   attention_mask=e.attention_mask)
     with pytest.raises(ValueError):
         with no_grad():
-            enc.encode(bad)
+            enc.forward_batch(collate([bad]))
 
 
 def test_encoder_gradcheck_small():
@@ -211,8 +211,8 @@ def test_encoder_gradcheck_small():
     from gazenlu.diffcore import Tensor, mul, tsum
 
     def build():
-        out = enc.encode(e)
-        return tsum(mul(out.word_embeddings, Tensor(readout)))
+        words = enc.forward_batch(collate([e]))[2]
+        return tsum(mul(words, Tensor(readout[None])))
 
     params = dict(enc.named_parameters())
     report = grad_check(build, params, sample=2, rng=RngState(3, 0))

@@ -1,17 +1,22 @@
 """Optimizer, early stopping, config files, and the two training phases."""
 
+import copy
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from gazenlu import gazegen, trainkit
 from gazenlu.augmentor import JointModel, ModelConfig, TEXT_ONLY
+from gazenlu.corpus import GazeRecord, TextInstance
 from gazenlu.diffcore import Linear, Module, RngState
+from gazenlu.gazegen import GumbelConfig
 from gazenlu.trainkit import (AdamW, EarlyStopper, GazeModel, TrainConfig,
                               accuracy_from_logits, adamw_step,
                               encode_instances, load_config,
                               predict_instances, pretrain_generator,
-                              save_config, train_joint)
+                              train_joint)
 
 
 # -- optimizer ------------------------------------------------------------
@@ -134,25 +139,33 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(lr=1e-3, batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(lr=1e-3, tau=0.0)
-    with pytest.raises(ValueError):
         TrainConfig(lr=1e-3, n_scanpaths_train=0)
+    # the temperature lives in GumbelConfig only
+    assert "tau" not in {f.name for f in dataclasses.fields(TrainConfig)}
+
+
+def _write_config(path, cfg: TrainConfig) -> None:
+    """Every field as a key=value line, the way a user writes the file."""
+    path.write_text("".join(f"{f.name}={getattr(cfg, f.name)}\n"
+                            for f in dataclasses.fields(cfg)))
 
 
 def test_config_round_trip(tmp_path):
-    cfg = TrainConfig(lr=3e-5, batch_size=16, max_epochs=7, tau=0.8,
-                      freeze_generator=True, seed=9)
+    cfg = TrainConfig(lr=3e-5, batch_size=16, max_epochs=7, patience=2,
+                      n_scanpaths_train=5, freeze_generator=True,
+                      pretrained_generator=False, seed=9, weight_decay=0.5,
+                      pretrain_lr=2e-3)
     path = tmp_path / "run.cfg"
-    save_config(path, cfg)
+    _write_config(path, cfg)
     assert load_config(path) == cfg
 
 
 def test_config_overrides_win(tmp_path):
     path = tmp_path / "run.cfg"
-    save_config(path, TrainConfig(lr=3e-5, batch_size=16))
-    cfg = load_config(path, {"batch_size": 4, "tau": "0.25"})
+    _write_config(path, TrainConfig(lr=3e-5, batch_size=16))
+    cfg = load_config(path, {"batch_size": 4, "weight_decay": "0.25"})
     assert cfg.batch_size == 4
-    assert cfg.tau == 0.25
+    assert cfg.weight_decay == 0.25
     assert cfg.lr == 3e-5
 
 
@@ -165,13 +178,16 @@ def test_config_unknown_key_names_line(tmp_path):
         load_config(path, {"momentum": 0.9})
 
 
-def test_config_comments_blank_lines_and_missing_lr(tmp_path):
+def test_config_comments_blank_lines_and_missing_lr(tmp_path, tiny_text_cfg):
     path = tmp_path / "run.cfg"
     path.write_text("# a comment\n\nlr=1e-3\n")
     assert load_config(path).lr == 1e-3
+    # pretraining never reads lr; joint training refuses to start without it
     path.write_text("batch_size=8\n")
+    cfg = load_config(path)
+    assert cfg.lr is None
     with pytest.raises(ValueError, match="lr"):
-        load_config(path)
+        train_joint(_joint_model(tiny_text_cfg), [], [], None, cfg)
 
 
 def test_config_bool_coercion(tmp_path):
@@ -288,13 +304,66 @@ def test_joint_run_is_deterministic(tiny_suite, tiny_vocab, tiny_text_cfg,
 
 
 def test_joint_tau_reaches_the_sampler(tiny_suite, tiny_vocab, tiny_text_cfg,
-                                       tiny_gaze_state):
+                                       tiny_gaze_state, monkeypatch):
+    """The model's GumbelConfig is the one home of the temperature: the
+    sampler sees it, and training leaves the caller's config as it was."""
     gen_state, _ = tiny_gaze_state
-    model = _joint_model(tiny_text_cfg)
-    cfg = TrainConfig(lr=1e-3, max_epochs=1, batch_size=8, tau=0.8, seed=5)
+    model_cfg = ModelConfig(text=tiny_text_cfg, gen_hidden=32, l_max=32,
+                            gumbel=GumbelConfig(temperature=0.8))
+    before = copy.deepcopy(model_cfg)
+    model = JointModel(model_cfg, RngState(82, 0))
+    seen = []
+    sample = gazegen.ScanpathGenerator.sample_gumbel_batch
+
+    def spy(self, word_states, counts, rngs, cfg, *args, **kwargs):
+        seen.append(cfg.temperature)
+        return sample(self, word_states, counts, rngs, cfg, *args, **kwargs)
+
+    monkeypatch.setattr(gazegen.ScanpathGenerator, "sample_gumbel_batch", spy)
+    cfg = TrainConfig(lr=1e-3, max_epochs=1, batch_size=8, seed=5)
     train_joint(model, tiny_suite.keyword_train[:8], tiny_suite.keyword_dev[:4],
                 tiny_vocab, cfg, generator_state=gen_state)
-    assert model.cfg.gumbel.temperature == 0.8
+    assert seen and set(seen) == {0.8}
+    assert model_cfg == before
+    assert model.cfg is model_cfg
+
+
+def _count_steps(monkeypatch) -> list:
+    steps = []
+    step = trainkit.AdamW.step
+
+    def counted(self):
+        steps.append(1)
+        step(self)
+
+    monkeypatch.setattr(trainkit.AdamW, "step", counted)
+    return steps
+
+
+def test_overlong_sentence_fails_before_the_first_step(tiny_suite, tiny_vocab,
+                                                      tiny_text_cfg,
+                                                      monkeypatch):
+    steps = _count_steps(monkeypatch)
+    train = tiny_suite.keyword_train[:8]
+    l_max = 1 + max(len(i.text1.split()) for i in train)
+    model = JointModel(ModelConfig(text=tiny_text_cfg, gen_hidden=32,
+                                   l_max=l_max), RngState(82, 0))
+    long = TextInstance("long-dev", " ".join(["x"] * (l_max + 2)), None, 0)
+    cfg = TrainConfig(lr=1e-3, max_epochs=1, batch_size=8, seed=5,
+                      pretrained_generator=False)
+    with pytest.raises(ValueError,
+                       match=f"dev instance long-dev: {l_max + 2} words"):
+        train_joint(model, train, tiny_suite.keyword_dev[:4] + [long],
+                    tiny_vocab, cfg)
+    assert steps == []
+
+    gaze_model = GazeModel(tiny_text_cfg, gen_hidden=16, l_max=l_max)
+    gaze = [r for r in tiny_suite.gaze_train if r.n_words < l_max][:8]
+    long_rec = GazeRecord("long", "r1", " ".join(["x"] * l_max), [0])
+    with pytest.raises(ValueError, match=f"gaze sentence long .*: {l_max} words"):
+        pretrain_generator(gaze_model, gaze, [long_rec], tiny_vocab,
+                           TrainConfig(max_epochs=1))
+    assert steps == []
 
 
 def test_frozen_generator_stays_at_loaded_values(tiny_suite, tiny_vocab,
