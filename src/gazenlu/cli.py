@@ -176,25 +176,47 @@ def _add_shared_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_joint_flags(p: argparse.ArgumentParser) -> None:
-    """Settings only joint training reads."""
+    """Settings only joint training reads. The gaze settings default to
+    None, so that a flag given can be told from one left out."""
     p.add_argument("--lr", type=float)
     p.add_argument("--n-scanpaths", type=int, dest="n_scanpaths_train")
     p.add_argument("--freeze-generator", action=argparse.BooleanOptionalAction,
                    default=None)
     p.add_argument("--pretrained-generator",
                    action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--tau", type=float, default=GumbelConfig().temperature,
-                   help="Gumbel-softmax temperature")
+    p.add_argument("--tau", type=float,
+                   help=f"Gumbel-softmax temperature (default "
+                        f"{GumbelConfig().temperature})")
     p.add_argument("--scan-hidden", type=int, default=None)
-    p.add_argument("--gumbel-mode", choices=[STRAIGHT_THROUGH, SOFT_CONVOLUTION],
-                   default=STRAIGHT_THROUGH)
-    p.add_argument("--hard-eval", action="store_true")
-    p.add_argument("--share-text-encoder", action="store_true")
+    p.add_argument("--gumbel-mode", choices=[STRAIGHT_THROUGH, SOFT_CONVOLUTION])
+    p.add_argument("--hard-eval", action="store_true", default=None)
+    p.add_argument("--share-text-encoder", action="store_true", default=None)
     p.add_argument("--text-only", action="store_true",
                    help="no-gaze baseline: original-order content tokens")
 
 
+# the settings only a gaze model reads, by flag dest: a text-only model
+# has no generator, samples no paths and trains on one pass per instance
+GAZE_FLAGS = {"generator": "--generator", "tau": "--tau",
+              "gumbel_mode": "--gumbel-mode", "hard_eval": "--hard-eval",
+              "n_scanpaths_train": "--n-scanpaths",
+              "freeze_generator": "--freeze-generator",
+              "pretrained_generator": "--pretrained-generator",
+              "share_text_encoder": "--share-text-encoder"}
+
+
+def _check_text_only(args) -> None:
+    """--text-only with a gaze setting given is an error naming the flags;
+    the setting would be recorded in model.json but never used."""
+    given = [flag for dest, flag in GAZE_FLAGS.items()
+             if getattr(args, dest) is not None]
+    if args.text_only and given:
+        raise ValueError(f"--text-only trains no generator; drop "
+                         f"{', '.join(given)}")
+
+
 def _model_cfg_from_args(args, vocab: Vocab, spec: DatasetSpec) -> ModelConfig:
+    default = GumbelConfig()
     return ModelConfig(
         text=_build_text_cfg(args, vocab),
         gen_hidden=args.gen_hidden,
@@ -202,15 +224,17 @@ def _model_cfg_from_args(args, vocab: Vocab, spec: DatasetSpec) -> ModelConfig:
         scan_hidden=args.scan_hidden,
         task_kind="regression" if spec.label_kind == "real" else "classification",
         n_classes=spec.n_classes,
-        share_text_encoder=args.share_text_encoder,
+        share_text_encoder=bool(args.share_text_encoder),
         model_kind=TEXT_ONLY if args.text_only else GAZE,
-        gumbel=GumbelConfig(temperature=args.tau, mode=args.gumbel_mode,
-                            hard_eval=args.hard_eval),
+        gumbel=GumbelConfig(
+            temperature=default.temperature if args.tau is None else args.tau,
+            mode=args.gumbel_mode or default.mode, hard_eval=bool(args.hard_eval)),
     )
 
 
 def _experiment(args, parser):
     """Common setup for train/eval-style verbs: task, vocab, model, config."""
+    _check_text_only(args)
     spec, splits = _load_task(args.data_dir, args.task)
     vocab = Vocab.load(args.vocab)
     cfg = _train_cfg_from_args(args, parser)
@@ -377,7 +401,9 @@ def cmd_evaluate(args, parser) -> int:
     model, model_cfg, vocab, cfg, meta, ckpt = _load_joint(args.model)
     spec, splits = _load_task(args.data_dir, args.task)
     insts = splits[args.split]
-    n_paths = args.n_scanpaths or cfg.n_scanpaths_train
+    n_paths = cfg.n_scanpaths_train if args.n_scanpaths is None else args.n_scanpaths
+    if n_paths < 1:
+        raise ValueError(f"--n-scanpaths must be >= 1, got {n_paths}")
     hash_before = checkpoint_hash(ckpt)
 
     encs = encode_instances(insts, vocab, model_cfg.text.max_len)

@@ -26,6 +26,7 @@ from .tensor import (
     dropout,
     embedding,
     getitem,
+    gru_cell,
     layer_norm,
     matmul,
     mse_loss,
@@ -178,6 +179,15 @@ def standard_op_checks(dtype=np.float64):
     a = _rand(rng.substream("bmm_a"), (2, 3, 4), d)
     b = _rand(rng.substream("bmm_b"), (4, 5), d)
     entry("matmul_batched", {"a": a, "b": b}, lambda a=a, b=b: readout(matmul(a, b), "bmm"))
+
+    # half-scale inputs: at float32's step of 1e-2, the central difference
+    # of the gates' tanh at unit-scale pre-activations is off by ~1e-4
+    # (float64 at that step too), the size of the tolerance
+    gru = {k: Tensor((0.5 * rng.substream("gru", k).normal(shape)).astype(d),
+                     requires_grad=True)
+           for k, shape in (("x", (2, 3)), ("h", (2, 4)), ("w_ih", (3, 12)),
+                            ("w_hh", (4, 12)), ("b_ih", (12,)), ("b_hh", (12,)))}
+    entry("gru_cell", gru, lambda p=gru: readout(gru_cell(**p), "gru"))
 
     x = _rand(rng.substream("tanh"), (5,), d)
     entry("tanh", {"x": x}, lambda x=x: readout(tanh(x), "tanh"))

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import RngState
-from .tensor import Tensor, add, embedding, layer_norm, matmul, mul, sigmoid, tanh
+from .tensor import Tensor, add, embedding, gru_cell, layer_norm, matmul
 
 
 class Module:
@@ -145,7 +145,7 @@ class GRUCell(Module):
         h' = (1 - z) * n + z * h
 
     The three gates live in fused (d_in, 3h) / (h, 3h) weights, sliced
-    in the order r, z, n.
+    in the order r, z, n; one step is one ``gru_cell`` graph node.
     """
 
     def __init__(self, d_in: int, d_hidden: int, rng: RngState, dtype=np.float32):
@@ -165,14 +165,7 @@ class GRUCell(Module):
         self.b_hh = init("b_hh", (3 * d_hidden,))
 
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        H = self.d_hidden
-        gi = add(matmul(x, self.w_ih), self.b_ih)
-        gh = add(matmul(h, self.w_hh), self.b_hh)
-        r = sigmoid(add(gi[..., 0:H], gh[..., 0:H]))
-        z = sigmoid(add(gi[..., H:2 * H], gh[..., H:2 * H]))
-        n = tanh(add(gi[..., 2 * H:3 * H], mul(r, gh[..., 2 * H:3 * H])))
-        # h' = (1-z)n + zh, written as n + z(h-n) to save graph nodes
-        return add(n, mul(z, add(h, mul(n, -1.0))))
+        return gru_cell(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
 
     def init_state(self, batch: int, dtype=np.float32) -> Tensor:
         return Tensor(np.zeros((batch, self.d_hidden), dtype=dtype))

@@ -6,7 +6,10 @@ topological order. Node ids are assigned at construction and parents are
 stored in call order, so two backward passes over the same graph
 accumulate gradients in the same order and produce bit-identical results.
 
-Training runs in float32; gradient checking builds float64 graphs.
+Training runs in float32; gradient checking builds float64 graphs. A
+graph keeps the dtype of its tensors: a plain number or array meeting a
+tensor in ``add`` or ``mul`` is cast to that tensor's dtype, so a float
+constant never promotes a float32 graph to float64.
 """
 
 from __future__ import annotations
@@ -143,8 +146,11 @@ class Tensor:
         backward(self)
 
 
-def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor._leaf(np.asarray(x))
+def _wrap(x, like=None) -> Tensor:
+    """``x`` as a Tensor; a constant takes the dtype of the Tensor ``like``."""
+    if isinstance(x, Tensor):
+        return x
+    return Tensor._leaf(np.asarray(x, dtype=like.dtype if isinstance(like, Tensor) else None))
 
 
 def _record(parents: tuple) -> bool:
@@ -220,7 +226,8 @@ def backward(loss: Tensor) -> None:
 
 
 def add(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a = _wrap(a, b)
+    b = _wrap(b, a)
     try:
         np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
@@ -236,7 +243,8 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
+    a = _wrap(a, b)
+    b = _wrap(b, a)
     try:
         np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
@@ -254,6 +262,8 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """Gradients only for operands that require them; a 2-d ``b`` under a
+    batched ``a`` gets its gradient from one matmul over the flat rows."""
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-d, got {a.shape} and {b.shape}")
@@ -265,12 +275,74 @@ def matmul(a, b) -> Tensor:
         ad, bd = a.data, b.data
 
         def fn(g):
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+            ga = gb = None
+            if a.requires_grad:
+                ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+            if b.requires_grad:
+                if bd.ndim == 2:
+                    gb = np.matmul(ad.reshape(-1, ad.shape[-1]).T,
+                                   g.reshape(-1, g.shape[-1]))
+                else:
+                    gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
             return (ga, gb)
         return fn
 
     return _result(data, (a, b), bwd, "matmul")
+
+
+def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
+    """One GRU step (Cho et al. 2014) as a single node.
+
+    ``x`` is (B, d_in) and ``h`` (B, H); the weights are (d_in, 3H) and
+    (H, 3H), the biases (3H,), with gates sliced in the order r, z, n:
+
+        r = sigmoid(x W_ir + b_ir + h W_hr + b_hr)
+        z = sigmoid(x W_iz + b_iz + h W_hz + b_hz)
+        n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
+        h' = n + z * (h - n)
+
+    The forward evaluates these in the same order and form as the
+    composition of ``matmul``/``add``/``sigmoid``/``tanh``/``mul`` nodes,
+    so its output is bit-identical to it. Parents that do not require
+    grad get no gradient.
+    """
+    x, h = _wrap(x), _wrap(h)
+    if x.ndim != 2 or h.ndim != 2:
+        raise ShapeError(f"gru_cell: x {x.shape} and h {h.shape} must be 2-d")
+    B, H = h.shape
+    if (x.shape[0] != B or w_ih.shape != (x.shape[1], 3 * H)
+            or w_hh.shape != (H, 3 * H) or b_ih.shape != (3 * H,)
+            or b_hh.shape != (3 * H,)):
+        raise ShapeError(
+            f"gru_cell: x {x.shape}, h {h.shape}, w_ih {w_ih.shape}, "
+            f"w_hh {w_hh.shape}, b_ih {b_ih.shape}, b_hh {b_hh.shape} do not conform"
+        )
+    gi = np.matmul(x.data, w_ih.data) + b_ih.data
+    gh = np.matmul(h.data, w_hh.data) + b_hh.data
+    r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
+    z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
+    ghn = gh[:, 2 * H:3 * H]
+    n = np.tanh(gi[:, 2 * H:3 * H] + r * ghn)
+    data = n + z * (h.data + n * -1.0)
+
+    def bwd():
+        def fn(g):
+            dz = g * (h.data - n) * z * (1.0 - z)
+            da_n = g * (1.0 - z) * (1.0 - n * n)
+            dr = da_n * ghn * r * (1.0 - r)
+            dgi = np.concatenate([dr, dz, da_n], axis=1)
+            dgh = np.concatenate([dr, dz, da_n * r], axis=1)
+            return (
+                np.matmul(dgi, w_ih.data.T) if x.requires_grad else None,
+                np.matmul(dgh, w_hh.data.T) + g * z if h.requires_grad else None,
+                np.matmul(x.data.T, dgi) if w_ih.requires_grad else None,
+                np.matmul(h.data.T, dgh) if w_hh.requires_grad else None,
+                dgi.sum(axis=0) if b_ih.requires_grad else None,
+                dgh.sum(axis=0) if b_hh.requires_grad else None,
+            )
+        return fn
+
+    return _result(data, (x, h, w_ih, w_hh, b_ih, b_hh), bwd, "gru_cell")
 
 
 # -- activations ---------------------------------------------------------
@@ -358,6 +430,22 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # -- structural ops ------------------------------------------------------
 
 
+def _row_sums(idx: np.ndarray, g: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """Gradient of a row gather: zeros like ``like`` with g's rows summed
+    into the rows ``idx`` named. Rows are grouped by a stable sort and
+    each group summed in gather order, so the result is deterministic."""
+    out = np.zeros_like(like)
+    flat = idx.reshape(-1) % like.shape[0]      # negative indices wrap, as in the gather
+    if not flat.size:
+        return out
+    rows = g.reshape((flat.size,) + like.shape[1:])
+    order = np.argsort(flat, kind="stable")
+    ids = flat[order]
+    starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
+    out[ids[starts]] = np.add.reduceat(rows[order], starts, axis=0)
+    return out
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row gather: out[..., :] = table[ids[...], :]."""
     ids = np.asarray(ids)
@@ -369,9 +457,7 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def bwd():
         def fn(g):
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, ids, g)
-            return (gt,)
+            return (_row_sums(ids, g, table.data),)
         return fn
 
     return _result(data, (table,), bwd, "embedding")
@@ -384,9 +470,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
 
     def bwd():
         def fn(g):
-            gx = np.zeros_like(x.data)
-            np.add.at(gx, idx, g)
-            return (gx,)
+            return (_row_sums(idx, g, x.data),)
         return fn
 
     return _result(data, (x,), bwd, "take_rows")

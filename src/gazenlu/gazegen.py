@@ -173,19 +173,19 @@ class ScanpathGenerator(Module):
 
     # -- decoder ---------------------------------------------------------
 
-    def valid_mask(self, pos: int, n_words: int) -> np.ndarray:
-        cfg = self.cfg
-        offs = np.arange(cfg.n_classes - 1) - (cfg.l_max - 1)
-        landing = pos + offs
-        mask = np.concatenate([(landing >= 0) & (landing < n_words), [pos >= 0]])
-        return mask
+    def _landings(self, positions: np.ndarray, counts: np.ndarray):
+        """(B, C-1) landing word of each move class from each row's
+        position, and whether it falls inside the row's words."""
+        offs = np.arange(self.cfg.n_classes - 1) - (self.cfg.l_max - 1)
+        landing = positions[:, None] + offs
+        return landing, (landing >= 0) & (landing < counts[:, None])
 
     def _additive_masks(self, positions: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        B = positions.shape[0]
-        out = np.empty((B, self.cfg.n_classes), dtype=np.float32)
-        for b in range(B):
-            out[b] = np.where(self.valid_mask(int(positions[b]), int(counts[b])), 0.0, NEG_INF)
-        return out
+        """(B, C): 0 for a valid decision, NEG_INF otherwise. A move must
+        land on one of the row's words; STOP needs a fixation first."""
+        _, ok = self._landings(positions, counts)
+        valid = np.concatenate([ok, positions[:, None] >= 0], axis=1)
+        return np.where(valid, 0.0, NEG_INF).astype(np.float32)
 
     def decode_logits_batch(self, state: Tensor, word_states: Tensor,
                             counts: np.ndarray) -> Tensor:
@@ -270,13 +270,10 @@ class ScanpathGenerator(Module):
     def _landing_scatter(self, positions: np.ndarray, counts: np.ndarray,
                          rows: np.ndarray, W: int, dtype) -> np.ndarray:
         """(B, C, W) class -> landing word for the given rows' positions."""
-        B = len(positions)
-        offs = np.arange(self.cfg.n_classes - 1) - (self.cfg.l_max - 1)
-        scatter = np.zeros((B, self.cfg.n_classes, W), dtype=dtype)
-        for b in np.flatnonzero(rows):
-            landing = positions[b] + offs
-            ok = (landing >= 0) & (landing < counts[b])
-            scatter[b, np.flatnonzero(ok), landing[ok]] = 1.0
+        landing, ok = self._landings(positions, counts)
+        b, c = np.nonzero(ok & rows[:, None])
+        scatter = np.zeros((len(positions), self.cfg.n_classes, W), dtype=dtype)
+        scatter[b, c, landing[b, c]] = 1.0
         return scatter
 
     def _spread_kernel(self, counts: np.ndarray, W: int, dtype) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,14 +68,16 @@ class Vocab:
             out[i] = tok
         return out
 
+    @cached_property
     def _max_piece_len(self) -> int:
+        """Longest non-special token, computed once per vocabulary."""
         return max((len(t) for t in self.token_to_id if t not in SPECIALS), default=1)
 
     def segment_word(self, word: str) -> list[int]:
         """Greedy longest-match piece ids; unknown characters become [UNK]."""
         pieces: list[int] = []
         i, n = 0, len(word)
-        longest = self._max_piece_len()
+        longest = self._max_piece_len
         while i < n and len(pieces) < MAX_PIECES_PER_WORD:
             for L in range(min(longest, n - i), 0, -1):
                 tid = self.token_to_id.get(word[i:i + L])

@@ -200,6 +200,20 @@ def _batched(n: int, size: int):
         yield range(at, min(at + size, n))
 
 
+def _update(model: Module, opt: AdamW, loss: Tensor) -> None:
+    """One optimizer step on ``loss``. A loss without a graph while the
+    optimizer holds trainable parameters would leave every gradient
+    unset and the step a silent no-op, so it is an error."""
+    if loss._backward is None and opt.n_params:
+        raise RuntimeError(
+            f"training loss has no graph but {opt.n_params} parameters are "
+            f"trainable; was it computed under no_grad or from frozen inputs?"
+        )
+    model.zero_grad()
+    loss.backward()
+    opt.step()
+
+
 def _append_log(log_path, record: dict) -> None:
     if log_path is None:
         return
@@ -296,9 +310,7 @@ def pretrain_generator(model: GazeModel, train_records: list[GazeRecord],
                 batch, [tr_paths[i] for i in rows],
                 root.substream("drop", epoch, bi),
             )
-            model.zero_grad()
-            loss.backward()
-            opt.step()
+            _update(model, opt, loss)
             total += float(loss.data) * n
             steps += n
         train_nll = total / steps
@@ -404,9 +416,7 @@ def train_joint(model: JointModel, train_instances: list[TextInstance],
             loss = model.loss_pairs(
                 batch, labels, pair_rngs, root.substream("drop", epoch, bi)
             )
-            model.zero_grad()
-            loss.backward()
-            opt.step()
+            _update(model, opt, loss)
             total += float(loss.data) * len(rows)
             count += len(rows)
         outputs = predict_instances(

@@ -9,6 +9,7 @@ from gazenlu.augmentor import (CLASSIFICATION, GAZE, JointModel, ModelConfig,
 from gazenlu.diffcore import RngState, Tensor, no_grad
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
+from gazenlu.trainkit import GazeModel
 
 
 # -- logit averaging -----------------------------------------------------
@@ -225,6 +226,43 @@ def test_joint_loss_backward_reaches_both_encoders(joint_setup):
     assert params["head.lin.w"].grad is not None
     model.zero_grad()
     model.eval()
+
+
+def _graph_dtypes(loss) -> set:
+    """Dtypes of every node reachable from ``loss``, constants included."""
+    seen, dtypes, stack = set(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            dtypes.add(node.data.dtype)
+            stack.extend(node._parents)
+    return dtypes
+
+
+def test_training_graphs_and_predictions_stay_float32():
+    """No constant promotes a float32 model to float64: every node of a
+    training graph, every parameter gradient and the prediction output
+    are float32, in both relaxations and in teacher-forced pretraining."""
+    vocab = build_vocab(["aa aa ab ba ba b a"] * 3, 32)
+    batch = collate([tokenize("aa ab", None, vocab, 32),
+                     tokenize("ab ba aa b", None, vocab, 32)])
+    rngs = [RngState(60, 0).substream("g", i) for i in range(batch.size)]
+    for mode in ("straight_through", "soft_convolution"):
+        model = JointModel(_tiny_cfg(vocab, gumbel=GumbelConfig(mode=mode)),
+                           RngState(60, 1))
+        loss = model.loss_pairs(batch, np.array([0, 1]), rngs, RngState(60, 2))
+        assert _graph_dtypes(loss) == {np.dtype(np.float32)}, mode
+        loss.backward()
+        grads = {n: p.grad.dtype for n, p in model.named_parameters()}
+        assert set(grads.values()) == {np.dtype(np.float32)}, (mode, grads)
+        out = model.predict_batch(batch, ["s0", "s1"], 2, RngState(60, 3))
+        assert out.dtype == np.float32, mode
+    gaze = GazeModel(_tiny_cfg(vocab).text, gen_hidden=16, l_max=8, seed=60)
+    loss, _ = gaze.batch_nll(batch, [[0, 1], [1, 3, 2]], RngState(60, 4))
+    assert _graph_dtypes(loss) == {np.dtype(np.float32)}
+    loss.backward()
+    assert {p.grad.dtype for p in gaze.parameters()} == {np.dtype(np.float32)}
 
 
 def test_text_only_loss_ignores_scanpaths():

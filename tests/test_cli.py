@@ -108,6 +108,18 @@ def test_evaluate_writes_report_and_reruns_byte_identical(pipeline, capsys):
     assert rep.run_labels == ["test"] and 0.0 <= rep.values[0] <= 1.0
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_evaluate_rejects_path_counts_below_one(pipeline, capsys, count):
+    out = pipeline["root"] / f"eval_n{count}"
+    assert main([
+        "evaluate", "--model", pipeline["train"], "--task", "keyword",
+        "--data-dir", pipeline["data"], "--n-scanpaths", count,
+        "--out", str(out),
+    ]) == 1
+    assert f"--n-scanpaths must be >= 1, got {count}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_manifest_is_the_only_timestamped_artifact(pipeline):
     manifest = json.load(open(os.path.join(pipeline["train"], "manifest.json")))
     assert manifest["verb"] == "train"
@@ -241,6 +253,28 @@ def test_each_verb_rejects_flags_it_would_ignore():
         parser.parse_args(task + [f for flag in JOINT_ONLY for f in flag])
         assert rejected(task + ["--pretrain-lr", "1e-3"]), verb
     assert rejected(["build-vocab", "--out", "v", "--max-pieces-per-word", "4"])
+
+
+# every setting a text-only model would record without reading it
+GAZE_ONLY = [["--generator", "g.ckpt"], ["--tau", "3"],
+             ["--gumbel-mode", "soft_convolution"], ["--hard-eval"],
+             ["--n-scanpaths", "5"], ["--no-freeze-generator"],
+             ["--pretrained-generator"], ["--share-text-encoder"]]
+
+
+@pytest.mark.parametrize("verb", ["train", "crossval", "lowresource", "sweep",
+                                  "ablate"])
+def test_text_only_rejects_gaze_settings(pipeline, capsys, verb):
+    task = [verb, "--task", "keyword", "--data-dir", pipeline["data"],
+            "--vocab", pipeline["vocab"], "--lr", "1e-3", "--text-only"]
+    out = pipeline["root"] / f"text_only_{verb}"
+    for flag in GAZE_ONLY:
+        assert main(task + flag + ["--out", str(out)]) == 1, flag
+        assert f"drop {flag[0].replace('no-', '')}" in capsys.readouterr().err
+    assert main(task + [f for flag in GAZE_ONLY for f in flag]) == 1
+    err = capsys.readouterr().err
+    assert all(flag[0].replace("no-", "") in err for flag in GAZE_ONLY), err
+    assert not out.exists()
 
 
 def test_tau_is_a_model_flag_not_a_config_key(pipeline, capsys):

@@ -223,6 +223,58 @@ def test_gru_zero_state_fixed_point_with_zero_params():
     assert np.allclose(h1.data, 0.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gru_cell_forward_matches_unfused_composition(dtype):
+    """The fused step is bit-identical to the graph of small ops it
+    replaced, written out here as it stood."""
+    cell = GRUCell(5, 4, RngState(2, 0), dtype=dtype)
+    rng = RngState(2, 1)
+    x = Tensor(rng.substream("x").normal((3, 5)).astype(dtype))
+    h = Tensor(rng.substream("h").normal((3, 4)).astype(dtype))
+    H = 4
+    gi = add(matmul(x, cell.w_ih), cell.b_ih)
+    gh = add(matmul(h, cell.w_hh), cell.b_hh)
+    r = sigmoid(add(gi[..., 0:H], gh[..., 0:H]))
+    z = sigmoid(add(gi[..., H:2 * H], gh[..., H:2 * H]))
+    n = tanh(add(gi[..., 2 * H:3 * H], mul(r, gh[..., 2 * H:3 * H])))
+    unfused = add(n, mul(z, add(h, mul(n, -1.0))))
+    fused = cell(x, h)
+    assert fused.dtype == unfused.dtype == dtype
+    assert np.array_equal(fused.data, unfused.data)
+    assert fused._op == "gru_cell"
+
+
+def test_gru_cell_takes_2d_inputs_only():
+    cell = GRUCell(3, 2, RngState(0, 0))
+    with pytest.raises(ShapeError):
+        cell(Tensor(np.ones((1, 2, 3), dtype=np.float32)), cell.init_state(2))
+    with pytest.raises(ShapeError):
+        cell(Tensor(np.ones((2, 4), dtype=np.float32)), cell.init_state(2))
+
+
+def test_constants_take_the_tensor_dtype():
+    t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    for out in (mul(t, np.float64(0.5)), mul(np.float64(0.5), t), add(t, 1.0),
+                t / np.sqrt(2.0), -t, 1.0 - t):
+        assert out.dtype == np.float32
+    assert mul(Tensor(np.ones(3)), np.float32(0.5)).dtype == np.float64
+
+
+def test_gradients_skip_constant_operands():
+    """Only parents that require grad receive one; a constant matrix in a
+    matmul or a constant state in a GRU step gets none computed."""
+    w = Tensor(np.ones((4, 2)), requires_grad=True)
+    c = Tensor(np.ones((3, 5, 4)))
+    out = matmul(c, w)
+    got = out._backward(np.ones(out.shape))
+    assert got[0] is None and np.array_equal(got[1], np.full((4, 2), 15.0))
+    cell = GRUCell(3, 2, RngState(0, 0), dtype=np.float64)
+    h = cell(Tensor(np.ones((2, 3))), cell.init_state(2, dtype=np.float64))
+    x_grad, h_grad, *weight_grads = h._backward(np.ones(h.shape))
+    assert x_grad is None and h_grad is None
+    assert all(g is not None for g in weight_grads)
+
+
 def test_gru_gradients_flow():
     cell = GRUCell(3, 5, RngState(1, 0), dtype=np.float64)
     h = cell.init_state(1, dtype=np.float64)

@@ -6,8 +6,8 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from gazenlu.diffcore import (RngState, Tensor, grad_check, mul, no_grad,
-                              softmax, tsum)
+from gazenlu.diffcore import (NEG_INF, RngState, Tensor, grad_check, mul,
+                              no_grad, softmax, tsum)
 from gazenlu.gazegen import (GeneratorConfig, GumbelConfig, ScanpathGenerator,
                              SOFT_CONVOLUTION, default_max_fixations)
 
@@ -22,6 +22,18 @@ def sample(gen, ws, rng, cfg=ST, cap=None, hard=False, **kw):
     cap = cap if cap is not None else default_max_fixations(W)
     with no_grad() if hard else nullcontext():
         return gen.sample_gumbel_batch(ws, np.array([W]), [rng], cfg, cap, **kw)
+
+
+def valid_mask(cfg, pos: int, n_words: int) -> np.ndarray:
+    """Single-row oracle: which of the n_classes decisions are valid at
+    ``pos`` in a sentence of ``n_words`` words."""
+    offs = np.arange(cfg.n_classes - 1) - (cfg.l_max - 1)
+    landing = pos + offs
+    return np.concatenate([(landing >= 0) & (landing < n_words), [pos >= 0]])
+
+
+def batched_valid(gen, pos: int, n_words: int) -> np.ndarray:
+    return gen._additive_masks(np.array([pos]), np.array([n_words]))[0] == 0.0
 
 
 def live_rows(batch, b=0):
@@ -75,7 +87,7 @@ def test_default_max_fixations():
 
 
 def test_entry_mask_allows_only_forward_landings(gen):
-    mask = gen.valid_mask(-1, 3)
+    mask = batched_valid(gen, -1, 3)
     true_classes = set(np.flatnonzero(mask))
     expected = {CFG.offset_to_class(o) for o in (1, 2, 3)}
     assert true_classes == expected
@@ -83,20 +95,41 @@ def test_entry_mask_allows_only_forward_landings(gen):
 
 
 def test_interior_mask_bounds_landings_and_allows_stop(gen):
-    mask = gen.valid_mask(1, 3)
+    mask = batched_valid(gen, 1, 3)
     true_classes = set(np.flatnonzero(mask))
     expected = {CFG.offset_to_class(o) for o in (-1, 0, 1)} | {CFG.stop_class}
     assert true_classes == expected
 
 
 def test_single_word_mask(gen):
-    mask = gen.valid_mask(0, 1)
+    mask = batched_valid(gen, 0, 1)
     assert set(np.flatnonzero(mask)) == {CFG.offset_to_class(0), CFG.stop_class}
+
+
+def test_batched_masks_and_scatters_match_single_row_oracle(gen):
+    """Padded batches of mixed widths, every position from -1 up to each
+    row's last word: masks and landing scatters equal the oracle exactly."""
+    W = CFG.l_max - 1
+    counts = np.array([1, 2, 3, W, 4, 1, W])
+    for trial in range(W + 1):
+        # each row steps through every position from -1 to its last word
+        positions = np.minimum((np.arange(len(counts)) + trial) % (W + 1) - 1, counts - 1)
+        live = (np.arange(len(counts)) + trial) % 3 != 0
+        masks = gen._additive_masks(positions, counts)
+        scatter = gen._landing_scatter(positions, counts, live, W, np.float32)
+        for b, (pos, n) in enumerate(zip(positions, counts)):
+            want = valid_mask(CFG, int(pos), int(n))
+            assert np.array_equal(masks[b], np.where(want, 0.0, NEG_INF).astype(np.float32))
+            rows = np.zeros((CFG.n_classes, W), dtype=np.float32)
+            if live[b]:
+                for c in np.flatnonzero(want[:-1]):
+                    rows[c, pos + c - (CFG.l_max - 1)] = 1.0
+            assert np.array_equal(scatter[b], rows), (trial, b)
 
 
 def test_step_probs_zero_on_invalid_and_normalized(gen, words3):
     logits = gen.decode_logits_batch(gen.start_state(1), words3, np.array([3]))
-    valid = gen.valid_mask(-1, 3)
+    valid = valid_mask(CFG, -1, 3)
     p = softmax(logits, mask=np.where(valid, 0.0, -np.inf)[None]).data[0]
     assert p[CFG.stop_class] == 0.0
     assert abs(p.sum() - 1.0) < 1e-6
@@ -120,7 +153,7 @@ def _replay_step_probs(gen, ws, n_words, prefix, pos):
     for f in prefix:
         state, hid = gen.history_step(ws[:, f, :], gen.fix_pos(np.array([f])), hid)
     logits = gen.decode_logits_batch(state, ws, np.array([n_words])).data[0]
-    z = np.where(gen.valid_mask(pos, n_words), logits, -np.inf)
+    z = np.where(valid_mask(gen.cfg, pos, n_words), logits, -np.inf)
     e = np.exp(z - z.max())
     return e / e.sum()
 

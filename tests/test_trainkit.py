@@ -10,7 +10,7 @@ import pytest
 from gazenlu import gazegen, trainkit
 from gazenlu.augmentor import JointModel, ModelConfig, TEXT_ONLY
 from gazenlu.corpus import GazeRecord, TextInstance
-from gazenlu.diffcore import Linear, Module, RngState
+from gazenlu.diffcore import Linear, Module, RngState, no_grad
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.trainkit import (AdamW, EarlyStopper, GazeModel, TrainConfig,
                               accuracy_from_logits, adamw_step,
@@ -363,6 +363,31 @@ def test_overlong_sentence_fails_before_the_first_step(tiny_suite, tiny_vocab,
     with pytest.raises(ValueError, match=f"gaze sentence long .*: {l_max} words"):
         pretrain_generator(gaze_model, gaze, [long_rec], tiny_vocab,
                            TrainConfig(max_epochs=1))
+    assert steps == []
+
+
+def test_graphless_loss_fails_before_the_first_step(tiny_suite, tiny_vocab,
+                                                    tiny_text_cfg, monkeypatch):
+    """A loss computed under no_grad has no graph to push gradients
+    through; training refuses it instead of stepping with no gradients."""
+    steps = _count_steps(monkeypatch)
+    for cls, attr in ((JointModel, "loss_pairs"), (GazeModel, "batch_nll")):
+        loss_fn = getattr(cls, attr)
+
+        def graphless(*args, loss_fn=loss_fn, **kwargs):
+            with no_grad():
+                return loss_fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, graphless)
+    cfg = TrainConfig(lr=1e-3, max_epochs=1, batch_size=8, seed=5,
+                      pretrained_generator=False)
+    with pytest.raises(RuntimeError, match="loss has no graph"):
+        train_joint(_joint_model(tiny_text_cfg), tiny_suite.keyword_train[:8],
+                    tiny_suite.keyword_dev[:4], tiny_vocab, cfg)
+    with pytest.raises(RuntimeError, match="loss has no graph"):
+        pretrain_generator(GazeModel(tiny_text_cfg, gen_hidden=16, l_max=32),
+                           tiny_suite.gaze_train[:8], tiny_suite.gaze_dev[:4],
+                           tiny_vocab, TrainConfig(max_epochs=1))
     assert steps == []
 
 
