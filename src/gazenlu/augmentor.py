@@ -22,14 +22,14 @@ from .diffcore import (
     Module,
     RngState,
     Tensor,
-    add,
+    blend,
     cross_entropy,
     dropout,
     matmul,
     mse_loss,
-    mul,
     no_grad,
     reshape,
+    take_rows,
 )
 from .gazegen import (
     GeneratorConfig,
@@ -37,6 +37,7 @@ from .gazegen import (
     STRAIGHT_THROUGH,
     ScanpathGenerator,
     default_max_fixations,
+    path_rows,
 )
 from .textenc import Batch, TextEncoder, TextEncoderConfig
 
@@ -90,14 +91,11 @@ class ScanpathEncoder(Module):
         if not steps:
             raise ValueError("scanpath encoder needs at least one step")
         h = self.init_state(cls)
-        dt = h.dtype
         train = self.training and rng is not None
         for t, x in enumerate(steps):
             if train:
                 x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t), True)
-            hn = self.gru(x, h)
-            m = step_mask[:, t].astype(dt).reshape(-1, 1)
-            h = add(mul(hn, Tensor(m)), mul(h, Tensor(1.0 - m)))
+            h = blend(step_mask[:, t].reshape(-1, 1), self.gru(x, h), h)
         return h
 
 
@@ -203,11 +201,10 @@ class JointModel(Module):
             _, _, words = self.gen_encoder.forward_batch(batch, rng)
         return self.generator.encode_words_batch(words, batch.word_counts)
 
-    def _scan_steps(self, batch: Batch, words: Tensor, word_states: Tensor,
+    def _scan_steps(self, counts: np.ndarray, words: Tensor, word_states: Tensor,
                     pair_rngs: list[RngState], gumbel: GumbelConfig):
         """One sampled path per row, as GRU steps over the classifier's
         word vectors, and the step mask."""
-        counts = batch.word_counts
         # per-sentence caps: a row's path length never depends on how long
         # the other sentences in its batch happen to be
         caps = np.array([default_max_fixations(int(c)) for c in counts])
@@ -231,8 +228,8 @@ class JointModel(Module):
         else:
             ws = self._word_states(batch, words,
                                    rng.substream("gen_enc") if rng else None)
-            steps, mask = self._scan_steps(batch, words, ws, pair_rngs,
-                                           self.cfg.gumbel)
+            steps, mask = self._scan_steps(batch.word_counts, words, ws,
+                                           pair_rngs, self.cfg.gumbel)
         feature = self.scan.run_steps(
             steps, mask, cls, rng.substream("scan") if rng else None
         )
@@ -270,8 +267,10 @@ class JointModel(Module):
         """Averaged pre-softmax outputs, (B, n_out); eval mode, no graph.
 
         Path p of a sentence draws from ``rng.substream(sentence_id, p)``.
-        With ``hard_eval`` the paths are hard Gumbel-max draws whatever
-        the training relaxation.
+        Every path of the batch is sampled and read in one pass, one row
+        per (sentence, path) pair; a row's path and output do not depend
+        on the other rows. With ``hard_eval`` the paths are hard
+        Gumbel-max draws whatever the training relaxation.
         """
         if n_scanpaths < 1:
             raise ValueError("n_scanpaths must be >= 1")
@@ -287,13 +286,12 @@ class JointModel(Module):
                 if gumbel.hard_eval:
                     gumbel = dataclasses.replace(gumbel, mode=STRAIGHT_THROUGH)
                 ws = self._word_states(batch, words, None)
-                outs: list[np.ndarray] = []
-                for p in range(n_scanpaths):
-                    pair_rngs = [rng.substream(sid, p) for sid in sentence_ids]
-                    steps, mask = self._scan_steps(batch, words, ws, pair_rngs, gumbel)
-                    outs.append(
-                        self.head(self.scan.run_steps(steps, mask, cls)).data.copy()
-                    )
-                return average_logits(outs)
+                pick, pair_rngs = path_rows(sentence_ids, n_scanpaths, rng)
+                steps, mask = self._scan_steps(
+                    batch.word_counts[pick], take_rows(words, pick),
+                    take_rows(ws, pick), pair_rngs, gumbel)
+                out = self.head(self.scan.run_steps(steps, mask, take_rows(cls, pick)))
+                per_path = out.data.reshape(batch.size, n_scanpaths, -1)
+                return average_logits([per_path[:, p] for p in range(n_scanpaths)])
         finally:
             self.train(was_training)

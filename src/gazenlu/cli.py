@@ -23,15 +23,16 @@ import numpy as np
 from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
 from .corpus import (DatasetSpec, load_dataset, load_gaze_corpus,
                      make_synthetic_suite, write_dataset, write_gaze_corpus)
-from .diffcore import (RngState, Tensor, atomic_write, checkpoint_hash,
-                       load_checkpoint, no_grad, save_checkpoint)
+from .diffcore import (RngState, atomic_write, checkpoint_hash, load_checkpoint,
+                       no_grad, save_checkpoint, take_rows)
 from .evalkit import (ABLATIONS, EvalReport, Experiment, load_reports, metric,
                       metric_fn_for, reports_to_csv, run_ablations,
                       run_crossval, run_lowresource, save_reports,
                       scores_from_logits, sweep_scanpaths)
 from .gazegen import (SOFT_CONVOLUTION, STRAIGHT_THROUGH, GumbelConfig,
-                     default_max_fixations)
-from .textenc import TextEncoderConfig, Vocab, build_vocab, collate, tokenize
+                     default_max_fixations, path_rows)
+from .textenc import (TextEncoderConfig, Vocab, build_vocab, collate,
+                      tokenize_whole)
 from .trainkit import (GazeModel, TrainConfig, encode_instances, load_config,
                        predict_instances, pretrain_generator, train_joint)
 
@@ -459,7 +460,8 @@ def cmd_generate(args, parser) -> int:
     with open(args.input, encoding="utf-8") as f:
         lines = [(n, line.strip()) for n, line in enumerate(f, start=1)
                  if line.strip()]
-    encs = [tokenize(text, None, vocab, text_cfg.max_len) for _, text in lines]
+    encs = [tokenize_whole(text, vocab, text_cfg.max_len, f"{args.input}:{n}")
+            for n, text in lines]
     for (n, _), enc in zip(lines, encs):
         model.generator.check_width(enc.n_words, f"{args.input}:{n}")
     rng = RngState(args.seed, 0).substream("generate")
@@ -469,13 +471,11 @@ def cmd_generate(args, parser) -> int:
             ids = range(at, min(at + GENERATE_BATCH, len(encs)))
             batch = collate([encs[i] for i in ids])
             ws = model.word_states(batch, None)
-            # one sampler row per (sentence, path), in output order
-            pick = np.repeat(np.arange(len(ids)), args.n_paths)
+            pick, path_rngs = path_rows([f"s{i}" for i in ids], args.n_paths, rng)
             counts = batch.word_counts[pick]
             sampled = model.generator.sample_gumbel_batch(
-                Tensor(ws.data[pick]), counts,
-                [rng.substream(f"s{i}", p) for i in ids for p in range(args.n_paths)],
-                GumbelConfig(), [default_max_fixations(int(c)) for c in counts],
+                take_rows(ws, pick), counts, path_rngs, GumbelConfig(),
+                [default_max_fixations(int(c)) for c in counts],
             )
             for r, b in enumerate(pick):
                 rows.append({"sentence_id": f"s{ids[b]}",

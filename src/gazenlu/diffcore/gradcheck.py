@@ -21,6 +21,7 @@ from .tensor import (
     NEG_INF,
     Tensor,
     backward,
+    blend,
     concat,
     cross_entropy,
     dropout,
@@ -35,11 +36,9 @@ from .tensor import (
     relu,
     reshape,
     select_steps,
-    sigmoid,
     softmax,
     stack,
     take_rows,
-    tanh,
     tmean,
     transpose,
     tsum,
@@ -189,11 +188,11 @@ def standard_op_checks(dtype=np.float64):
                             ("w_hh", (4, 12)), ("b_ih", (12,)), ("b_hh", (12,)))}
     entry("gru_cell", gru, lambda p=gru: readout(gru_cell(**p), "gru"))
 
-    x = _rand(rng.substream("tanh"), (5,), d)
-    entry("tanh", {"x": x}, lambda x=x: readout(tanh(x), "tanh"))
-
-    x = _rand(rng.substream("sig"), (5,), d)
-    entry("sigmoid", {"x": x}, lambda x=x: readout(sigmoid(x), "sig"))
+    a = _rand(rng.substream("blend_new"), (3, 4), d)
+    b = _rand(rng.substream("blend_old"), (3, 4), d)
+    m = np.array([[1.0], [0.0], [1.0]], dtype=d)
+    entry("blend", {"new": a, "old": b},
+          lambda a=a, b=b, m=m: readout(blend(m, a, b), "blend"))
 
     x = Tensor(rng.substream("relu").normal((7,)).astype(d) + 0.3, requires_grad=True)
     entry("relu", {"x": x}, lambda x=x: readout(relu(x), "relu"))

@@ -9,7 +9,9 @@ accumulate gradients in the same order and produce bit-identical results.
 Training runs in float32; gradient checking builds float64 graphs. A
 graph keeps the dtype of its tensors: a plain number or array meeting a
 tensor in ``add`` or ``mul`` is cast to that tensor's dtype, so a float
-constant never promotes a float32 graph to float64.
+constant never promotes a float32 graph to float64. ``add``, ``mul``,
+``blend``, ``matmul`` and ``gru_cell`` compute no gradient for a parent
+that does not require one (masks, noise, one-hot rows).
 """
 
 from __future__ import annotations
@@ -236,7 +238,8 @@ def add(a, b) -> Tensor:
 
     def bwd():
         def fn(g):
-            return (_unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape))
+            return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                    _unbroadcast(g, b.data.shape) if b.requires_grad else None)
         return fn
 
     return _result(data, (a, b), bwd, "add")
@@ -255,10 +258,35 @@ def mul(a, b) -> Tensor:
         ad, bd = a.data, b.data
 
         def fn(g):
-            return (_unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape))
+            return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
+                    _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
         return fn
 
     return _result(data, (a, b), bwd, "mul")
+
+
+def blend(m: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
+    """``new * m + old * (1 - m)`` for a constant mask ``m``, one node.
+
+    ``m`` is a (B, 1) array of 0/1 row flags, cast to ``new``'s dtype.
+    The forward evaluates the same products and sum as
+    ``add(mul(new, m), mul(old, 1 - m))``, so it is bit-identical to it;
+    the gradients are ``g * m`` and ``g * (1 - m)``.
+    """
+    m = np.asarray(m, dtype=new.dtype)
+    if new.shape != old.shape or m.shape != (new.shape[0], 1):
+        raise ShapeError(f"blend: mask {m.shape}, new {new.shape} and old {old.shape} "
+                         f"do not conform")
+    keep = 1.0 - m
+    data = new.data * m + old.data * keep
+
+    def bwd():
+        def fn(g):
+            return (g * m if new.requires_grad else None,
+                    g * keep if old.requires_grad else None)
+        return fn
+
+    return _result(data, (new, old), bwd, "blend")
 
 
 def matmul(a, b) -> Tensor:
@@ -301,9 +329,10 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
         n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
         h' = n + z * (h - n)
 
-    The forward evaluates these in the same order and form as the
-    composition of ``matmul``/``add``/``sigmoid``/``tanh``/``mul`` nodes,
-    so its output is bit-identical to it. Parents that do not require
+    The forward evaluates these in the same order and form as a
+    composition of ``matmul``, ``add`` and ``mul`` nodes with
+    ``sigmoid(a) = 0.5 * (tanh(0.5 * a) + 1)``, so its output is
+    bit-identical to that composition. Parents that do not require
     grad get no gradient.
     """
     x, h = _wrap(x), _wrap(h)
@@ -346,28 +375,6 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
 
 
 # -- activations ---------------------------------------------------------
-
-
-def tanh(x: Tensor) -> Tensor:
-    data = np.tanh(x.data)
-
-    def bwd():
-        def fn(g):
-            return (g * (1.0 - data * data),)
-        return fn
-
-    return _result(data, (x,), bwd, "tanh")
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    data = 0.5 * (np.tanh(0.5 * x.data) + 1.0)
-
-    def bwd():
-        def fn(g):
-            return (g * data * (1.0 - data),)
-        return fn
-
-    return _result(data, (x,), bwd, "sigmoid")
 
 
 def relu(x: Tensor) -> Tensor:

@@ -30,6 +30,7 @@ from .diffcore import (
     RngState,
     Tensor,
     add,
+    blend,
     concat,
     cross_entropy,
     matmul,
@@ -104,6 +105,18 @@ def default_max_fixations(n_words: int) -> int:
     return min(2 * n_words, 64)
 
 
+def path_rows(sentence_ids, n_paths: int, rng: RngState):
+    """Sampler rows for ``n_paths`` paths of each sentence, sentence-major.
+
+    Returns (sentence index of each row, noise stream of each row): row
+    ``b * n_paths + p`` is path p of sentence b and draws from
+    ``rng.substream(sentence_ids[b], p)``.
+    """
+    pick = np.repeat(np.arange(len(sentence_ids)), n_paths)
+    rngs = [rng.substream(sid, p) for sid in sentence_ids for p in range(n_paths)]
+    return pick, rngs
+
+
 class ScanpathGenerator(Module):
     def __init__(self, cfg: GeneratorConfig, rng: RngState):
         super().__init__()
@@ -142,20 +155,16 @@ class ScanpathGenerator(Module):
         x = add(words, self.word_pos(np.arange(W)))
         half = self.cfg.d_hidden // 2
         dt = words.dtype
-
-        def masked(step_active: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
-            m = step_active.astype(dt).reshape(B, 1)
-            return add(mul(new, Tensor(m)), mul(old, Tensor(1.0 - m)))
-
+        active = (np.arange(W)[:, None] < counts).reshape(W, B, 1)
         hf = Tensor(np.zeros((B, half), dtype=dt))
         fwd = []
         for t in range(W):
-            hf = masked(t < counts, self.gru_fwd(x[:, t, :], hf), hf)
+            hf = blend(active[t], self.gru_fwd(x[:, t, :], hf), hf)
             fwd.append(hf)
         hb = Tensor(np.zeros((B, half), dtype=dt))
         bwd = [None] * W
         for t in range(W - 1, -1, -1):
-            hb = masked(t < counts, self.gru_bwd(x[:, t, :], hb), hb)
+            hb = blend(active[t], self.gru_bwd(x[:, t, :], hb), hb)
             bwd[t] = hb
         gru_out = concat([stack(fwd, axis=1), stack(bwd, axis=1)], axis=2)
         return add(self.word_proj(x), gru_out)
@@ -256,12 +265,10 @@ class ScanpathGenerator(Module):
             rows = select_steps(word_states, feed)
             pe = self.fix_pos(feed)
             out, hn = self.history_step(rows, pe, hid)
-            m = np.zeros((B, 1), dtype=word_states.dtype)
+            m = np.zeros((B, 1))
             m[feeders] = 1.0
-            mt = Tensor(m)
-            keep = Tensor(1.0 - m)
-            state = add(mul(out, mt), mul(state, keep))
-            hid = add(mul(hn, mt), mul(hid, keep))
+            state = blend(m, out, state)
+            hid = blend(m, hn, hid)
             positions[feeders] = feed[feeders]
         return mul(total, 1.0 / n_terms), n_terms
 
@@ -303,9 +310,12 @@ class ScanpathGenerator(Module):
         """Gumbel-softmax sampling for a batch, one path per row.
 
         ``max_fixations`` is a scalar cap or one per row; a row's draws
-        and path depend only on its own word count, cap and noise stream
-        (``rngs[b]``, drawn only while the row is live), never on which
-        other rows share the batch.
+        and path depend only on its own word count, cap and noise stream,
+        never on which other rows share the batch. Row b's noise is drawn
+        from ``rngs[b]`` in one block of ``(caps[b], n_classes)`` Gumbel
+        values, step s reading row s: the same values as one draw per live
+        step, since a stream's draws come in sequence. A stream is used up
+        by the sampler, so each call takes fresh streams.
 
         ``straight_through``: each step fixates the argmax of logits plus
         noise (the Gumbel-max draw) and emits its one-hot row, carrying
@@ -351,13 +361,14 @@ class ScanpathGenerator(Module):
             stop_mask = move_mask.copy()
             stop_mask[:, gc.stop_class] = 0.0
             stop_mass = np.zeros(B)
-        for _ in range(int(caps.max())):
+        noise = np.zeros((B, int(caps.max()), C), dtype=dt)
+        for b in range(B):
+            noise[b, :caps[b]] = rngs[b].gumbel((int(caps[b]), C))
+        for step in range(int(caps.max())):
             if not alive.any():
                 break
             logits = self.decode_logits_batch(state, word_states, counts)
-            g = np.zeros((B, C), dtype=dt)
-            for b in np.flatnonzero(alive):
-                g[b] = rngs[b].gumbel((C,)).astype(dt)
+            g = np.where(alive[:, None], noise[:, step], 0.0)
             z = mul(add(logits, Tensor(g)), inv_tau)
             if dist is None:
                 # a hard step from the current positions; for a soft
@@ -405,10 +416,9 @@ class ScanpathGenerator(Module):
                 break
             word_row = reshape(matmul(reshape(row, (B, 1, W)), word_states), (B, h))
             out, hn = self.history_step(word_row, pe, hid)
-            m = Tensor(moving.astype(dt).reshape(B, 1))
-            keep = Tensor((~moving).astype(dt).reshape(B, 1))
-            state = add(mul(out, m), mul(state, keep))
-            hid = add(mul(hn, m), mul(hid, keep))
+            m = moving.reshape(B, 1)
+            state = blend(m, out, state)
+            hid = blend(m, hn, hid)
         mask_arr = (
             np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), dtype=np.float32)
         )

@@ -208,6 +208,22 @@ def tokenize(text1: str, text2: str | None, vocab: Vocab, max_len: int) -> Encod
     return EncodedText(ids, spans, segments, [1] * len(ids))
 
 
+def tokenize_whole(text: str, vocab: Vocab, max_len: int, what: str) -> EncodedText:
+    """``tokenize`` for one sentence that must keep every word.
+
+    A scanpath indexes the words of its whole sentence, so a sentence
+    shortened to fit ``max_len`` would leave recorded fixations past its
+    end, or get generated paths over its first words only. ``what`` names
+    the sentence in the error.
+    """
+    enc = tokenize(text, None, vocab, max_len)
+    n = len(_split_words(text))
+    if enc.n_words < n:
+        raise ValueError(f"{what}: max_len={max_len} keeps {enc.n_words} of "
+                         f"its {n} words")
+    return enc
+
+
 @dataclass
 class Batch:
     """Padded arrays for a list of encoded texts, plus span pooling."""

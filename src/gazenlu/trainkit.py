@@ -21,7 +21,7 @@ from .corpus import GazeRecord, TextInstance
 from .diffcore import Module, RngState, Tensor, no_grad
 from .gazegen import GeneratorConfig, ScanpathGenerator
 from .textenc import (Batch, EncodedText, TextEncoder, TextEncoderConfig,
-                      Vocab, collate, tokenize)
+                      Vocab, collate, tokenize, tokenize_whole)
 
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
@@ -101,34 +101,15 @@ def _coerce(key: str, typ: str, value: str, where: str):
 # -- optimizer -----------------------------------------------------------
 
 
-def adamw_step(params: dict, grads: dict, state: dict, lr: float,
-               weight_decay: float = WEIGHT_DECAY):
-    """One decoupled-weight-decay Adam update; functional in, functional out.
-
-    state maps name -> (m, v, t); missing entries start at zero. Returns
-    (new_params, new_state) without touching the inputs.
-    """
-    b1, b2 = ADAM_BETAS
-    new_params, new_state = {}, {}
-    for name, p in params.items():
-        g = np.asarray(grads[name], dtype=np.float64)
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-        m, v, t = state.get(name, (np.zeros_like(p, dtype=np.float64),
-                                   np.zeros_like(p, dtype=np.float64), 0))
-        t = t + 1
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        step = m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p
-        new_params[name] = (p - lr * step).astype(p.dtype)
-        new_state[name] = (m, v, t)
-    return new_params, new_state
-
-
 class AdamW:
-    """Stateful wrapper applying adamw_step to a module's trainable params."""
+    """Decoupled-weight-decay Adam over a module's trainable parameters.
+
+    The slots are fixed at construction. Each keeps float64 moments and a
+    scratch buffer, updated in place; a parameter with no gradient on a
+    step is left alone and its step count does not advance. Every step
+    assigns a fresh array to ``t.data``, so a snapshot taken earlier never
+    changes.
+    """
 
     def __init__(self, model: Module, lr: float, weight_decay: float = WEIGHT_DECAY):
         self.slots = [(n, t) for n, t in model.named_parameters() if t.requires_grad]
@@ -137,22 +118,43 @@ class AdamW:
             raise ValueError("duplicate parameter names")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.state: dict = {}
+        self._buffers = [(np.zeros(t.data.shape), np.zeros(t.data.shape),
+                          np.empty(t.data.shape)) for _, t in self.slots]
+        self._steps = [0] * len(self.slots)
 
     @property
     def n_params(self) -> int:
         return len(self.slots)
 
     def step(self) -> None:
-        live = [(n, t) for n, t in self.slots if t.grad is not None]
-        params = {n: t.data for n, t in live}
-        grads = {n: t.grad for n, t in live}
-        new_params, new_state = adamw_step(
-            params, grads, self.state, self.lr, self.weight_decay
-        )
-        self.state.update(new_state)
-        for n, t in live:
-            t.data = new_params[n]
+        b1, b2 = ADAM_BETAS
+        for i, (name, t) in enumerate(self.slots):
+            g = t.grad
+            if g is None:
+                continue
+            if not np.all(np.isfinite(g)):
+                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+            m, v, s = self._buffers[i]
+            self._steps[i] += 1
+            k = self._steps[i]
+            # in float64 and in the order of the textbook update
+            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            #   p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd*p)
+            # so every value is bit-identical to it
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=s, dtype=np.float64)
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=s, dtype=np.float64)
+            v += np.multiply(s, g, out=s, dtype=np.float64)
+            np.divide(v, 1.0 - b2 ** k, out=s)
+            np.sqrt(s, out=s)
+            s += ADAM_EPS
+            update = np.divide(m, 1.0 - b1 ** k)
+            update /= s
+            p = t.data
+            update += np.multiply(p, self.weight_decay, out=s)
+            update *= self.lr
+            t.data = np.subtract(p, update, out=update).astype(p.dtype)
 
 
 class EarlyStopper:
@@ -285,11 +287,14 @@ def pretrain_generator(model: GazeModel, train_records: list[GazeRecord],
     if not train_records or not dev_records:
         raise ValueError("pretraining needs non-empty train and dev corpora")
     max_len = model.gen_encoder.cfg.max_len
-    tr_encs = [tokenize(r.text, None, vocab, max_len) for r in train_records]
-    dev_encs = [tokenize(r.text, None, vocab, max_len) for r in dev_records]
+
+    def name(r: GazeRecord) -> str:
+        return f"gaze sentence {r.sentence_id} (reader {r.reader_id})"
+
+    tr_encs = [tokenize_whole(r.text, vocab, max_len, name(r)) for r in train_records]
+    dev_encs = [tokenize_whole(r.text, vocab, max_len, name(r)) for r in dev_records]
     for r, enc in zip(train_records + dev_records, tr_encs + dev_encs):
-        model.generator.check_width(
-            enc.n_words, f"gaze sentence {r.sentence_id} (reader {r.reader_id})")
+        model.generator.check_width(enc.n_words, name(r))
     tr_paths = [r.fixations for r in train_records]
     dev_paths = [r.fixations for r in dev_records]
 

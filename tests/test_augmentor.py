@@ -7,7 +7,7 @@ from gazenlu.augmentor import (CLASSIFICATION, GAZE, JointModel, ModelConfig,
                                ScanpathEncoder, TEXT_ONLY, average_logits,
                                fixation_steps)
 from gazenlu.diffcore import RngState, Tensor, no_grad
-from gazenlu.gazegen import GumbelConfig
+from gazenlu.gazegen import GumbelConfig, default_max_fixations
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 from gazenlu.trainkit import GazeModel
 
@@ -332,6 +332,50 @@ def test_hard_eval_ignores_training_relaxation(joint_setup):
         model = JointModel(cfg, RngState(62, 0))
         outs.append(model.predict_batch(batch, ["s0", "s1"], 2, RngState(63, 0)))
     assert np.array_equal(outs[0], outs[1])
+
+
+def _per_path_predict(model, batch, ids, n_paths, rng):
+    """Oracle: one sampler call and one scanpath-GRU pass per path, with
+    path p of sentence b drawing from ``rng.substream(ids[b], p)``."""
+    gumbel = model.cfg.gumbel
+    if gumbel.hard_eval:
+        gumbel = GumbelConfig(gumbel.temperature)
+    counts = batch.word_counts
+    caps = [default_max_fixations(int(c)) for c in counts]
+    was_training = model.training
+    model.eval()
+    with no_grad():
+        _, cls, words = model.cls_encoder.forward_batch(batch)
+        _, _, gen_words = model.gen_encoder.forward_batch(batch)
+        ws = model.generator.encode_words_batch(gen_words, counts)
+        outs = []
+        for p in range(n_paths):
+            sampled = model.generator.sample_gumbel_batch(
+                ws, counts, [rng.substream(sid, p) for sid in ids], gumbel, caps)
+            feature = model.scan.run_steps(fixation_steps(sampled.rows, words),
+                                           sampled.row_mask, cls)
+            outs.append(model.head(feature).data)
+    model.train(was_training)
+    return average_logits(outs)
+
+
+@pytest.mark.parametrize("gumbel", [GumbelConfig(), GumbelConfig(mode="soft_convolution"),
+                                    GumbelConfig(mode="soft_convolution", hard_eval=True)],
+                         ids=["straight_through", "soft_convolution", "hard_eval"])
+def test_one_pass_prediction_matches_per_path_oracle(joint_setup, gumbel):
+    """All paths of a padded batch of mixed widths, sampled and read in
+    one pass, average to what one pass per path gives."""
+    vocab = joint_setup[0]
+    model = JointModel(_tiny_cfg(vocab, gumbel=gumbel), RngState(65, 0))
+    texts = ["aa ab ba b", "ba", "ab ba aa b a ab", "a b"]
+    batch = collate([tokenize(t, None, vocab, 32) for t in texts])
+    ids = ["s0", "s1", "s2", "s3"]
+    for n in (1, 2, 3, 4):
+        rng = RngState(66, 0).substream("eval", n)
+        got = model.predict_batch(batch, ids, n, rng)
+        want = _per_path_predict(model, batch, ids, n, rng)
+        assert got.shape == want.shape == (4, 2)
+        assert np.abs(got - want).max() <= 1e-6, n
 
 
 def test_prediction_depends_on_path_count(joint_setup):

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from gazenlu import trainkit
 from gazenlu.augmentor import ModelConfig
 from gazenlu.cli import (_model_cfg_from_meta, _model_meta, _spec_from_dict,
                          build_parser, main)
@@ -337,6 +338,38 @@ def test_generate_rejects_overlong_line_before_sampling(pipeline, capsys):
                  "--out", str(out)]) == 1
     assert f"{texts}:3: 40 words exceeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_generate_rejects_line_truncated_by_max_len(pipeline, capsys):
+    """A line that max_len would shorten gets no paths over its first
+    words only: it fails by file and line number."""
+    texts = pipeline["root"] / "wide.txt"
+    texts.write_text("aa bb\n" + " ".join(["aa"] + ["@" * 16] * 4) + "\n")
+    out = pipeline["root"] / "wide.jsonl"
+    assert main(["generate", "--model", pipeline["pre"], "--input", str(texts),
+                 "--out", str(out)]) == 1
+    assert f"{texts}:2: max_len=64 keeps 4 of its 5 words" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pretrain_rejects_max_len_that_truncates_before_training(
+        pipeline, capsys, monkeypatch, tmp_path):
+    steps = []
+    step = trainkit.AdamW.step
+    monkeypatch.setattr(trainkit.AdamW, "step",
+                        lambda self: steps.append(1) or step(self))
+    assert main([
+        "pretrain-gaze",
+        "--train", os.path.join(pipeline["data"], "gaze_train.tsv"),
+        "--dev", os.path.join(pipeline["data"], "gaze_dev.tsv"),
+        "--vocab", pipeline["vocab"], "--d-model", "32", "--n-layers", "1",
+        "--d-ff", "64", "--gen-hidden", "32", "--max-len", "6",
+        "--max-epochs", "1", "--out", str(tmp_path / "pre"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"gaze sentence \S+ \(reader \S+\): max_len=6 keeps \d+ of "
+                     r"its \d+ words", err), err
+    assert steps == []
 
 
 def test_report_verb_prints_and_exports_csv(pipeline, capsys):

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
                               ModuleList, RngState, ShapeError, Tensor, add,
-                              atomic_write, checkpoint_hash, concat, cross_entropy, dropout,
-                              grad_check, is_grad_enabled, layer_norm,
-                              load_checkpoint, matmul, mse_loss, mul, no_grad,
-                              relu, reshape, run_standard_checks,
-                              save_checkpoint, sigmoid, softmax, stack, tanh,
-                              tmean, transpose, tsum)
+                              atomic_write, blend, checkpoint_hash, concat,
+                              cross_entropy, dropout, grad_check,
+                              is_grad_enabled, layer_norm, load_checkpoint,
+                              matmul, mse_loss, mul, no_grad, relu, reshape,
+                              run_standard_checks, save_checkpoint, softmax,
+                              stack, tmean, transpose, tsum)
 
 
 # -- gradients -----------------------------------------------------------
@@ -83,7 +83,7 @@ def test_backward_deterministic():
 
     def run():
         w.grad = None
-        loss = tsum(mul(matmul(w, w), sigmoid(w)))
+        loss = tsum(mul(matmul(w, w), softmax(w)))
         loss.backward()
         return w.grad.copy()
 
@@ -225,23 +225,43 @@ def test_gru_zero_state_fixed_point_with_zero_params():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gru_cell_forward_matches_unfused_composition(dtype):
-    """The fused step is bit-identical to the graph of small ops it
-    replaced, written out here as it stood."""
+    """The fused step is bit-identical to the unfused cell, written out
+    here in numpy as the graph of small ops computed it."""
     cell = GRUCell(5, 4, RngState(2, 0), dtype=dtype)
     rng = RngState(2, 1)
-    x = Tensor(rng.substream("x").normal((3, 5)).astype(dtype))
-    h = Tensor(rng.substream("h").normal((3, 4)).astype(dtype))
+    x = rng.substream("x").normal((3, 5)).astype(dtype)
+    h = rng.substream("h").normal((3, 4)).astype(dtype)
     H = 4
-    gi = add(matmul(x, cell.w_ih), cell.b_ih)
-    gh = add(matmul(h, cell.w_hh), cell.b_hh)
-    r = sigmoid(add(gi[..., 0:H], gh[..., 0:H]))
-    z = sigmoid(add(gi[..., H:2 * H], gh[..., H:2 * H]))
-    n = tanh(add(gi[..., 2 * H:3 * H], mul(r, gh[..., 2 * H:3 * H])))
-    unfused = add(n, mul(z, add(h, mul(n, -1.0))))
-    fused = cell(x, h)
+
+    def sigmoid(a):
+        return 0.5 * (np.tanh(0.5 * a) + 1.0)
+
+    gi = x @ cell.w_ih.data + cell.b_ih.data
+    gh = h @ cell.w_hh.data + cell.b_hh.data
+    r = sigmoid(gi[:, 0:H] + gh[:, 0:H])
+    z = sigmoid(gi[:, H:2 * H] + gh[:, H:2 * H])
+    n = np.tanh(gi[:, 2 * H:3 * H] + r * gh[:, 2 * H:3 * H])
+    unfused = n + z * (h + n * -1.0)
+    fused = cell(Tensor(x), Tensor(h))
     assert fused.dtype == unfused.dtype == dtype
-    assert np.array_equal(fused.data, unfused.data)
+    assert np.array_equal(fused.data, unfused)
     assert fused._op == "gru_cell"
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_blend_forward_matches_masked_update(dtype):
+    """One blend node computes the four-node masked update bit for bit."""
+    rng = RngState(4, 0)
+    new = Tensor(rng.substream("new").normal((5, 3)).astype(dtype), requires_grad=True)
+    old = Tensor(rng.substream("old").normal((5, 3)).astype(dtype), requires_grad=True)
+    m = np.array([1, 0, 0, 1, 1], dtype=dtype).reshape(5, 1)
+    out = blend(m, new, old)
+    ref = add(mul(new, Tensor(m)), mul(old, Tensor(1.0 - m)))
+    assert out.dtype == dtype and out._op == "blend"
+    assert np.array_equal(out.data, ref.data)
+    assert np.array_equal(blend(m.astype(bool), new, old).data, ref.data)
+    with pytest.raises(ShapeError):
+        blend(m.reshape(5), new, old)
 
 
 def test_gru_cell_takes_2d_inputs_only():
@@ -262,7 +282,8 @@ def test_constants_take_the_tensor_dtype():
 
 def test_gradients_skip_constant_operands():
     """Only parents that require grad receive one; a constant matrix in a
-    matmul or a constant state in a GRU step gets none computed."""
+    matmul, a constant state in a GRU step, a constant term or factor in
+    add and mul, and a constant side of a blend get none computed."""
     w = Tensor(np.ones((4, 2)), requires_grad=True)
     c = Tensor(np.ones((3, 5, 4)))
     out = matmul(c, w)
@@ -273,6 +294,15 @@ def test_gradients_skip_constant_operands():
     x_grad, h_grad, *weight_grads = h._backward(np.ones(h.shape))
     assert x_grad is None and h_grad is None
     assert all(g is not None for g in weight_grads)
+    t = Tensor(np.ones((2, 3)), requires_grad=True)
+    k = Tensor(np.full((2, 3), 2.0))
+    for op in (add, mul):
+        for args, live in (((t, k), 0), ((k, t), 1)):
+            out = op(*args)
+            got = out._backward(np.ones(out.shape))
+            assert got[1 - live] is None and got[live].shape == (2, 3), op
+    out = blend(np.ones((2, 1)), k, t)
+    assert out._backward(np.ones(out.shape))[0] is None
 
 
 def test_gru_gradients_flow():
@@ -368,7 +398,5 @@ def test_concat_stack_transpose_reshape():
 
 def test_activation_values():
     x = Tensor(np.array([-1.0, 0.0, 2.0]))
-    assert np.allclose(tanh(x).data, np.tanh(x.data))
-    assert np.allclose(sigmoid(x).data, 1 / (1 + np.exp(-x.data)))
     assert np.allclose(relu(x).data, [0.0, 0.0, 2.0])
     assert tmean(x).data == pytest.approx(1.0 / 3.0)

@@ -310,6 +310,48 @@ def test_batch_rows_match_solo_sampling(gen, mixed_pair):
             assert (padded[:, w:] == 0.0).all(), label
 
 
+def _replay_straight_through(gen, ws, n_words, rng, cap, tau):
+    """One sentence's straight-through walk, stepping the history GRU one
+    fixation at a time and drawing one (C,) Gumbel vector per live step."""
+    cfg = gen.cfg
+    state = gen.start_state(1, ws.dtype)
+    hid = Tensor(np.zeros((1, cfg.d_hidden), dtype=ws.dtype))
+    pos, fixations = -1, []
+    for _ in range(cap):
+        logits = gen.decode_logits_batch(state, ws, np.array([n_words]))
+        g = rng.gumbel((cfg.n_classes,)).astype(ws.dtype)
+        z = (logits.data[0] + g) * np.float32(1.0 / tau)
+        c = int(np.where(valid_mask(cfg, pos, n_words), z, -np.inf).argmax())
+        if c == cfg.stop_class:
+            return fixations, True
+        pos += c - (cfg.l_max - 1)
+        fixations.append(pos)
+        state, hid = gen.history_step(ws[:, pos, :], gen.fix_pos(np.array([pos])), hid)
+    return fixations, False
+
+
+def test_straight_through_matches_per_step_draw_replay(gen, mixed_pair):
+    """Each row's noise, drawn in one block per call, gives the walk that
+    one Gumbel draw per live step gives, with or without a graph."""
+    counts, caps = np.array([3, 5]), np.array([6, 4])
+    for hard in (False, True):
+        for k in range(4):
+            def rngs():
+                return [RngState(18, 0).substream("g", k, i) for i in range(2)]
+
+            with no_grad() if hard else nullcontext():
+                batch = gen.sample_gumbel_batch(mixed_pair, counts, rngs(), ST, caps)
+                for i, w in enumerate(counts):
+                    fix, stopped = _replay_straight_through(
+                        gen, mixed_pair[i:i + 1], int(w), rngs()[i], int(caps[i]),
+                        ST.temperature)
+                    assert batch.fixations[i] == fix, (hard, k, i)
+                    assert batch.stopped[i] == stopped, (hard, k, i)
+                    onehot = np.zeros((len(fix), 5), dtype=np.float32)
+                    onehot[np.arange(len(fix)), fix] = 1.0
+                    assert np.abs(live_rows(batch, i) - onehot).max() < 1e-6
+
+
 def test_straight_through_temperature_keeps_hard_forward(gen, words3):
     hot = sample(gen, words3, RngState(17, 0).substream("g"),
                  GumbelConfig(temperature=5.0))

@@ -10,10 +10,10 @@ import pytest
 from gazenlu import gazegen, trainkit
 from gazenlu.augmentor import JointModel, ModelConfig, TEXT_ONLY
 from gazenlu.corpus import GazeRecord, TextInstance
-from gazenlu.diffcore import Linear, Module, RngState, no_grad
+from gazenlu.diffcore import Linear, Module, RngState, Tensor, no_grad
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.trainkit import (AdamW, EarlyStopper, GazeModel, TrainConfig,
-                              accuracy_from_logits, adamw_step,
+                              accuracy_from_logits,
                               encode_instances, load_config,
                               predict_instances, pretrain_generator,
                               train_joint)
@@ -32,37 +32,59 @@ def _reference_adamw(p, g, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8, wd=0.01):
     return p - lr * (m_hat / (np.sqrt(v_hat) + eps) + wd * p), m, v, t
 
 
+class _OneParam(Module):
+    def __init__(self, value):
+        super().__init__()
+        self.w = Tensor(np.array(value), requires_grad=True)
+
+
+def _adamw_steps(value, grads, **kw):
+    """AdamW over a one-parameter module; the parameter after each step."""
+    net = _OneParam(value)
+    opt = AdamW(net, **kw)
+    out = []
+    for g in grads:
+        net.w.grad = np.asarray(g)
+        opt.step()
+        out.append(net.w.data)
+    return out
+
+
 def test_adamw_matches_reference_over_two_steps():
     p = np.array([1.0, -2.0])
     g1 = np.array([0.5, 0.1])
     g2 = np.array([-0.2, 0.4])
     exp, m, v, t = _reference_adamw(p, g1, 0.0, 0.0, 0, lr=0.1)
-    got, state = adamw_step({"w": p}, {"w": g1}, {}, lr=0.1)
-    assert np.abs(got["w"] - exp).max() < 1e-12
     exp2, _, _, _ = _reference_adamw(exp, g2, m, v, t, lr=0.1)
-    got2, _ = adamw_step(got, {"w": g2}, state, lr=0.1)
-    assert np.abs(got2["w"] - exp2).max() < 1e-12
+    got, got2 = _adamw_steps(p, [g1, g2], lr=0.1)
+    assert np.abs(got - exp).max() < 1e-12
+    assert np.abs(got2 - exp2).max() < 1e-12
 
 
 def test_adamw_is_functional_and_keeps_dtype():
-    p32 = np.array([1.0], dtype=np.float32)
-    before = p32.copy()
-    new_p, state = adamw_step({"w": p32}, {"w": np.array([1.0])}, {}, lr=0.01)
-    assert np.array_equal(p32, before)          # input untouched
-    assert new_p["w"].dtype == np.float32
-    assert state["w"][2] == 1                   # step counter advanced
+    """A step assigns a fresh array: one held from before never changes."""
+    net = _OneParam(np.array([1.0], dtype=np.float32))
+    opt = AdamW(net, lr=0.01)
+    held = net.w.data
+    before = held.copy()
+    net.w.grad = np.array([1.0], dtype=np.float32)
+    opt.step()
+    assert np.array_equal(held, before)
+    assert net.w.data is not held
+    assert net.w.data.dtype == np.float32
+    exp, *_ = _reference_adamw(before.astype(np.float64), 1.0, 0.0, 0.0, 0, lr=0.01)
+    assert np.allclose(net.w.data, exp, rtol=1e-6)
 
 
 def test_adamw_decoupled_decay_moves_zero_grad_params():
-    p = np.array([10.0])
-    new_p, _ = adamw_step({"w": p}, {"w": np.array([0.0])}, {}, lr=0.1,
+    (got,) = _adamw_steps(np.array([10.0]), [np.array([0.0])], lr=0.1,
                           weight_decay=0.5)
-    assert np.allclose(new_p["w"], 10.0 - 0.1 * 0.5 * 10.0)
+    assert np.allclose(got, 10.0 - 0.1 * 0.5 * 10.0)
 
 
 def test_adamw_rejects_non_finite_gradients():
     with pytest.raises(FloatingPointError, match="w"):
-        adamw_step({"w": np.ones(2)}, {"w": np.array([1.0, np.nan])}, {}, lr=0.1)
+        _adamw_steps(np.ones(2), [np.array([1.0, np.nan])], lr=0.1)
 
 
 class _TwoLayer(Module):
@@ -363,6 +385,25 @@ def test_overlong_sentence_fails_before_the_first_step(tiny_suite, tiny_vocab,
     with pytest.raises(ValueError, match=f"gaze sentence long .*: {l_max} words"):
         pretrain_generator(gaze_model, gaze, [long_rec], tiny_vocab,
                            TrainConfig(max_epochs=1))
+    assert steps == []
+
+
+def test_truncated_gaze_sentence_fails_before_the_first_step(tiny_suite, tiny_vocab,
+                                                            tiny_text_cfg,
+                                                            monkeypatch):
+    """A gaze sentence that max_len would shorten fails by name, before
+    any step, also when not one of its words fits."""
+    steps = _count_steps(monkeypatch)
+    text_cfg = dataclasses.replace(tiny_text_cfg, max_len=6)
+    gaze = [r for r in tiny_suite.gaze_train if r.n_words <= 4][:4]
+    for text, kept in (("a b c d e f g h", 4), ("@" * 16, 0)):
+        rec = GazeRecord("long", "r1", text, [0])
+        with pytest.raises(ValueError, match=f"gaze sentence long \\(reader r1\\): "
+                                             f"max_len=6 keeps {kept} of its "
+                                             f"{len(text.split())} words"):
+            pretrain_generator(GazeModel(text_cfg, gen_hidden=16, l_max=32),
+                               gaze + [rec], gaze, tiny_vocab,
+                               TrainConfig(max_epochs=1))
     assert steps == []
 
 
