@@ -241,24 +241,22 @@ class JointModel(Module):
         return loss
 
     def _content_steps(self, batch: Batch, tokens: Tensor):
-        """Original-order content tokens as GRU steps, for the baseline."""
-        B, T, d = tokens.shape
-        lengths = (batch.span_ends - batch.span_starts)
-        lengths[batch.pool.sum(axis=2) == 0] = 0
-        total = lengths.sum(axis=1)
-        L = int(total.max(initial=1))
-        scat = np.zeros((B, L, T), dtype=np.float32)
+        """Original-order content tokens as GRU steps, for the baseline.
+
+        A token is content when its pool column is non-zero; its step is
+        the number of content tokens before it in its row.
+        """
+        B, T, _ = tokens.shape
+        content = batch.pool.any(axis=1)
+        b, t = np.nonzero(content)
+        step = (np.cumsum(content, axis=1) - 1)[b, t]
+        L = int(content.sum(axis=1).max(initial=1))
+        scat = np.zeros((B, L, T), dtype=tokens.dtype)
+        scat[b, step, t] = 1.0
         mask = np.zeros((B, L), dtype=np.float32)
-        for b in range(B):
-            r = 0
-            for w in range(batch.word_counts[b]):
-                for t in range(batch.span_starts[b, w], batch.span_ends[b, w]):
-                    scat[b, r, t] = 1.0
-                    mask[b, r] = 1.0
-                    r += 1
-        content = matmul(Tensor(scat.astype(tokens.dtype)), tokens)
-        steps = [content[:, t, :] for t in range(L)]
-        return steps, mask
+        mask[b, step] = 1.0
+        rows = matmul(Tensor(scat), tokens)
+        return [rows[:, i, :] for i in range(L)], mask
 
     # -- prediction ------------------------------------------------------
 

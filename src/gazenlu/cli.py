@@ -18,28 +18,30 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
 from .corpus import (DatasetSpec, load_dataset, load_gaze_corpus,
                      make_synthetic_suite, write_dataset, write_gaze_corpus)
 from .diffcore import (RngState, atomic_write, checkpoint_hash, load_checkpoint,
                        no_grad, save_checkpoint, take_rows)
-from .evalkit import (ABLATIONS, EvalReport, Experiment, load_reports, metric,
-                      metric_fn_for, reports_to_csv, run_ablations,
+from .evalkit import (ABLATIONS, EvalReport, Experiment, load_reports,
+                      metric_fn_for, new_report, reports_to_csv, run_ablations,
                       run_crossval, run_lowresource, save_reports,
-                      scores_from_logits, sweep_scanpaths)
+                      score_instances, sweep_scanpaths)
 from .gazegen import (SOFT_CONVOLUTION, STRAIGHT_THROUGH, GumbelConfig,
                      default_max_fixations, path_rows)
 from .textenc import (TextEncoderConfig, Vocab, build_vocab, collate,
                       tokenize_whole)
-from .trainkit import (GazeModel, TrainConfig, encode_instances, load_config,
-                       predict_instances, pretrain_generator, train_joint)
+from .trainkit import (GazeModel, TrainConfig, load_config, pretrain_generator,
+                       train_joint)
 
 SUITE_FILE = "suite.json"
 MANIFEST = "manifest.json"
 MODEL_META = "model.json"
 VOCAB_FILE = "vocab.txt"
+LOG_FILE = "log.jsonl"
+REPORT_FILE = "report.json"
+# model.json "kind" of the verbs that write one, and how errors name it
+RUN_KINDS = {"joint": "joint-model", "gaze_pretrain": "gaze pretraining"}
 GENERATE_BATCH = 64     # sentences per sampler call in generate
 # what a joint model.json holds besides the ModelConfig fields
 RUN_KEYS = ("kind", "train", "task", "best_epoch", "best_dev_metric")
@@ -64,32 +66,60 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:10]
 
 
-def _run_dir(args, verb: str, resolved: dict, seed: int) -> str:
-    if getattr(args, "out", None):
-        path = args.out
-    else:
-        root = os.environ.get("GAZENLU_RUNS", "runs")
-        path = os.path.join(root, f"{verb}-{_config_hash(resolved)}-s{seed}")
+def _run_dir(args, cfg: TrainConfig | None, seed: int) -> tuple[str, dict]:
+    """Create the verb's run directory; return it and the resolved settings.
+
+    The settings are the verb's flags plus ``cfg``, if given. The directory
+    is ``--out``, or else ``{verb}-{hash of the settings}-s{seed}`` under
+    GAZENLU_RUNS.
+    """
+    resolved = {k: v for k, v in sorted(vars(args).items())
+                if k not in ("out", "func", "verb") and not callable(v)}
+    if cfg is not None:
+        resolved["train_config"] = dataclasses.asdict(cfg)
+    path = args.out or os.path.join(
+        os.environ.get("GAZENLU_RUNS", "runs"),
+        f"{args.verb}-{_config_hash(resolved)}-s{seed}",
+    )
     os.makedirs(path, exist_ok=True)
+    return path, resolved
+
+
+def _fresh_log(run_dir: str) -> str:
+    """The run's log.jsonl path, with a log of an earlier run removed."""
+    path = os.path.join(run_dir, LOG_FILE)
+    if os.path.exists(path):
+        os.remove(path)
     return path
 
 
-def _write_manifest(run_dir: str, verb: str, resolved: dict) -> None:
+def _finish(args, run_dir: str, resolved: dict,
+            reports: dict[str, EvalReport] | None) -> int:
+    """Write the reports, if any, and the manifest; print the run directory."""
+    if reports is not None:
+        save_reports(os.path.join(run_dir, REPORT_FILE), reports)
     _write_json(os.path.join(run_dir, MANIFEST), {
-        "verb": verb,
+        "verb": args.verb,
         "resolved_config": resolved,
         "created_unix": time.time(),
         "argv": sys.argv[1:],
     })
+    print(run_dir)
+    return 0
 
 
-def _resolved(args, skip=("out", "func", "verb")) -> dict:
-    out = {}
-    for k, v in sorted(vars(args).items()):
-        if k in skip or callable(v):
-            continue
-        out[k] = v
-    return out
+def _read_run(run_dir: str, kind: str, parse):
+    """A run directory that ``kind`` wrote: (model.json, the model settings
+    ``parse(meta, where)`` reads from it, its TrainConfig, the vocabulary).
+    model.json is read whole before the vocabulary, so a stale key fails
+    by name."""
+    where = os.path.join(run_dir, MODEL_META)
+    meta = _read_json(where)
+    if meta.get("kind") != kind:
+        raise ValueError(f"{run_dir}: not a {RUN_KINDS[kind]} run directory")
+    model_cfg = parse(meta, where)
+    cfg = _from_dict(TrainConfig, meta["train"], f"{where} train")
+    return meta, model_cfg, cfg, Vocab.load(os.path.join(run_dir, VOCAB_FILE))
 
 
 # -- config (de)serialization --------------------------------------------
@@ -250,12 +280,7 @@ def _experiment(args, parser):
 
 
 def cmd_make_synthetic(args, parser) -> int:
-    resolved = _resolved(args)
-    out = args.out or os.path.join(
-        os.environ.get("GAZENLU_RUNS", "runs"),
-        f"make-synthetic-{_config_hash(resolved)}-s{args.seed}",
-    )
-    os.makedirs(out, exist_ok=True)
+    out, resolved = _run_dir(args, None, args.seed)
     suite = make_synthetic_suite(
         args.seed,
         n_gaze_train=args.n_gaze_train, n_gaze_dev=args.n_gaze_dev,
@@ -282,9 +307,7 @@ def cmd_make_synthetic(args, parser) -> int:
         "gaze": {"train": "gaze_train.tsv", "dev": "gaze_dev.tsv"},
         "tasks": tasks,
     })
-    _write_manifest(out, "make-synthetic", resolved)
-    print(out)
-    return 0
+    return _finish(args, out, resolved, None)
 
 
 def cmd_build_vocab(args, parser) -> int:
@@ -319,18 +342,13 @@ def cmd_pretrain_gaze(args, parser) -> int:
     cfg = _train_cfg_from_args(args, parser)
     train_recs = load_gaze_corpus(args.train)
     dev_recs = load_gaze_corpus(args.dev)
-    resolved = _resolved(args)
-    resolved["train_config"] = dataclasses.asdict(cfg)
-    run_dir = _run_dir(args, "pretrain-gaze", resolved, cfg.seed)
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
 
     text_cfg = _build_text_cfg(args, vocab)
     model = GazeModel(text_cfg, gen_hidden=args.gen_hidden, l_max=args.l_max,
                       seed=cfg.seed)
-    log_path = os.path.join(run_dir, "log.jsonl")
-    if os.path.exists(log_path):
-        os.remove(log_path)
     state, hist = pretrain_generator(
-        model, train_recs, dev_recs, vocab, cfg, log_path=log_path
+        model, train_recs, dev_recs, vocab, cfg, log_path=_fresh_log(run_dir)
     )
     save_checkpoint(os.path.join(run_dir, "generator.ckpt"), state)
     vocab.save(os.path.join(run_dir, VOCAB_FILE))
@@ -343,9 +361,7 @@ def cmd_pretrain_gaze(args, parser) -> int:
         "best_epoch": hist["best_epoch"],
         "best_dev_nll": hist["best_dev_nll"],
     })
-    _write_manifest(run_dir, "pretrain-gaze", resolved)
-    print(run_dir)
-    return 0
+    return _finish(args, run_dir, resolved, None)
 
 
 def cmd_train(args, parser) -> int:
@@ -359,18 +375,13 @@ def cmd_train(args, parser) -> int:
                                    else cfg.seed)
         dev_insts = [train_insts[i] for i in split.dev_ids]
         train_insts = [train_insts[i] for i in split.train_ids]
-    resolved = _resolved(args)
-    resolved["train_config"] = dataclasses.asdict(cfg)
-    run_dir = _run_dir(args, "train", resolved, cfg.seed)
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
 
     model = JointModel(model_cfg, RngState(cfg.seed, 0).substream("model"))
-    log_path = os.path.join(run_dir, "log.jsonl")
-    if os.path.exists(log_path):
-        os.remove(log_path)
     state, hist = train_joint(
         model, train_insts, dev_insts, vocab, cfg,
         metric_fn=metric_fn_for(spec.metric_id),
-        generator_state=gen_state, log_path=log_path,
+        generator_state=gen_state, log_path=_fresh_log(run_dir),
     )
     save_checkpoint(os.path.join(run_dir, "model.ckpt"), state)
     vocab.save(os.path.join(run_dir, VOCAB_FILE))
@@ -379,79 +390,52 @@ def cmd_train(args, parser) -> int:
     meta["best_epoch"] = hist["best_epoch"]
     meta["best_dev_metric"] = hist["best_dev_metric"]
     _write_json(os.path.join(run_dir, MODEL_META), meta)
-    _write_manifest(run_dir, "train", resolved)
-    print(run_dir)
-    return 0
+    return _finish(args, run_dir, resolved, None)
 
 
 def _load_joint(run_dir: str):
-    where = os.path.join(run_dir, MODEL_META)
-    meta = _read_json(where)
-    if meta.get("kind") != "joint":
-        raise ValueError(f"{run_dir}: not a joint-model run directory")
-    model_cfg = _model_cfg_from_meta(meta, where)
-    cfg = _from_dict(TrainConfig, meta["train"], f"{where} train")
-    vocab = Vocab.load(os.path.join(run_dir, VOCAB_FILE))
+    _, model_cfg, cfg, vocab = _read_run(run_dir, "joint", _model_cfg_from_meta)
     model = JointModel(model_cfg, RngState(cfg.seed, 0).substream("model"))
     ckpt = os.path.join(run_dir, "model.ckpt")
     model.load_state_dict(load_checkpoint(ckpt))
-    return model, model_cfg, vocab, cfg, meta, ckpt
+    return model, vocab, cfg, ckpt
 
 
 def cmd_evaluate(args, parser) -> int:
-    model, model_cfg, vocab, cfg, meta, ckpt = _load_joint(args.model)
+    model, vocab, cfg, ckpt = _load_joint(args.model)
     spec, splits = _load_task(args.data_dir, args.task)
-    insts = splits[args.split]
     n_paths = cfg.n_scanpaths_train if args.n_scanpaths is None else args.n_scanpaths
     if n_paths < 1:
         raise ValueError(f"--n-scanpaths must be >= 1, got {n_paths}")
     hash_before = checkpoint_hash(ckpt)
-
-    encs = encode_instances(insts, vocab, model_cfg.text.max_len)
-    ids = [i.instance_id for i in insts]
-    logits = predict_instances(
-        model, encs, ids, n_paths,
-        RngState(cfg.seed, 0).substream("evaluate", args.split),
-    )
-    labels = np.array([i.label for i in insts])
-    report = EvalReport(
-        task=spec.name, metric_id=spec.metric_id, values=[], run_labels=[],
-        config={"split": args.split, "n_scanpaths": n_paths,
-                "model": args.model, "seed": cfg.seed},
-    )
+    report = new_report(spec, split=args.split, n_scanpaths=n_paths,
+                        model=args.model, seed=cfg.seed)
     try:
-        value = metric(spec.metric_id,
-                       scores_from_logits(spec.metric_id, logits), labels)
-        report.values.append(value)
+        report.values.append(score_instances(
+            model, splits[args.split], vocab, n_paths,
+            RngState(cfg.seed, 0).substream("evaluate", args.split), spec.metric_id,
+        ))
         report.run_labels.append(args.split)
     except ValueError as ex:
         report.errors.append(str(ex))
-    save_checkpoint_state = checkpoint_hash(ckpt)
-    if save_checkpoint_state != hash_before:
+    if checkpoint_hash(ckpt) != hash_before:
         raise RuntimeError("evaluation mutated the model checkpoint")
 
-    resolved = _resolved(args)
-    run_dir = _run_dir(args, "evaluate", resolved, cfg.seed)
-    save_reports(os.path.join(run_dir, "report.json"), {"evaluate": report})
-    _write_manifest(run_dir, "evaluate", resolved)
+    run_dir, resolved = _run_dir(args, None, cfg.seed)
     if report.values:
         print(f"{spec.metric_id} {report.values[0]:.6f}")
     else:
         print(f"{spec.metric_id} undefined: {report.errors[0]}")
-    print(run_dir)
-    return 0
+    return _finish(args, run_dir, resolved, {"evaluate": report})
 
 
 def cmd_generate(args, parser) -> int:
-    where = os.path.join(args.model, MODEL_META)
-    meta = _read_json(where)
-    if meta.get("kind") != "gaze_pretrain":
-        raise ValueError(f"{args.model}: not a gaze pretraining run directory")
     if args.n_paths < 1:
         raise ValueError(f"--n-paths must be >= 1, got {args.n_paths}")
-    text_cfg = _from_dict(TextEncoderConfig, meta["text"], f"{where} text")
-    cfg = _from_dict(TrainConfig, meta["train"], f"{where} train")
-    vocab = Vocab.load(os.path.join(args.model, VOCAB_FILE))
+    meta, text_cfg, cfg, vocab = _read_run(
+        args.model, "gaze_pretrain",
+        lambda m, where: _from_dict(TextEncoderConfig, m["text"], f"{where} text"),
+    )
     model = GazeModel(text_cfg, gen_hidden=meta["gen_hidden"],
                       l_max=meta["l_max"], seed=cfg.seed)
     model.load_state_dict(load_checkpoint(os.path.join(args.model, "generator.ckpt")))
@@ -499,15 +483,10 @@ def cmd_crossval(args, parser) -> int:
     exp, splits, cfg = _driver_common(args, parser)
     instances = splits["train"] + splits["dev"] + splits["test"]
     report = run_crossval(exp, instances, cfg, folds=args.folds)
-    resolved = _resolved(args)
-    resolved["train_config"] = dataclasses.asdict(cfg)
-    run_dir = _run_dir(args, "crossval", resolved, cfg.seed)
-    save_reports(os.path.join(run_dir, "report.json"), {"crossval": report})
-    _write_manifest(run_dir, "crossval", resolved)
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
     print(f"{report.metric_id} mean {report.mean:.4f} stderr {report.stderr:.4f} "
           f"over {len(report.values)} folds")
-    print(run_dir)
-    return 0
+    return _finish(args, run_dir, resolved, {"crossval": report})
 
 
 def cmd_lowresource(args, parser) -> int:
@@ -516,16 +495,11 @@ def cmd_lowresource(args, parser) -> int:
         exp, splits["train"], splits["test"], cfg,
         Ks=args.ks, data_seeds=args.data_seeds,
     )
-    resolved = _resolved(args)
-    resolved["train_config"] = dataclasses.asdict(cfg)
-    run_dir = _run_dir(args, "lowresource", resolved, cfg.seed)
-    save_reports(os.path.join(run_dir, "report.json"), reports)
-    _write_manifest(run_dir, "lowresource", resolved)
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
     for name in sorted(reports):
         r = reports[name]
         print(f"{name}: {r.metric_id} mean {r.mean:.4f} stderr {r.stderr:.4f}")
-    print(run_dir)
-    return 0
+    return _finish(args, run_dir, resolved, reports)
 
 
 def cmd_sweep(args, parser) -> int:
@@ -534,17 +508,12 @@ def cmd_sweep(args, parser) -> int:
         exp, splits["train"], splits["dev"], splits["test"], cfg,
         counts=args.counts, seeds=args.seeds,
     )
-    resolved = _resolved(args)
-    resolved["train_config"] = dataclasses.asdict(cfg)
-    run_dir = _run_dir(args, "sweep", resolved, cfg.seed)
-    save_reports(os.path.join(run_dir, "report.json"), points)
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
     reports_to_csv(os.path.join(run_dir, "curve.csv"), points)
-    _write_manifest(run_dir, "sweep", resolved)
     for count in args.counts:
         r = points[f"n{count}"]
         print(f"n_scanpaths={count}: mean {r.mean:.4f} stderr {r.stderr:.4f}")
-    print(run_dir)
-    return 0
+    return _finish(args, run_dir, resolved, points)
 
 
 def cmd_ablate(args, parser) -> int:
@@ -553,15 +522,10 @@ def cmd_ablate(args, parser) -> int:
         parser.error("--generator checkpoint is required for ablations")
     reports = run_ablations(exp, splits["train"], splits["dev"],
                             splits["test"], cfg)
-    resolved = _resolved(args)
-    resolved["train_config"] = dataclasses.asdict(cfg)
-    run_dir = _run_dir(args, "ablate", resolved, cfg.seed)
-    save_reports(os.path.join(run_dir, "report.json"), reports)
-    _write_manifest(run_dir, "ablate", resolved)
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
     for name in ABLATIONS:
         print(f"{name}: {reports[name].metric_id} {reports[name].mean:.4f}")
-    print(run_dir)
-    return 0
+    return _finish(args, run_dir, resolved, reports)
 
 
 def cmd_report(args, parser) -> int:

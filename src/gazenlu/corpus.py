@@ -132,6 +132,9 @@ def load_dataset(path, spec: DatasetSpec) -> list[TextInstance]:
             t1, t2, raw = cells
         else:
             (t1, raw), t2 = cells, None
+        for name, text in (("sentence1", t1), ("sentence2", t2)):
+            if text is not None and not text.split():
+                raise ValueError(f"{path}:{lineno}: {name} is empty")
         if spec.label_kind == CLASSES:
             try:
                 label = int(raw)

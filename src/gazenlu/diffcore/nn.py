@@ -56,11 +56,6 @@ class Module:
         for p in self.parameters():
             p.grad = None
 
-    def freeze(self, flag: bool = True):
-        for p in self.parameters():
-            p.requires_grad = not flag
-        return self
-
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
@@ -150,7 +145,6 @@ class GRUCell(Module):
 
     def __init__(self, d_in: int, d_hidden: int, rng: RngState, dtype=np.float32):
         super().__init__()
-        self.d_hidden = d_hidden
         bound = 1.0 / math.sqrt(d_hidden)
 
         def init(key, shape):
@@ -166,6 +160,3 @@ class GRUCell(Module):
 
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
         return gru_cell(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
-
-    def init_state(self, batch: int, dtype=np.float32) -> Tensor:
-        return Tensor(np.zeros((batch, self.d_hidden), dtype=dtype))

@@ -109,40 +109,8 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
-    # -- operators -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not a registered op")
-        return mul(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return getitem(self, key)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
 
     def backward(self):
         backward(self)
@@ -578,11 +546,6 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         return fn
 
     return _result(np.asarray(data), (x,), bwd, "sum")
-
-
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 # -- randomized / loss ops ----------------------------------------------

@@ -198,19 +198,32 @@ class Experiment:
     generator_state: dict | None = None
 
 
-def _config_echo(exp: Experiment, config: TrainConfig, **extra) -> dict:
-    echo = {
-        "task": exp.spec.name,
-        "model_kind": exp.model_cfg.model_kind,
-        "n_scanpaths": config.n_scanpaths_train,
-        "lr": config.lr,
-        "tau": exp.model_cfg.gumbel.temperature,
-        "seed": config.seed,
-        "freeze_generator": config.freeze_generator,
-        "pretrained_generator": config.pretrained_generator,
-    }
-    echo.update(extra)
-    return echo
+def new_report(spec: DatasetSpec, **config) -> EvalReport:
+    """A report on ``spec``'s task and metric with no runs yet; ``config``
+    echoes the settings its runs share."""
+    return EvalReport(task=spec.name, metric_id=spec.metric_id, values=[],
+                      run_labels=[], config=config)
+
+
+def _driver_report(exp: Experiment, config: TrainConfig, **extra) -> EvalReport:
+    return new_report(
+        exp.spec, task=exp.spec.name, model_kind=exp.model_cfg.model_kind,
+        n_scanpaths=config.n_scanpaths_train, lr=config.lr,
+        tau=exp.model_cfg.gumbel.temperature, seed=config.seed,
+        freeze_generator=config.freeze_generator,
+        pretrained_generator=config.pretrained_generator, **extra,
+    )
+
+
+def score_instances(model: JointModel, instances: list[TextInstance],
+                    vocab: Vocab, n_paths: int, rng: RngState,
+                    metric_id: str) -> float:
+    """``metric_id`` of a model's averaged predictions on ``instances``.
+    Raises ValueError where the metric is undefined on their labels."""
+    encs = encode_instances(instances, vocab, model.cfg.text.max_len)
+    logits = predict_instances(model, encs, [i.instance_id for i in instances],
+                               n_paths, rng)
+    return metric_fn_for(metric_id)(logits, np.array([i.label for i in instances]))
 
 
 def train_and_score(exp: Experiment, train_insts, dev_insts, test_insts,
@@ -222,14 +235,9 @@ def train_and_score(exp: Experiment, train_insts, dev_insts, test_insts,
         metric_fn=metric_fn_for(exp.spec.metric_id),
         generator_state=exp.generator_state,
     )
-    encs = encode_instances(test_insts, exp.vocab, exp.model_cfg.text.max_len)
-    ids = [i.instance_id for i in test_insts]
-    n_paths = config.n_scanpaths_train
-    logits = predict_instances(
-        model, encs, ids, n_paths, RngState(config.seed, 0).substream("test_eval")
-    )
-    labels = np.array([i.label for i in test_insts])
-    value = metric(exp.spec.metric_id, scores_from_logits(exp.spec.metric_id, logits), labels)
+    value = score_instances(model, test_insts, exp.vocab, config.n_scanpaths_train,
+                            RngState(config.seed, 0).substream("test_eval"),
+                            exp.spec.metric_id)
     return value, {"history": hist, "model": model}
 
 
@@ -249,11 +257,7 @@ def cv_fold_split(instances: list[TextInstance], folds: int, fold: int,
 def run_crossval(exp: Experiment, instances: list[TextInstance],
                  config: TrainConfig, folds: int = 10) -> EvalReport:
     """K-fold protocol with averaged-logit predictions per test fold."""
-    report = EvalReport(
-        task=exp.spec.name, metric_id=exp.spec.metric_id,
-        values=[], run_labels=[],
-        config=_config_echo(exp, config, folds=folds),
-    )
+    report = _driver_report(exp, config, folds=folds)
     for fold in range(folds):
         tr, dv, te = cv_fold_split(instances, folds, fold, config.seed)
         value, _ = train_and_score(exp, tr, dv, te, config,
@@ -270,11 +274,7 @@ def run_lowresource(exp: Experiment, train_pool: list[TextInstance],
     """One report per K, aggregating runs over the data-shuffling seeds."""
     reports: dict[str, EvalReport] = {}
     for K in Ks:
-        report = EvalReport(
-            task=exp.spec.name, metric_id=exp.spec.metric_id,
-            values=[], run_labels=[],
-            config=_config_echo(exp, config, K=K, data_seeds=list(data_seeds)),
-        )
+        report = _driver_report(exp, config, K=K, data_seeds=list(data_seeds))
         for ds in data_seeds:
             try:
                 split = low_resource_split(len(train_pool), K, ds)
@@ -300,11 +300,7 @@ def sweep_scanpaths(exp: Experiment, train_insts, dev_insts, test_insts,
     points: dict[str, EvalReport] = {}
     for count in counts:
         cfg = dataclasses.replace(config, n_scanpaths_train=count)
-        report = EvalReport(
-            task=exp.spec.name, metric_id=exp.spec.metric_id,
-            values=[], run_labels=[],
-            config=_config_echo(exp, cfg, seeds=list(seeds)),
-        )
+        report = _driver_report(exp, cfg, seeds=list(seeds))
         for seed in seeds:
             run_cfg = dataclasses.replace(cfg, seed=seed)
             value, _ = train_and_score(exp, train_insts, dev_insts, test_insts,
@@ -336,11 +332,9 @@ def run_ablations(exp: Experiment, train_insts, dev_insts, test_insts,
         cfg = variants[name]
         value, _ = train_and_score(exp, train_insts, dev_insts, test_insts,
                                    cfg, model_seed=config.seed)
-        out[name] = EvalReport(
-            task=exp.spec.name, metric_id=exp.spec.metric_id,
-            values=[value], run_labels=[name],
-            config=_config_echo(exp, cfg, ablation=name),
-        )
+        out[name] = _driver_report(exp, cfg, ablation=name)
+        out[name].values.append(value)
+        out[name].run_labels.append(name)
     return out
 
 

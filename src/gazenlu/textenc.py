@@ -233,8 +233,6 @@ class Batch:
     attention_mask: np.ndarray  # (B, T) float32
     pool: np.ndarray            # (B, W, T) float32, rows average word spans
     word_counts: np.ndarray     # (B,) int64
-    span_starts: np.ndarray     # (B, W) int64, token index of each word start
-    span_ends: np.ndarray       # (B, W) int64, exclusive
 
     @property
     def size(self) -> int:
@@ -250,8 +248,6 @@ def collate(encs: list[EncodedText]) -> Batch:
     att = np.zeros((B, T), dtype=np.float32)
     pool = np.zeros((B, W, T), dtype=np.float32)
     counts = np.zeros(B, dtype=np.int64)
-    starts = np.zeros((B, W), dtype=np.int64)
-    ends = np.ones((B, W), dtype=np.int64)
     for b, e in enumerate(encs):
         n = len(e)
         ids[b, :n] = e.token_ids
@@ -260,9 +256,7 @@ def collate(encs: list[EncodedText]) -> Batch:
         counts[b] = e.n_words
         for w, (s, t) in enumerate(e.word_spans):
             pool[b, w, s:t] = 1.0 / (t - s)
-            starts[b, w] = s
-            ends[b, w] = t
-    return Batch(ids, seg, att, pool, counts, starts, ends)
+    return Batch(ids, seg, att, pool, counts)
 
 
 @dataclass

@@ -193,10 +193,6 @@ class EarlyStopper:
 # -- shared plumbing -----------------------------------------------------
 
 
-def _snapshot(model: Module) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in model.state_dict().items()}
-
-
 def _batched(n: int, size: int):
     for at in range(0, n, size):
         yield range(at, min(at + size, n))
@@ -221,6 +217,42 @@ def _append_log(log_path, record: dict) -> None:
         return
     with open(log_path, "a", encoding="utf-8") as f:
         f.write(json.dumps(record, sort_keys=True) + "\n")
+
+
+def _fit(model: Module, opt: AdamW, config: TrainConfig, root: RngState,
+         items: list, step, dev_value, mode: str, log_path):
+    """The epoch loop of both phases; returns (best state, stopper, history).
+
+    Each epoch shuffles ``items`` with the epoch's "order" substream of
+    ``root`` and hands them out in batches. ``step(rows, epoch, drop_rng)``
+    returns a batch's loss and its weight in the epoch's train loss, and
+    the loss is applied. ``dev_value()`` then scores the epoch for early
+    stopping in ``mode``. The model ends holding the best-dev parameters;
+    with no epoch run, those are the ones it started with.
+    """
+    stopper = EarlyStopper(config.patience, mode)
+    best_state = model.state_dict()
+    history: list[dict] = []
+    for epoch in range(1, config.max_epochs + 1):
+        model.train()
+        order = root.substream("order", epoch).shuffled(items)
+        total, count = 0.0, 0
+        for bi, idx in enumerate(_batched(len(order), config.batch_size)):
+            loss, n = step([order[i] for i in idx], epoch,
+                           root.substream("drop", epoch, bi))
+            _update(model, opt, loss)
+            total += float(loss.data) * n
+            count += n
+        row = {"epoch": epoch, "train_loss": total / count,
+               "dev_metric": dev_value()}
+        history.append(row)
+        _append_log(log_path, row)
+        if stopper.update(row["dev_metric"]):
+            best_state = model.state_dict()
+        if stopper.should_stop:
+            break
+    model.load_state_dict(best_state)
+    return best_state, stopper, history
 
 
 def encode_instances(instances: list[TextInstance], vocab: Vocab,
@@ -298,36 +330,17 @@ def pretrain_generator(model: GazeModel, train_records: list[GazeRecord],
     tr_paths = [r.fixations for r in train_records]
     dev_paths = [r.fixations for r in dev_records]
 
-    root = RngState(config.seed, 0).substream("pretrain")
-    opt = AdamW(model, config.pretrain_lr, weight_decay=config.weight_decay)
-    stopper = EarlyStopper(config.patience, mode="min")
-    best_state = _snapshot(model)
-    history: list[dict] = []
+    def step(rows, epoch, drop_rng):
+        batch = collate([tr_encs[i] for i in rows])
+        return model.batch_nll(batch, [tr_paths[i] for i in rows], drop_rng)
 
-    for epoch in range(1, config.max_epochs + 1):
-        model.train()
-        order = root.substream("order", epoch).shuffled(list(range(len(tr_encs))))
-        total, steps = 0.0, 0
-        for bi, idx in enumerate(_batched(len(order), config.batch_size)):
-            rows = [order[i] for i in idx]
-            batch = collate([tr_encs[i] for i in rows])
-            loss, n = model.batch_nll(
-                batch, [tr_paths[i] for i in rows],
-                root.substream("drop", epoch, bi),
-            )
-            _update(model, opt, loss)
-            total += float(loss.data) * n
-            steps += n
-        train_nll = total / steps
-        dev_nll = _corpus_nll(model, dev_encs, dev_paths, config.batch_size)
-        row = {"epoch": epoch, "train_loss": train_nll, "dev_metric": dev_nll}
-        history.append(row)
-        _append_log(log_path, row)
-        if stopper.update(dev_nll):
-            best_state = _snapshot(model)
-        if stopper.should_stop:
-            break
-    model.load_state_dict(best_state)
+    opt = AdamW(model, config.pretrain_lr, weight_decay=config.weight_decay)
+    best_state, stopper, history = _fit(
+        model, opt, config, RngState(config.seed, 0).substream("pretrain"),
+        list(range(len(tr_encs))), step,
+        lambda: _corpus_nll(model, dev_encs, dev_paths, config.batch_size),
+        "min", log_path,
+    )
     return best_state, {
         "epochs": history,
         "best_epoch": stopper.best_epoch,
@@ -398,49 +411,31 @@ def train_joint(model: JointModel, train_instances: list[TextInstance],
     pairs = [(i, p) for i in range(len(tr_encs)) for p in range(n_paths)]
 
     root = RngState(config.seed, 0).substream("joint")
-    opt = AdamW(model, config.lr, weight_decay=config.weight_decay)
-    n_trainable = sum(1 for _, t in model.named_parameters() if t.requires_grad)
-    assert opt.n_params == n_trainable
-    stopper = EarlyStopper(config.patience, mode="max")
-    best_state = _snapshot(model)
-    history: list[dict] = []
     dev_rng = root.substream("dev")
 
-    for epoch in range(1, config.max_epochs + 1):
-        model.train()
-        order = root.substream("order", epoch).shuffled(pairs)
-        total, count = 0.0, 0
-        for bi, idx in enumerate(_batched(len(order), config.batch_size)):
-            rows = [order[i] for i in idx]
-            batch = collate([tr_encs[i] for i, _ in rows])
-            labels = tr_labels[[i for i, _ in rows]]
-            pair_rngs = [
-                root.substream("gumbel", epoch, train_instances[i].instance_id, p)
-                for i, p in rows
-            ]
-            loss = model.loss_pairs(
-                batch, labels, pair_rngs, root.substream("drop", epoch, bi)
-            )
-            _update(model, opt, loss)
-            total += float(loss.data) * len(rows)
-            count += len(rows)
+    def step(rows, epoch, drop_rng):
+        batch = collate([tr_encs[i] for i, _ in rows])
+        pair_rngs = [
+            root.substream("gumbel", epoch, train_instances[i].instance_id, p)
+            for i, p in rows
+        ]
+        loss = model.loss_pairs(batch, tr_labels[[i for i, _ in rows]],
+                                pair_rngs, drop_rng)
+        return loss, len(rows)
+
+    def dev_value():
         outputs = predict_instances(
             model, dev_encs, dev_ids, n_paths, dev_rng, config.batch_size
         )
-        dev_metric = metric_fn(outputs, dev_labels)
-        row = {"epoch": epoch, "train_loss": total / count,
-               "dev_metric": dev_metric}
-        history.append(row)
-        _append_log(log_path, row)
-        if stopper.update(dev_metric):
-            best_state = _snapshot(model)
-        if stopper.should_stop:
-            break
-    model.load_state_dict(best_state)
+        return metric_fn(outputs, dev_labels)
+
+    opt = AdamW(model, config.lr, weight_decay=config.weight_decay)
+    best_state, stopper, history = _fit(model, opt, config, root, pairs, step,
+                                        dev_value, "max", log_path)
     return best_state, {
         "epochs": history,
         "best_epoch": stopper.best_epoch,
         "best_dev_metric": None if not history else stopper.best_value,
         "n_params": opt.n_params,
-        "n_trainable": n_trainable,
+        "n_trainable": opt.n_params,
     }

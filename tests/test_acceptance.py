@@ -86,7 +86,7 @@ def _surrogate_build_parts(seed):
         )
         loss = tsum(mul(ws, Tensor(base_w)))
         for t, row in enumerate(sb.rows):
-            loss = loss + tsum(mul(row, Tensor(readouts[t])))
+            loss = add(loss, tsum(mul(row, Tensor(readouts[t]))))
         return loss
 
     params = {"emb": emb}

@@ -6,7 +6,7 @@ import pytest
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, JointModel, ModelConfig,
                                ScanpathEncoder, TEXT_ONLY, average_logits,
                                fixation_steps)
-from gazenlu.diffcore import RngState, Tensor, no_grad
+from gazenlu.diffcore import RngState, Tensor, matmul, no_grad
 from gazenlu.gazegen import GumbelConfig, default_max_fixations
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 from gazenlu.trainkit import GazeModel
@@ -274,6 +274,61 @@ def test_text_only_loss_ignores_scanpaths():
     assert np.isfinite(loss.data)
     loss.backward()
     assert dict(model.named_parameters())["cls_encoder.tok.w"].grad is not None
+
+
+def _looped_content_steps(encs):
+    """The baseline's steps as a loop over every word's tokens, reading
+    the word spans from the encoded texts."""
+    def steps(self, batch, tokens):
+        B, T, _ = tokens.shape
+        W = batch.pool.shape[1]
+        starts = np.zeros((B, W), dtype=np.int64)
+        ends = np.ones((B, W), dtype=np.int64)
+        for b, e in enumerate(encs):
+            for w, (s, t) in enumerate(e.word_spans):
+                starts[b, w], ends[b, w] = s, t
+        lengths = ends - starts
+        lengths[batch.pool.sum(axis=2) == 0] = 0
+        L = int(lengths.sum(axis=1).max(initial=1))
+        scat = np.zeros((B, L, T), dtype=np.float32)
+        mask = np.zeros((B, L), dtype=np.float32)
+        for b in range(B):
+            r = 0
+            for w in range(batch.word_counts[b]):
+                for t in range(starts[b, w], ends[b, w]):
+                    scat[b, r, t] = 1.0
+                    mask[b, r] = 1.0
+                    r += 1
+        content = matmul(Tensor(scat.astype(tokens.dtype)), tokens)
+        return [content[:, t, :] for t in range(L)], mask
+    return steps
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["single", "pair"])
+def test_text_only_steps_match_the_per_token_loop(pair, monkeypatch):
+    """Loss, gradients and predictions of the baseline on a padded batch
+    equal, bit for bit, those from steps built by a per-token loop."""
+    vocab = build_vocab(["aa aa ab ba ba b a abba"] * 3, 32)
+    model = JointModel(_tiny_cfg(vocab, model_kind=TEXT_ONLY), RngState(61, 0))
+    texts = [("aa ab", "ba b a abba"), ("abba ba aa b a", "aa"), ("b", "ab ba")]
+    encs = [tokenize(t1, t2 if pair else None, vocab, 32) for t1, t2 in texts]
+    batch = collate(encs)
+    assert (batch.attention_mask == 0).any()
+
+    def run():
+        model.train()
+        model.zero_grad()
+        loss = model.loss_pairs(batch, np.array([0, 1, 1]), [], RngState(62, 0))
+        loss.backward()
+        grads = [p.grad for p in model.parameters()]
+        out = model.predict_batch(batch, ["a", "b", "c"], 1, RngState(63, 0))
+        return [loss.data, out] + grads
+
+    vectorised = run()
+    monkeypatch.setattr(JointModel, "_content_steps", _looped_content_steps(encs))
+    looped = run()
+    for a, b in zip(vectorised, looped):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_predict_deterministic_under_same_stream(joint_setup):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 import re
+import shutil
 
 import pytest
 
@@ -107,6 +108,47 @@ def test_evaluate_writes_report_and_reruns_byte_identical(pipeline, capsys):
     assert a == b
     rep = load_reports(os.path.join(outs[0], "report.json"))["evaluate"]
     assert rep.run_labels == ["test"] and 0.0 <= rep.values[0] <= 1.0
+
+
+# each protocol verb at a tiny size: its extra flags and, by report name,
+# the run labels its report.json holds
+PROTOCOLS = {
+    "crossval": (["--folds", "2"], {"crossval": ["fold0", "fold1"]}),
+    "lowresource": (["--ks", "20", "--data-seeds", "1"], {"K20": ["seed1"]}),
+    "sweep": (["--counts", "1", "2"], {"n1": ["seed42"], "n2": ["seed42"]}),
+    "ablate": ([], {"full": ["full"], "frozen": ["frozen"],
+                    "scratch": ["scratch"]}),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(PROTOCOLS))
+def test_protocol_verb_writes_reports_and_reruns_byte_identical(pipeline, verb):
+    flags, expected = PROTOCOLS[verb]
+    outs = []
+    for name in ("a", "b"):
+        out = str(pipeline["root"] / f"{verb}_{name}")
+        assert main([
+            verb, "--task", "keyword", "--data-dir", pipeline["data"],
+            "--vocab", pipeline["vocab"],
+            "--generator", os.path.join(pipeline["pre"], "generator.ckpt"),
+            "--d-model", "32", "--n-layers", "1", "--d-ff", "64",
+            "--gen-hidden", "32", "--lr", "1e-3", "--max-epochs", "1",
+            "--batch-size", "8", "--seed", "7", "--out", out,
+        ] + flags) == 0
+        outs.append(out)
+    names = set(os.listdir(outs[0]))
+    assert {"report.json", "manifest.json"} <= names
+    assert ("curve.csv" in names) == (verb == "sweep")
+    reports = load_reports(os.path.join(outs[0], "report.json"))
+    assert {k: r.run_labels for k, r in reports.items()} == expected
+    assert all(not r.errors and len(r.values) == len(r.run_labels)
+               for r in reports.values())
+    manifest = json.load(open(os.path.join(outs[0], "manifest.json")))
+    assert manifest["verb"] == verb
+    for name in ("report.json", "curve.csv"):
+        if name in names:
+            a, b = (open(os.path.join(o, name), "rb").read() for o in outs)
+            assert a == b, name
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -370,6 +412,24 @@ def test_pretrain_rejects_max_len_that_truncates_before_training(
     assert re.search(r"gaze sentence \S+ \(reader \S+\): max_len=6 keeps \d+ of "
                      r"its \d+ words", err), err
     assert steps == []
+
+
+def test_train_rejects_empty_sentence_naming_file_and_line(pipeline, capsys,
+                                                           tmp_path):
+    data = tmp_path / "data"
+    shutil.copytree(pipeline["data"], data)
+    tsv = data / "keyword_train.tsv"
+    lines = tsv.read_text().splitlines(keepends=True)
+    lines[2] = " \t" + lines[2].split("\t")[1]
+    tsv.write_text("".join(lines))
+    out = tmp_path / "joint"
+    assert main([
+        "train", "--task", "keyword", "--data-dir", str(data),
+        "--vocab", pipeline["vocab"], "--lr", "1e-3", "--text-only",
+        "--out", str(out),
+    ]) == 1
+    assert f"error: {tsv}:3: sentence1 is empty" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_report_verb_prints_and_exports_csv(pipeline, capsys):

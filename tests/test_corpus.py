@@ -253,6 +253,124 @@ def test_real_label_validation(tmp_path):
         load_dataset(path, spec)
 
 
+def test_empty_sentence_fails_at_load_naming_its_line(tmp_path):
+    path = tmp_path / "d.tsv"
+    path.write_text("sentence1\tlabel\naa\t1\n   \t0\n")
+    with pytest.raises(ValueError, match=r"d\.tsv:3: sentence1 is empty$"):
+        load_dataset(path, DatasetSpec("toy"))
+    path.write_text("sentence1\tsentence2\tlabel\naa\t\t1\n")
+    with pytest.raises(ValueError, match=r"d\.tsv:2: sentence2 is empty$"):
+        load_dataset(path, DatasetSpec("pairs", fields=PAIR))
+
+
+# -- malformed rows: every one fails with its file and line --------------
+
+SPECS = [DatasetSpec("single"), DatasetSpec("pairs", fields=PAIR, n_classes=3),
+         DatasetSpec("sim", fields=PAIR, label_kind=REAL, metric_id="spearman",
+                     label_range=(0.0, 5.0))]
+SENTENCE = st.lists(st.text("abcdef", min_size=1, max_size=4),
+                    min_size=1, max_size=5).map(" ".join)
+# whitespace only, without the tab and newline that delimit cells and rows
+BLANK = st.sampled_from(["", " ", "   ", "\x0b", "\xa0", "\u3000 "])
+CELL = st.text("ab 01.", max_size=4)
+NOT_A_NUMBER = st.text("xyz.", min_size=1, max_size=3) | st.just("")
+
+
+def _valid_label(draw, spec):
+    if spec.label_kind == CLASSES:
+        return str(draw(st.integers(0, spec.n_classes - 1)))
+    lo, hi = spec.label_range
+    return repr(draw(st.floats(lo, hi)))
+
+
+@st.composite
+def dataset_with_bad_row(draw):
+    """(spec, rows, index of the one malformed row)."""
+    spec = draw(st.sampled_from(SPECS))
+    n_texts = 2 if spec.fields == PAIR else 1
+
+    def row():
+        return [draw(SENTENCE) for _ in range(n_texts)] + [_valid_label(draw, spec)]
+
+    rows = [row() for _ in range(draw(st.integers(0, 3)))]
+    bad = row()
+    fault = draw(st.sampled_from(["fields", "label", "empty"]))
+    if fault == "fields":
+        n = draw(st.integers(1, 5).filter(lambda n: n != n_texts + 1))
+        bad = [draw(CELL) for _ in range(n)]
+    elif fault == "empty":
+        bad[draw(st.integers(0, n_texts - 1))] = draw(BLANK)
+    elif spec.label_kind == CLASSES:
+        out = st.integers(-10**6, 10**6).filter(
+            lambda v: not 0 <= v < spec.n_classes).map(str)
+        bad[-1] = draw(out | NOT_A_NUMBER)
+    else:
+        lo, hi = spec.label_range
+        out = st.floats(allow_nan=False).filter(lambda v: not lo <= v <= hi)
+        bad[-1] = draw(out.map(repr) | NOT_A_NUMBER | st.sampled_from(["nan", "-inf"]))
+    at = draw(st.integers(0, len(rows)))
+    return spec, rows[:at] + [bad] + rows[at:], at
+
+
+@st.composite
+def gaze_corpus_with_bad_row(draw):
+    """(rows, index of the one malformed row)."""
+    def row():
+        words = draw(SENTENCE)
+        n = len(words.split())
+        fix = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+        return ["s", "r", words, " ".join(map(str, fix))]
+
+    rows = [row() for _ in range(draw(st.integers(0, 3)))]
+    bad = row()
+    n = len(bad[2].split())
+    fault = draw(st.sampled_from(["fields", "non_integer", "out_of_range",
+                                  "no_fixations", "empty"]))
+    if fault == "fields":
+        k = draw(st.integers(1, 6).filter(lambda k: k != 4))
+        bad = [draw(CELL) for _ in range(k)]
+    elif fault == "non_integer":
+        bad[3] += " " + draw(st.text("xyz.", min_size=1, max_size=3))
+    elif fault == "out_of_range":
+        f = draw(st.integers(-10**6, 10**6).filter(lambda f: not 0 <= f < n))
+        bad[3] += f" {f}"
+    elif fault == "no_fixations":
+        bad[3] = draw(BLANK)
+    else:
+        bad[2] = draw(BLANK)
+    at = draw(st.integers(0, len(rows)))
+    return rows[:at] + [bad] + rows[at:], at
+
+
+def _write_rows(path, header, rows):
+    path.write_text("\n".join(["\t".join(header)] + ["\t".join(r) for r in rows])
+                    + "\n", encoding="utf-8")
+
+
+@given(dataset_with_bad_row())
+@settings(max_examples=150, deadline=None)
+def test_malformed_dataset_row_fails_naming_file_and_line(tmp_path_factory, case):
+    spec, rows, at = case
+    path = tmp_path_factory.getbasetemp() / "malformed_dataset.tsv"
+    header = ["sentence1", "sentence2", "label"] if spec.fields == PAIR else [
+        "sentence1", "label"]
+    _write_rows(path, header, rows)
+    with pytest.raises(ValueError) as exc:
+        load_dataset(path, spec)
+    assert str(exc.value).startswith(f"{path}:{at + 2}: "), str(exc.value)
+
+
+@given(gaze_corpus_with_bad_row())
+@settings(max_examples=150, deadline=None)
+def test_malformed_gaze_row_fails_naming_file_and_line(tmp_path_factory, case):
+    rows, at = case
+    path = tmp_path_factory.getbasetemp() / "malformed_gaze.tsv"
+    _write_rows(path, ["sentence_id", "reader_id", "text", "fixations"], rows)
+    with pytest.raises(ValueError) as exc:
+        load_gaze_corpus(path)
+    assert str(exc.value).startswith(f"{path}:{at + 2}: "), str(exc.value)
+
+
 # -- splits --------------------------------------------------------------
 
 

@@ -6,7 +6,7 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from gazenlu.diffcore import (NEG_INF, RngState, Tensor, grad_check, mul,
+from gazenlu.diffcore import (NEG_INF, RngState, Tensor, add, grad_check, mul,
                               no_grad, softmax, tsum)
 from gazenlu.gazegen import (GeneratorConfig, GumbelConfig, ScanpathGenerator,
                              SOFT_CONVOLUTION, default_max_fixations)
@@ -271,7 +271,7 @@ def test_straight_through_gradients_reach_generator(gen, words3):
     loss = None
     for row in batch.rows:
         term = tsum(mul(row, Tensor(readout[None, :])))
-        loss = term if loss is None else loss + term
+        loss = term if loss is None else add(loss, term)
     loss.backward()
     assert gen.head.w.grad is not None and np.abs(gen.head.w.grad).max() > 0
     assert gen.gru_hist.w_ih.grad is not None
@@ -391,7 +391,7 @@ def test_soft_gradients_reach_generator(gen, words3):
     loss = None
     for t, row in enumerate(sp.rows):
         term = tsum(mul(row, Tensor(readout[t:t + 1])))
-        loss = term if loss is None else loss + term
+        loss = term if loss is None else add(loss, term)
     loss.backward()
     assert gen.head.w.grad is not None and np.abs(gen.head.w.grad).max() > 0
 
@@ -417,7 +417,7 @@ def test_surrogate_path_gradcheck():
         loss = None
         for t, row in enumerate(sp.rows):
             term = tsum(mul(row, Tensor(readout[t:t + 1])))
-            loss = term if loss is None else loss + term
+            loss = term if loss is None else add(loss, term)
         return loss
 
     params = dict(gen.named_parameters())
