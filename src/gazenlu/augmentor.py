@@ -25,6 +25,7 @@ from .diffcore import (
     blend,
     cross_entropy,
     dropout,
+    load_parameters,
     matmul,
     mse_loss,
     no_grad,
@@ -71,30 +72,23 @@ def fixation_steps(rows: list[Tensor], words: Tensor) -> list[Tensor]:
 
 
 class ScanpathEncoder(Module):
-    """Single-direction GRU over fixation-ordered rows, h0 from [CLS]."""
+    """Single-direction GRU over fixation-ordered rows, as wide as the
+    text encoder, so its initial state is the [CLS] vector itself."""
 
-    def __init__(self, d_in: int, d_hidden: int, rng: RngState):
+    def __init__(self, d: int, rng: RngState):
         super().__init__()
-        self.d_hidden = d_hidden
-        self.gru = GRUCell(d_in, d_hidden, rng.substream("gru"))
-        if d_in != d_hidden:
-            self.cls_proj = Linear(d_in, d_hidden, rng.substream("cls_proj"))
-        else:
-            object.__setattr__(self, "cls_proj", None)
-
-    def init_state(self, cls: Tensor) -> Tensor:
-        return self.cls_proj(cls) if self.cls_proj is not None else cls
+        self.gru = GRUCell(d, d, rng.substream("gru"))
 
     def run_steps(self, steps: list[Tensor], step_mask: np.ndarray, cls: Tensor,
                   rng: RngState | None = None) -> Tensor:
         """steps[t] is (B, d); mask freezes rows past their last fixation."""
         if not steps:
             raise ValueError("scanpath encoder needs at least one step")
-        h = self.init_state(cls)
+        h = cls
         train = self.training and rng is not None
         for t, x in enumerate(steps):
             if train:
-                x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t), True)
+                x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
             h = blend(step_mask[:, t].reshape(-1, 1), self.gru(x, h), h)
         return h
 
@@ -117,16 +111,10 @@ class ModelConfig:
     text: TextEncoderConfig
     gen_hidden: int = 128
     l_max: int = 32
-    scan_hidden: int | None = None          # defaults to text.d_model
     task_kind: str = CLASSIFICATION
     n_classes: int = 2
-    share_text_encoder: bool = False
     model_kind: str = GAZE
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
-
-    @property
-    def d_scan(self) -> int:
-        return self.scan_hidden if self.scan_hidden is not None else self.text.d_model
 
 
 class JointModel(Module):
@@ -141,64 +129,40 @@ class JointModel(Module):
         self.cfg = cfg
         self.cls_encoder = TextEncoder(cfg.text, rng.substream("cls_enc"))
         if cfg.model_kind == GAZE:
-            if cfg.share_text_encoder:
-                object.__setattr__(self, "gen_encoder", self.cls_encoder)
-            else:
-                self.gen_encoder = TextEncoder(cfg.text, rng.substream("gen_enc"))
+            self.gen_encoder = TextEncoder(cfg.text, rng.substream("gen_enc"))
             self.generator = ScanpathGenerator(
                 GeneratorConfig(cfg.text.d_model, cfg.gen_hidden, cfg.l_max),
                 rng.substream("generator"),
             )
         elif cfg.model_kind != TEXT_ONLY:
             raise ValueError(f"unknown model kind {cfg.model_kind!r}")
-        self.scan = ScanpathEncoder(cfg.text.d_model, cfg.d_scan, rng.substream("scan"))
-        self.head = TaskHead(cfg.task_kind, cfg.d_scan, cfg.n_classes, rng.substream("head"))
+        self.scan = ScanpathEncoder(cfg.text.d_model, rng.substream("scan"))
+        self.head = TaskHead(cfg.task_kind, cfg.text.d_model, cfg.n_classes,
+                             rng.substream("head"))
 
     # -- generator checkpoint unit --------------------------------------
 
     def generator_prefixes(self) -> tuple[str, ...]:
-        if self.cfg.model_kind != GAZE:
-            return ()
-        if self.cfg.share_text_encoder:
-            return ("generator.",)
-        return ("generator.", "gen_encoder.")
+        return ("generator.", "gen_encoder.") if self.cfg.model_kind == GAZE else ()
+
+    def _generator_params(self) -> dict[str, Tensor]:
+        pref = self.generator_prefixes()
+        return {name: p for name, p in self.named_parameters() if name.startswith(pref)}
 
     def generator_state(self) -> dict[str, np.ndarray]:
-        pref = self.generator_prefixes()
-        return {
-            name: p.data.copy()
-            for name, p in self.named_parameters()
-            if name.startswith(pref)
-        }
+        return {name: p.data.copy() for name, p in self._generator_params().items()}
 
     def load_generator_state(self, state: dict[str, np.ndarray]) -> None:
-        own = {
-            name: p
-            for name, p in self.named_parameters()
-            if name.startswith(self.generator_prefixes())
-        }
-        missing = sorted(set(own) - set(state))
-        extra = sorted(set(state) - set(own))
-        if missing or extra:
-            raise KeyError(f"generator state mismatch, missing={missing}, unexpected={extra}")
-        for name, p in own.items():
-            arr = np.asarray(state[name])
-            if arr.shape != p.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
+        load_parameters(self._generator_params(), state)
 
     def freeze_generator(self, flag: bool = True) -> None:
-        pref = self.generator_prefixes()
-        for name, p in self.named_parameters():
-            if name.startswith(pref):
-                p.requires_grad = not flag
+        for p in self._generator_params().values():
+            p.requires_grad = not flag
 
     # -- fixation-ordered steps ------------------------------------------
 
-    def _word_states(self, batch: Batch, words: Tensor, rng: RngState | None) -> Tensor:
-        """Generator word states; ``words`` serve when the encoder is shared."""
-        if not self.cfg.share_text_encoder:
-            _, _, words = self.gen_encoder.forward_batch(batch, rng)
+    def _word_states(self, batch: Batch, rng: RngState | None) -> Tensor:
+        _, _, words = self.gen_encoder.forward_batch(batch, rng)
         return self.generator.encode_words_batch(words, batch.word_counts)
 
     def _scan_steps(self, counts: np.ndarray, words: Tensor, word_states: Tensor,
@@ -226,8 +190,7 @@ class JointModel(Module):
         if self.cfg.model_kind == TEXT_ONLY:
             steps, mask = self._content_steps(batch, tokens)
         else:
-            ws = self._word_states(batch, words,
-                                   rng.substream("gen_enc") if rng else None)
+            ws = self._word_states(batch, rng.substream("gen_enc") if rng else None)
             steps, mask = self._scan_steps(batch.word_counts, words, ws,
                                            pair_rngs, self.cfg.gumbel)
         feature = self.scan.run_steps(
@@ -283,7 +246,7 @@ class JointModel(Module):
                 gumbel = self.cfg.gumbel
                 if gumbel.hard_eval:
                     gumbel = dataclasses.replace(gumbel, mode=STRAIGHT_THROUGH)
-                ws = self._word_states(batch, words, None)
+                ws = self._word_states(batch, None)
                 pick, pair_rngs = path_rows(sentence_ids, n_scanpaths, rng)
                 steps, mask = self._scan_steps(
                     batch.word_counts[pick], take_rows(words, pick),

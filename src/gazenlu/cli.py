@@ -218,10 +218,8 @@ def _add_joint_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tau", type=float,
                    help=f"Gumbel-softmax temperature (default "
                         f"{GumbelConfig().temperature})")
-    p.add_argument("--scan-hidden", type=int, default=None)
     p.add_argument("--gumbel-mode", choices=[STRAIGHT_THROUGH, SOFT_CONVOLUTION])
     p.add_argument("--hard-eval", action="store_true", default=None)
-    p.add_argument("--share-text-encoder", action="store_true", default=None)
     p.add_argument("--text-only", action="store_true",
                    help="no-gaze baseline: original-order content tokens")
 
@@ -232,8 +230,7 @@ GAZE_FLAGS = {"generator": "--generator", "tau": "--tau",
               "gumbel_mode": "--gumbel-mode", "hard_eval": "--hard-eval",
               "n_scanpaths_train": "--n-scanpaths",
               "freeze_generator": "--freeze-generator",
-              "pretrained_generator": "--pretrained-generator",
-              "share_text_encoder": "--share-text-encoder"}
+              "pretrained_generator": "--pretrained-generator"}
 
 
 def _check_text_only(args) -> None:
@@ -252,10 +249,8 @@ def _model_cfg_from_args(args, vocab: Vocab, spec: DatasetSpec) -> ModelConfig:
         text=_build_text_cfg(args, vocab),
         gen_hidden=args.gen_hidden,
         l_max=args.l_max,
-        scan_hidden=args.scan_hidden,
         task_kind="regression" if spec.label_kind == "real" else "classification",
         n_classes=spec.n_classes,
-        share_text_encoder=bool(args.share_text_encoder),
         model_kind=TEXT_ONLY if args.text_only else GAZE,
         gumbel=GumbelConfig(
             temperature=default.temperature if args.tau is None else args.tau,
@@ -340,13 +335,12 @@ def cmd_build_vocab(args, parser) -> int:
 def cmd_pretrain_gaze(args, parser) -> int:
     vocab = Vocab.load(args.vocab)
     cfg = _train_cfg_from_args(args, parser)
-    train_recs = load_gaze_corpus(args.train)
-    dev_recs = load_gaze_corpus(args.dev)
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-
     text_cfg = _build_text_cfg(args, vocab)
     model = GazeModel(text_cfg, gen_hidden=args.gen_hidden, l_max=args.l_max,
                       seed=cfg.seed)
+    train_recs = load_gaze_corpus(args.train)
+    dev_recs = load_gaze_corpus(args.dev)
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
     state, hist = pretrain_generator(
         model, train_recs, dev_recs, vocab, cfg, log_path=_fresh_log(run_dir)
     )
@@ -375,9 +369,8 @@ def cmd_train(args, parser) -> int:
                                    else cfg.seed)
         dev_insts = [train_insts[i] for i in split.dev_ids]
         train_insts = [train_insts[i] for i in split.train_ids]
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-
     model = JointModel(model_cfg, RngState(cfg.seed, 0).substream("model"))
+    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
     state, hist = train_joint(
         model, train_insts, dev_insts, vocab, cfg,
         metric_fn=metric_fn_for(spec.metric_id),

@@ -15,6 +15,8 @@ import numpy as np
 from .rng import RngState
 from .tensor import Tensor, add, embedding, gru_cell, layer_norm, matmul
 
+EMBEDDING_STD = 0.02
+
 
 class Module:
     def __init__(self):
@@ -59,21 +61,23 @@ class Module:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state: dict[str, np.ndarray], strict: bool = True):
-        own = dict(self.named_parameters())
-        if strict:
-            missing = sorted(set(own) - set(state))
-            extra = sorted(set(state) - set(own))
-            if missing or extra:
-                raise KeyError(f"state mismatch, missing={missing}, unexpected={extra}")
-        for name, p in own.items():
-            if name not in state:
-                continue
-            arr = np.asarray(state[name])
-            if arr.shape != p.data.shape:
-                raise ValueError(f"{name}: shape {arr.shape} != {p.data.shape}")
-            p.data = arr.astype(p.data.dtype, copy=True)
+    def load_state_dict(self, state: dict[str, np.ndarray]):
+        load_parameters(dict(self.named_parameters()), state)
         return self
+
+
+def load_parameters(own: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
+    """Copy ``state`` into the tensors ``own`` names. A name missing from
+    either side raises KeyError, an array of another shape ValueError."""
+    missing = sorted(set(own) - set(state))
+    extra = sorted(set(state) - set(own))
+    if missing or extra:
+        raise KeyError(f"state mismatch, missing={missing}, unexpected={extra}")
+    for name, p in own.items():
+        arr = np.asarray(state[name])
+        if arr.shape != p.data.shape:
+            raise ValueError(f"{name}: shape {arr.shape} != {p.data.shape}")
+        p.data = arr.astype(p.data.dtype, copy=True)
 
 
 class ModuleList(Module):
@@ -94,38 +98,32 @@ class ModuleList(Module):
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: RngState, bias: bool = True,
-                 dtype=np.float32):
+    def __init__(self, d_in: int, d_out: int, rng: RngState):
         super().__init__()
         bound = 1.0 / math.sqrt(d_in)
         w = (rng.substream("w").uniform((d_in, d_out)) * 2.0 - 1.0) * bound
-        self.w = Tensor(w.astype(dtype), requires_grad=True)
-        if bias:
-            self.b = Tensor(np.zeros(d_out, dtype=dtype), requires_grad=True)
-        else:
-            object.__setattr__(self, "b", None)
+        self.w = Tensor(w.astype(np.float32), requires_grad=True)
+        self.b = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = matmul(x, self.w)
-        return add(y, self.b) if self.b is not None else y
+        return add(matmul(x, self.w), self.b)
 
 
 class Embedding(Module):
-    def __init__(self, count: int, dim: int, rng: RngState, std: float = 0.02,
-                 dtype=np.float32):
+    def __init__(self, count: int, dim: int, rng: RngState):
         super().__init__()
-        w = rng.substream("w").normal((count, dim)) * std
-        self.w = Tensor(w.astype(dtype), requires_grad=True)
+        w = rng.substream("w").normal((count, dim)) * EMBEDDING_STD
+        self.w = Tensor(w.astype(np.float32), requires_grad=True)
 
     def __call__(self, ids) -> Tensor:
         return embedding(self.w, ids)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32):
+    def __init__(self, dim: int):
         super().__init__()
-        self.gamma = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
-        self.beta = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
+        self.gamma = Tensor(np.ones(dim, dtype=np.float32), requires_grad=True)
+        self.beta = Tensor(np.zeros(dim, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta)
@@ -143,15 +141,13 @@ class GRUCell(Module):
     in the order r, z, n; one step is one ``gru_cell`` graph node.
     """
 
-    def __init__(self, d_in: int, d_hidden: int, rng: RngState, dtype=np.float32):
+    def __init__(self, d_in: int, d_hidden: int, rng: RngState):
         super().__init__()
         bound = 1.0 / math.sqrt(d_hidden)
 
         def init(key, shape):
-            return Tensor(
-                ((rng.substream(key).uniform(shape) * 2.0 - 1.0) * bound).astype(dtype),
-                requires_grad=True,
-            )
+            w = (rng.substream(key).uniform(shape) * 2.0 - 1.0) * bound
+            return Tensor(w.astype(np.float32), requires_grad=True)
 
         self.w_ih = init("w_ih", (d_in, 3 * d_hidden))
         self.w_hh = init("w_hh", (d_hidden, 3 * d_hidden))

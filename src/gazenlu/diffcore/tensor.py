@@ -358,16 +358,16 @@ def relu(x: Tensor) -> Tensor:
     return _result(data, (x,), bwd, "relu")
 
 
-def softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Softmax along ``axis``; ``mask`` is an additive constant (0 or NEG_INF)."""
+def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax along the last axis; ``mask`` is an additive constant (0 or NEG_INF)."""
     z = x.data if mask is None else x.data + mask
-    z = z - z.max(axis=axis, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    data = e / e.sum(axis=axis, keepdims=True)
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def bwd():
         def fn(g):
-            dot = (g * data).sum(axis=axis, keepdims=True)
+            dot = (g * data).sum(axis=-1, keepdims=True)
             return (data * (g - dot),)
         return fn
 
@@ -551,10 +551,9 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- randomized / loss ops ----------------------------------------------
 
 
-def dropout(x: Tensor, p: float, rng, train: bool) -> Tensor:
-    """Inverted dropout; identity (the same tensor) when not training."""
-    if not train or p <= 0.0:
-        return x
+def dropout(x: Tensor, p: float, rng) -> Tensor:
+    """Inverted dropout: each entry is kept with probability 1 - p and
+    scaled by 1 / (1 - p). Callers skip it outside training."""
     keep = (rng.uniform(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     data = x.data * keep
 
@@ -569,11 +568,10 @@ def dropout(x: Tensor, p: float, rng, train: bool) -> Tensor:
 def cross_entropy(logits: Tensor, targets) -> Tensor:
     """Mean negative log softmax probability of the target class.
 
-    ``logits`` is (B, C) or (C,); ``targets`` an int vector or scalar.
+    ``logits`` is (B, C); ``targets`` an int vector of length B.
     """
-    squeeze = logits.ndim == 1
-    z = logits.data.reshape(1, -1) if squeeze else logits.data
-    t = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    z = logits.data
+    t = np.asarray(targets, dtype=np.int64)
     if z.ndim != 2 or t.shape != (z.shape[0],):
         raise ShapeError(f"cross_entropy: logits {logits.shape} vs targets {t.shape}")
     if t.size and (t.min() < 0 or t.max() >= z.shape[1]):
@@ -589,24 +587,23 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
             p /= p.sum(axis=1, keepdims=True)
             p[rows, t] -= 1.0
             gx = p * (g / z.shape[0])
-            return (gx[0] if squeeze else gx,)
+            return (gx,)
         return fn
 
     return _result(data, (logits,), bwd, "cross_entropy")
 
 
-def mse_loss(pred: Tensor, target) -> Tensor:
-    """Mean squared error; target may be a constant array or a Tensor."""
-    tgt = _wrap(target)
-    if pred.shape != tgt.shape:
-        raise ShapeError(f"mse_loss: shapes {pred.shape} and {tgt.shape} differ")
-    diff = pred.data - tgt.data
+def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
+    """Mean squared error against a constant target array."""
+    target = np.asarray(target)
+    if pred.shape != target.shape:
+        raise ShapeError(f"mse_loss: shapes {pred.shape} and {target.shape} differ")
+    diff = pred.data - target
     data = np.asarray((diff * diff).mean(), dtype=pred.dtype)
 
     def bwd():
         def fn(g):
-            gp = g * 2.0 * diff / diff.size
-            return (gp, -gp)
+            return (g * 2.0 * diff / diff.size,)
         return fn
 
-    return _result(data, (pred, tgt), bwd, "mse_loss")
+    return _result(data, (pred,), bwd, "mse_loss")

@@ -60,8 +60,8 @@ class GumbelConfig:
     hard_eval: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be > 0, got {self.temperature}")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be finite and > 0, got {self.temperature}")
         if self.mode not in (STRAIGHT_THROUGH, SOFT_CONVOLUTION):
             raise ValueError(f"unknown gumbel mode {self.mode!r}")
 
@@ -73,10 +73,11 @@ class GeneratorConfig:
     l_max: int = 32
 
     def __post_init__(self):
-        if self.d_hidden % 2:
-            raise ValueError("d_hidden must be even (split across directions)")
+        if self.d_hidden < 2 or self.d_hidden % 2:
+            raise ValueError(f"d_hidden must be even (split across directions) "
+                             f"and >= 2, got {self.d_hidden}")
         if self.l_max < 2:
-            raise ValueError("l_max must be >= 2")
+            raise ValueError(f"l_max must be >= 2, got {self.l_max}")
 
     @property
     def n_classes(self) -> int:
@@ -331,6 +332,9 @@ class ScanpathGenerator(Module):
         is and its argmax reported as the fixation; the path ends once
         the expected probability of having stopped reaches
         SOFT_STOP_MASS.
+
+        A live row whose logits are not finite raises FloatingPointError
+        naming the step.
         """
         B, W, h = word_states.shape
         gc = self.cfg
@@ -370,6 +374,11 @@ class ScanpathGenerator(Module):
             logits = self.decode_logits_batch(state, word_states, counts)
             g = np.where(alive[:, None], noise[:, step], 0.0)
             z = mul(add(logits, Tensor(g)), inv_tau)
+            if not np.isfinite(z.data[alive]).all():
+                # a NaN row would argmax to class 0, a move off the sentence
+                raise FloatingPointError(
+                    f"sampler step {step}: a live row's logits are not finite "
+                    f"(non-finite generator parameters or temperature)")
             if dist is None:
                 # a hard step from the current positions; for a soft
                 # path, the entry saccade

@@ -268,6 +268,12 @@ class TextEncoderConfig:
     d_ff: int = 512
     max_len: int = 128
 
+    def __post_init__(self):
+        for name, low in (("d_model", 1), ("n_layers", 0), ("n_heads", 1),
+                          ("d_ff", 1), ("max_len", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+
 
 class MultiHeadAttention(Module):
     def __init__(self, d_model: int, n_heads: int, rng: RngState):
@@ -308,11 +314,11 @@ class EncoderBlock(Module):
         train = self.training and rng is not None
         a = self.attn(self.ln1(x), key_mask)
         if train:
-            a = dropout(a, DROPOUT, rng.substream("attn_drop"), True)
+            a = dropout(a, DROPOUT, rng.substream("attn_drop"))
         x = add(x, a)
         f = self.ff2(relu(self.ff1(self.ln2(x))))
         if train:
-            f = dropout(f, DROPOUT, rng.substream("ff_drop"), True)
+            f = dropout(f, DROPOUT, rng.substream("ff_drop"))
         return add(x, f)
 
 
@@ -350,7 +356,7 @@ class TextEncoder(Module):
         x = add(add(self.tok(token_ids), self.pos(positions)), self.seg(segment_ids))
         train = self.training and rng is not None
         if train:
-            x = dropout(x, DROPOUT, rng.substream("emb_drop"), True)
+            x = dropout(x, DROPOUT, rng.substream("emb_drop"))
         key_mask = ((1.0 - np.asarray(attention_mask, dtype=x.dtype)) * NEG_INF).astype(
             x.dtype
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,16 +49,16 @@ class TrainConfig:
     pretrain_lr: float = 1e-3
 
     def __post_init__(self):
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.n_scanpaths_train < 1:
-            raise ValueError(
-                f"n_scanpaths_train must be >= 1, got {self.n_scanpaths_train}"
-            )
+        for name in ("lr", "pretrain_lr"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 1),
+                          ("n_scanpaths_train", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def load_config(path, overrides: dict | None = None) -> TrainConfig:

@@ -34,6 +34,7 @@ from gazenlu.trainkit import (GazeModel, TrainConfig, accuracy_from_logits,
                               encode_instances, pretrain_generator,
                               train_joint)
 
+pytestmark = pytest.mark.acceptance
 
 # -- shared task suite for criteria 5 and 7 -------------------------------
 

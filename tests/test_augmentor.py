@@ -72,21 +72,19 @@ def test_soft_reorder_mixes_word_embeddings():
 
 
 def test_cls_initializes_state_directly_when_widths_match():
-    enc = ScanpathEncoder(8, 8, RngState(41, 0))
-    assert enc.cls_proj is None
-    cls = Tensor(np.ones((1, 8), dtype=np.float32))
-    assert np.array_equal(enc.init_state(cls).data, cls.data)
-
-
-def test_cls_projected_when_widths_differ():
-    enc = ScanpathEncoder(8, 6, RngState(42, 0))
-    assert enc.cls_proj is not None
-    cls = Tensor(np.ones((1, 8), dtype=np.float32))
-    assert enc.init_state(cls).shape == (1, 6)
+    """The scan GRU is as wide as the text encoder, so [CLS] is its
+    initial state as is: a row with every step masked reads out [CLS]."""
+    enc = ScanpathEncoder(8, RngState(41, 0))
+    cls = Tensor(RngState(42, 0).normal((2, 8)).astype(np.float32))
+    steps = [Tensor(np.ones((2, 8), dtype=np.float32))]
+    with no_grad():
+        out = enc.run_steps(steps, np.array([[0.0], [1.0]]), cls)
+    assert np.array_equal(out.data[0], cls.data[0])
+    assert not np.array_equal(out.data[1], cls.data[1])
 
 
 def test_step_mask_freezes_finished_rows():
-    enc = ScanpathEncoder(4, 4, RngState(43, 0))
+    enc = ScanpathEncoder(4, RngState(43, 0))
     enc.eval()
     r = RngState(44, 0)
     steps = [Tensor(r.substream("x", t).normal((1, 4)).astype(np.float32))
@@ -102,7 +100,7 @@ def test_step_mask_freezes_finished_rows():
 
 def test_encoder_is_order_sensitive(toy_text):
     _, cfg, enc, (cls, words) = toy_text
-    sc = ScanpathEncoder(cfg.d_model, cfg.d_model, RngState(45, 0))
+    sc = ScanpathEncoder(cfg.d_model, RngState(45, 0))
     sc.eval()
 
     def feature(order):
@@ -115,7 +113,7 @@ def test_encoder_is_order_sensitive(toy_text):
 
 
 def test_empty_sequence_rejected():
-    sc = ScanpathEncoder(4, 4, RngState(46, 0))
+    sc = ScanpathEncoder(4, RngState(46, 0))
     with pytest.raises(ValueError):
         sc.run_steps([], np.zeros((1, 0)), Tensor(np.zeros((1, 4), dtype=np.float32)))
 
@@ -140,12 +138,6 @@ def joint_setup():
     return vocab, cfg, model, batch
 
 
-def test_model_config_scan_width_defaults_to_text_width(joint_setup):
-    _, cfg, _, _ = joint_setup
-    assert cfg.d_scan == cfg.text.d_model
-    assert ModelConfig(text=cfg.text, scan_hidden=24).d_scan == 24
-
-
 def test_text_only_model_has_no_generator():
     vocab = build_vocab(["aa aa ab"], 16)
     model = JointModel(_tiny_cfg(vocab, model_kind=TEXT_ONLY), RngState(51, 0))
@@ -167,13 +159,6 @@ def test_generator_unit_covers_generator_and_its_encoder(joint_setup):
     assert any(k.startswith("generator.") for k in state)
     assert any(k.startswith("gen_encoder.") for k in state)
     assert not any(k.startswith("cls_encoder.") for k in state)
-
-
-def test_shared_encoder_collapses_generator_unit():
-    vocab = build_vocab(["aa aa ab"], 16)
-    model = JointModel(_tiny_cfg(vocab, share_text_encoder=True), RngState(53, 0))
-    assert model.gen_encoder is model.cls_encoder
-    assert model.generator_prefixes() == ("generator.",)
 
 
 def test_generator_state_round_trip(joint_setup):

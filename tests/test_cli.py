@@ -1,12 +1,17 @@
 """End-to-end command-line pipeline in a temp directory."""
 
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
 import re
 import shutil
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazenlu import trainkit
 from gazenlu.augmentor import ModelConfig
@@ -236,18 +241,16 @@ def test_model_meta_round_trips_every_field():
                              d_ff=48, max_len=40)
     gumbel = GumbelConfig(temperature=0.3, mode="soft_convolution",
                           hard_eval=True)
-    cfg = ModelConfig(text=text, gen_hidden=18, l_max=9, scan_hidden=20,
+    cfg = ModelConfig(text=text, gen_hidden=18, l_max=9,
                       task_kind="regression", n_classes=5,
-                      share_text_encoder=True, model_kind="text_only",
-                      gumbel=gumbel)
+                      model_kind="text_only", gumbel=gumbel)
     for cls, value in ((ModelConfig, cfg), (TextEncoderConfig, text),
                        (GumbelConfig, gumbel)):
         _non_default(cls, value)
     meta = json.loads(json.dumps(_model_meta(cfg, TrainConfig(lr=2e-4))))
     # the keys existing run directories hold
-    assert set(meta) == {"kind", "text", "gen_hidden", "l_max", "scan_hidden",
-                         "task_kind", "n_classes", "share_text_encoder",
-                         "model_kind", "gumbel", "train"}
+    assert set(meta) == {"kind", "text", "gen_hidden", "l_max", "task_kind",
+                         "n_classes", "model_kind", "gumbel", "train"}
     assert meta["kind"] == "joint" and meta["train"]["lr"] == 2e-4
     assert meta["gumbel"] == {"temperature": 0.3, "mode": "soft_convolution",
                               "hard_eval": True}
@@ -275,8 +278,8 @@ def test_dataset_spec_round_trips_through_suite_json(pipeline):
 # the flags only joint training reads, with a value where they take one
 JOINT_ONLY = [["--lr", "1e-3"], ["--n-scanpaths", "2"], ["--tau", "0.5"],
               ["--freeze-generator"], ["--pretrained-generator"],
-              ["--scan-hidden", "8"], ["--gumbel-mode", "soft_convolution"],
-              ["--hard-eval"], ["--share-text-encoder"], ["--text-only"]]
+              ["--gumbel-mode", "soft_convolution"], ["--hard-eval"],
+              ["--text-only"]]
 
 
 def test_each_verb_rejects_flags_it_would_ignore():
@@ -295,6 +298,9 @@ def test_each_verb_rejects_flags_it_would_ignore():
         task = [verb, "--task", "k", "--data-dir", "d", "--vocab", "v"]
         parser.parse_args(task + [f for flag in JOINT_ONLY for f in flag])
         assert rejected(task + ["--pretrain-lr", "1e-3"]), verb
+        # no flag selects a scan width or a shared encoder
+        assert rejected(task + ["--scan-hidden", "8"]), verb
+        assert rejected(task + ["--share-text-encoder"]), verb
     assert rejected(["build-vocab", "--out", "v", "--max-pieces-per-word", "4"])
 
 
@@ -302,7 +308,7 @@ def test_each_verb_rejects_flags_it_would_ignore():
 GAZE_ONLY = [["--generator", "g.ckpt"], ["--tau", "3"],
              ["--gumbel-mode", "soft_convolution"], ["--hard-eval"],
              ["--n-scanpaths", "5"], ["--no-freeze-generator"],
-             ["--pretrained-generator"], ["--share-text-encoder"]]
+             ["--pretrained-generator"]]
 
 
 @pytest.mark.parametrize("verb", ["train", "crossval", "lowresource", "sweep",
@@ -348,13 +354,15 @@ def test_pretrain_config_needs_no_lr(pipeline):
 
 
 @pytest.mark.parametrize("run, section, key", [
-    ("train", None, "scan_dropout"), ("train", "text", "n_segments"),
+    ("train", None, "scan_dropout"), ("train", None, "scan_hidden"),
+    ("train", "text", "n_segments"),
     ("train", "text", "dropout"), ("train", "train", "tau"),
     ("pre", "text", "n_segments"), ("pre", "train", "tau"),
 ])
 def test_stale_run_directory_exits_one_naming_the_key(pipeline, tmp_path,
                                                       capsys, run, section, key):
-    """model.json from before the single-temperature change, one stale key
+    """model.json from an older version (before the single temperature,
+    or holding the scan width the scan GRU no longer has), one stale key
     at a time."""
     meta = json.load(open(os.path.join(pipeline[run], "model.json")))
     (meta[section] if section else meta)[key] = 0.1
@@ -486,3 +494,87 @@ def test_usage_errors_exit_two(pipeline):
         main(["train", "--task", "keyword", "--data-dir", pipeline["data"],
               "--vocab", pipeline["vocab"]])  # no --lr and no --config
     assert exc.value.code == 2
+
+
+# -- numeric flag ranges ---------------------------------------------------
+
+
+def _ints_below(low):
+    return st.integers(min_value=-10**6, max_value=low - 1).map(str)
+
+
+# not finite, or not above 0 (at or below 0 for >= 0)
+def _bad_rates(zero_ok=False):
+    return st.one_of(st.floats(max_value=0.0, exclude_max=zero_ok),
+                     st.sampled_from([math.nan, math.inf])).map(repr)
+
+
+# flag -> (the setting its error names, out-of-range values)
+SHARED_RANGES = {
+    "--d-model": ("d_model", _ints_below(1)),
+    "--n-layers": ("n_layers", _ints_below(0)),
+    "--n-heads": ("n_heads", _ints_below(1)),
+    "--d-ff": ("d_ff", _ints_below(1)),
+    "--max-len": ("max_len", _ints_below(1)),
+    "--gen-hidden": ("d_hidden", st.one_of(
+        _ints_below(2), st.integers(1, 500).map(lambda n: str(2 * n + 1)))),
+    "--l-max": ("l_max", _ints_below(2)),
+    "--batch-size": ("batch_size", _ints_below(1)),
+    "--max-epochs": ("max_epochs", _ints_below(0)),
+    "--patience": ("patience", _ints_below(1)),
+    "--weight-decay": ("weight_decay", _bad_rates(zero_ok=True)),
+}
+VERB_RANGES = {
+    "pretrain-gaze": {**SHARED_RANGES, "--pretrain-lr": ("pretrain_lr", _bad_rates())},
+    "train": {**SHARED_RANGES, "--lr": ("lr", _bad_rates()),
+              "--tau": ("temperature", _bad_rates()),
+              "--n-scanpaths": ("n_scanpaths_train", _ints_below(1))},
+}
+
+
+def _verb_argv(pipeline, verb):
+    shape = ["--d-model", "32", "--n-layers", "1", "--d-ff", "64",
+             "--gen-hidden", "32", "--max-epochs", "1", "--seed", "7"]
+    if verb == "pretrain-gaze":
+        return [verb, "--train", os.path.join(pipeline["data"], "gaze_train.tsv"),
+                "--dev", os.path.join(pipeline["data"], "gaze_dev.tsv"),
+                "--vocab", pipeline["vocab"]] + shape
+    return [verb, "--task", "keyword", "--data-dir", pipeline["data"],
+            "--vocab", pipeline["vocab"],
+            "--generator", os.path.join(pipeline["pre"], "generator.ckpt"),
+            "--lr", "1e-3", "--batch-size", "8"] + shape
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_RANGES))
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_out_of_range_numeric_flag_exits_one_naming_the_setting(pipeline, verb,
+                                                                data):
+    """Each bad value fails where the settings are built: exit 1, one
+    `error:` line naming the setting, no traceback, no run directory."""
+    flag = data.draw(st.sampled_from(sorted(VERB_RANGES[verb])), label="flag")
+    name, values = VERB_RANGES[verb][flag]
+    value = data.draw(values, label="value")
+    out = pipeline["root"] / "bad_value_run"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        # the flag given last wins over the valid one in the base argv
+        code = main(_verb_argv(pipeline, verb) + [f"{flag}={value}", "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert name in lines[0] and "Traceback" not in err.getvalue()
+    assert not out.exists()
+
+
+def test_diverging_lr_exits_one_before_sampling_a_nan_path(pipeline, capsys,
+                                                           tmp_path):
+    """At lr=1e30 the first update makes the generator non-finite; the
+    next sampler call fails naming its step instead of indexing a
+    NaN row's argmax off the sentence."""
+    out = tmp_path / "joint"
+    code = main(_verb_argv(pipeline, "train") + ["--lr", "1e30", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert re.fullmatch(r"error: sampler step \d+: .* not finite .*\n", err), err
+    assert not (out / "model.ckpt").exists()

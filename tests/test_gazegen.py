@@ -66,13 +66,16 @@ def test_offset_class_round_trip():
 def test_config_validation():
     with pytest.raises(ValueError):
         GeneratorConfig(d_word=4, d_hidden=7, l_max=4)  # odd hidden
+    with pytest.raises(ValueError, match="d_hidden"):
+        GeneratorConfig(d_word=4, d_hidden=0, l_max=4)  # even, but no units
     with pytest.raises(ValueError):
         GeneratorConfig(d_word=4, d_hidden=8, l_max=1)
 
 
 def test_gumbel_config_validation():
-    with pytest.raises(ValueError):
-        GumbelConfig(temperature=0.0)
+    for tau in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="temperature"):
+            GumbelConfig(temperature=tau)
     with pytest.raises(ValueError):
         GumbelConfig(mode="annealed")
     GumbelConfig(mode=SOFT_CONVOLUTION)  # accepted
@@ -399,21 +402,23 @@ def test_soft_gradients_reach_generator(gen, words3):
 # -- relaxed-path gradient fidelity --------------------------------------
 
 
-def test_surrogate_path_gradcheck():
+def _surrogate_gradcheck(n_words: int, cap: int, noise_seed: int, min_rows: int):
     """Finite differences on the relaxed forward agree with backprop
-    through a sampled path (tiny float64 model, fixed noise)."""
+    through a sampled path (tiny float64 model, fixed noise). The path
+    must keep at least ``min_rows`` rows, so the case cannot shrink."""
     cfg = GeneratorConfig(d_word=5, d_hidden=6, l_max=4)
     gen = ScanpathGenerator(cfg, RngState(30, 0))
     for _, t in gen.named_parameters():
         t.data = t.data.astype(np.float64)
-    base = RngState(31, 0).normal((1, 2, cfg.d_word))
-    readout = RngState(32, 0).normal((3, 2))
+    base = RngState(31, 0).normal((1, n_words, cfg.d_word))
+    readout = RngState(32, 0).normal((cap, n_words))
     gcfg = GumbelConfig(temperature=1.0)
 
     def build():
-        ws = gen.encode_words_batch(Tensor(base), np.array([2]))
-        sp = sample(gen, ws, RngState(33, 0).substream("g"), gcfg, cap=3,
-                    surrogate=True)
+        ws = gen.encode_words_batch(Tensor(base), np.array([n_words]))
+        sp = sample(gen, ws, RngState(noise_seed, 0).substream("g"), gcfg,
+                    cap=cap, surrogate=True)
+        assert len(sp.rows) >= min_rows
         loss = None
         for t, row in enumerate(sp.rows):
             term = tsum(mul(row, Tensor(readout[t:t + 1])))
@@ -424,3 +429,24 @@ def test_surrogate_path_gradcheck():
     report = grad_check(build, params, h=1e-5, tol=1e-4, sample=3,
                         rng=RngState(34, 0))
     assert report.ok, report.failures
+
+
+def test_surrogate_path_gradcheck():
+    """A one-step path: the entry fixation, then STOP."""
+    _surrogate_gradcheck(n_words=2, cap=3, noise_seed=33, min_rows=1)
+
+
+def test_surrogate_multi_step_path_gradcheck():
+    """A path of several steps, so gradients also run through the
+    history recurrence and the landing scatter of later steps."""
+    _surrogate_gradcheck(n_words=3, cap=6, noise_seed=40, min_rows=3)
+
+
+@pytest.mark.parametrize("gcfg", [ST, SOFT], ids=["straight_through", "soft"])
+def test_non_finite_generator_fails_naming_the_sampler_step(gcfg, words3):
+    """A NaN parameter makes every row's logits NaN; the sampler raises
+    rather than argmax a NaN row into a move off the sentence."""
+    gen = ScanpathGenerator(CFG, RngState(7, 0))
+    gen.head.w.data[0, 0] = np.nan
+    with pytest.raises(FloatingPointError, match="sampler step 0: .* not finite"):
+        sample(gen, words3, RngState(35, 0).substream("g"), gcfg)

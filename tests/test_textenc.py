@@ -198,6 +198,15 @@ def test_encoder_rejects_bad_ids(small_encoder):
             enc.forward_batch(collate([bad]))
 
 
+@pytest.mark.parametrize("field, value", [("d_model", 0), ("n_layers", -1),
+                                          ("n_heads", 0), ("d_ff", -3),
+                                          ("max_len", 0)])
+def test_encoder_config_rejects_sizes_out_of_range(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be >= "):
+        TextEncoderConfig(vocab_size=10, **{field: value})
+    assert TextEncoderConfig(vocab_size=10, n_layers=0).n_layers == 0
+
+
 def test_encoder_gradcheck_small():
     vocab = build_vocab(["aa aa ab"], 10)
     cfg = TextEncoderConfig(vocab_size=len(vocab.token_to_id), d_model=8,

@@ -162,6 +162,12 @@ def test_train_config_validation():
         TrainConfig(lr=1e-3, batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(lr=1e-3, n_scanpaths_train=0)
+    for bad in ({"lr": float("nan")}, {"lr": float("inf")}, {"pretrain_lr": 0.0},
+                {"pretrain_lr": float("nan")}, {"weight_decay": -1.0},
+                {"weight_decay": float("inf")}, {"max_epochs": -1}):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            TrainConfig(**bad)
+    assert TrainConfig(max_epochs=0, weight_decay=0.0).max_epochs == 0
     # the temperature lives in GumbelConfig only
     assert "tau" not in {f.name for f in dataclasses.fields(TrainConfig)}
 
