@@ -22,7 +22,7 @@ from .diffcore import (
     Module,
     RngState,
     Tensor,
-    blend,
+    concat,
     cross_entropy,
     dropout,
     load_parameters,
@@ -81,16 +81,44 @@ class ScanpathEncoder(Module):
 
     def run_steps(self, steps: list[Tensor], step_mask: np.ndarray, cls: Tensor,
                   rng: RngState | None = None) -> Tensor:
-        """steps[t] is (B, d); mask freezes rows past their last fixation."""
+        """The GRU's last state per row, started from ``cls``; (B, d).
+
+        ``steps[t]`` is (B, d) and ``step_mask`` (B, T) marks each row's
+        steps, a prefix of them. Only the rows still reading are stepped:
+        a row's state is set aside on the step it stops, and the kept
+        states are put back in row order at the end. A row with no steps
+        reads out ``cls``. In training, each step's dropout mask is drawn
+        for the whole (B, d) step from ``rng.substream("drop", t)`` before
+        the live rows are taken from it.
+        """
         if not steps:
             raise ValueError("scanpath encoder needs at least one step")
-        h = cls
+        if (np.diff(step_mask, axis=1) > 0).any():
+            raise ValueError("step mask must mark a prefix of each row's steps")
+        lengths = step_mask.sum(axis=1)
         train = self.training and rng is not None
+        ids = np.arange(cls.shape[0])
+        h = cls
+        parts: list[tuple[np.ndarray, Tensor]] = []   # finished rows, their states
         for t, x in enumerate(steps):
+            live = lengths[ids] > t
+            if not live.all():
+                parts.append((ids[~live], take_rows(h, np.flatnonzero(~live))))
+                ids = ids[live]
+                if not len(ids):
+                    break
+                h = take_rows(h, np.flatnonzero(live))
             if train:
                 x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
-            h = blend(step_mask[:, t].reshape(-1, 1), self.gru(x, h), h)
-        return h
+            if len(ids) < x.shape[0]:
+                x = take_rows(x, ids)
+            h = self.gru(x, h)
+        if len(ids):
+            parts.append((ids, h))
+        if len(parts) == 1:
+            return parts[0][1]
+        order = np.argsort(np.concatenate([i for i, _ in parts]))
+        return take_rows(concat([state for _, state in parts], axis=0), order)
 
 
 class TaskHead(Module):
@@ -116,6 +144,14 @@ class ModelConfig:
     model_kind: str = GAZE
     gumbel: GumbelConfig = field(default_factory=GumbelConfig)
 
+    def __post_init__(self):
+        # the generator's range rules hold for every model kind, so a
+        # text-only run never records a size no gaze model could have
+        self.generator_config()
+
+    def generator_config(self) -> GeneratorConfig:
+        return GeneratorConfig(self.text.d_model, self.gen_hidden, self.l_max)
+
 
 class JointModel(Module):
     """Text encoder + scanpath generator + scanpath encoder + task head.
@@ -130,10 +166,8 @@ class JointModel(Module):
         self.cls_encoder = TextEncoder(cfg.text, rng.substream("cls_enc"))
         if cfg.model_kind == GAZE:
             self.gen_encoder = TextEncoder(cfg.text, rng.substream("gen_enc"))
-            self.generator = ScanpathGenerator(
-                GeneratorConfig(cfg.text.d_model, cfg.gen_hidden, cfg.l_max),
-                rng.substream("generator"),
-            )
+            self.generator = ScanpathGenerator(cfg.generator_config(),
+                                               rng.substream("generator"))
         elif cfg.model_kind != TEXT_ONLY:
             raise ValueError(f"unknown model kind {cfg.model_kind!r}")
         self.scan = ScanpathEncoder(cfg.text.d_model, rng.substream("scan"))

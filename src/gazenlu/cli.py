@@ -11,6 +11,7 @@ under reruns. Exit codes: 0 success, 1 validation or IO failure, 2 usage.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -66,12 +67,14 @@ def _config_hash(resolved: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:10]
 
 
-def _run_dir(args, cfg: TrainConfig | None, seed: int) -> tuple[str, dict]:
-    """Create the verb's run directory; return it and the resolved settings.
+@contextlib.contextmanager
+def _run_dir(args, cfg: TrainConfig | None, seed: int):
+    """The verb's run directory and resolved settings, as a context.
 
     The settings are the verb's flags plus ``cfg``, if given. The directory
     is ``--out``, or else ``{verb}-{hash of the settings}-s{seed}`` under
-    GAZENLU_RUNS.
+    GAZENLU_RUNS. It is created on entry; if the body fails, a directory
+    created here that is still empty is removed again.
     """
     resolved = {k: v for k, v in sorted(vars(args).items())
                 if k not in ("out", "func", "verb") and not callable(v)}
@@ -81,8 +84,14 @@ def _run_dir(args, cfg: TrainConfig | None, seed: int) -> tuple[str, dict]:
         os.environ.get("GAZENLU_RUNS", "runs"),
         f"{args.verb}-{_config_hash(resolved)}-s{seed}",
     )
+    created = not os.path.isdir(path)
     os.makedirs(path, exist_ok=True)
-    return path, resolved
+    try:
+        yield path, resolved
+    except BaseException:
+        if created and not os.listdir(path):
+            os.rmdir(path)
+        raise
 
 
 def _fresh_log(run_dir: str) -> str:
@@ -275,34 +284,34 @@ def _experiment(args, parser):
 
 
 def cmd_make_synthetic(args, parser) -> int:
-    out, resolved = _run_dir(args, None, args.seed)
     suite = make_synthetic_suite(
         args.seed,
         n_gaze_train=args.n_gaze_train, n_gaze_dev=args.n_gaze_dev,
         readers=args.readers,
         n_keyword=tuple(args.n_keyword), n_pairs=tuple(args.n_pairs),
     )
-    write_gaze_corpus(os.path.join(out, "gaze_train.tsv"), suite.gaze_train)
-    write_gaze_corpus(os.path.join(out, "gaze_dev.tsv"), suite.gaze_dev)
-    tasks = {}
-    for name, spec, splits in (
-        ("keyword", suite.keyword_spec,
-         (suite.keyword_train, suite.keyword_dev, suite.keyword_test)),
-        ("pairs", suite.pairs_spec,
-         (suite.pairs_train, suite.pairs_dev, suite.pairs_test)),
-    ):
-        entry = {"spec": dataclasses.asdict(spec)}
-        for split, insts in zip(("train", "dev", "test"), splits):
-            fname = f"{name}_{split}.tsv"
-            write_dataset(os.path.join(out, fname), spec, insts)
-            entry[split] = fname
-        tasks[name] = entry
-    _write_json(os.path.join(out, SUITE_FILE), {
-        "seed": args.seed,
-        "gaze": {"train": "gaze_train.tsv", "dev": "gaze_dev.tsv"},
-        "tasks": tasks,
-    })
-    return _finish(args, out, resolved, None)
+    with _run_dir(args, None, args.seed) as (out, resolved):
+        write_gaze_corpus(os.path.join(out, "gaze_train.tsv"), suite.gaze_train)
+        write_gaze_corpus(os.path.join(out, "gaze_dev.tsv"), suite.gaze_dev)
+        tasks = {}
+        for name, spec, splits in (
+            ("keyword", suite.keyword_spec,
+             (suite.keyword_train, suite.keyword_dev, suite.keyword_test)),
+            ("pairs", suite.pairs_spec,
+             (suite.pairs_train, suite.pairs_dev, suite.pairs_test)),
+        ):
+            entry = {"spec": dataclasses.asdict(spec)}
+            for split, insts in zip(("train", "dev", "test"), splits):
+                fname = f"{name}_{split}.tsv"
+                write_dataset(os.path.join(out, fname), spec, insts)
+                entry[split] = fname
+            tasks[name] = entry
+        _write_json(os.path.join(out, SUITE_FILE), {
+            "seed": args.seed,
+            "gaze": {"train": "gaze_train.tsv", "dev": "gaze_dev.tsv"},
+            "tasks": tasks,
+        })
+        return _finish(args, out, resolved, None)
 
 
 def cmd_build_vocab(args, parser) -> int:
@@ -340,22 +349,22 @@ def cmd_pretrain_gaze(args, parser) -> int:
                       seed=cfg.seed)
     train_recs = load_gaze_corpus(args.train)
     dev_recs = load_gaze_corpus(args.dev)
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-    state, hist = pretrain_generator(
-        model, train_recs, dev_recs, vocab, cfg, log_path=_fresh_log(run_dir)
-    )
-    save_checkpoint(os.path.join(run_dir, "generator.ckpt"), state)
-    vocab.save(os.path.join(run_dir, VOCAB_FILE))
-    _write_json(os.path.join(run_dir, MODEL_META), {
-        "kind": "gaze_pretrain",
-        "text": dataclasses.asdict(text_cfg),
-        "gen_hidden": args.gen_hidden,
-        "l_max": args.l_max,
-        "train": dataclasses.asdict(cfg),
-        "best_epoch": hist["best_epoch"],
-        "best_dev_nll": hist["best_dev_nll"],
-    })
-    return _finish(args, run_dir, resolved, None)
+    with _run_dir(args, cfg, cfg.seed) as (run_dir, resolved):
+        state, hist = pretrain_generator(
+            model, train_recs, dev_recs, vocab, cfg, log_path=_fresh_log(run_dir)
+        )
+        save_checkpoint(os.path.join(run_dir, "generator.ckpt"), state)
+        vocab.save(os.path.join(run_dir, VOCAB_FILE))
+        _write_json(os.path.join(run_dir, MODEL_META), {
+            "kind": "gaze_pretrain",
+            "text": dataclasses.asdict(text_cfg),
+            "gen_hidden": args.gen_hidden,
+            "l_max": args.l_max,
+            "train": dataclasses.asdict(cfg),
+            "best_epoch": hist["best_epoch"],
+            "best_dev_nll": hist["best_dev_nll"],
+        })
+        return _finish(args, run_dir, resolved, None)
 
 
 def cmd_train(args, parser) -> int:
@@ -370,20 +379,20 @@ def cmd_train(args, parser) -> int:
         dev_insts = [train_insts[i] for i in split.dev_ids]
         train_insts = [train_insts[i] for i in split.train_ids]
     model = JointModel(model_cfg, RngState(cfg.seed, 0).substream("model"))
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-    state, hist = train_joint(
-        model, train_insts, dev_insts, vocab, cfg,
-        metric_fn=metric_fn_for(spec.metric_id),
-        generator_state=gen_state, log_path=_fresh_log(run_dir),
-    )
-    save_checkpoint(os.path.join(run_dir, "model.ckpt"), state)
-    vocab.save(os.path.join(run_dir, VOCAB_FILE))
-    meta = _model_meta(model_cfg, cfg)
-    meta["task"] = args.task
-    meta["best_epoch"] = hist["best_epoch"]
-    meta["best_dev_metric"] = hist["best_dev_metric"]
-    _write_json(os.path.join(run_dir, MODEL_META), meta)
-    return _finish(args, run_dir, resolved, None)
+    with _run_dir(args, cfg, cfg.seed) as (run_dir, resolved):
+        state, hist = train_joint(
+            model, train_insts, dev_insts, vocab, cfg,
+            metric_fn=metric_fn_for(spec.metric_id),
+            generator_state=gen_state, log_path=_fresh_log(run_dir),
+        )
+        save_checkpoint(os.path.join(run_dir, "model.ckpt"), state)
+        vocab.save(os.path.join(run_dir, VOCAB_FILE))
+        meta = _model_meta(model_cfg, cfg)
+        meta["task"] = args.task
+        meta["best_epoch"] = hist["best_epoch"]
+        meta["best_dev_metric"] = hist["best_dev_metric"]
+        _write_json(os.path.join(run_dir, MODEL_META), meta)
+        return _finish(args, run_dir, resolved, None)
 
 
 def _load_joint(run_dir: str):
@@ -414,12 +423,12 @@ def cmd_evaluate(args, parser) -> int:
     if checkpoint_hash(ckpt) != hash_before:
         raise RuntimeError("evaluation mutated the model checkpoint")
 
-    run_dir, resolved = _run_dir(args, None, cfg.seed)
-    if report.values:
-        print(f"{spec.metric_id} {report.values[0]:.6f}")
-    else:
-        print(f"{spec.metric_id} undefined: {report.errors[0]}")
-    return _finish(args, run_dir, resolved, {"evaluate": report})
+    with _run_dir(args, None, cfg.seed) as (run_dir, resolved):
+        if report.values:
+            print(f"{spec.metric_id} {report.values[0]:.6f}")
+        else:
+            print(f"{spec.metric_id} undefined: {report.errors[0]}")
+        return _finish(args, run_dir, resolved, {"evaluate": report})
 
 
 def cmd_generate(args, parser) -> int:
@@ -476,10 +485,10 @@ def cmd_crossval(args, parser) -> int:
     exp, splits, cfg = _driver_common(args, parser)
     instances = splits["train"] + splits["dev"] + splits["test"]
     report = run_crossval(exp, instances, cfg, folds=args.folds)
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-    print(f"{report.metric_id} mean {report.mean:.4f} stderr {report.stderr:.4f} "
-          f"over {len(report.values)} folds")
-    return _finish(args, run_dir, resolved, {"crossval": report})
+    with _run_dir(args, cfg, cfg.seed) as (run_dir, resolved):
+        print(f"{report.metric_id} mean {report.mean:.4f} stderr {report.stderr:.4f} "
+              f"over {len(report.values)} folds")
+        return _finish(args, run_dir, resolved, {"crossval": report})
 
 
 def cmd_lowresource(args, parser) -> int:
@@ -488,11 +497,11 @@ def cmd_lowresource(args, parser) -> int:
         exp, splits["train"], splits["test"], cfg,
         Ks=args.ks, data_seeds=args.data_seeds,
     )
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-    for name in sorted(reports):
-        r = reports[name]
-        print(f"{name}: {r.metric_id} mean {r.mean:.4f} stderr {r.stderr:.4f}")
-    return _finish(args, run_dir, resolved, reports)
+    with _run_dir(args, cfg, cfg.seed) as (run_dir, resolved):
+        for name in sorted(reports):
+            r = reports[name]
+            print(f"{name}: {r.metric_id} mean {r.mean:.4f} stderr {r.stderr:.4f}")
+        return _finish(args, run_dir, resolved, reports)
 
 
 def cmd_sweep(args, parser) -> int:
@@ -501,12 +510,12 @@ def cmd_sweep(args, parser) -> int:
         exp, splits["train"], splits["dev"], splits["test"], cfg,
         counts=args.counts, seeds=args.seeds,
     )
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-    reports_to_csv(os.path.join(run_dir, "curve.csv"), points)
-    for count in args.counts:
-        r = points[f"n{count}"]
-        print(f"n_scanpaths={count}: mean {r.mean:.4f} stderr {r.stderr:.4f}")
-    return _finish(args, run_dir, resolved, points)
+    with _run_dir(args, cfg, cfg.seed) as (run_dir, resolved):
+        reports_to_csv(os.path.join(run_dir, "curve.csv"), points)
+        for count in args.counts:
+            r = points[f"n{count}"]
+            print(f"n_scanpaths={count}: mean {r.mean:.4f} stderr {r.stderr:.4f}")
+        return _finish(args, run_dir, resolved, points)
 
 
 def cmd_ablate(args, parser) -> int:
@@ -515,10 +524,10 @@ def cmd_ablate(args, parser) -> int:
         parser.error("--generator checkpoint is required for ablations")
     reports = run_ablations(exp, splits["train"], splits["dev"],
                             splits["test"], cfg)
-    run_dir, resolved = _run_dir(args, cfg, cfg.seed)
-    for name in ABLATIONS:
-        print(f"{name}: {reports[name].metric_id} {reports[name].mean:.4f}")
-    return _finish(args, run_dir, resolved, reports)
+    with _run_dir(args, cfg, cfg.seed) as (run_dir, resolved):
+        for name in ABLATIONS:
+            print(f"{name}: {reports[name].metric_id} {reports[name].mean:.4f}")
+        return _finish(args, run_dir, resolved, reports)
 
 
 def cmd_report(args, parser) -> int:

@@ -36,7 +36,9 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
+    scatter_rows,
     select_steps,
+    shift_mass,
     softmax,
     stack,
     take_rows,
@@ -218,6 +220,20 @@ def standard_op_checks(dtype=np.float64):
     x = _rand(rng.substream("tr"), (6, 4), d)
     idx = np.array([1, 1, 3, 0])
     entry("take_rows", {"x": x}, lambda x=x, idx=idx: readout(take_rows(x, idx), "tr"))
+
+    x = _rand(rng.substream("sr"), (2, 3), d)
+    idx = np.array([3, 0])
+    entry("scatter_rows", {"x": x},
+          lambda x=x, idx=idx: readout(scatter_rows(x, idx, 5), "sr"))
+
+    # rows of 4, 1 and 3 words; offsets that clamp at both ends
+    dist = _rand(rng.substream("shm_d"), (3, 4), d)
+    q = _rand(rng.substream("shm_q"), (3, 5), d)
+    offs = np.array([-3, -1, 0, 1, 2])
+    counts = np.array([4, 1, 3])
+    entry("shift_mass", {"dist": dist, "q": q},
+          lambda dist=dist, q=q, offs=offs, counts=counts:
+          readout(shift_mass(dist, q, offs, counts), "shm"))
 
     x = _rand(rng.substream("ss"), (3, 4, 2), d)
     st = np.array([2, 0, 3])

@@ -12,6 +12,14 @@ tensor in ``add`` or ``mul`` is cast to that tensor's dtype, so a float
 constant never promotes a float32 graph to float64. ``add``, ``mul``,
 ``blend``, ``matmul`` and ``gru_cell`` compute no gradient for a parent
 that does not require one (masks, noise, one-hot rows).
+
+numpy hands a one-row product to GEMV, whose sums round differently
+from GEMM's, so ``matmul`` and ``gru_cell`` send a one-row ``x`` through
+GEMM as two rows. A row's forward value then does not depend on how many
+rows share its batch wherever GEMM rounds a row the same for any row
+count (with OpenBLAS float32, at output widths that are multiples of 16,
+among others), which is what lets the sampler and the scanpath GRU
+shrink their working sets without changing a bit.
 """
 
 from __future__ import annotations
@@ -132,6 +140,13 @@ def _result(data, parents, bwd_factory, op) -> Tensor:
     if _record(parents):
         return Tensor._node(data, parents, bwd_factory(), op)
     return Tensor._leaf(data)
+
+
+def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a 2-d ``a``, through GEMM even when ``a`` has one row."""
+    if a.shape[0] == 1:
+        return np.matmul(np.concatenate([a, a]), b)[:1]
+    return np.matmul(a, b)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -265,7 +280,10 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul: operands must be >=2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    data = np.matmul(a.data, b.data)
+    if a.ndim == 2 and b.ndim == 2:
+        data = _rows_matmul(a.data, b.data)
+    else:
+        data = np.matmul(a.data, b.data)
 
     def bwd():
         ad, bd = a.data, b.data
@@ -314,8 +332,8 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
             f"gru_cell: x {x.shape}, h {h.shape}, w_ih {w_ih.shape}, "
             f"w_hh {w_hh.shape}, b_ih {b_ih.shape}, b_hh {b_hh.shape} do not conform"
         )
-    gi = np.matmul(x.data, w_ih.data) + b_ih.data
-    gh = np.matmul(h.data, w_hh.data) + b_hh.data
+    gi = _rows_matmul(x.data, w_ih.data) + b_ih.data
+    gh = _rows_matmul(h.data, w_hh.data) + b_hh.data
     r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
     z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
     ghn = gh[:, 2 * H:3 * H]
@@ -449,6 +467,68 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         return fn
 
     return _result(data, (x,), bwd, "take_rows")
+
+
+def scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
+    """Rows of ``x`` placed at the distinct rows ``idx`` of ``n`` zero rows,
+    the inverse of ``take_rows``; the backward is ``take_rows``' forward,
+    the gradient's rows ``idx``."""
+    idx = np.asarray(idx)
+    if idx.shape != x.shape[:1]:
+        raise ShapeError(f"scatter_rows: {idx.shape} indices for {x.shape[0]} rows")
+    data = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
+    data[idx] = x.data
+
+    def bwd():
+        def fn(g):
+            return (g[idx],)
+        return fn
+
+    return _result(data, (x,), bwd, "scatter_rows")
+
+
+def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray) -> Tensor:
+    """Move each row's mass by every offset, weighted, landings clamped.
+
+    ``dist`` is (B, W) mass over positions, ``q`` (B, K) weights of the
+    ``offsets`` (K,), and row b's positions are ``0 .. counts[b] - 1``:
+
+        out[b, j] = sum of q[b, k] * dist[b, i] over k and i < counts[b]
+                    with clip(i + offsets[k], 0, counts[b] - 1) == j
+
+    Padding positions neither send nor receive mass. The forward sums each
+    landing's terms in float64; the backward gathers the gradient at
+    every landing, a (B, K, W) array, so memory grows with W, not W².
+    """
+    B, W = dist.shape
+    offsets, counts = np.asarray(offsets), np.asarray(counts)
+    if q.shape != (B, len(offsets)) or counts.shape != (B,):
+        raise ShapeError(f"shift_mass: dist {dist.shape}, q {q.shape}, "
+                         f"{len(offsets)} offsets and {counts.shape} counts do not conform")
+
+    def landings():
+        """(B, K, W) flat index b * W + landing word of each (offset, source)."""
+        land = np.clip(np.arange(W) + offsets[:, None], 0, counts[:, None, None] - 1)
+        return land + (np.arange(B) * W)[:, None, None]
+
+    src = dist.data * (np.arange(W) < counts[:, None])
+    moved = q.data[:, :, None] * src[:, None, :]
+    data = np.bincount(landings().reshape(-1), weights=moved.reshape(-1),
+                       minlength=B * W).reshape(B, W).astype(dist.dtype)
+
+    def bwd():
+        def fn(g):
+            at = g.reshape(-1)[landings()]          # (B, K, W)
+            gd = gq = None
+            if dist.requires_grad:
+                gd = np.matmul(q.data[:, None, :], at)[:, 0, :]
+                gd *= np.arange(W) < counts[:, None]
+            if q.requires_grad:
+                gq = np.matmul(at, src[:, :, None])[:, :, 0]
+            return (gd, gq)
+        return fn
+
+    return _result(data, (dist, q), bwd, "shift_mass")
 
 
 def select_steps(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -36,7 +36,9 @@ from .diffcore import (
     matmul,
     mul,
     reshape,
+    scatter_rows,
     select_steps,
+    shift_mass,
     softmax,
     stack,
     take_rows,
@@ -284,21 +286,6 @@ class ScanpathGenerator(Module):
         scatter[b, c, landing[b, c]] = 1.0
         return scatter
 
-    def _spread_kernel(self, counts: np.ndarray, W: int, dtype) -> np.ndarray:
-        """(B, W*W, C): mass moved i -> j by each offset class.
-
-        Each row's landings clamp to its own last word, so no mass ever
-        reaches the padding. STOP moves nothing.
-        """
-        C = self.cfg.n_classes
-        offs = np.arange(C - 1) - (self.cfg.l_max - 1)
-        kernel = np.zeros((len(counts), W, W, C), dtype=dtype)
-        for b, n in enumerate(counts):
-            src = np.arange(n)[:, None]
-            dst = np.clip(src + offs, 0, n - 1)
-            kernel[b, np.broadcast_to(src, dst.shape), dst, np.arange(C - 1)] = 1.0
-        return kernel.reshape(len(counts), W * W, C)
-
     def sample_gumbel_batch(
         self,
         word_states: Tensor,
@@ -327,11 +314,20 @@ class ScanpathGenerator(Module):
         what finite differences can see.
 
         ``soft_convolution``: each row carries a distribution over its
-        words, moved every step by the relaxed offset distribution, with
-        landings clamped to the row's word range. The row is emitted as
-        is and its argmax reported as the fixation; the path ends once
-        the expected probability of having stopped reaches
-        SOFT_STOP_MASS.
+        words, moved every step by the relaxed offset distribution with
+        landings clamped to the row's word range (one ``shift_mass``
+        node). The row is emitted as is and its argmax reported as the
+        fixation; the path ends once the expected probability of having
+        stopped reaches SOFT_STOP_MASS.
+
+        Only the rows still reading are stepped. A row leaves the working
+        set when it stops or reaches its cap and never returns, so the set
+        only shrinks: on the steps where it does, the rows that stay are
+        gathered with ``take_rows``, and decoding, the masks, the history
+        step and the bookkeeping then run on them alone. Each step's
+        (n, W) rows leave through one ``scatter_rows`` node as a (B, W)
+        tensor, zero for the rows that did not fixate at that step;
+        ``row_mask`` stays (B, S).
 
         A live row whose logits are not finite raises FloatingPointError
         naming the step.
@@ -347,34 +343,27 @@ class ScanpathGenerator(Module):
         )
         if (caps < 1).any():
             raise ValueError("max_fixations must be >= 1")
-        state = self.start_state(B, dt)
-        hid = Tensor(np.zeros((B, h), dtype=dt))
-        positions = np.full(B, -1, dtype=np.int64)
-        alive = np.ones(B, dtype=bool)
-        stopped = np.zeros(B, dtype=bool)
-        n_fix = np.zeros(B, dtype=np.int64)
-        fixations: list[list[int]] = [[] for _ in range(B)]
-        rows: list[Tensor] = []
-        row_mask: list[np.ndarray] = []
-        dist = None     # soft: (B, W) position distribution after entry
-        if soft:
-            kernel = Tensor(self._spread_kernel(counts, W, dt))
-            reach = np.abs(np.arange(C) - (gc.l_max - 1))[None, :] < counts[:, None]
-            reach[:, gc.stop_class] = False
-            move_mask = np.where(reach, 0.0, NEG_INF).astype(np.float32)
-            stop_mask = move_mask.copy()
-            stop_mask[:, gc.stop_class] = 0.0
-            stop_mass = np.zeros(B)
         noise = np.zeros((B, int(caps.max()), C), dtype=dt)
         for b in range(B):
             noise[b, :caps[b]] = rngs[b].gumbel((int(caps[b]), C))
+        offsets = np.arange(C - 1) - (gc.l_max - 1)
+        stopped = np.zeros(B, dtype=bool)
+        fixations: list[list[int]] = [[] for _ in range(B)]
+        rows: list[Tensor] = []
+        row_mask: list[np.ndarray] = []
+        # the working set: the batch rows still reading, and their state
+        ids = np.arange(B)
+        ws, n_words = word_states, counts
+        state = self.start_state(B, dt)
+        hid = Tensor(np.zeros((B, h), dtype=dt))
+        positions = np.full(B, -1, dtype=np.int64)
+        dist = None     # soft: (n, W) position distribution after entry
+        stop_mass = np.zeros(B)
         for step in range(int(caps.max())):
-            if not alive.any():
-                break
-            logits = self.decode_logits_batch(state, word_states, counts)
-            g = np.where(alive[:, None], noise[:, step], 0.0)
-            z = mul(add(logits, Tensor(g)), inv_tau)
-            if not np.isfinite(z.data[alive]).all():
+            n = len(ids)
+            logits = self.decode_logits_batch(state, ws, n_words)
+            z = mul(add(logits, Tensor(noise[ids, step])), inv_tau)
+            if not np.isfinite(z.data).all():
                 # a NaN row would argmax to class 0, a move off the sentence
                 raise FloatingPointError(
                     f"sampler step {step}: a live row's logits are not finite "
@@ -382,52 +371,57 @@ class ScanpathGenerator(Module):
             if dist is None:
                 # a hard step from the current positions; for a soft
                 # path, the entry saccade
-                y = softmax(z, mask=self._additive_masks(positions, counts))
+                y = softmax(z, mask=self._additive_masks(positions, n_words))
                 hard = y.data.argmax(axis=1)
-                live = alive & (hard != gc.stop_class)
-                stopped |= alive & ~live
+                live = hard != gc.stop_class
+                stopped[ids[~live]] = True
                 if not live.any():
                     break
-                scatter = self._landing_scatter(positions, counts, live, W, dt)
-                y_words = reshape(matmul(reshape(y, (B, 1, C)), Tensor(scatter)), (B, W))
+                scatter = self._landing_scatter(positions, n_words, live, W, dt)
+                y_words = reshape(matmul(reshape(y, (n, 1, C)), Tensor(scatter)), (n, W))
                 if soft:
                     dist = y_words
             else:
-                live = alive
+                live = np.ones(n, dtype=bool)
+                move_mask = np.where(np.abs(offsets) < n_words[:, None], 0.0,
+                                     NEG_INF).astype(np.float32)
+                stop_mask = np.concatenate([move_mask, np.zeros((n, 1), np.float32)], axis=1)
                 p_stop = softmax(z, mask=stop_mask).data[:, gc.stop_class]
-                q = softmax(z, mask=move_mask)
-                spread = reshape(matmul(kernel, reshape(q, (B, C, 1))), (B, W, W))
-                dist = reshape(matmul(reshape(dist, (B, 1, W)), spread), (B, W))
-                stop_mass[live] += (1.0 - stop_mass[live]) * p_stop[live]
+                q = softmax(z[:, :C - 1], mask=move_mask)
+                dist = shift_mass(dist, q, offsets, n_words)
+                stop_mass += (1.0 - stop_mass) * p_stop
             if soft:
                 row = dist
                 fix = dist.data.argmax(axis=1)
-                pe = matmul(dist, self.fix_pos.w[0:W, :])
-                stopped |= live & (stop_mass >= SOFT_STOP_MASS)
+                stopped[ids[stop_mass >= SOFT_STOP_MASS]] = True
             else:
-                fix = np.where(live, positions + hard - (gc.l_max - 1), positions)
+                fix = positions + hard - (gc.l_max - 1)
                 if surrogate:
                     row = y_words
                 else:
-                    onehot = np.zeros((B, W), dtype=dt)
+                    onehot = np.zeros((n, W), dtype=dt)
                     onehot[live, fix[live]] = 1.0
                     row = add(y_words, Tensor(onehot - y_words.data))
-                pe = self.fix_pos(np.maximum(fix, 0))
-                positions = fix
-            rows.append(row)
-            row_mask.append(live.astype(np.float32))
-            for b in np.flatnonzero(live):
-                fixations[b].append(int(fix[b]))
-            n_fix[live] += 1
-            moving = live & ~stopped
-            alive = moving & (n_fix < caps)
-            if not alive.any():
+            rows.append(row if n == B else scatter_rows(row, ids, B))
+            row_mask.append(np.zeros(B, dtype=np.float32))
+            row_mask[-1][ids[live]] = 1.0
+            for b, f in zip(ids[live], fix[live]):
+                fixations[b].append(int(f))
+            # every row of the working set has fixated at each step so far
+            keep = live & ~stopped[ids] & (step + 1 < caps[ids])
+            if not keep.any():
                 break
-            word_row = reshape(matmul(reshape(row, (B, 1, W)), word_states), (B, h))
-            out, hn = self.history_step(word_row, pe, hid)
-            m = moving.reshape(B, 1)
-            state = blend(m, out, state)
-            hid = blend(m, hn, hid)
+            if not keep.all():
+                sel = np.flatnonzero(keep)
+                ids, n_words, fix = ids[sel], n_words[sel], fix[sel]
+                ws, hid, row = take_rows(ws, sel), take_rows(hid, sel), take_rows(row, sel)
+                if soft:
+                    dist, stop_mass = row, stop_mass[sel]
+                n = len(ids)
+            pe = matmul(dist, self.fix_pos.w[0:W, :]) if soft else self.fix_pos(fix)
+            word_row = reshape(matmul(reshape(row, (n, 1, W)), ws), (n, h))
+            state, hid = self.history_step(word_row, pe, hid)
+            positions = fix
         mask_arr = (
             np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), dtype=np.float32)
         )

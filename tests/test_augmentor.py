@@ -1,12 +1,17 @@
 """Fixation-ordered classifier: reordering, pooling glue, joint model."""
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gazenlu.augmentor import (CLASSIFICATION, GAZE, JointModel, ModelConfig,
-                               ScanpathEncoder, TEXT_ONLY, average_logits,
-                               fixation_steps)
-from gazenlu.diffcore import RngState, Tensor, matmul, no_grad
+from gazenlu.augmentor import (CLASSIFICATION, GAZE, SCAN_DROPOUT, JointModel,
+                               ModelConfig, ScanpathEncoder, TEXT_ONLY,
+                               average_logits, fixation_steps)
+from gazenlu.diffcore import (RngState, Tensor, backward, blend, dropout, matmul,
+                              mul, no_grad, tsum)
 from gazenlu.gazegen import GumbelConfig, default_max_fixations
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 from gazenlu.trainkit import GazeModel
@@ -96,6 +101,84 @@ def test_step_mask_freezes_finished_rows():
         one = enc.run_steps(steps[:1], np.array([[1.0]]), cls)
     assert np.array_equal(cut.data, one.data)
     assert not np.array_equal(full.data, one.data)
+
+
+def _blend_per_step(enc, steps, step_mask, cls, rng=None):
+    """Oracle: the scan GRU stepping every row at every step, a finished
+    row's state carried on by one masked update per step."""
+    h = cls
+    train = enc.training and rng is not None
+    for t, x in enumerate(steps):
+        if train:
+            x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
+        h = blend(step_mask[:, t].reshape(-1, 1), enc.gru(x, h), h)
+    return h
+
+
+@st.composite
+def _prefix_batches(draw):
+    """(step mask, seed): B rows of prefix masks over T steps, with rows
+    of no steps and rows of every step among them."""
+    B = draw(st.integers(1, 6))
+    T = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.sampled_from([0, T, *range(T + 1)]),
+                            min_size=B, max_size=B))
+    mask = (np.arange(T)[None, :] < np.array(lengths)[:, None]).astype(np.float32)
+    return mask, draw(st.integers(0, 2**16))
+
+
+@given(batch=_prefix_batches(), training=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_run_steps_matches_masked_update_per_step(batch, training):
+    """Stepping only the rows still reading changes nothing: against the
+    per-step masked update, the forward is bit-equal without a graph and
+    within 1e-6 with one, and so is every gradient (eval, and training
+    with dropout). d=16 makes the GRU's products 48 columns wide, a width
+    at which OpenBLAS's GEMM rounds a row the same whatever the number of
+    rows; at some widths (d=38, say) it does not, and the forward then
+    agrees only within 1e-6."""
+    mask, seed = batch
+    B, T = mask.shape
+    d = 16
+    r = RngState(seed, 1)
+    enc = ScanpathEncoder(d, r.substream("enc"))
+    enc.train(training)
+    steps = [Tensor(r.substream("x", t).normal((B, d)).astype(np.float32),
+                    requires_grad=True) for t in range(T)]
+    cls = Tensor(r.substream("cls").normal((B, d)).astype(np.float32),
+                 requires_grad=True)
+    readout = Tensor(r.substream("readout").normal((B, d)).astype(np.float32))
+    drop = r.substream("drop") if training else None
+    leaves = steps + [cls] + [p for _, p in enc.named_parameters()]
+
+    def run(fn, graph):
+        for p in leaves:
+            p.grad = None
+        with nullcontext() if graph else no_grad():
+            out = fn(enc, steps, mask, cls, drop)
+            if graph:
+                backward(tsum(mul(out, readout)))
+        return out.data, [p.grad for p in leaves]
+
+    got, _ = run(ScanpathEncoder.run_steps, graph=False)
+    want, _ = run(_blend_per_step, graph=False)
+    assert np.array_equal(got, want)
+    got, got_grads = run(ScanpathEncoder.run_steps, graph=True)
+    want, want_grads = run(_blend_per_step, graph=True)
+    assert np.abs(got - want).max(initial=0.0) <= 1e-6
+    for g, w in zip(got_grads, want_grads):
+        if w is None or not w.any():
+            assert g is None or not g.any()
+        else:
+            assert np.abs(g - w).max() <= 1e-6
+
+
+def test_run_steps_rejects_a_mask_that_is_not_a_prefix():
+    enc = ScanpathEncoder(4, RngState(47, 0))
+    steps = [Tensor(np.ones((1, 4), dtype=np.float32))] * 2
+    with pytest.raises(ValueError, match="prefix"):
+        enc.run_steps(steps, np.array([[0.0, 1.0]]),
+                      Tensor(np.zeros((1, 4), dtype=np.float32)))
 
 
 def test_encoder_is_order_sensitive(toy_text):

@@ -8,6 +8,8 @@ import math
 import os
 import re
 import shutil
+import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from hypothesis import strategies as st
 
 from gazenlu import trainkit
 from gazenlu.augmentor import ModelConfig
-from gazenlu.cli import (_model_cfg_from_meta, _model_meta, _spec_from_dict,
-                         build_parser, main)
+from gazenlu.cli import (_check_text_only, _model_cfg_from_meta, _model_meta,
+                         _spec_from_dict, build_parser, main)
 from gazenlu.corpus import DatasetSpec, make_synthetic_suite
 from gazenlu.evalkit import load_reports
 from gazenlu.gazegen import GumbelConfig
@@ -578,3 +580,96 @@ def test_diverging_lr_exits_one_before_sampling_a_nan_path(pipeline, capsys,
     assert code == 1
     assert re.fullmatch(r"error: sampler step \d+: .* not finite .*\n", err), err
     assert not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("flags, name", [
+    (["--gen-hidden", "0"], "d_hidden"), (["--gen-hidden", "7"], "d_hidden"),
+    (["--l-max", "1"], "l_max"), (["--gen-hidden", "0", "--l-max", "0"], "d_hidden"),
+])
+def test_text_only_rejects_generator_sizes_out_of_range(pipeline, flags, name):
+    """A text-only model builds no generator, but its model.json records
+    the generator sizes; they obey the generator's range rules."""
+    out = pipeline["root"] / "text_only_sizes"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["train", "--task", "keyword", "--data-dir", pipeline["data"],
+                     "--vocab", pipeline["vocab"], "--lr", "1e-3", "--text-only",
+                     *flags, "--out", str(out)])
+    lines = err.getvalue().splitlines()
+    assert code == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ") and name in lines[0], lines
+    assert "Traceback" not in err.getvalue()
+    assert not out.exists()
+
+
+def _failing_run_argv(pipeline, verb):
+    """A run that fails after its run directory is made: at lr=1e30 the
+    sampler meets a non-finite generator; at l_max=3 the gaze sentences
+    are wider than the generator's span."""
+    if verb == "train":
+        return _verb_argv(pipeline, "train") + ["--lr", "1e30"]
+    return _verb_argv(pipeline, "pretrain-gaze") + ["--l-max", "3"]
+
+
+@pytest.mark.parametrize("verb", ["train", "pretrain-gaze"])
+def test_failed_run_leaves_no_directory_behind(pipeline, capsys, tmp_path, verb):
+    """A run that fails before writing an artifact removes the directory
+    it made, under --out or hash-named under GAZENLU_RUNS; a directory
+    that was there before stays."""
+    argv = _failing_run_argv(pipeline, verb)
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == 1
+    assert not out.exists()
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GAZENLU_RUNS", str(runs))
+        assert main(argv) == 1
+    assert list(runs.iterdir()) == []
+    out.mkdir()
+    assert main(argv + ["--out", str(out)]) == 1
+    assert out.is_dir()
+    assert capsys.readouterr().err.count("error: ") == 3
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+# records its argv (fields ended by \x1f, the call by \x1e) and makes the
+# --out directory the next command of a script may write into
+STUB_GAZENLU = """#!/usr/bin/env bash
+{ printf '%s\\x1f' "$@"; printf '\\x1e'; } >> "$GAZENLU_STUB_LOG"
+args=("$@")
+for ((i = 0; i + 1 < ${#args[@]}; i++)); do
+    if [[ ${args[i]} == --out ]]; then mkdir -p "${args[i + 1]}"; fi
+done
+"""
+
+
+def test_scripts_call_the_cli_with_flags_it_accepts(tmp_path):
+    """Every scripts/*.sh runs under bash against a stub gazenlu, from a
+    copy in a temp directory; each command line it issues parses with the
+    real parser, and a text-only one sets no gaze flag."""
+    stub_dir = tmp_path / "bin"
+    stub_dir.mkdir()
+    (stub_dir / "gazenlu").write_text(STUB_GAZENLU)
+    (stub_dir / "gazenlu").chmod(0o755)
+    shutil.copytree(SCRIPTS, tmp_path / "scripts")
+    parser = build_parser()
+    scripts = sorted(SCRIPTS.glob("*.sh"))
+    assert scripts
+    for script in scripts:
+        log = tmp_path / f"{script.stem}.log"
+        env = {**os.environ, "PATH": f"{stub_dir}{os.pathsep}{os.environ['PATH']}",
+               "GAZENLU_STUB_LOG": str(log)}
+        done = subprocess.run(["bash", str(tmp_path / "scripts" / script.name)],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=30)
+        assert done.returncode == 0, (script.name, done.stderr)
+        calls = [c.split("\x1f")[:-1] for c in log.read_text().split("\x1e")[:-1]]
+        assert calls, script.name
+        for argv in calls:
+            try:
+                args = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{script.name}: gazenlu {' '.join(argv)} does not parse")
+            if getattr(args, "text_only", False):
+                _check_text_only(args)

@@ -6,8 +6,9 @@ from contextlib import nullcontext
 import numpy as np
 import pytest
 
-from gazenlu.diffcore import (NEG_INF, RngState, Tensor, add, grad_check, mul,
-                              no_grad, softmax, tsum)
+from gazenlu.diffcore import (NEG_INF, RngState, Tensor, add, backward,
+                              grad_check, mul, no_grad, shift_mass, softmax,
+                              tsum)
 from gazenlu.gazegen import (GeneratorConfig, GumbelConfig, ScanpathGenerator,
                              SOFT_CONVOLUTION, default_max_fixations)
 
@@ -397,6 +398,101 @@ def test_soft_gradients_reach_generator(gen, words3):
         loss = term if loss is None else add(loss, term)
     loss.backward()
     assert gen.head.w.grad is not None and np.abs(gen.head.w.grad).max() > 0
+
+
+def _spread_kernel_step(dist, q, counts, l_max):
+    """Oracle: the soft step as the (B, W*W, C) kernel matmul it replaced.
+    kernel[b, i, j, c] is 1 where offset class c moves word i of row b to
+    j, landings clamped to the row's words; STOP moves nothing. Returns
+    (next dist, kernel)."""
+    B, W = dist.shape
+    C = q.shape[1]
+    offs = np.arange(C - 1) - (l_max - 1)
+    kernel = np.zeros((B, W, W, C))
+    for b, n in enumerate(counts):
+        src = np.arange(n)[:, None]
+        dst = np.clip(src + offs, 0, n - 1)
+        kernel[b, np.broadcast_to(src, dst.shape), dst, np.arange(C - 1)] = 1.0
+    spread = np.matmul(kernel.reshape(B, W * W, C), q[:, :, None]).reshape(B, W, W)
+    return np.matmul(dist[:, None, :], spread)[:, 0, :], kernel
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_soft_step_matches_spread_kernel_oracle(dtype):
+    """The clamped-landing op moves mass and gradients as the deleted
+    kernel did: rows of 1, 2, 4 and 6 words in one padded batch, offsets
+    of up to +-7, so landings clamp at both ends."""
+    l_max, W = 8, 6
+    C = 2 * l_max
+    counts = np.array([1, 6, 2, 4])
+    r = RngState(36, 0)
+    valid = np.arange(W) < counts[:, None]
+    dist = np.where(valid, r.substream("dist").uniform((4, W)), 0.0)
+    dist /= dist.sum(axis=1, keepdims=True)
+    q = np.exp(r.substream("q").normal((4, C)))
+    q[:, C - 1] = 0.0                               # STOP carries no mass
+    q /= q.sum(axis=1, keepdims=True)
+    g = r.substream("g").normal((4, W))
+    want, kernel = _spread_kernel_step(dist, q, counts, l_max)
+    want_dist = np.einsum("bijc,bc,bj->bi", kernel, q, g)
+    want_q = np.einsum("bijc,bi,bj->bc", kernel, dist, g)
+
+    dist_t = Tensor(dist.astype(dtype), requires_grad=True)
+    q_t = Tensor(q[:, :C - 1].astype(dtype), requires_grad=True)
+    offs = np.arange(C - 1) - (l_max - 1)
+    out = shift_mass(dist_t, q_t, offs, counts)
+    backward(tsum(mul(out, Tensor(g.astype(dtype)))))
+    assert out.dtype == dtype
+    assert np.abs(out.data - want).max() <= 1e-6
+    assert (out.data[~valid] == 0.0).all()
+    assert np.abs(out.data[0, 0] - 1.0) <= 1e-6     # a 1-word row keeps its mass
+    assert np.abs(dist_t.grad - want_dist).max() <= 1e-6
+    assert np.abs(q_t.grad - want_q[:, :C - 1]).max() <= 1e-6
+
+
+def _sample_rows_loss(gen, ws, counts, rngs, cfg, caps, readout, surrogate):
+    """Sample a batch and contract its rows with a fixed readout."""
+    sb = gen.sample_gumbel_batch(ws, counts, rngs, cfg, caps, surrogate=surrogate)
+    loss = None
+    for t, row in enumerate(sb.rows):
+        term = tsum(mul(row, Tensor(readout[:, t, :row.shape[1]])))
+        loss = term if loss is None else add(loss, term)
+    return sb, loss
+
+
+@pytest.mark.parametrize("cfg, surrogate", [(ST, False), (SOFT, False), (ST, True)],
+                         ids=["straight_through", "soft", "surrogate"])
+def test_batch_gradients_match_solo_sampling(cfg, surrogate):
+    """Rows leave the working set at different steps; each row's gradient
+    with respect to its word states is the one it gets sampled alone, and
+    its padding gets none."""
+    gen = ScanpathGenerator(CFG, RngState(37, 0))
+    for _, p in gen.named_parameters():
+        p.data = p.data.astype(np.float64)
+    counts = np.array([3, 5, 1, 4, 2])
+    B, W = len(counts), int(counts.max())
+    caps = np.array([default_max_fixations(int(n)) for n in counts])
+    r = RngState(38, 0)
+    ws = Tensor(np.where((np.arange(W) < counts[:, None])[:, :, None],
+                         r.substream("ws").normal((B, W, CFG.d_hidden)), 0.0),
+                requires_grad=True)
+    readout = r.substream("readout").normal((B, int(caps.max()), W))
+
+    def rngs():
+        return [RngState(39, 0).substream("g", b) for b in range(B)]
+
+    sb, loss = _sample_rows_loss(gen, ws, counts, rngs(), cfg, caps, readout, surrogate)
+    lengths = sb.row_mask.sum(axis=1)
+    assert len(set(lengths)) >= 3, lengths      # rows stop at different steps
+    backward(loss)
+    for b, n in enumerate(counts):
+        solo_ws = Tensor(ws.data[b:b + 1, :n], requires_grad=True)
+        solo, solo_loss = _sample_rows_loss(gen, solo_ws, counts[b:b + 1], rngs()[b:b + 1],
+                                            cfg, caps[b:b + 1], readout[b:b + 1], surrogate)
+        assert solo.fixations[0] == sb.fixations[b]
+        backward(solo_loss)
+        assert np.abs(ws.grad[b, :n] - solo_ws.grad[0]).max() <= 1e-6, b
+        assert (ws.grad[b, n:] == 0.0).all(), b
 
 
 # -- relaxed-path gradient fidelity --------------------------------------
