@@ -27,9 +27,9 @@ from .diffcore import (
     dropout,
     load_parameters,
     matmul,
+    mix_rows,
     mse_loss,
     no_grad,
-    reshape,
     take_rows,
 )
 from .gazegen import (
@@ -67,8 +67,7 @@ def average_logits(per_path: list[np.ndarray]) -> np.ndarray:
 def fixation_steps(rows: list[Tensor], words: Tensor) -> list[Tensor]:
     """GRU inputs in fixation order: each step's (B, W) position weights
     applied to the (B, W, d) word vectors; a one-hot row picks one word."""
-    B = words.shape[0]
-    return [reshape(matmul(reshape(r, (B, 1, -1)), words), (B, -1)) for r in rows]
+    return [mix_rows(r, words) for r in rows]
 
 
 class ScanpathEncoder(Module):

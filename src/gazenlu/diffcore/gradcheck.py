@@ -30,7 +30,9 @@ from .tensor import (
     getitem,
     gru_cell,
     layer_norm,
+    linear,
     matmul,
+    mix_rows,
     mse_loss,
     mul,
     no_grad,
@@ -180,6 +182,22 @@ def standard_op_checks(dtype=np.float64):
     a = _rand(rng.substream("bmm_a"), (2, 3, 4), d)
     b = _rand(rng.substream("bmm_b"), (4, 5), d)
     entry("matmul_batched", {"a": a, "b": b}, lambda a=a, b=b: readout(matmul(a, b), "bmm"))
+
+    x = _rand(rng.substream("lin_x"), (2, 3, 4), d)
+    w = _rand(rng.substream("lin_w"), (4, 5), d)
+    bias = _rand(rng.substream("lin_b"), (5,), d)
+    entry("linear", {"x": x, "w": w, "b": bias},
+          lambda x=x, w=w, bias=bias: readout(linear(x, w, bias), "lin"))
+
+    x = _rand(rng.substream("lin1_x"), (1, 4), d)
+    w = _rand(rng.substream("lin1_w"), (4, 3), d)
+    bias = _rand(rng.substream("lin1_b"), (3,), d)
+    entry("linear_one_row", {"x": x, "w": w, "b": bias},
+          lambda x=x, w=w, bias=bias: readout(linear(x, w, bias), "lin1"))
+
+    a = _rand(rng.substream("mix_w"), (3, 4), d)
+    b = _rand(rng.substream("mix_x"), (3, 4, 2), d)
+    entry("mix_rows", {"w": a, "X": b}, lambda a=a, b=b: readout(mix_rows(a, b), "mix"))
 
     # half-scale inputs: at float32's step of 1e-2, the central difference
     # of the gates' tanh at unit-scale pre-activations is off by ~1e-4

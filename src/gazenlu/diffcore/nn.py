@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import RngState
-from .tensor import Tensor, add, embedding, gru_cell, layer_norm, matmul
+from .tensor import Tensor, embedding, gru_cell, layer_norm, linear
 
 EMBEDDING_STD = 0.02
 
@@ -106,7 +106,7 @@ class Linear(Module):
         self.b = Tensor(np.zeros(d_out, dtype=np.float32), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add(matmul(x, self.w), self.b)
+        return linear(x, self.w, self.b)
 
 
 class Embedding(Module):

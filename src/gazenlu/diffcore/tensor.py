@@ -10,15 +10,17 @@ Training runs in float32; gradient checking builds float64 graphs. A
 graph keeps the dtype of its tensors: a plain number or array meeting a
 tensor in ``add`` or ``mul`` is cast to that tensor's dtype, so a float
 constant never promotes a float32 graph to float64. ``add``, ``mul``,
-``blend``, ``matmul`` and ``gru_cell`` compute no gradient for a parent
-that does not require one (masks, noise, one-hot rows).
+``blend``, ``matmul``, ``linear``, ``mix_rows``, ``gru_cell``, ``concat``
+and ``stack`` compute no gradient for a parent that does not require one
+(masks, noise, one-hot rows, landing scatters).
 
 numpy hands a one-row product to GEMV, whose sums round differently
-from GEMM's, so ``matmul`` and ``gru_cell`` send a one-row ``x`` through
-GEMM as two rows. A row's forward value then does not depend on how many
-rows share its batch wherever GEMM rounds a row the same for any row
-count (with OpenBLAS float32, at output widths that are multiples of 16,
-among others), which is what lets the sampler and the scanpath GRU
+from GEMM's, so ``matmul``, ``linear`` and ``gru_cell`` send a one-row
+``x`` through GEMM as two rows, and ``linear`` runs one GEMM over all the
+leading rows of its input. A row's forward value then does not depend on
+how many rows share its batch wherever GEMM rounds a row the same for any
+row count (with OpenBLAS float32, at output widths that are multiples of
+16, among others), which is what lets the sampler and the scanpath GRU
 shrink their working sets without changing a bit.
 """
 
@@ -273,8 +275,7 @@ def blend(m: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Gradients only for operands that require them; a 2-d ``b`` under a
-    batched ``a`` gets its gradient from one matmul over the flat rows."""
+    """Gradients only for operands that require them."""
     a, b = _wrap(a), _wrap(b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be >=2-d, got {a.shape} and {b.shape}")
@@ -293,15 +294,68 @@ def matmul(a, b) -> Tensor:
             if a.requires_grad:
                 ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
             if b.requires_grad:
-                if bd.ndim == 2:
-                    gb = np.matmul(ad.reshape(-1, ad.shape[-1]).T,
-                                   g.reshape(-1, g.shape[-1]))
-                else:
-                    gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
             return (ga, gb)
         return fn
 
     return _result(data, (a, b), bwd, "matmul")
+
+
+def linear(x, w, b) -> Tensor:
+    """``x @ w + b`` over the last axis of ``x``, one node.
+
+    ``w`` is (d_in, d_out) and ``b`` (d_out,). All leading axes of ``x``
+    are flattened into the rows of one GEMM (a one-row ``x`` still goes
+    through GEMM), so a row's value does not depend on the shape of the
+    batch around it wherever GEMM rounds a row the same for any row count.
+    The backward runs flat GEMMs as well: ``g @ w.T``, ``x.T @ g`` and the
+    column sums of ``g``.
+    """
+    x = _wrap(x)
+    if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not conform")
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    data = _rows_matmul(x2, w.data)
+    data += b.data
+    data = data.reshape(x.shape[:-1] + (d_out,))
+
+    def bwd():
+        def fn(g):
+            g2 = g.reshape(-1, d_out)
+            return (np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None,
+                    np.matmul(x2.T, g2) if w.requires_grad else None,
+                    g2.sum(axis=0) if b.requires_grad else None)
+        return fn
+
+    return _result(data, (x, w, b), bwd, "linear")
+
+
+def mix_rows(w, X) -> Tensor:
+    """Each row's weighted sum of its own rows: out[b] = w[b] @ X[b].
+
+    ``w`` is (B, W) and ``X`` (B, W, d); the result is (B, d). One node
+    for ``reshape(matmul(reshape(w, (B, 1, W)), X), (B, d))``, through the
+    same ``np.matmul`` call, so the forward is bit-identical to it. The
+    backward takes dX as the outer product ``w[:, :, None] * g[:, None, :]``
+    rather than a batched matmul with an inner dimension of one.
+    """
+    w, X = _wrap(w), _wrap(X)
+    if w.ndim != 2 or X.ndim != 3 or X.shape[:2] != w.shape:
+        raise ShapeError(f"mix_rows: weights {w.shape} and rows {X.shape} do not conform")
+    data = np.matmul(w.data[:, None, :], X.data)[:, 0]
+
+    def bwd():
+        def fn(g):
+            gw = gX = None
+            if w.requires_grad:
+                gw = np.matmul(g[:, None, :], np.swapaxes(X.data, 1, 2))[:, 0]
+            if X.requires_grad:
+                gX = w.data[:, :, None] * g[:, None, :]
+            return (gw, gX)
+        return fn
+
+    return _result(data, (w, X), bwd, "mix_rows")
 
 
 def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
@@ -426,12 +480,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 def _row_sums(idx: np.ndarray, g: np.ndarray, like: np.ndarray) -> np.ndarray:
     """Gradient of a row gather: zeros like ``like`` with g's rows summed
     into the rows ``idx`` named. Rows are grouped by a stable sort and
-    each group summed in gather order, so the result is deterministic."""
+    each group summed in gather order, so the result is deterministic.
+    Distinct indices, every gather of a working set, are groups of one:
+    their rows are copied into place without the sort."""
     out = np.zeros_like(like)
     flat = idx.reshape(-1) % like.shape[0]      # negative indices wrap, as in the gather
     if not flat.size:
         return out
     rows = g.reshape((flat.size,) + like.shape[1:])
+    if np.bincount(flat).max() == 1:
+        out[flat] = rows
+        return out
     order = np.argsort(flat, kind="stable")
     ids = flat[order]
     starts = np.flatnonzero(np.concatenate([[True], ids[1:] != ids[:-1]]))
@@ -556,7 +615,8 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         cuts = np.cumsum(sizes)[:-1]
 
         def fn(g):
-            return tuple(np.split(g, cuts, axis=axis))
+            return tuple(part if t.requires_grad else None
+                         for t, part in zip(tensors, np.split(g, cuts, axis=axis)))
         return fn
 
     return _result(data, tuple(tensors), bwd, "concat")
@@ -568,7 +628,9 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
     def bwd():
         def fn(g):
-            return tuple(np.moveaxis(g, axis, 0)[i] for i in range(len(tensors)))
+            parts = np.moveaxis(g, axis, 0)
+            return tuple(part if t.requires_grad else None
+                         for t, part in zip(tensors, parts))
         return fn
 
     return _result(data, tuple(tensors), bwd, "stack")

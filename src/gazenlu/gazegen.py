@@ -34,8 +34,8 @@ from .diffcore import (
     concat,
     cross_entropy,
     matmul,
+    mix_rows,
     mul,
-    reshape,
     scatter_rows,
     select_steps,
     shift_mass,
@@ -202,13 +202,11 @@ class ScanpathGenerator(Module):
     def decode_logits_batch(self, state: Tensor, word_states: Tensor,
                             counts: np.ndarray) -> Tensor:
         """Cross-attention readout; (B, h) x (B, W, h) -> (B, n_classes)."""
-        B, W, h = word_states.shape
-        q = reshape(state, (B, 1, h))
-        scores = mul(matmul(q, transpose(word_states, (0, 2, 1))), 1.0 / math.sqrt(h))
+        W, h = word_states.shape[1:]
+        scores = mul(mix_rows(state, transpose(word_states, (0, 2, 1))), 1.0 / math.sqrt(h))
         pad = (np.arange(W)[None, :] >= counts[:, None])
-        key_mask = (pad * NEG_INF).astype(np.float32).reshape(B, 1, W)
-        attn = softmax(scores, mask=key_mask)
-        ctx = reshape(matmul(attn, word_states), (B, h))
+        attn = softmax(scores, mask=(pad * NEG_INF).astype(np.float32))
+        ctx = mix_rows(attn, word_states)
         return self.head(concat([ctx, state], axis=1))
 
     # -- teacher forcing -------------------------------------------------
@@ -378,7 +376,7 @@ class ScanpathGenerator(Module):
                 if not live.any():
                     break
                 scatter = self._landing_scatter(positions, n_words, live, W, dt)
-                y_words = reshape(matmul(reshape(y, (n, 1, C)), Tensor(scatter)), (n, W))
+                y_words = mix_rows(y, Tensor(scatter))
                 if soft:
                     dist = y_words
             else:
@@ -417,9 +415,8 @@ class ScanpathGenerator(Module):
                 ws, hid, row = take_rows(ws, sel), take_rows(hid, sel), take_rows(row, sel)
                 if soft:
                     dist, stop_mass = row, stop_mass[sel]
-                n = len(ids)
             pe = matmul(dist, self.fix_pos.w[0:W, :]) if soft else self.fix_pos(fix)
-            word_row = reshape(matmul(reshape(row, (n, 1, W)), ws), (n, h))
+            word_row = mix_rows(row, ws)
             state, hid = self.history_step(word_row, pe, hid)
             positions = fix
         mask_arr = (

@@ -73,6 +73,15 @@ def test_soft_reorder_mixes_word_embeddings():
         assert np.abs(step.data - manual).max() < 1e-6
 
 
+def test_fixation_step_is_one_graph_node():
+    """Each step reads its words through one mix_rows node over the row
+    and the word vectors themselves."""
+    words = Tensor(np.ones((2, 3, 4), dtype=np.float32), requires_grad=True)
+    row = Tensor(np.eye(3, dtype=np.float32)[:2], requires_grad=True)
+    (step,) = fixation_steps([row], words)
+    assert step._op == "mix_rows" and step._parents == (row, words)
+
+
 # -- scanpath encoder ----------------------------------------------------
 
 

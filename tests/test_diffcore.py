@@ -11,10 +11,11 @@ from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
                               ModuleList, RngState, ShapeError, Tensor, add,
                               atomic_write, blend, checkpoint_hash, concat,
                               cross_entropy, dropout, grad_check,
-                              is_grad_enabled, layer_norm, load_checkpoint,
-                              matmul, mse_loss, mul, no_grad, relu, reshape,
-                              run_standard_checks, save_checkpoint, softmax,
-                              stack, transpose, tsum)
+                              is_grad_enabled, layer_norm, linear,
+                              load_checkpoint, matmul, mix_rows, mse_loss, mul,
+                              no_grad, relu, reshape, run_standard_checks,
+                              save_checkpoint, softmax, stack, take_rows,
+                              transpose, tsum)
 
 
 # -- gradients -----------------------------------------------------------
@@ -153,6 +154,13 @@ def test_layer_norm_normalizes():
 def test_shape_errors():
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
+    w, b = Tensor(np.ones((3, 2))), Tensor(np.ones(2))
+    for x, bias in ((np.ones(3), b), (np.ones((2, 4)), b), (np.ones((2, 3)), Tensor(np.ones(3)))):
+        with pytest.raises(ShapeError):
+            linear(Tensor(x), w, bias)
+    for wts, rows in (((2, 3), (2, 4, 5)), ((2, 3), (2, 3)), ((3,), (1, 3, 2))):
+        with pytest.raises(ShapeError):
+            mix_rows(Tensor(np.ones(wts)), Tensor(np.ones(rows)))
 
 
 # -- modules -------------------------------------------------------------
@@ -266,6 +274,77 @@ def test_blend_forward_matches_masked_update(dtype):
         blend(m.reshape(5), new, old)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_forward_matches_matmul_plus_bias(dtype):
+    """One linear node computes ``add(matmul(x, w), b)`` bit for bit, for
+    one row, many rows and a (B, T, d) batch."""
+    lin = _cast(Linear(16, 24, RngState(5, 0)), dtype)
+    lin.b.data = RngState(5, 1).normal((24,)).astype(dtype)
+    rng = RngState(5, 2)
+    for shape in ((1, 16), (7, 16), (3, 5, 16), (2, 9, 16)):
+        x = Tensor(rng.substream(shape).normal(shape).astype(dtype))
+        out = lin(x)
+        ref = add(matmul(x, lin.w), lin.b)
+        assert out._op == "linear" and out.dtype == dtype
+        assert out.shape == shape[:-1] + (24,)
+        assert np.array_equal(out.data, ref.data), shape
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mix_rows_forward_matches_reshape_matmul(dtype):
+    """One mix_rows node computes the three-node weighted read bit for
+    bit, also over a transposed operand (the decoder's scores)."""
+    rng = RngState(6, 0)
+    w = Tensor(rng.substream("w").normal((4, 5)).astype(dtype), requires_grad=True)
+    X = Tensor(rng.substream("X").normal((4, 5, 3)).astype(dtype))
+    ref = reshape(matmul(reshape(w, (4, 1, 5)), X), (4, 3))
+    out = mix_rows(w, X)
+    assert out._op == "mix_rows" and out.dtype == dtype
+    assert np.array_equal(out.data, ref.data)
+    q = Tensor(rng.substream("q").normal((4, 3)).astype(dtype))
+    Xt = transpose(X, (0, 2, 1))
+    ref = reshape(matmul(reshape(q, (4, 1, 3)), Xt), (4, 5))
+    assert np.array_equal(mix_rows(q, Xt).data, ref.data)
+
+
+@pytest.mark.parametrize("width", [16, 64, 128])
+def test_linear_rows_do_not_depend_on_row_count(width):
+    """A row's float32 output is the same bits whether its GEMM has 1, 2,
+    3, 17 or 96 rows, or the rows come as 3-d batches of any leading
+    shape. These are the model's widths at the CLI defaults and in the
+    benchmark; the sampler's shrinking working set (its history projection
+    and head are linear layers) and the README's row-independence claim
+    rest on this."""
+    rng = RngState(8, width)
+    for d_in in (width, 2 * width):
+        lin = Linear(d_in, width, rng.substream("lin", d_in))
+        lin.b.data = rng.substream("b", d_in).normal((width,)).astype(np.float32)
+        x = rng.substream("x", d_in).normal((96, d_in)).astype(np.float32)
+        ref = lin(Tensor(x)).data
+        for n in (1, 2, 3, 17):
+            assert np.array_equal(lin(Tensor(x[:n])).data, ref[:n]), (d_in, n)
+        for lead in ((4, 24), (2, 48), (1, 96), (96, 1), (3, 32), (12, 8)):
+            out = lin(Tensor(x.reshape(lead + (d_in,)))).data
+            assert np.array_equal(out.reshape(96, width), ref), (d_in, lead)
+
+
+def test_distinct_row_gradients_are_copies():
+    """A gather of distinct rows (every working-set gather) returns the
+    gradient rows copied into place, negative indices wrapped; repeated
+    rows still sum."""
+    x = Tensor(np.zeros((6, 2)), requires_grad=True)
+    g = np.arange(8.0).reshape(4, 2)
+    out = take_rows(x, np.array([4, -1, 0, 2]))
+    gx = out._backward(g)[0]
+    ref = np.zeros((6, 2))
+    ref[[4, 5, 0, 2]] = g
+    assert np.array_equal(gx, ref)
+    gx = take_rows(x, np.array([1, 3, 1, -5]))._backward(g)[0]
+    ref = np.zeros((6, 2))
+    ref[1], ref[3] = g[0] + g[2] + g[3], g[1]
+    assert np.array_equal(gx, ref)
+
+
 def test_gru_cell_takes_2d_inputs_only():
     cell = GRUCell(3, 2, RngState(0, 0))
     h = Tensor(np.zeros((2, 2), dtype=np.float32))
@@ -286,7 +365,9 @@ def test_constants_take_the_tensor_dtype():
 def test_gradients_skip_constant_operands():
     """Only parents that require grad receive one; a constant matrix in a
     matmul, a constant state in a GRU step, a constant term or factor in
-    add and mul, and a constant side of a blend get none computed."""
+    add and mul, a constant side of a blend, constant parts of a concat or
+    stack, a constant input or bias of a linear layer and either constant
+    operand of a mix_rows get none computed."""
     w = Tensor(np.ones((4, 2)), requires_grad=True)
     c = Tensor(np.ones((3, 5, 4)))
     out = matmul(c, w)
@@ -306,6 +387,22 @@ def test_gradients_skip_constant_operands():
             assert got[1 - live] is None and got[live].shape == (2, 3), op
     out = blend(np.ones((2, 1)), k, t)
     assert out._backward(np.ones(out.shape))[0] is None
+    for op in (concat, stack):
+        out = op([k, t, k], axis=1)
+        got = out._backward(np.ones(out.shape))
+        assert got[0] is None and got[2] is None and got[1].shape == (2, 3), op
+    x = Tensor(np.ones((2, 5, 4)))
+    out = linear(x, w, Tensor(np.ones(2)))
+    got = out._backward(np.ones(out.shape))
+    assert got[0] is None and got[2] is None
+    assert np.array_equal(got[1], np.full((4, 2), 10.0))
+    rows = Tensor(np.ones((2, 3, 4)))
+    out = mix_rows(t, rows)
+    got = out._backward(np.ones(out.shape))
+    assert got[1] is None and np.array_equal(got[0], np.full((2, 3), 4.0))
+    out = mix_rows(k, Tensor(np.ones((2, 3, 4)), requires_grad=True))
+    got = out._backward(np.ones(out.shape))
+    assert got[0] is None and np.array_equal(got[1], np.full((2, 3, 4), 2.0))
 
 
 def test_gru_gradients_flow():

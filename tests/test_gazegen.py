@@ -1,6 +1,7 @@
 """Scanpath generator: masks, teacher forcing, and the batched sampler in
 its straight-through, hard (Gumbel-max) and soft-convolution forms."""
 
+from collections import Counter
 from contextlib import nullcontext
 
 import numpy as np
@@ -138,6 +139,33 @@ def test_step_probs_zero_on_invalid_and_normalized(gen, words3):
     assert p[CFG.stop_class] == 0.0
     assert abs(p.sum() - 1.0) < 1e-6
     assert (p[~valid] == 0.0).all()
+
+
+def op_counts(out: Tensor) -> Counter:
+    """Op nodes reachable from ``out`` the way backward walks them."""
+    counts, seen, todo = Counter(), set(), [out]
+    while todo:
+        t = todo.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            if t._op != "leaf":
+                counts[t._op] += 1
+            todo.extend(p for p in t._parents if p.requires_grad)
+    return counts
+
+
+def test_decode_builds_one_node_per_product(gen):
+    """One decode is seven graph nodes: the attention scores and context
+    are one mix_rows node each and the head is one linear node, with no
+    reshape or matmul around them."""
+    r = RngState(9, 0)
+    state = Tensor(r.substream("s").normal((2, CFG.d_hidden)).astype(np.float32),
+                   requires_grad=True)
+    ws = Tensor(r.substream("ws").normal((2, 4, CFG.d_hidden)).astype(np.float32),
+                requires_grad=True)
+    logits = gen.decode_logits_batch(state, ws, np.array([4, 2]))
+    assert op_counts(logits) == Counter(transpose=1, mix_rows=2, mul=1, softmax=1,
+                                        concat=1, linear=1)
 
 
 def test_word_encoder_rejects_overlong_sentence(gen):
