@@ -8,6 +8,8 @@ compared against the true conditional entropy rather than a guess.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -253,14 +255,31 @@ class MarkovGazeModel:
         p, _ = self.step_distribution(pos, n_words)
         return float(-sum(q * math.log(q) for q in p if q > 0))
 
+    @functools.lru_cache(maxsize=64)
+    def _step_cdfs(self, n_words: int) -> tuple[tuple[float, ...], ...]:
+        """Cumulative step distributions, row ``pos + 1`` for each position."""
+        return tuple(
+            tuple(np.cumsum(self.step_distribution(pos, n_words)[0]).tolist())
+            for pos in range(-1, n_words)
+        )
+
     def sample_path(self, n_words: int, rng: RngState, cap: int | None = None) -> list[int]:
+        """Walk from the virtual start until STOP or ``cap`` fixations.
+
+        Step t draws its move by inverse CDF from uniform t of one
+        ``(cap,)`` call: the right-side search of ``u * cdf[-1]``, clipped
+        to STOP, as a one-draw-per-step walk over the same stream would.
+        """
+        if n_words < 1:
+            raise ValueError(f"a path needs at least 1 word, got n_words={n_words}")
         if cap is None:
             cap = 8 * n_words
+        cdfs = self._step_cdfs(n_words)
         pos = -1
         path: list[int] = []
-        while len(path) < cap:
-            p, _ = self.step_distribution(pos, n_words)
-            k = int(rng.categorical(p))
+        for u in rng.uniform((cap,)).tolist():
+            cdf = cdfs[pos + 1]
+            k = min(bisect.bisect_right(cdf, u * cdf[-1]), 3)
             if k == 3:
                 break
             pos += self.MOVES[k]
@@ -369,6 +388,14 @@ def make_synthetic_suite(
     w_min: int = 4,
     w_max: int = 10,
 ) -> SyntheticSuite:
+    for name, counts in (("n_gaze_train", n_gaze_train), ("n_gaze_dev", n_gaze_dev),
+                         ("n_keyword", n_keyword), ("n_pairs", n_pairs)):
+        if np.min(counts) < 0:
+            raise ValueError(f"{name} must be >= 0, got {counts}")
+    if readers < 1:
+        raise ValueError(f"readers must be >= 1, got {readers}")
+    if not 1 <= w_min <= w_max:
+        raise ValueError(f"need 1 <= w_min <= w_max, got w_min={w_min}, w_max={w_max}")
     markov = markov or MarkovGazeModel()
     root = RngState(seed, 0).substream("synthetic")
     pool = _word_pool(root.substream("pool"), 40)
@@ -381,11 +408,7 @@ def make_synthetic_suite(
         for s in range(n):
             words = _sentence(srng.substream("text", s), pool, w_min, w_max)
             for r in range(readers):
-                path = markov.sample_path(
-                    len(words), srng.substream("path", s, r)
-                )
-                if not path:
-                    path = [0]
+                path = markov.sample_path(len(words), srng.substream("path", s, r))
                 recs.append(GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(words), path))
         return recs
 

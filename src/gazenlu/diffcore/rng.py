@@ -2,11 +2,20 @@
 
 Every source of randomness in the package flows through :class:`RngState`,
 a (seed, stream_id) pair backed by the Philox counter-based bit generator.
-Distinct stream ids select distinct Philox keys, so substreams never
-overlap and any draw sequence is reproducible from its (seed, stream_id)
-alone, independent of what other streams consumed.
+The stream's Philox key is the two words ``[seed, stream_id]``, so any draw
+sequence is reproducible from its (seed, stream_id) alone, independent of
+what other streams consumed. The words are converted as numpy converts a
+``key=[seed, stream_id]`` list: when one of the two is at or above 2^63
+and the other below, the pair goes through float64, so both keep only
+their top 53 significant bits. Distinct stream ids at or above 2^63 beside
+a seed below 2^63 share a key when they round to the same float64 (about
+half of all ``fold_key`` ids are at or above 2^63).
 
-Derived distributions (normal, Gumbel, categorical, shuffle) are computed
+A stream's draws come in sequence: k uniforms drawn in one call are the
+values k one-at-a-time calls would give. Callers rely on this to draw a
+whole walk's or shuffle's uniforms in one call.
+
+Derived distributions (normal, Gumbel, integers, shuffle) are computed
 here from raw uniforms instead of numpy's distribution methods, so the
 exact draw sequence is pinned by this file rather than by numpy internals.
 """
@@ -16,6 +25,7 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 # Guards log(0) in the inverse-CDF transforms below.
@@ -32,6 +42,23 @@ def fold_key(*parts: int | str) -> int:
         h.update(repr(part).encode("utf-8"))
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "little")
+
+
+class _KeyWords(ISeedSequence):
+    """Hands Philox its key words directly.
+
+    ``Philox(key=...)`` first builds a ``SeedSequence`` from OS entropy and
+    then overwrites its output with the key; passing the words as the seed
+    sequence skips that draw and yields the same generator.
+    """
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
 
 
 class RngState:
@@ -54,9 +81,9 @@ class RngState:
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(
-                np.random.Philox(key=[self.seed, self.stream_id])
-            )
+            # the same conversion numpy applies to ``key=[seed, stream_id]``
+            words = np.asarray([self.seed, self.stream_id]).astype(np.uint64)
+            self._gen = np.random.Generator(np.random.Philox(_KeyWords(words)))
         return self._gen
 
     # -- draw helpers ---------------------------------------------------
@@ -88,21 +115,14 @@ class RngState:
         return np.minimum(out, high - 1)
 
     def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffled copy of ``items``."""
+        """Fisher-Yates shuffled copy of ``items``.
+
+        Swap k (i = n-1-k) takes ``j = min(floor(u_k * (i+1)), i)`` from
+        one call's uniforms, which is what ``integers(0, i+1)`` computes.
+        """
         out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = int(self.integers(0, i + 1))
+        u = self.generator.random(max(len(out) - 1, 0)).tolist()
+        for i, u_k in zip(range(len(out) - 1, 0, -1), u):
+            j = min(int(u_k * (i + 1)), i)
             out[i], out[j] = out[j], out[i]
         return out
-
-    def categorical(self, probs: np.ndarray) -> int:
-        """One draw from a discrete distribution by inverse CDF.
-
-        Accepts unnormalized nonnegative weights with a positive total.
-        """
-        probs = np.asarray(probs, dtype=np.float64)
-        if (probs < 0).any() or probs.sum() <= 0:
-            raise ValueError(f"weights must be nonnegative with positive sum, got {probs}")
-        u = float(self.generator.random())
-        cdf = np.cumsum(probs)
-        return int(np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, len(probs) - 1))

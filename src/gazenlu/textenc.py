@@ -114,17 +114,18 @@ def build_vocab(lines, vocab_size: int) -> Vocab:
     """
     if vocab_size < 5:
         raise ValueError(f"vocab_size must be >= 5, got {vocab_size}")
-    words: list[str] = []
+    words: Counter[str] = Counter()
     for line in lines:
-        words.extend(line.lower().split())
+        words.update(line.lower().split())
     if not words:
         raise ValueError("empty corpus")
     chars = sorted({c for w in words for c in w})
+    # each distinct word's n-grams once, weighted by how often it occurs
     grams: Counter[str] = Counter()
-    for w in words:
+    for w, count in words.items():
         for n in range(2, MAX_NGRAM + 1):
             for i in range(len(w) - n + 1):
-                grams[w[i:i + n]] += 1
+                grams[w[i:i + n]] += count
     toks = list(SPECIALS) + chars
     room = vocab_size - len(toks)
     ranked = sorted(

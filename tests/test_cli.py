@@ -526,7 +526,21 @@ SHARED_RANGES = {
     "--patience": ("patience", _ints_below(1)),
     "--weight-decay": ("weight_decay", _bad_rates(zero_ok=True)),
 }
+# three counts, one of them out of range
+def _bad_count_triples():
+    return st.permutations([_ints_below(0), st.integers(0, 5).map(str),
+                            st.integers(0, 5).map(str)]).flatmap(
+        lambda parts: st.tuples(*parts).map(" ".join))
+
+
 VERB_RANGES = {
+    "make-synthetic": {
+        "--n-gaze-train": ("n_gaze_train", _ints_below(0)),
+        "--n-gaze-dev": ("n_gaze_dev", _ints_below(0)),
+        "--readers": ("readers", _ints_below(1)),
+        "--n-keyword": ("n_keyword", _bad_count_triples()),
+        "--n-pairs": ("n_pairs", _bad_count_triples()),
+    },
     "pretrain-gaze": {**SHARED_RANGES, "--pretrain-lr": ("pretrain_lr", _bad_rates())},
     "train": {**SHARED_RANGES, "--lr": ("lr", _bad_rates()),
               "--tau": ("temperature", _bad_rates()),
@@ -535,6 +549,9 @@ VERB_RANGES = {
 
 
 def _verb_argv(pipeline, verb):
+    if verb == "make-synthetic":
+        return [verb, "--seed", "11", "--n-gaze-train", "4", "--n-gaze-dev", "2",
+                "--n-keyword", "4", "2", "2", "--n-pairs", "4", "2", "2"]
     shape = ["--d-model", "32", "--n-layers", "1", "--d-ff", "64",
              "--gen-hidden", "32", "--max-epochs", "1", "--seed", "7"]
     if verb == "pretrain-gaze":
@@ -559,9 +576,11 @@ def test_out_of_range_numeric_flag_exits_one_naming_the_setting(pipeline, verb,
     value = data.draw(values, label="value")
     out = pipeline["root"] / "bad_value_run"
     err = io.StringIO()
+    # a three-count flag takes its counts as separate arguments
+    given = [flag, *value.split()] if " " in value else [f"{flag}={value}"]
     with contextlib.redirect_stderr(err):
         # the flag given last wins over the valid one in the base argv
-        code = main(_verb_argv(pipeline, verb) + [f"{flag}={value}", "--out", str(out)])
+        code = main(_verb_argv(pipeline, verb) + given + ["--out", str(out)])
     lines = err.getvalue().splitlines()
     assert code == 1
     assert len(lines) == 1 and lines[0].startswith("error: "), lines

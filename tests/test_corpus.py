@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazenlu.corpus import (CLASSES, DatasetSpec, GazeRecord, MarkovGazeModel,
-                            PAIR, REAL, SINGLE, TextInstance, kfold,
-                            load_dataset, load_gaze_corpus, low_resource_split,
-                            make_synthetic_suite, write_dataset,
-                            write_gaze_corpus)
+                            PAIR, REAL, SINGLE, TextInstance, _sentence,
+                            _word_pool, kfold, load_dataset, load_gaze_corpus,
+                            low_resource_split, make_synthetic_suite,
+                            write_dataset, write_gaze_corpus)
 from gazenlu.diffcore import RngState
 
 # entropy of the fully-interior move distribution (0.6, 0.25, 0.15),
@@ -134,6 +134,25 @@ def test_sample_path_deterministic_and_capped():
     assert a == b
     capped = m.sample_path(6, RngState(73, 0).substream("p"), cap=2)
     assert len(capped) <= 2
+
+
+def test_sample_path_needs_a_word():
+    with pytest.raises(ValueError, match="n_words"):
+        MarkovGazeModel().sample_path(0, RngState(0, 0))
+
+
+def test_sample_path_step_frequencies_match_step_distribution():
+    """The entry move, then the move from word 0 (STOP included)."""
+    m = MarkovGazeModel()
+    rng = RngState(75, 0)
+    paths = [m.sample_path(5, rng.substream("p", k)) for k in range(20_000)]
+    p_entry, _ = m.step_distribution(-1, 5)
+    first = np.bincount([p[0] for p in paths], minlength=2)
+    assert np.abs(first / len(paths) - p_entry[[0, 2]]).max() < 0.01
+    p0, _ = m.step_distribution(0, 5)
+    nxt = [p[1] if len(p) > 1 else "stop" for p in paths if p[0] == 0]
+    freq = [nxt.count(f) / len(nxt) for f in (1, 2, "stop")]
+    assert np.abs(np.array(freq) - p0[[0, 2, 3]]).max() < 0.015
 
 
 def test_observed_nll_converges_to_pooled_entropy():
@@ -461,6 +480,55 @@ def test_suite_is_deterministic(tiny_suite):
     assert again.gaze_train == tiny_suite.gaze_train
     assert again.keyword_train == tiny_suite.keyword_train
     assert again.pairs_test == tiny_suite.pairs_test
+
+
+def _walk_per_step(m, n_words, rng):
+    """The walk as one inverse-CDF draw per step."""
+    pos, path = -1, []
+    while len(path) < 8 * n_words:
+        p, _ = m.step_distribution(pos, n_words)
+        cdf = np.cumsum(p)
+        u = float(rng.uniform())
+        k = int(np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, 3))
+        if k == 3:
+            break
+        pos += m.MOVES[k]
+        path.append(pos)
+    return path
+
+
+def _gaze_per_step(seed, tag, n, readers, w_min, w_max):
+    root = RngState(seed, 0).substream("synthetic")
+    pool = _word_pool(root.substream("pool"), 40)
+    srng = root.substream("gaze", tag)
+    recs = []
+    for s in range(n):
+        words = _sentence(srng.substream("text", s), pool, w_min, w_max)
+        for r in range(readers):
+            path = _walk_per_step(MarkovGazeModel(), len(words), srng.substream("path", s, r))
+            recs.append(GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(words), path or [0]))
+    return recs
+
+
+@pytest.mark.parametrize("sizes", [
+    dict(n_gaze_train=40, n_gaze_dev=10, n_keyword=(200, 60, 60), n_pairs=(80, 30, 30)),
+    dict(n_gaze_train=150, n_gaze_dev=40, n_keyword=(150, 200, 300),
+         n_pairs=(10, 10, 10), w_min=8, w_max=16, readers=3),
+])
+def test_suite_gaze_matches_per_step_walk(sizes):
+    suite = make_synthetic_suite(42, **sizes)
+    readers, w_min, w_max = (sizes.get(k, d) for k, d in
+                             (("readers", 2), ("w_min", 4), ("w_max", 10)))
+    for tag, recs in (("train", suite.gaze_train), ("dev", suite.gaze_dev)):
+        n = sizes[f"n_gaze_{tag}"]
+        assert recs == _gaze_per_step(42, tag, n, readers, w_min, w_max)
+
+
+@pytest.mark.parametrize("w_min, w_max", [(0, 4), (-1, 4), (5, 4)])
+def test_suite_rejects_word_counts_it_cannot_use(w_min, w_max):
+    # the other counts are checked through `make-synthetic` in test_cli
+    with pytest.raises(ValueError, match="w_min"):
+        make_synthetic_suite(0, w_min=w_min, w_max=w_max)
 
 
 def test_gaze_records_obey_the_walk(tiny_suite):

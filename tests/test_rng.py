@@ -1,7 +1,6 @@
 """Counter-based RNG: keyed substreams, pinned draw recipes."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -85,24 +84,6 @@ def test_shuffled_does_not_mutate_input():
     assert items == [3, 1, 2]
 
 
-def test_categorical_frequencies():
-    p = np.array([0.6, 0.25, 0.15])
-    rng = RngState(5, 0)
-    draws = np.array([rng.substream("c", i).categorical(p) for i in range(20_000)])
-    freq = np.bincount(draws, minlength=3) / len(draws)
-    assert np.abs(freq - p).max() < 0.01
-
-
-def test_categorical_validates():
-    rng = RngState(0, 0)
-    with pytest.raises(ValueError):
-        rng.categorical(np.array([0.5, -0.1]))
-    with pytest.raises(ValueError):
-        rng.categorical(np.array([0.0, 0.0]))
-    # unnormalized nonnegative weights are fine
-    assert rng.categorical(np.array([2.0, 0.0])) == 0
-
-
 def test_generator_independent_of_draw_order():
     # drawing from one substream does not shift a sibling substream
     base = RngState(11, 0)
@@ -111,3 +92,65 @@ def test_generator_independent_of_draw_order():
     right_after = base.substream("right").uniform((8,))
     right_fresh = RngState(11, 0).substream("right").uniform((8,))
     assert np.array_equal(right_after, right_fresh)
+
+
+# the stream keys as ``Philox(key=[seed, stream_id])`` sets them. An id
+# within 2**10 of 2**64 beside a low seed rounds to 2**64, which overflows
+# the uint64 cast (numpy warns), so the ids stay below that.
+MAX_ID = 2**64 - 2**11
+KEY_SEEDS = [0, 7, 2**53 + 1, 2**63 + 5]
+KEY_IDS = [0, 1, 2**53 + 1, 2**63 - 1, 2**63, 10414409415227832210, MAX_ID,
+           fold_key(0, "synthetic"), fold_key(fold_key(0, "synthetic"), "pool"),
+           fold_key(3, "text", 12), fold_key(11, "gaze", "train")]
+
+
+def test_stream_keys_match_philox_key_list():
+    assert any(i >= 2**63 for i in KEY_IDS[7:]) and any(i < 2**63 for i in KEY_IDS[7:])
+    for seed in KEY_SEEDS:
+        for stream_id in KEY_IDS:
+            ref = np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+            gen = RngState(seed, stream_id).generator
+            want, got = ref.bit_generator.state["state"], gen.bit_generator.state["state"]
+            assert np.array_equal(got["key"], want["key"]), (seed, stream_id)
+            assert np.array_equal(got["counter"], want["counter"])
+            assert np.array_equal(gen.random(64), ref.random(64)), (seed, stream_id)
+
+
+def test_high_stream_ids_beside_a_low_seed_keep_53_bits():
+    # numpy builds the key list [seed, id] as float64 when only id is >= 2**63
+    words = RngState(0, 10414409415227832210).generator.bit_generator.state["state"]["key"]
+    assert words.tolist() == [0, 10414409415227832320]
+    assert np.array_equal(RngState(0, 2**63 + 1).uniform((8,)),
+                          RngState(0, 2**63).uniform((8,)))
+    assert not np.array_equal(RngState(2**63, 2**63 + 1).uniform((8,)),
+                              RngState(2**63, 2**63).uniform((8,)))
+
+
+@given(k=st.integers(0, 300), cuts=st.lists(st.integers(0, 300), max_size=6),
+       key=st.integers(0, MAX_ID))
+@settings(max_examples=60, deadline=None)
+def test_one_call_draws_equal_any_split(k, cuts, key):
+    """k uniforms from one call are the k values drawn in pieces."""
+    whole = RngState(13, key).uniform((k,))
+    bounds = sorted({0, k, *(c for c in cuts if c <= k)})
+    rng = RngState(13, key)
+    pieces = [rng.uniform((b - a,)) for a, b in zip(bounds, bounds[1:])]
+    one_by_one = RngState(13, key)
+    assert np.array_equal(np.concatenate([np.empty(0), *pieces]), whole)
+    assert np.array_equal([one_by_one.uniform() for _ in range(min(k, 20))], whole[:20])
+
+
+def _shuffled_per_swap(rng, items):
+    """The shuffle as one ``integers`` draw per swap."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = int(rng.integers(0, i + 1))
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+@given(n=st.integers(0, 400), key=st.integers(0, MAX_ID))
+@settings(max_examples=60, deadline=None)
+def test_shuffled_matches_per_swap_draws(n, key):
+    items = list(range(n))
+    assert RngState(9, key).shuffled(items) == _shuffled_per_swap(RngState(9, key), items)

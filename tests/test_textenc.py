@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazenlu.diffcore import RngState, grad_check, no_grad
-from gazenlu.textenc import (CLS_ID, MAX_PIECES_PER_WORD, PAD_ID, SEP_ID,
-                             UNK_ID, Batch, TextEncoder, TextEncoderConfig,
-                             Vocab, build_vocab, collate, tokenize)
+from gazenlu.textenc import (CLS_ID, MAX_NGRAM, MAX_PIECES_PER_WORD,
+                             MIN_NGRAM_COUNT, PAD_ID, SEP_ID, SPECIALS, UNK_ID,
+                             Batch, TextEncoder, TextEncoderConfig, Vocab,
+                             build_vocab, collate, tokenize)
 
 
 # -- vocabulary ----------------------------------------------------------
@@ -37,6 +38,27 @@ def test_build_vocab_ranking_prefers_frequency_then_lexicographic():
     vocab = build_vocab(["ab ab ab cd cd"] * 3, 10)
     ids = vocab.token_to_id
     assert ids["ab"] < ids["cd"]  # higher count wins the earlier slot
+
+
+def _vocab_per_occurrence(lines, vocab_size):
+    """The vocabulary with every word occurrence's n-grams counted anew."""
+    words = [w for line in lines for w in line.lower().split()]
+    grams = {}
+    for w in words:
+        for n in range(2, MAX_NGRAM + 1):
+            for i in range(len(w) - n + 1):
+                grams[w[i:i + n]] = grams.get(w[i:i + n], 0) + 1
+    toks = list(SPECIALS) + sorted({c for w in words for c in w})
+    ranked = sorted((g for g, c in grams.items() if c >= MIN_NGRAM_COUNT),
+                    key=lambda g: (-grams[g], g))
+    return toks + ranked[:max(vocab_size - len(toks), 0)]
+
+
+@pytest.mark.parametrize("vocab_size", [5, 60, 512, 4096])
+def test_build_vocab_matches_per_occurrence_count(tiny_suite, vocab_size):
+    lines = tiny_suite.vocab_lines() + ["Mixed CASE words", "tiny a aa aaa"]
+    vocab = build_vocab(lines, vocab_size)
+    assert list(vocab.token_to_id) == _vocab_per_occurrence(lines, vocab_size)
 
 
 def pieces_to_names(vocab, ids):
