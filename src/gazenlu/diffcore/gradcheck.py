@@ -22,13 +22,13 @@ from .tensor import (
     Tensor,
     add,
     backward,
-    blend,
     concat,
     cross_entropy,
     dropout,
     embedding,
     getitem,
     gru_cell,
+    gru_seq,
     layer_norm,
     linear,
     matmul,
@@ -39,7 +39,6 @@ from .tensor import (
     relu,
     reshape,
     scatter_rows,
-    select_steps,
     shift_mass,
     softmax,
     stack,
@@ -199,6 +198,11 @@ def standard_op_checks(dtype=np.float64):
     b = _rand(rng.substream("mix_x"), (3, 4, 2), d)
     entry("mix_rows", {"w": a, "X": b}, lambda a=a, b=b: readout(mix_rows(a, b), "mix"))
 
+    a = _rand(rng.substream("mix3_w"), (3, 2, 4), d)
+    b = _rand(rng.substream("mix3_x"), (3, 4, 2), d)
+    entry("mix_rows_steps", {"w": a, "X": b},
+          lambda a=a, b=b: readout(mix_rows(a, b), "mix3"))
+
     # half-scale inputs: at float32's step of 1e-2, the central difference
     # of the gates' tanh at unit-scale pre-activations is off by ~1e-4
     # (float64 at that step too), the size of the tolerance
@@ -208,11 +212,18 @@ def standard_op_checks(dtype=np.float64):
                             ("w_hh", (4, 12)), ("b_ih", (12,)), ("b_hh", (12,)))}
     entry("gru_cell", gru, lambda p=gru: readout(gru_cell(**p), "gru"))
 
-    a = _rand(rng.substream("blend_new"), (3, 4), d)
-    b = _rand(rng.substream("blend_old"), (3, 4), d)
-    m = np.array([[1.0], [0.0], [1.0]], dtype=d)
-    entry("blend", {"new": a, "old": b},
-          lambda a=a, b=b, m=m: readout(blend(m, a, b), "blend"))
+    # rows of 3, 0 and 2 of 3 steps, each direction; the readout also
+    # reaches the carried states, the zero-length row's h0 among them
+    lengths = np.array([3, 0, 2])
+    for reverse in (False, True):
+        key = "gru_seq_rev" if reverse else "gru_seq"
+        seq = {k: Tensor((0.5 * rng.substream(key, k).normal(shape)).astype(d),
+                         requires_grad=True)
+               for k, shape in (("x", (3, 3, 2)), ("h0", (3, 4)), ("w_ih", (2, 12)),
+                                ("w_hh", (4, 12)), ("b_ih", (12,)), ("b_hh", (12,)))}
+        entry(key, seq, lambda p=seq, r=reverse, k=key, n=lengths:
+              readout(gru_seq(p["x"], n, p["h0"], p["w_ih"], p["w_hh"],
+                              p["b_ih"], p["b_hh"], reverse=r), k))
 
     x = Tensor(rng.substream("relu").normal((7,)).astype(d) + 0.3, requires_grad=True)
     entry("relu", {"x": x}, lambda x=x: readout(relu(x), "relu"))
@@ -252,10 +263,6 @@ def standard_op_checks(dtype=np.float64):
     entry("shift_mass", {"dist": dist, "q": q},
           lambda dist=dist, q=q, offs=offs, counts=counts:
           readout(shift_mass(dist, q, offs, counts), "shm"))
-
-    x = _rand(rng.substream("ss"), (3, 4, 2), d)
-    st = np.array([2, 0, 3])
-    entry("select_steps", {"x": x}, lambda x=x, st=st: readout(select_steps(x, st), "ss"))
 
     a = _rand(rng.substream("cat_a"), (2, 3), d)
     b = _rand(rng.substream("cat_b"), (2, 2), d)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import RngState
-from .tensor import Tensor, embedding, gru_cell, layer_norm, linear
+from .tensor import Tensor, embedding, gru_cell, gru_seq, layer_norm, linear
 
 EMBEDDING_STD = 0.02
 
@@ -138,7 +138,9 @@ class GRUCell(Module):
         h' = (1 - z) * n + z * h
 
     The three gates live in fused (d_in, 3h) / (h, 3h) weights, sliced
-    in the order r, z, n; one step is one ``gru_cell`` graph node.
+    in the order r, z, n; one step is one ``gru_cell`` graph node, and
+    ``seq`` runs whole sequences whose inputs are all known as one
+    ``gru_seq`` node.
     """
 
     def __init__(self, d_in: int, d_hidden: int, rng: RngState):
@@ -156,3 +158,8 @@ class GRUCell(Module):
 
     def __call__(self, x: Tensor, h: Tensor) -> Tensor:
         return gru_cell(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
+
+    def seq(self, x: Tensor, lengths, h0: Tensor, reverse: bool = False) -> Tensor:
+        """(B, T, H) states over (B, T, d_in) inputs; see ``gru_seq``."""
+        return gru_seq(x, lengths, h0, self.w_ih, self.w_hh, self.b_ih, self.b_hh,
+                       reverse=reverse)

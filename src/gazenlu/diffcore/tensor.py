@@ -9,19 +9,30 @@ accumulate gradients in the same order and produce bit-identical results.
 Training runs in float32; gradient checking builds float64 graphs. A
 graph keeps the dtype of its tensors: a plain number or array meeting a
 tensor in ``add`` or ``mul`` is cast to that tensor's dtype, so a float
-constant never promotes a float32 graph to float64. ``add``, ``mul``,
-``blend``, ``matmul``, ``linear``, ``mix_rows``, ``gru_cell``, ``concat``
-and ``stack`` compute no gradient for a parent that does not require one
-(masks, noise, one-hot rows, landing scatters).
+constant never promotes a float32 graph to float64.
+
+The ops: elementwise ``add``, ``mul``, ``relu`` and ``softmax``;
+``matmul``, ``linear`` (matmul plus bias) and ``mix_rows`` (each row's
+weighted sums of its own rows); ``gru_cell``, one GRU step, and
+``gru_seq``, a GRU over whole sequences whose inputs are all known;
+``layer_norm``; the gathers ``embedding``, ``take_rows`` and
+``getitem`` and the inverse ``scatter_rows``; ``shift_mass``, the soft
+walk's clamped move; ``concat``, ``stack``, ``reshape``, ``transpose``
+and ``tsum``; ``dropout``; the losses ``cross_entropy`` and
+``mse_loss``. ``add``, ``mul``, ``matmul``, ``linear``, ``mix_rows``,
+``gru_cell``, ``gru_seq``, ``concat`` and ``stack`` compute no gradient
+for a parent that does not require one (masks, noise, one-hot rows,
+landing scatters).
 
 numpy hands a one-row product to GEMV, whose sums round differently
-from GEMM's, so ``matmul``, ``linear`` and ``gru_cell`` send a one-row
-``x`` through GEMM as two rows, and ``linear`` runs one GEMM over all the
-leading rows of its input. A row's forward value then does not depend on
-how many rows share its batch wherever GEMM rounds a row the same for any
-row count (with OpenBLAS float32, at output widths that are multiples of
-16, among others), which is what lets the sampler and the scanpath GRU
-shrink their working sets without changing a bit.
+from GEMM's, so ``matmul``, ``linear``, ``gru_cell`` and ``gru_seq``
+send a one-row ``x`` through GEMM as two rows, and ``linear`` runs one
+GEMM over all the leading rows of its input. A row's forward value then
+does not depend on how many rows share its batch wherever GEMM rounds a
+row the same for any row count (with OpenBLAS float32, at output widths
+that are multiples of 16, among others), which is what lets the sampler
+and the scanpath GRU shrink their working sets, and ``gru_seq`` step
+only its live rows, without changing a bit.
 """
 
 from __future__ import annotations
@@ -250,30 +261,6 @@ def mul(a, b) -> Tensor:
     return _result(data, (a, b), bwd, "mul")
 
 
-def blend(m: np.ndarray, new: Tensor, old: Tensor) -> Tensor:
-    """``new * m + old * (1 - m)`` for a constant mask ``m``, one node.
-
-    ``m`` is a (B, 1) array of 0/1 row flags, cast to ``new``'s dtype.
-    The forward evaluates the same products and sum as
-    ``add(mul(new, m), mul(old, 1 - m))``, so it is bit-identical to it;
-    the gradients are ``g * m`` and ``g * (1 - m)``.
-    """
-    m = np.asarray(m, dtype=new.dtype)
-    if new.shape != old.shape or m.shape != (new.shape[0], 1):
-        raise ShapeError(f"blend: mask {m.shape}, new {new.shape} and old {old.shape} "
-                         f"do not conform")
-    keep = 1.0 - m
-    data = new.data * m + old.data * keep
-
-    def bwd():
-        def fn(g):
-            return (g * m if new.requires_grad else None,
-                    g * keep if old.requires_grad else None)
-        return fn
-
-    return _result(data, (new, old), bwd, "blend")
-
-
 def matmul(a, b) -> Tensor:
     """Gradients only for operands that require them."""
     a, b = _wrap(a), _wrap(b)
@@ -332,26 +319,36 @@ def linear(x, w, b) -> Tensor:
 
 
 def mix_rows(w, X) -> Tensor:
-    """Each row's weighted sum of its own rows: out[b] = w[b] @ X[b].
+    """Each row's weighted sums of its own rows: out[b] = w[b] @ X[b].
 
-    ``w`` is (B, W) and ``X`` (B, W, d); the result is (B, d). One node
-    for ``reshape(matmul(reshape(w, (B, 1, W)), X), (B, d))``, through the
-    same ``np.matmul`` call, so the forward is bit-identical to it. The
-    backward takes dX as the outer product ``w[:, :, None] * g[:, None, :]``
-    rather than a batched matmul with an inner dimension of one.
+    ``X`` is (B, W, d). ``w`` is (B, W), one weighting per row, giving
+    (B, d), or (B, S, W), S weightings per row, giving (B, S, d). One
+    node for ``reshape(matmul(reshape(w, (B, 1, W)), X), (B, d))`` (for a
+    2-d ``w``) through the same ``np.matmul`` call, so the forward is
+    bit-identical to it. For a 2-d ``w`` the backward takes dX as the
+    outer product ``w[:, :, None] * g[:, None, :]`` rather than a batched
+    matmul with an inner dimension of one.
     """
     w, X = _wrap(w), _wrap(X)
-    if w.ndim != 2 or X.ndim != 3 or X.shape[:2] != w.shape:
+    if w.ndim not in (2, 3) or X.ndim != 3 or X.shape[:2] != (w.shape[0], w.shape[-1]):
         raise ShapeError(f"mix_rows: weights {w.shape} and rows {X.shape} do not conform")
-    data = np.matmul(w.data[:, None, :], X.data)[:, 0]
+    one = w.ndim == 2
+    w3 = w.data[:, None, :] if one else w.data
+    data = np.matmul(w3, X.data)
+    if one:
+        data = data[:, 0]
 
     def bwd():
         def fn(g):
+            g3 = g[:, None, :] if one else g
             gw = gX = None
             if w.requires_grad:
-                gw = np.matmul(g[:, None, :], np.swapaxes(X.data, 1, 2))[:, 0]
+                gw = np.matmul(g3, np.swapaxes(X.data, 1, 2))
+                if one:
+                    gw = gw[:, 0]
             if X.requires_grad:
-                gX = w.data[:, :, None] * g[:, None, :]
+                gX = (w.data[:, :, None] * g[:, None, :] if one
+                      else np.matmul(np.swapaxes(w3, 1, 2), g3))
             return (gw, gX)
         return fn
 
@@ -412,6 +409,112 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
         return fn
 
     return _result(data, (x, h, w_ih, w_hh, b_ih, b_hh), bwd, "gru_cell")
+
+
+def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tensor:
+    """A GRU run over whole sequences as a single node; (B, T, H) states.
+
+    ``x`` is (B, T, d_in), ``lengths`` (B,) the steps of each row, each in
+    0..T, and ``h0`` (B, H) the initial states; weights as in
+    ``gru_cell``. Row b steps through ``x[b, :lengths[b]]``, from the first
+    step forward or, with ``reverse``, from the last step back. Output
+    ``[b, t]`` is the state after step t; a step past a row's length
+    leaves its state as it was, so the state carries over after the last
+    step (before the first, in reverse).
+
+    Rows are sorted by length, so the rows live at each step are a
+    prefix. The input projection is one GEMM over the live (row, step)
+    cells; each step then multiplies only the live rows' states by
+    ``w_hh``, with the gate arithmetic of ``gru_cell``. Wherever GEMM
+    rounds a row the same for any row count, the output is bit-identical
+    to stepping ``gru_cell`` over all B rows and keeping a finished row's
+    state. The backward runs BPTT over the same prefixes; the input,
+    weight and bias gradients are one GEMM or one sum each.
+    """
+    x, h0 = _wrap(x), _wrap(h0)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if x.ndim != 3 or h0.ndim != 2:
+        raise ShapeError(f"gru_seq: x {x.shape} must be 3-d and h0 {h0.shape} 2-d")
+    B, T, d = x.shape
+    H = h0.shape[1]
+    if (h0.shape[0] != B or lengths.shape != (B,) or w_ih.shape != (d, 3 * H)
+            or w_hh.shape != (H, 3 * H) or b_ih.shape != (3 * H,)
+            or b_hh.shape != (3 * H,)):
+        raise ShapeError(
+            f"gru_seq: x {x.shape}, lengths {lengths.shape}, h0 {h0.shape}, "
+            f"w_ih {w_ih.shape}, w_hh {w_hh.shape}, b_ih {b_ih.shape}, "
+            f"b_hh {b_hh.shape} do not conform"
+        )
+    if B and (lengths.min() < 0 or lengths.max() > T):
+        raise ShapeError(f"gru_seq: lengths must lie in 0..{T}")
+    parents = (x, h0, w_ih, w_hh, b_ih, b_hh)
+    order = np.argsort(-lengths, kind="stable")     # sorted row i is row order[i]
+    times = np.arange(T)[::-1] if reverse else np.arange(T)
+    # the live cells, step by step in the order run, sorted rows within a step
+    step, pos = np.nonzero(lengths[order][None, :] > times[:, None])
+    live = np.bincount(step, minlength=T).tolist()
+    starts = np.concatenate([[0], np.cumsum(live)]).astype(np.int64).tolist()
+    cell_rows, cell_times = order[pos], times[step]
+    xs = x.data[cell_rows, cell_times]
+    gi_all = _rows_matmul(xs, w_ih.data) + b_ih.data
+    N = len(cell_rows)
+    dt = gi_all.dtype
+    record = _record(parents)
+    saved = {k: np.empty((N, H), dtype=dt) for k in ("h", "r", "z", "n", "ghn")}
+    h = h0.data[order].astype(dt, copy=False)
+    out = np.empty((B, T, H), dtype=dt)
+    for k, t in enumerate(times):
+        n, c = live[k], slice(starts[k], starts[k + 1])
+        if n:
+            hp = h[:n]
+            gi = gi_all[c]
+            gh = _rows_matmul(hp, w_hh.data) + b_hh.data
+            r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
+            z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
+            ghn = gh[:, 2 * H:3 * H]
+            ng = np.tanh(gi[:, 2 * H:3 * H] + r * ghn)
+            if record:
+                for key, val in (("h", hp), ("r", r), ("z", z), ("n", ng), ("ghn", ghn)):
+                    saved[key][c] = val
+            h[:n] = ng + z * (hp + ng * -1.0)
+        out[order, t] = h
+
+    def bwd():
+        def fn(g):
+            gs = g[order]
+            dh = np.zeros((B, H), dtype=dt)
+            dgi = np.empty((N, 3 * H), dtype=dt)
+            dgh = np.empty((N, 3 * H), dtype=dt)
+            for k in range(T - 1, -1, -1):
+                t, n, c = times[k], live[k], slice(starts[k], starts[k + 1])
+                dh += gs[:, t]
+                if not n:
+                    continue
+                gn = dh[:n]
+                r, z, ng = saved["r"][c], saved["z"][c], saved["n"][c]
+                dz = gn * (saved["h"][c] - ng) * z * (1.0 - z)
+                da_n = gn * (1.0 - z) * (1.0 - ng * ng)
+                dr = da_n * saved["ghn"][c] * r * (1.0 - r)
+                dgi[c] = np.concatenate([dr, dz, da_n], axis=1)
+                dgh[c] = np.concatenate([dr, dz, da_n * r], axis=1)
+                dh[:n] = np.matmul(dgh[c], w_hh.data.T) + gn * z
+            gx = gh0 = None
+            if x.requires_grad:
+                gx = np.zeros_like(x.data)
+                gx[cell_rows, cell_times] = np.matmul(dgi, w_ih.data.T)
+            if h0.requires_grad:
+                gh0 = np.empty_like(dh)
+                gh0[order] = dh
+            return (
+                gx, gh0,
+                np.matmul(xs.T, dgi) if w_ih.requires_grad else None,
+                np.matmul(saved["h"].T, dgh) if w_hh.requires_grad else None,
+                dgi.sum(axis=0) if b_ih.requires_grad else None,
+                dgh.sum(axis=0) if b_hh.requires_grad else None,
+            )
+        return fn
+
+    return _result(out, parents, bwd, "gru_seq")
 
 
 # -- activations ---------------------------------------------------------
@@ -588,22 +691,6 @@ def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray)
         return fn
 
     return _result(data, (dist, q), bwd, "shift_mass")
-
-
-def select_steps(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Per-row gather: out[b] = x[b, idx[b]] for a (B, T, ...) tensor."""
-    idx = np.asarray(idx)
-    b = np.arange(x.shape[0])
-    data = x.data[b, idx]
-
-    def bwd():
-        def fn(g):
-            gx = np.zeros_like(x.data)
-            gx[b, idx] = g
-            return (gx,)
-        return fn
-
-    return _result(data, (x,), bwd, "select_steps")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:

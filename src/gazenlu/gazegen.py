@@ -16,6 +16,7 @@ per step.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,17 +31,15 @@ from .diffcore import (
     RngState,
     Tensor,
     add,
-    blend,
     concat,
     cross_entropy,
     matmul,
     mix_rows,
     mul,
+    reshape,
     scatter_rows,
-    select_steps,
     shift_mass,
     softmax,
-    stack,
     take_rows,
     transpose,
 )
@@ -156,20 +155,9 @@ class ScanpathGenerator(Module):
         B, W, _ = words.shape
         self.check_width(int(counts.max(initial=1)))
         x = add(words, self.word_pos(np.arange(W)))
-        half = self.cfg.d_hidden // 2
-        dt = words.dtype
-        active = (np.arange(W)[:, None] < counts).reshape(W, B, 1)
-        hf = Tensor(np.zeros((B, half), dtype=dt))
-        fwd = []
-        for t in range(W):
-            hf = blend(active[t], self.gru_fwd(x[:, t, :], hf), hf)
-            fwd.append(hf)
-        hb = Tensor(np.zeros((B, half), dtype=dt))
-        bwd = [None] * W
-        for t in range(W - 1, -1, -1):
-            hb = blend(active[t], self.gru_bwd(x[:, t, :], hb), hb)
-            bwd[t] = hb
-        gru_out = concat([stack(fwd, axis=1), stack(bwd, axis=1)], axis=2)
+        h0 = Tensor(np.zeros((B, self.cfg.d_hidden // 2), dtype=words.dtype))
+        gru_out = concat([self.gru_fwd.seq(x, counts, h0),
+                          self.gru_bwd.seq(x, counts, h0, reverse=True)], axis=2)
         return add(self.word_proj(x), gru_out)
 
     # -- history encoder -------------------------------------------------
@@ -201,13 +189,16 @@ class ScanpathGenerator(Module):
 
     def decode_logits_batch(self, state: Tensor, word_states: Tensor,
                             counts: np.ndarray) -> Tensor:
-        """Cross-attention readout; (B, h) x (B, W, h) -> (B, n_classes)."""
-        W, h = word_states.shape[1:]
+        """Cross-attention readout of (B, h) states, one per row, or
+        (B, S, h), S per row, over (B, W, h) word states; (B, n_classes)
+        or (B, S, n_classes)."""
+        B, W, h = word_states.shape
         scores = mul(mix_rows(state, transpose(word_states, (0, 2, 1))), 1.0 / math.sqrt(h))
         pad = (np.arange(W)[None, :] >= counts[:, None])
+        pad = pad.reshape((B,) + (1,) * (state.ndim - 2) + (W,))
         attn = softmax(scores, mask=(pad * NEG_INF).astype(np.float32))
         ctx = mix_rows(attn, word_states)
-        return self.head(concat([ctx, state], axis=1))
+        return self.head(concat([ctx, state], axis=-1))
 
     # -- teacher forcing -------------------------------------------------
 
@@ -215,63 +206,65 @@ class ScanpathGenerator(Module):
                   paths: list[list[int]]):
         """Pooled mean step NLL over all (F_b + 1) decisions in the batch.
 
-        Returns (loss tensor, total step count). Gold offsets outside the
-        class range raise, naming the step.
+        Returns (loss tensor, total step count). An empty path, a fixation
+        outside its row's words and a gold offset outside the class range
+        raise, naming the first bad path and step.
+
+        Under teacher forcing every input of the history GRU is known, so
+        there is no loop over steps: one gather takes the gold words, one
+        ``gru_seq`` node runs the history over all steps, and one decode
+        reads out every decision, S = max F_b + 1 per row. Decision s of
+        row b reads the start state (s = 0) or the history after fixation
+        s - 1; one ``cross_entropy`` covers the decisions that exist.
         """
         B, W, h = word_states.shape
         cfg = self.cfg
-        targets: list[list[int]] = []
-        for b, path in enumerate(paths):
-            if not path:
-                raise ValueError(f"path {b} is empty")
-            tgt = []
-            prev = -1
-            for i, f in enumerate(path):
-                if not 0 <= f < counts[b]:
-                    raise ValueError(
-                        f"path {b} step {i}: fixation {f} out of range for {counts[b]} words"
-                    )
-                off = f - prev
-                if abs(off) > cfg.l_max - 1:
-                    raise ValueError(
-                        f"path {b} step {i}: offset {off} outside class range "
-                        f"+-{cfg.l_max - 1}"
-                    )
-                tgt.append(cfg.offset_to_class(off))
-                prev = f
-            tgt.append(cfg.stop_class)
-            targets.append(tgt)
+        lengths = np.array([len(p) for p in paths], dtype=np.int64)
+        T = int(lengths.max())
+        fed = np.arange(T) < lengths[:, None]                  # (B, T)
+        fix = np.zeros((B, T), dtype=np.int64)
+        fix[fed] = np.fromiter(itertools.chain.from_iterable(paths), np.int64,
+                               int(lengths.sum()))
+        positions = np.concatenate([np.full((B, 1), -1), fix], axis=1)    # (B, T + 1)
+        offsets = fix - positions[:, :-1]
+        self._check_paths(lengths, fed, fix, offsets, counts)
 
-        max_steps = max(len(t) for t in targets)
-        state = self.start_state(B, word_states.dtype)
-        hid = Tensor(np.zeros((B, h), dtype=word_states.dtype))
-        positions = np.full(B, -1, dtype=np.int64)
-        total = None
-        n_terms = 0
-        for t in range(max_steps):
-            active = np.array([b for b in range(B) if t < len(targets[b])])
-            logits = self.decode_logits_batch(state, word_states, counts)
-            masks = self._additive_masks(positions, counts)
-            masked = add(logits, Tensor(masks))
-            sub = take_rows(masked, active) if len(active) < B else masked
-            step_t = np.array([targets[b][t] for b in active])
-            term = mul(cross_entropy(sub, step_t), float(len(active)))
-            total = term if total is None else add(total, term)
-            n_terms += len(active)
-            feeders = np.array([b for b in range(B) if t < len(paths[b])])
-            if len(feeders) == 0:
-                continue
-            feed = np.zeros(B, dtype=np.int64)
-            feed[feeders] = [paths[b][t] for b in feeders]
-            rows = select_steps(word_states, feed)
-            pe = self.fix_pos(feed)
-            out, hn = self.history_step(rows, pe, hid)
-            m = np.zeros((B, 1))
-            m[feeders] = 1.0
-            state = blend(m, out, state)
-            hid = blend(m, hn, hid)
-            positions[feeders] = feed[feeders]
-        return mul(total, 1.0 / n_terms), n_terms
+        decided = np.arange(T + 1) < (lengths + 1)[:, None]    # (B, T + 1)
+        targets = np.full((B, T + 1), cfg.stop_class, dtype=np.int64)
+        targets[:, :T][fed] = cfg.offset_to_class(offsets[fed])
+        dt = word_states.dtype
+        flat = reshape(word_states, (B * W, h))
+        rows = take_rows(flat, np.arange(B)[:, None] * W + fix)          # (B, T, h)
+        inp = concat([rows, self.fix_pos(fix)], axis=2)
+        hid = self.gru_hist.seq(inp, lengths, Tensor(np.zeros((B, h), dtype=dt)))
+        start = reshape(self.start_state(B, dt), (B, 1, h))
+        states = concat([start, add(self.hist_proj(inp), hid)], axis=1)   # (B, T + 1, h)
+        logits = self.decode_logits_batch(states, word_states, counts)
+        cells = np.flatnonzero(decided)
+        picked = take_rows(reshape(logits, (B * (T + 1), cfg.n_classes)), cells)
+        masks = self._additive_masks(positions[decided], np.repeat(counts, lengths + 1))
+        loss = cross_entropy(add(picked, Tensor(masks)), targets[decided])
+        return loss, len(cells)
+
+    def _check_paths(self, lengths, fed, fix, offsets, counts):
+        """Raise for the first bad gold path, naming it and its first bad
+        step: an empty path, a fixation outside the row's words, or an
+        offset outside the class range (checked in that order per step)."""
+        out_of_range = fed & ((fix < 0) | (fix >= counts[:, None]))
+        too_far = fed & (np.abs(offsets) > self.cfg.l_max - 1)
+        bad = out_of_range | too_far
+        wrong = (lengths == 0) | bad.any(axis=1)
+        if not wrong.any():
+            return
+        b = int(np.argmax(wrong))
+        if lengths[b] == 0:
+            raise ValueError(f"path {b} is empty")
+        i = int(np.argmax(bad[b]))
+        if out_of_range[b, i]:
+            raise ValueError(f"path {b} step {i}: fixation {fix[b, i]} out of range "
+                             f"for {counts[b]} words")
+        raise ValueError(f"path {b} step {i}: offset {offsets[b, i]} outside class "
+                         f"range +-{self.cfg.l_max - 1}")
 
     # -- sampling --------------------------------------------------------
 

@@ -438,5 +438,4 @@ def train_joint(model: JointModel, train_instances: list[TextInstance],
         "best_epoch": stopper.best_epoch,
         "best_dev_metric": None if not history else stopper.best_value,
         "n_params": opt.n_params,
-        "n_trainable": opt.n_params,
     }

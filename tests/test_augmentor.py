@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, SCAN_DROPOUT, JointModel,
                                ModelConfig, ScanpathEncoder, TEXT_ONLY,
                                average_logits, fixation_steps)
-from gazenlu.diffcore import (RngState, Tensor, backward, blend, dropout, matmul,
+from gazenlu.diffcore import (RngState, Tensor, add, backward, dropout, matmul,
                               mul, no_grad, tsum)
 from gazenlu.gazegen import GumbelConfig, default_max_fixations
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
@@ -112,15 +112,17 @@ def test_step_mask_freezes_finished_rows():
     assert not np.array_equal(full.data, one.data)
 
 
-def _blend_per_step(enc, steps, step_mask, cls, rng=None):
+def _masked_per_step(enc, steps, step_mask, cls, rng=None):
     """Oracle: the scan GRU stepping every row at every step, a finished
-    row's state carried on by one masked update per step."""
+    row's state carried on by one masked update per step,
+    ``new * m + old * (1 - m)`` for the step's 0/1 row flags ``m``."""
     h = cls
     train = enc.training and rng is not None
     for t, x in enumerate(steps):
         if train:
             x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
-        h = blend(step_mask[:, t].reshape(-1, 1), enc.gru(x, h), h)
+        m = step_mask[:, t].reshape(-1, 1).astype(cls.dtype)
+        h = add(mul(enc.gru(x, h), Tensor(m)), mul(h, Tensor(1.0 - m)))
     return h
 
 
@@ -170,10 +172,10 @@ def test_run_steps_matches_masked_update_per_step(batch, training):
         return out.data, [p.grad for p in leaves]
 
     got, _ = run(ScanpathEncoder.run_steps, graph=False)
-    want, _ = run(_blend_per_step, graph=False)
+    want, _ = run(_masked_per_step, graph=False)
     assert np.array_equal(got, want)
     got, got_grads = run(ScanpathEncoder.run_steps, graph=True)
-    want, want_grads = run(_blend_per_step, graph=True)
+    want, want_grads = run(_masked_per_step, graph=True)
     assert np.abs(got - want).max(initial=0.0) <= 1e-6
     for g, w in zip(got_grads, want_grads):
         if w is None or not w.any():

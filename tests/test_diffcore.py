@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
                               ModuleList, RngState, ShapeError, Tensor, add,
-                              atomic_write, blend, checkpoint_hash, concat,
+                              atomic_write, backward, checkpoint_hash, concat,
                               cross_entropy, dropout, grad_check,
                               is_grad_enabled, layer_norm, linear,
                               load_checkpoint, matmul, mix_rows, mse_loss, mul,
@@ -259,22 +259,6 @@ def test_gru_cell_forward_matches_unfused_composition(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_blend_forward_matches_masked_update(dtype):
-    """One blend node computes the four-node masked update bit for bit."""
-    rng = RngState(4, 0)
-    new = Tensor(rng.substream("new").normal((5, 3)).astype(dtype), requires_grad=True)
-    old = Tensor(rng.substream("old").normal((5, 3)).astype(dtype), requires_grad=True)
-    m = np.array([1, 0, 0, 1, 1], dtype=dtype).reshape(5, 1)
-    out = blend(m, new, old)
-    ref = add(mul(new, Tensor(m)), mul(old, Tensor(1.0 - m)))
-    assert out.dtype == dtype and out._op == "blend"
-    assert np.array_equal(out.data, ref.data)
-    assert np.array_equal(blend(m.astype(bool), new, old).data, ref.data)
-    with pytest.raises(ShapeError):
-        blend(m.reshape(5), new, old)
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_linear_forward_matches_matmul_plus_bias(dtype):
     """One linear node computes ``add(matmul(x, w), b)`` bit for bit, for
     one row, many rows and a (B, T, d) batch."""
@@ -293,7 +277,8 @@ def test_linear_forward_matches_matmul_plus_bias(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_mix_rows_forward_matches_reshape_matmul(dtype):
     """One mix_rows node computes the three-node weighted read bit for
-    bit, also over a transposed operand (the decoder's scores)."""
+    bit, also over a transposed operand (the decoder's scores); with
+    (B, S, W) weights it is the batched matmul."""
     rng = RngState(6, 0)
     w = Tensor(rng.substream("w").normal((4, 5)).astype(dtype), requires_grad=True)
     X = Tensor(rng.substream("X").normal((4, 5, 3)).astype(dtype))
@@ -305,6 +290,10 @@ def test_mix_rows_forward_matches_reshape_matmul(dtype):
     Xt = transpose(X, (0, 2, 1))
     ref = reshape(matmul(reshape(q, (4, 1, 3)), Xt), (4, 5))
     assert np.array_equal(mix_rows(q, Xt).data, ref.data)
+    w3 = Tensor(rng.substream("w3").normal((4, 2, 5)).astype(dtype))
+    assert np.array_equal(mix_rows(w3, X).data, matmul(w3, X).data)
+    with pytest.raises(ShapeError):
+        mix_rows(w3, Xt)
 
 
 @pytest.mark.parametrize("width", [16, 64, 128])
@@ -345,6 +334,82 @@ def test_distinct_row_gradients_are_copies():
     assert np.array_equal(gx, ref)
 
 
+def _gru_steps(x, lengths, h0, cell, reverse):
+    """Oracle for ``gru_seq``: one ``gru_cell`` node per step over all B
+    rows, a row past its length keeping its state by a masked update
+    written out in add and mul nodes."""
+    T = x.shape[1]
+    h = h0
+    states = [None] * T
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        m = (t < lengths).astype(x.dtype).reshape(-1, 1)
+        h = add(mul(cell(x[:, t, :], h), Tensor(m)), mul(h, Tensor(1.0 - m)))
+        states[t] = h
+    return stack(states, axis=1)
+
+
+@st.composite
+def _gru_batches(draw):
+    """(lengths, T, H, seed): ragged rows with zero-length and full rows."""
+    B = draw(st.integers(1, 6))
+    T = draw(st.integers(1, 6))
+    lengths = [0, T] + draw(st.lists(st.integers(0, T), min_size=B, max_size=B))
+    return np.array(lengths), T, draw(st.sampled_from([16, 32])), draw(st.integers(0, 2**16))
+
+
+@given(batch=_gru_batches(), reverse=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_gru_seq_matches_per_step_cells(batch, reverse):
+    """One gru_seq node against the per-step gru_cell composition, both
+    directions: float64 gradients of x, h0 and every weight agree within
+    1e-10, and the float32 forward is bit-equal (3H is 48 or 96, widths
+    at which OpenBLAS's GEMM rounds a row the same for any row count)."""
+    lengths, T, H, seed = batch
+    B, d = len(lengths), 5
+    r = RngState(seed, 2)
+    cell = GRUCell(d, H, r.substream("cell"))
+    x = r.substream("x").normal((B, T, d)).astype(np.float32)
+    h0 = r.substream("h0").normal((B, H)).astype(np.float32)
+    with no_grad():
+        got = cell.seq(Tensor(x), lengths, Tensor(h0), reverse=reverse)
+        want = _gru_steps(Tensor(x), lengths, Tensor(h0), cell, reverse)
+    assert got._op == "leaf" and np.array_equal(got.data, want.data)
+
+    _cast(cell, np.float64)
+    leaves = [Tensor(x.astype(np.float64), requires_grad=True),
+              Tensor(h0.astype(np.float64), requires_grad=True)]
+    weights = [p for _, p in cell.named_parameters()]
+    readout = Tensor(r.substream("readout").normal((B, T, H)))
+    grads = []
+    for fn in (lambda: cell.seq(leaves[0], lengths, leaves[1], reverse=reverse),
+               lambda: _gru_steps(leaves[0], lengths, leaves[1], cell, reverse)):
+        for p in leaves + weights:
+            p.grad = None
+        out = fn()
+        backward(tsum(mul(out, readout)))
+        grads.append([out.data] + [p.grad for p in leaves + weights])
+    for g, w in zip(*grads):
+        assert np.abs(g - w).max() <= 1e-10
+
+
+def test_gru_seq_node_and_shape_errors():
+    """A GRU over a sequence is one node; lengths outside 0..T and
+    non-conforming shapes raise."""
+    cell = GRUCell(3, 2, RngState(0, 1))
+    x = Tensor(np.ones((2, 4, 3), dtype=np.float32))
+    h0 = Tensor(np.zeros((2, 2), dtype=np.float32))
+    out = cell.seq(x, [4, 0], h0)
+    assert out._op == "gru_seq" and out.shape == (2, 4, 2)
+    assert np.array_equal(out.data[1], np.zeros((4, 2)))
+    for lengths in ([5, 1], [-1, 1], [1, 1, 1]):
+        with pytest.raises(ShapeError):
+            cell.seq(x, lengths, h0)
+    with pytest.raises(ShapeError):
+        cell.seq(x[:, 0, :], [1, 1], h0)
+    with pytest.raises(ShapeError):
+        cell.seq(x, [1, 1], Tensor(np.zeros((3, 2), dtype=np.float32)))
+
+
 def test_gru_cell_takes_2d_inputs_only():
     cell = GRUCell(3, 2, RngState(0, 0))
     h = Tensor(np.zeros((2, 2), dtype=np.float32))
@@ -365,9 +430,10 @@ def test_constants_take_the_tensor_dtype():
 def test_gradients_skip_constant_operands():
     """Only parents that require grad receive one; a constant matrix in a
     matmul, a constant state in a GRU step, a constant term or factor in
-    add and mul, a constant side of a blend, constant parts of a concat or
-    stack, a constant input or bias of a linear layer and either constant
-    operand of a mix_rows get none computed."""
+    add and mul, a constant input or initial state of a GRU sequence,
+    constant parts of a concat or stack, a constant input or bias of a
+    linear layer and either constant operand of a mix_rows get none
+    computed."""
     w = Tensor(np.ones((4, 2)), requires_grad=True)
     c = Tensor(np.ones((3, 5, 4)))
     out = matmul(c, w)
@@ -385,8 +451,10 @@ def test_gradients_skip_constant_operands():
             out = op(*args)
             got = out._backward(np.ones(out.shape))
             assert got[1 - live] is None and got[live].shape == (2, 3), op
-    out = blend(np.ones((2, 1)), k, t)
-    assert out._backward(np.ones(out.shape))[0] is None
+    out = cell.seq(Tensor(np.ones((2, 4, 3))), [4, 1], Tensor(np.zeros((2, 2))))
+    x_grad, h_grad, *weight_grads = out._backward(np.ones(out.shape))
+    assert x_grad is None and h_grad is None
+    assert all(g is not None for g in weight_grads)
     for op in (concat, stack):
         out = op([k, t, k], axis=1)
         got = out._backward(np.ones(out.shape))
