@@ -11,6 +11,7 @@ config).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -28,6 +29,8 @@ ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
 WEIGHT_DECAY = 0.01
 IMPROVE_TOL = 1e-6
+# values per AdamW update block: the block's float64 scratch stays in L2
+UPDATE_BLOCK = 16384
 
 
 @dataclass
@@ -105,11 +108,15 @@ def _coerce(key: str, typ: str, value: str, where: str):
 class AdamW:
     """Decoupled-weight-decay Adam over a module's trainable parameters.
 
-    The slots are fixed at construction. Each keeps float64 moments and a
-    scratch buffer, updated in place; a parameter with no gradient on a
-    step is left alone and its step count does not advance. Every step
-    assigns a fresh array to ``t.data``, so a snapshot taken earlier never
-    changes.
+    The slots are fixed at construction, which also moves the slots'
+    values into one flat buffer per dtype and rebinds each ``t.data`` to
+    a view of it; the float64 moments are flat arrays beside it. A step
+    updates those views in place, so a snapshot must be a copy, as
+    ``state_dict`` makes. A parameter with no gradient on a step is left
+    alone and its step count does not advance. A step changes nothing
+    unless every gradient has its parameter's shape and dtype and is
+    finite. A parameter whose ``.data`` was rebound since the last step
+    (``load_state_dict`` does that) is copied back into the buffer first.
     """
 
     def __init__(self, model: Module, lr: float, weight_decay: float = WEIGHT_DECAY):
@@ -119,43 +126,104 @@ class AdamW:
             raise ValueError("duplicate parameter names")
         self.lr = lr
         self.weight_decay = weight_decay
-        self._buffers = [(np.zeros(t.data.shape), np.zeros(t.data.shape),
-                          np.empty(t.data.shape)) for _, t in self.slots]
         self._steps = [0] * len(self.slots)
+        by_dtype: dict[np.dtype, list[int]] = {}
+        for i, (_, t) in enumerate(self.slots):
+            by_dtype.setdefault(t.data.dtype, []).append(i)
+        self._flats = [_Flat([self.slots[i][1] for i in index], index)
+                       for index in by_dtype.values()]
+        self._views = [t.data for _, t in self.slots]
+        size = max((f.data.size for f in self._flats), default=0)
+        self._scratch = np.empty((3, min(UPDATE_BLOCK, size)))
 
     @property
     def n_params(self) -> int:
         return len(self.slots)
 
     def step(self) -> None:
+        for (name, t), view in zip(self.slots, self._views):
+            if t.data is not view:
+                _check_like(name, "value", t.data, view)
+                view[...] = t.data
+                t.data = view
+            if t.grad is not None:
+                _check_like(name, "gradient", t.grad, view)
+        runs = [run for f in self._flats for run in f.runs(self.slots, self._steps)]
+        for f, j0, j1, _ in runs:
+            np.concatenate([self.slots[i][1].grad for i in f.index[j0:j1]], axis=None,
+                           out=f.grad[f.bounds[j0]:f.bounds[j1]])
+        if not all(np.isfinite(f.grad[f.bounds[j0]:f.bounds[j1]]).all()
+                   for f, j0, j1, _ in runs):
+            name = next(n for n, t in self.slots
+                        if t.grad is not None and not np.all(np.isfinite(t.grad)))
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+        for f, j0, j1, k in runs:
+            for at in range(f.bounds[j0], f.bounds[j1], UPDATE_BLOCK):
+                self._update_block(f, slice(at, min(at + UPDATE_BLOCK, f.bounds[j1])), k)
+            for i in f.index[j0:j1]:
+                self._steps[i] = k
+
+    def _update_block(self, f: "_Flat", block: slice, k: int) -> None:
+        """The textbook update at step ``k`` over one block, in float64:
+            m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
+            p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd*p)
+        Each value goes through the numpy calls a per-parameter loop
+        makes, so it is bit-identical to one; the block keeps the float64
+        scratch in cache."""
         b1, b2 = ADAM_BETAS
-        for i, (name, t) in enumerate(self.slots):
-            g = t.grad
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
-            m, v, s = self._buffers[i]
-            self._steps[i] += 1
-            k = self._steps[i]
-            # in float64 and in the order of the textbook update
-            #   m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g
-            #   p -= lr * (m_hat / (sqrt(v_hat) + eps) + wd*p)
-            # so every value is bit-identical to it
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=s, dtype=np.float64)
-            v *= b2
-            np.multiply(g, 1.0 - b2, out=s, dtype=np.float64)
-            v += np.multiply(s, g, out=s, dtype=np.float64)
-            np.divide(v, 1.0 - b2 ** k, out=s)
-            np.sqrt(s, out=s)
-            s += ADAM_EPS
-            update = np.divide(m, 1.0 - b1 ** k)
-            update /= s
-            p = t.data
-            update += np.multiply(p, self.weight_decay, out=s)
-            update *= self.lr
-            t.data = np.subtract(p, update, out=update).astype(p.dtype)
+        m, v, p = f.m[block], f.v[block], f.data[block]
+        g, s, update = self._scratch[:, :p.size]
+        np.copyto(g, f.grad[block])
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=s)
+        v += np.multiply(s, g, out=s)
+        np.divide(v, 1.0 - b2 ** k, out=s)
+        np.sqrt(s, out=s)
+        s += ADAM_EPS
+        np.divide(m, 1.0 - b1 ** k, out=update)
+        update /= s
+        update += np.multiply(p, self.weight_decay, out=s)
+        update *= self.lr
+        np.copyto(p, np.subtract(p, update, out=update), casting="same_kind")
+
+
+class _Flat:
+    """The values of some same-dtype slots laid end to end, in slot order,
+    with a staging buffer for their gradients and their float64 moments.
+    Construction rebinds each tensor's ``.data`` to its view of the buffer.
+    ``index`` holds the slot numbers; slot ``index[j]`` owns values
+    ``bounds[j]:bounds[j + 1]``."""
+
+    def __init__(self, tensors: list[Tensor], index: list[int]):
+        self.index = index
+        self.bounds = [0, *itertools.accumulate(t.data.size for t in tensors)]
+        self.data = np.concatenate([t.data for t in tensors], axis=None)
+        self.grad = np.empty_like(self.data)
+        self.m = np.zeros(self.data.size)
+        self.v = np.zeros(self.data.size)
+        for t, a, b in zip(tensors, self.bounds, self.bounds[1:]):
+            t.data = self.data[a:b].reshape(t.data.shape)
+
+    def runs(self, slots: list, steps: list[int]):
+        """(self, j0, j1, k) for each maximal run of slots ``index[j0:j1]``
+        that have a gradient and share the step count ``k - 1``."""
+        at = 0
+        for k, same in itertools.groupby(
+                self.index, lambda i: None if slots[i][1].grad is None else steps[i]):
+            j1 = at + sum(1 for _ in same)
+            if k is not None:
+                yield self, at, j1, k + 1
+            at = j1
+
+
+def _check_like(name: str, what: str, arr: np.ndarray, view: np.ndarray) -> None:
+    if arr.shape != view.shape or arr.dtype != view.dtype:
+        raise ValueError(
+            f"{what} of parameter {name!r} is {arr.dtype} of shape {arr.shape}, "
+            f"but its optimizer slot holds {view.dtype} of shape {view.shape}"
+        )
 
 
 class EarlyStopper:
@@ -200,16 +268,16 @@ def _batched(n: int, size: int):
 
 
 def _update(model: Module, opt: AdamW, loss: Tensor) -> None:
-    """One optimizer step on ``loss``. A loss without a graph while the
-    optimizer holds trainable parameters would leave every gradient
-    unset and the step a silent no-op, so it is an error."""
-    if loss._backward is None and opt.n_params:
-        raise RuntimeError(
-            f"training loss has no graph but {opt.n_params} parameters are "
-            f"trainable; was it computed under no_grad or from frozen inputs?"
-        )
+    """One optimizer step on ``loss``. A loss whose graph reaches none of
+    the optimizer's trainable parameters would leave every gradient unset
+    and the step a silent no-op, so it is an error."""
     model.zero_grad()
     loss.backward()
+    if opt.n_params and all(t.grad is None for _, t in opt.slots):
+        raise RuntimeError(
+            f"training loss has no graph to any of the {opt.n_params} trainable "
+            f"parameters; was it computed under no_grad or from frozen inputs?"
+        )
     opt.step()
 
 

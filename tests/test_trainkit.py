@@ -6,11 +6,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gazenlu import gazegen, trainkit
 from gazenlu.augmentor import JointModel, ModelConfig, TEXT_ONLY
 from gazenlu.corpus import GazeRecord, TextInstance
-from gazenlu.diffcore import Linear, Module, RngState, Tensor, no_grad
+from gazenlu.diffcore import Linear, Module, RngState, Tensor, mul, no_grad, tsum
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.trainkit import (AdamW, EarlyStopper, GazeModel, TrainConfig,
                               accuracy_from_logits,
@@ -46,7 +48,7 @@ def _adamw_steps(value, grads, **kw):
     for g in grads:
         net.w.grad = np.asarray(g)
         opt.step()
-        out.append(net.w.data)
+        out.append(net.w.data.copy())
     return out
 
 
@@ -61,19 +63,24 @@ def test_adamw_matches_reference_over_two_steps():
     assert np.abs(got2 - exp2).max() < 1e-12
 
 
-def test_adamw_is_functional_and_keeps_dtype():
-    """A step assigns a fresh array: one held from before never changes."""
+def test_adamw_snapshot_survives_steps_and_keeps_dtype():
+    """A step updates the parameters in place, so what callers keep is a
+    state_dict() snapshot, as _fit keeps its best epoch's: later steps
+    never change it, and the update keeps the parameter's dtype."""
     net = _OneParam(np.array([1.0], dtype=np.float32))
     opt = AdamW(net, lr=0.01)
-    held = net.w.data
-    before = held.copy()
+    snapshot = net.state_dict()
     net.w.grad = np.array([1.0], dtype=np.float32)
     opt.step()
-    assert np.array_equal(held, before)
-    assert net.w.data is not held
     assert net.w.data.dtype == np.float32
-    exp, *_ = _reference_adamw(before.astype(np.float64), 1.0, 0.0, 0.0, 0, lr=0.01)
+    exp, *_ = _reference_adamw(np.array([1.0]), 1.0, 0.0, 0.0, 0, lr=0.01)
     assert np.allclose(net.w.data, exp, rtol=1e-6)
+    after_one = net.state_dict()
+    opt.step()
+    assert np.array_equal(snapshot["w"], [1.0])
+    assert snapshot["w"].dtype == np.float32
+    assert not np.array_equal(after_one["w"], net.w.data)
+    assert np.array_equal(after_one["w"], exp.astype(np.float32))
 
 
 def test_adamw_decoupled_decay_moves_zero_grad_params():
@@ -117,6 +124,201 @@ def test_optimizer_skips_params_without_grads():
     before = net.a.b.data.copy()
     opt.step()  # a.b has no grad this step
     assert np.array_equal(net.a.b.data, before)
+
+
+def _moments(opt, i):
+    """Slot ``i``'s first and second moments in a flat AdamW."""
+    f = next(f for f in opt._flats if i in f.index)
+    j = f.index.index(i)
+    at = slice(f.bounds[j], f.bounds[j + 1])
+    return f.m[at], f.v[at]
+
+
+def _optimizer_state(opt):
+    return ([t.data.copy() for _, t in opt.slots],
+            [np.concatenate(_moments(opt, i)) for i in range(opt.n_params)],
+            list(opt._steps))
+
+
+def _assert_same_state(got, want):
+    for a, b in zip(got[0] + got[1], want[0] + want[1]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert got[2] == want[2]
+
+
+def test_adamw_failed_step_changes_nothing():
+    """A non-finite gradient anywhere stops the step before it touches
+    any parameter, moment or step count, and the error names the first
+    bad parameter in slot order, also across the dtype buffers."""
+    net = _TwoLayer()
+    net.a.b.data = net.a.b.data.astype(np.float64)  # a second buffer
+    opt = AdamW(net, lr=0.1)
+    for _, t in opt.slots:
+        t.grad = np.ones_like(t.data)
+    opt.step()
+    net.a.w.grad = None  # step counts now differ between slots
+    opt.step()
+    before = _optimizer_state(opt)
+    net.b.w.grad = np.full_like(net.b.w.data, np.nan)
+    net.a.b.grad = np.array([1.0, np.inf, 0.0])
+    with pytest.raises(FloatingPointError, match="'a.b'"):
+        opt.step()
+    _assert_same_state(_optimizer_state(opt), before)
+    net.a.b.grad = np.ones(3)
+    with pytest.raises(FloatingPointError, match="'b.w'"):
+        opt.step()
+    _assert_same_state(_optimizer_state(opt), before)
+
+
+def test_adamw_rejects_a_gradient_unlike_its_parameter():
+    """A broadcastable gradient, or one of another dtype, names its
+    parameter instead of being broadcast or cast into the update."""
+    net = _TwoLayer()
+    opt = AdamW(net, lr=0.1)
+    before = _optimizer_state(opt)
+    for bad in (np.ones((1, 3), dtype=np.float32), np.ones(3)):
+        for _, t in opt.slots:
+            t.grad = np.ones_like(t.data)
+        net.a.b.grad = bad
+        with pytest.raises(ValueError, match="gradient of parameter 'a.b'"):
+            opt.step()
+        _assert_same_state(_optimizer_state(opt), before)
+
+
+def test_adamw_takes_back_a_rebound_parameter():
+    """A parameter whose .data is rebound after the optimizer is built,
+    as load_state_dict does, keeps being updated from its new value,
+    exactly as if the value had been written into the buffer."""
+    rebound, written = _TwoLayer(), _TwoLayer()
+    opts = AdamW(rebound, lr=0.1), AdamW(written, lr=0.1)
+
+    def step_both():
+        for net, opt in zip((rebound, written), opts):
+            for _, t in opt.slots:
+                t.grad = np.full_like(t.data, 0.5)
+            opt.step()
+
+    step_both()
+    state = {k: v + 1 for k, v in rebound.state_dict().items()}
+    rebound.load_state_dict(state)
+    for name, t in written.named_parameters():
+        t.data[...] = state[name]
+    for _ in range(2):
+        step_both()
+        _assert_same_state(_optimizer_state(opts[0]), _optimizer_state(opts[1]))
+    for name, t in rebound.named_parameters():
+        assert np.shares_memory(t.data, opts[0]._flats[0].data), name
+        assert not np.array_equal(t.data, state[name]), name
+    rebound.a.w.data = rebound.a.w.data.astype(np.float64)
+    with pytest.raises(ValueError, match="value of parameter 'a.w' is float64"):
+        opts[0].step()
+
+
+def test_update_refuses_a_loss_that_reaches_no_parameter():
+    """A loss with a graph that reaches none of the trainable parameters
+    leaves every gradient unset; _update raises instead of stepping."""
+    net = _TwoLayer()
+    opt = AdamW(net, lr=0.1)
+    before = _optimizer_state(opt)
+    x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+    with pytest.raises(RuntimeError, match="no graph to any of the 4 trainable"):
+        trainkit._update(net, opt, tsum(mul(x, x)))
+    assert x.grad is not None
+    _assert_same_state(_optimizer_state(opt), before)
+
+
+def _per_parameter_step(self):
+    """AdamW's step as a loop over parameters, with per-parameter float64
+    moments and a fresh array per step: the reference that the flat
+    optimizer must match bit for bit."""
+    b1, b2 = trainkit.ADAM_BETAS
+    for i, (name, t) in enumerate(self.slots):
+        g = t.grad
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
+            raise FloatingPointError(f"non-finite gradient for parameter {name!r}")
+        m, v, s = self._buffers[i]
+        self._steps[i] += 1
+        k = self._steps[i]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=s, dtype=np.float64)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=s, dtype=np.float64)
+        v += np.multiply(s, g, out=s, dtype=np.float64)
+        np.divide(v, 1.0 - b2 ** k, out=s)
+        np.sqrt(s, out=s)
+        s += trainkit.ADAM_EPS
+        update = np.divide(m, 1.0 - b1 ** k)
+        update /= s
+        p = t.data
+        update += np.multiply(p, self.weight_decay, out=s)
+        update *= self.lr
+        t.data = np.subtract(p, update, out=update).astype(p.dtype)
+
+
+class _PerParameterAdamW:
+    """The oracle for the flat AdamW."""
+
+    def __init__(self, model, lr, weight_decay=trainkit.WEIGHT_DECAY):
+        self.slots = [(n, t) for n, t in model.named_parameters() if t.requires_grad]
+        self.lr = lr
+        self.weight_decay = weight_decay
+        self._buffers = [(np.zeros(t.data.shape), np.zeros(t.data.shape),
+                          np.empty(t.data.shape)) for _, t in self.slots]
+        self._steps = [0] * len(self.slots)
+
+    @property
+    def n_params(self):
+        return len(self.slots)
+
+    step = _per_parameter_step
+
+
+_BLOCK = trainkit.UPDATE_BLOCK
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.sampled_from([1, 2, 37, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                       2 * _BLOCK + 5]), min_size=1, max_size=4),
+       dtypes=st.lists(st.sampled_from([np.float32, np.float64]), min_size=4,
+                       max_size=4),
+       present=st.lists(st.lists(st.booleans(), min_size=4, max_size=4),
+                        min_size=1, max_size=4),
+       weight_decay=st.sampled_from([0.0, 0.01, 0.3]),
+       lr=st.sampled_from([1e-3, 0.05]),
+       seed=st.integers(0, 2**16))
+def test_flat_adamw_matches_the_per_parameter_loop(sizes, dtypes, present,
+                                                  weight_decay, lr, seed):
+    """Bit-equal parameters and moments after every step, over slots of
+    one value, below the update block and across it, float32 and float64
+    slots, and gradients that come and go so step counts diverge."""
+    gen = np.random.default_rng(seed)
+
+    def model():
+        net = Module()
+        for i, n in enumerate(sizes):
+            value = gen.normal(size=n).astype(dtypes[i])
+            setattr(net, f"p{i}", Tensor(value, requires_grad=True))
+        return net
+
+    flat_net = model()
+    oracle_net = copy.deepcopy(flat_net)
+    flat = AdamW(flat_net, lr, weight_decay=weight_decay)
+    oracle = _PerParameterAdamW(oracle_net, lr, weight_decay=weight_decay)
+    for mask in present:
+        for i, ((_, t), (_, o)) in enumerate(zip(flat.slots, oracle.slots)):
+            g = None
+            if mask[i]:
+                g = (gen.normal(size=t.data.shape)
+                     * 10.0 ** gen.integers(-6, 3)).astype(t.data.dtype)
+                g[gen.random(g.shape) < 0.1] = 0
+            t.grad, o.grad = g, None if g is None else g.copy()
+        flat.step()
+        oracle.step()
+        want = ([t.data for _, t in oracle.slots],
+                [np.concatenate(b[:2]) for b in oracle._buffers], oracle._steps)
+        _assert_same_state(_optimizer_state(flat), want)
 
 
 # -- early stopping -------------------------------------------------------
@@ -329,6 +531,33 @@ def test_joint_run_is_deterministic(tiny_suite, tiny_vocab, tiny_text_cfg,
     assert h1["n_params"] == sum(1 for _ in _joint_model(tiny_text_cfg).parameters())
     for k in s1:
         assert np.array_equal(s1[k], s2[k]), k
+
+
+def test_joint_run_matches_the_per_parameter_optimizer(tiny_suite, tiny_vocab,
+                                                       tiny_text_cfg,
+                                                       tiny_gaze_state,
+                                                       monkeypatch):
+    """Training with the flat AdamW is byte-identical to training with
+    the per-parameter loop: the same history and the same state dict."""
+    gen_state, _ = tiny_gaze_state
+    cfg = TrainConfig(lr=1e-3, max_epochs=2, batch_size=8,
+                      n_scanpaths_train=2, seed=5, patience=2)
+
+    def run():
+        return train_joint(_joint_model(tiny_text_cfg),
+                           tiny_suite.keyword_train[:24],
+                           tiny_suite.keyword_dev[:12], tiny_vocab, cfg,
+                           generator_state=gen_state)
+
+    flat_state, flat_hist = run()
+    monkeypatch.setattr(trainkit, "AdamW", _PerParameterAdamW)
+    oracle_state, oracle_hist = run()
+    assert json.dumps(flat_hist) == json.dumps(oracle_hist)
+    assert len(flat_hist["epochs"]) == 2
+    assert flat_state.keys() == oracle_state.keys()
+    for k in flat_state:
+        assert flat_state[k].dtype == oracle_state[k].dtype, k
+        assert flat_state[k].tobytes() == oracle_state[k].tobytes(), k
 
 
 def test_joint_tau_reaches_the_sampler(tiny_suite, tiny_vocab, tiny_text_cfg,
