@@ -26,7 +26,6 @@ from .diffcore import (
     cross_entropy,
     dropout,
     load_parameters,
-    matmul,
     mix_rows,
     mse_loss,
     no_grad,
@@ -64,12 +63,6 @@ def average_logits(per_path: list[np.ndarray]) -> np.ndarray:
     return first + acc / len(per_path)
 
 
-def fixation_steps(rows: list[Tensor], words: Tensor) -> list[Tensor]:
-    """GRU inputs in fixation order: each step's (B, W) position weights
-    applied to the (B, W, d) word vectors; a one-hot row picks one word."""
-    return [mix_rows(r, words) for r in rows]
-
-
 class ScanpathEncoder(Module):
     """Single-direction GRU over fixation-ordered rows, as wide as the
     text encoder, so its initial state is the [CLS] vector itself."""
@@ -78,17 +71,21 @@ class ScanpathEncoder(Module):
         super().__init__()
         self.gru = GRUCell(d, d, rng.substream("gru"))
 
-    def run_steps(self, steps: list[Tensor], step_mask: np.ndarray, cls: Tensor,
-                  rng: RngState | None = None) -> Tensor:
+    def run_steps(self, steps: list[Tensor], step_mask: np.ndarray, words: Tensor,
+                  cls: Tensor, rng: RngState | None = None) -> Tensor:
         """The GRU's last state per row, started from ``cls``; (B, d).
 
-        ``steps[t]`` is (B, d) and ``step_mask`` (B, T) marks each row's
-        steps, a prefix of them. Only the rows still reading are stepped:
-        a row's state is set aside on the step it stops, and the kept
+        ``step_mask`` (B, T) marks each row's steps, a prefix of them.
+        ``steps[t]`` holds (n_t, W) position weights for the n_t rows that
+        step t marks, in batch order, and the GRU reads them in fixation
+        order: each row's weights applied to its own (W, d) rows of
+        ``words``, so a one-hot row picks one word. Only the rows still
+        reading are stepped: on a step where a row finishes, its state is
+        set aside and the others' states and words are gathered; the kept
         states are put back in row order at the end. A row with no steps
-        reads out ``cls``. In training, each step's dropout mask is drawn
-        for the whole (B, d) step from ``rng.substream("drop", t)`` before
-        the live rows are taken from it.
+        reads out ``cls``. In training, step t's dropout mask is drawn for
+        the whole (B, d) step from ``rng.substream("drop", t)`` and its
+        live rows applied.
         """
         if not steps:
             raise ValueError("scanpath encoder needs at least one step")
@@ -99,18 +96,21 @@ class ScanpathEncoder(Module):
         ids = np.arange(cls.shape[0])
         h = cls
         parts: list[tuple[np.ndarray, Tensor]] = []   # finished rows, their states
-        for t, x in enumerate(steps):
+        for t, w in enumerate(steps):
             live = lengths[ids] > t
+            if w.shape[0] != live.sum():
+                raise ValueError(f"step {t} has {w.shape[0]} rows for the "
+                                 f"{live.sum()} rows its mask marks")
             if not live.all():
                 parts.append((ids[~live], take_rows(h, np.flatnonzero(~live))))
                 ids = ids[live]
                 if not len(ids):
                     break
-                h = take_rows(h, np.flatnonzero(live))
+                keep = np.flatnonzero(live)
+                h, words = take_rows(h, keep), take_rows(words, keep)
+            x = mix_rows(w, words)
             if train:
-                x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
-            if len(ids) < x.shape[0]:
-                x = take_rows(x, ids)
+                x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t), lengths > t)
             h = self.gru(x, h)
         if len(ids):
             parts.append((ids, h))
@@ -198,17 +198,17 @@ class JointModel(Module):
         _, _, words = self.gen_encoder.forward_batch(batch, rng)
         return self.generator.encode_words_batch(words, batch.word_counts)
 
-    def _scan_steps(self, counts: np.ndarray, words: Tensor, word_states: Tensor,
+    def _scan_steps(self, counts: np.ndarray, word_states: Tensor,
                     pair_rngs: list[RngState], gumbel: GumbelConfig):
-        """One sampled path per row, as GRU steps over the classifier's
-        word vectors, and the step mask."""
+        """One sampled path per row, as the scan GRU's steps over word
+        positions, and the step mask."""
         # per-sentence caps: a row's path length never depends on how long
         # the other sentences in its batch happen to be
         caps = np.array([default_max_fixations(int(c)) for c in counts])
         sampled = self.generator.sample_gumbel_batch(
             word_states, counts, pair_rngs, gumbel, caps
         )
-        return fixation_steps(sampled.rows, words), sampled.row_mask
+        return sampled.rows, sampled.row_mask
 
     # -- training loss ---------------------------------------------------
 
@@ -221,13 +221,14 @@ class JointModel(Module):
             batch, rng.substream("cls_enc") if rng else None
         )
         if self.cfg.model_kind == TEXT_ONLY:
-            steps, mask = self._content_steps(batch, tokens)
+            steps, mask = self._content_steps(batch, tokens.dtype)
+            words = tokens
         else:
             ws = self._word_states(batch, rng.substream("gen_enc") if rng else None)
-            steps, mask = self._scan_steps(batch.word_counts, words, ws,
-                                           pair_rngs, self.cfg.gumbel)
+            steps, mask = self._scan_steps(batch.word_counts, ws, pair_rngs,
+                                           self.cfg.gumbel)
         feature = self.scan.run_steps(
-            steps, mask, cls, rng.substream("scan") if rng else None
+            steps, mask, words, cls, rng.substream("scan") if rng else None
         )
         out = self.head(feature)
         if self.head.kind == CLASSIFICATION:
@@ -236,23 +237,21 @@ class JointModel(Module):
             loss = mse_loss(out, labels.astype(out.dtype).reshape(B, 1))
         return loss
 
-    def _content_steps(self, batch: Batch, tokens: Tensor):
-        """Original-order content tokens as GRU steps, for the baseline.
+    def _content_steps(self, batch: Batch, dtype):
+        """Original-order content tokens as GRU steps, for the baseline:
+        one-hot rows over the token positions, and the step mask.
 
         A token is content when its pool column is non-zero; its step is
         the number of content tokens before it in its row.
         """
-        B, T, _ = tokens.shape
-        content = batch.pool.any(axis=1)
+        content = batch.pool.any(axis=1)                # (B, T)
         b, t = np.nonzero(content)
         step = (np.cumsum(content, axis=1) - 1)[b, t]
         L = int(content.sum(axis=1).max(initial=1))
-        scat = np.zeros((B, L, T), dtype=tokens.dtype)
-        scat[b, step, t] = 1.0
-        mask = np.zeros((B, L), dtype=np.float32)
+        mask = np.zeros((batch.size, L), dtype=np.float32)
         mask[b, step] = 1.0
-        rows = matmul(Tensor(scat), tokens)
-        return [rows[:, i, :] for i in range(L)], mask
+        eye = np.eye(content.shape[1], dtype=dtype)
+        return [Tensor(eye[t[step == i]]) for i in range(L)], mask
 
     # -- prediction ------------------------------------------------------
 
@@ -274,17 +273,18 @@ class JointModel(Module):
             with no_grad():
                 tokens, cls, words = self.cls_encoder.forward_batch(batch)
                 if self.cfg.model_kind == TEXT_ONLY:
-                    steps, mask = self._content_steps(batch, tokens)
-                    return self.head(self.scan.run_steps(steps, mask, cls)).data.copy()
+                    steps, mask = self._content_steps(batch, tokens.dtype)
+                    return self.head(self.scan.run_steps(steps, mask, tokens,
+                                                         cls)).data.copy()
                 gumbel = self.cfg.gumbel
                 if gumbel.hard_eval:
                     gumbel = dataclasses.replace(gumbel, mode=STRAIGHT_THROUGH)
                 ws = self._word_states(batch, None)
                 pick, pair_rngs = path_rows(sentence_ids, n_scanpaths, rng)
-                steps, mask = self._scan_steps(
-                    batch.word_counts[pick], take_rows(words, pick),
-                    take_rows(ws, pick), pair_rngs, gumbel)
-                out = self.head(self.scan.run_steps(steps, mask, take_rows(cls, pick)))
+                steps, mask = self._scan_steps(batch.word_counts[pick],
+                                               take_rows(ws, pick), pair_rngs, gumbel)
+                out = self.head(self.scan.run_steps(steps, mask, take_rows(words, pick),
+                                                    take_rows(cls, pick)))
                 per_path = out.data.reshape(batch.size, n_scanpaths, -1)
                 return average_logits([per_path[:, p] for p in range(n_scanpaths)])
         finally:

@@ -18,6 +18,7 @@ import json
 import os
 import sys
 import time
+import typing
 
 from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
 from .corpus import (DatasetSpec, load_dataset, load_gaze_corpus,
@@ -44,8 +45,18 @@ REPORT_FILE = "report.json"
 # model.json "kind" of the verbs that write one, and how errors name it
 RUN_KINDS = {"joint": "joint-model", "gaze_pretrain": "gaze pretraining"}
 GENERATE_BATCH = 64     # sentences per sampler call in generate
-# what a joint model.json holds besides the ModelConfig fields
-RUN_KEYS = ("kind", "train", "task", "best_epoch", "best_dev_metric")
+# what a model.json holds besides its model settings, by run kind
+RUN_KEYS = {"joint": ("kind", "train", "task", "best_epoch", "best_dev_metric"),
+            "gaze_pretrain": ("kind", "train", "best_epoch", "best_dev_nll")}
+
+
+@dataclasses.dataclass(frozen=True)
+class GazeRunConfig:
+    """The model settings of a gaze-pretraining run, as model.json holds them."""
+
+    text: TextEncoderConfig
+    gen_hidden: int
+    l_max: int
 
 
 # -- plumbing ------------------------------------------------------------
@@ -117,18 +128,17 @@ def _finish(args, run_dir: str, resolved: dict,
     return 0
 
 
-def _read_run(run_dir: str, kind: str, parse):
-    """A run directory that ``kind`` wrote: (model.json, the model settings
-    ``parse(meta, where)`` reads from it, its TrainConfig, the vocabulary).
-    model.json is read whole before the vocabulary, so a stale key fails
-    by name."""
+def _read_run(run_dir: str, kind: str, model_cls):
+    """A run directory that ``kind`` wrote: (its ``model_cls`` settings,
+    its TrainConfig, the vocabulary). model.json is read whole before the
+    vocabulary, so a stale or missing key fails by name."""
     where = os.path.join(run_dir, MODEL_META)
     meta = _read_json(where)
-    if meta.get("kind") != kind:
+    if not isinstance(meta, dict) or meta.get("kind") != kind:
         raise ValueError(f"{run_dir}: not a {RUN_KINDS[kind]} run directory")
-    model_cfg = parse(meta, where)
+    model_cfg = _from_dict(model_cls, meta, where, RUN_KEYS[kind])
     cfg = _from_dict(TrainConfig, meta["train"], f"{where} train")
-    return meta, model_cfg, cfg, Vocab.load(os.path.join(run_dir, VOCAB_FILE))
+    return model_cfg, cfg, Vocab.load(os.path.join(run_dir, VOCAB_FILE))
 
 
 # -- config (de)serialization --------------------------------------------
@@ -139,26 +149,32 @@ def _model_meta(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
             "train": dataclasses.asdict(train_cfg)}
 
 
-def _from_dict(cls, d: dict, where: str):
-    """``cls(**d)`` for settings read back from a file; keys ``cls`` does
-    not have fail by name, as in a run directory of an older version."""
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}; the file "
-                         f"was written by another gazenlu version, re-run it")
-    return cls(**d)
-
-
-def _model_cfg_from_meta(meta: dict, where: str) -> ModelConfig:
-    kw = {k: v for k, v in meta.items() if k not in RUN_KEYS}
-    kw["text"] = _from_dict(TextEncoderConfig, kw["text"], f"{where} text")
-    kw["gumbel"] = _from_dict(GumbelConfig, kw["gumbel"], f"{where} gumbel")
-    return _from_dict(ModelConfig, kw, where)
-
-
-def _spec_from_dict(d: dict) -> DatasetSpec:
-    return _from_dict(DatasetSpec, {**d, "label_range": tuple(d["label_range"])},
-                      f"{SUITE_FILE} spec")
+def _from_dict(cls, d, where: str, run_keys=()):
+    """``cls`` from settings read back from a file, as
+    ``dataclasses.asdict`` wrote them: a dataclass-typed field is read the
+    same way and a list becomes a tuple where the field is one. The file
+    holds exactly the fields and ``run_keys``; a key ``cls`` does not
+    have, or one the file lacks, fails by name, as in a run directory of
+    another version."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where}: expected an object, got {json.dumps(d)}")
+    hints = typing.get_type_hints(cls)
+    names = [f.name for f in dataclasses.fields(cls)]
+    found = [f"{what} key(s) {', '.join(keys)}" for what, keys in (
+        ("unknown", sorted(set(d) - set(names) - set(run_keys))),
+        ("missing", [k for k in (*names, *run_keys) if k not in d])) if keys]
+    if found:
+        raise ValueError(f"{where}: {'; '.join(found)}; the file was written "
+                         f"by another gazenlu version, re-run it")
+    kw = {}
+    for name in names:
+        typ, value = hints[name], d[name]
+        if dataclasses.is_dataclass(typ):
+            value = _from_dict(typ, value, f"{where} {name}")
+        elif typing.get_origin(typ) is tuple:
+            value = tuple(value)
+        kw[name] = value
+    return cls(**kw)
 
 
 def _load_task(data_dir: str, task: str):
@@ -167,7 +183,7 @@ def _load_task(data_dir: str, task: str):
         raise ValueError(f"task {task!r} not in {data_dir}/{SUITE_FILE} "
                          f"(have {sorted(suite['tasks'])})")
     entry = suite["tasks"][task]
-    spec = _spec_from_dict(entry["spec"])
+    spec = _from_dict(DatasetSpec, entry["spec"], f"{SUITE_FILE} spec")
     splits = {}
     for split in ("train", "dev", "test"):
         splits[split] = load_dataset(os.path.join(data_dir, entry[split]), spec)
@@ -327,7 +343,7 @@ def cmd_build_vocab(args, parser) -> int:
         for rec in load_gaze_corpus(os.path.join(d, suite["gaze"]["dev"])):
             lines.append(rec.text)
         for entry in suite["tasks"].values():
-            spec = _spec_from_dict(entry["spec"])
+            spec = _from_dict(DatasetSpec, entry["spec"], f"{SUITE_FILE} spec")
             for split in ("train", "dev", "test"):
                 for inst in load_dataset(os.path.join(d, entry[split]), spec):
                     lines.append(inst.text1)
@@ -357,9 +373,7 @@ def cmd_pretrain_gaze(args, parser) -> int:
         vocab.save(os.path.join(run_dir, VOCAB_FILE))
         _write_json(os.path.join(run_dir, MODEL_META), {
             "kind": "gaze_pretrain",
-            "text": dataclasses.asdict(text_cfg),
-            "gen_hidden": args.gen_hidden,
-            "l_max": args.l_max,
+            **dataclasses.asdict(GazeRunConfig(text_cfg, args.gen_hidden, args.l_max)),
             "train": dataclasses.asdict(cfg),
             "best_epoch": hist["best_epoch"],
             "best_dev_nll": hist["best_dev_nll"],
@@ -396,7 +410,7 @@ def cmd_train(args, parser) -> int:
 
 
 def _load_joint(run_dir: str):
-    _, model_cfg, cfg, vocab = _read_run(run_dir, "joint", _model_cfg_from_meta)
+    model_cfg, cfg, vocab = _read_run(run_dir, "joint", ModelConfig)
     model = JointModel(model_cfg, RngState(cfg.seed, 0).substream("model"))
     ckpt = os.path.join(run_dir, "model.ckpt")
     model.load_state_dict(load_checkpoint(ckpt))
@@ -434,12 +448,10 @@ def cmd_evaluate(args, parser) -> int:
 def cmd_generate(args, parser) -> int:
     if args.n_paths < 1:
         raise ValueError(f"--n-paths must be >= 1, got {args.n_paths}")
-    meta, text_cfg, cfg, vocab = _read_run(
-        args.model, "gaze_pretrain",
-        lambda m, where: _from_dict(TextEncoderConfig, m["text"], f"{where} text"),
-    )
-    model = GazeModel(text_cfg, gen_hidden=meta["gen_hidden"],
-                      l_max=meta["l_max"], seed=cfg.seed)
+    run_cfg, cfg, vocab = _read_run(args.model, "gaze_pretrain", GazeRunConfig)
+    text_cfg = run_cfg.text
+    model = GazeModel(text_cfg, gen_hidden=run_cfg.gen_hidden,
+                      l_max=run_cfg.l_max, seed=cfg.seed)
     model.load_state_dict(load_checkpoint(os.path.join(args.model, "generator.ckpt")))
     model.eval()
 

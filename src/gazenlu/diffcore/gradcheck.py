@@ -38,10 +38,8 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
-    scatter_rows,
     shift_mass,
     softmax,
-    stack,
     take_rows,
     transpose,
     tsum,
@@ -250,11 +248,6 @@ def standard_op_checks(dtype=np.float64):
     idx = np.array([1, 1, 3, 0])
     entry("take_rows", {"x": x}, lambda x=x, idx=idx: readout(take_rows(x, idx), "tr"))
 
-    x = _rand(rng.substream("sr"), (2, 3), d)
-    idx = np.array([3, 0])
-    entry("scatter_rows", {"x": x},
-          lambda x=x, idx=idx: readout(scatter_rows(x, idx, 5), "sr"))
-
     # rows of 4, 1 and 3 words; offsets that clamp at both ends
     dist = _rand(rng.substream("shm_d"), (3, 4), d)
     q = _rand(rng.substream("shm_q"), (3, 5), d)
@@ -267,10 +260,6 @@ def standard_op_checks(dtype=np.float64):
     a = _rand(rng.substream("cat_a"), (2, 3), d)
     b = _rand(rng.substream("cat_b"), (2, 2), d)
     entry("concat", {"a": a, "b": b}, lambda a=a, b=b: readout(concat([a, b], axis=1), "cat"))
-
-    a = _rand(rng.substream("stk_a"), (2, 3), d)
-    b = _rand(rng.substream("stk_b"), (2, 3), d)
-    entry("stack", {"a": a, "b": b}, lambda a=a, b=b: readout(stack([a, b], axis=1), "stk"))
 
     x = _rand(rng.substream("rs"), (3, 4), d)
     entry("reshape", {"x": x}, lambda x=x: readout(reshape(x, (2, 6)), "rs"))
@@ -287,6 +276,11 @@ def standard_op_checks(dtype=np.float64):
     x = _rand(rng.substream("do"), (4, 4), d)
     entry("dropout", {"x": x},
           lambda x=x: readout(dropout(x, 0.5, RngState(77, 7)), "do"))
+
+    x = _rand(rng.substream("dor"), (2, 4), d)
+    live = np.array([False, True, False, True])
+    entry("dropout_rows", {"x": x},
+          lambda x=x, live=live: readout(dropout(x, 0.5, RngState(77, 8), live), "dor"))
 
     z = _rand(rng.substream("ce"), (4, 3), d)
     tgt = np.array([0, 2, 1, 1])

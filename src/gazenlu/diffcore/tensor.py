@@ -16,13 +16,12 @@ The ops: elementwise ``add``, ``mul``, ``relu`` and ``softmax``;
 weighted sums of its own rows); ``gru_cell``, one GRU step, and
 ``gru_seq``, a GRU over whole sequences whose inputs are all known;
 ``layer_norm``; the gathers ``embedding``, ``take_rows`` and
-``getitem`` and the inverse ``scatter_rows``; ``shift_mass``, the soft
-walk's clamped move; ``concat``, ``stack``, ``reshape``, ``transpose``
-and ``tsum``; ``dropout``; the losses ``cross_entropy`` and
-``mse_loss``. ``add``, ``mul``, ``matmul``, ``linear``, ``mix_rows``,
-``gru_cell``, ``gru_seq``, ``concat`` and ``stack`` compute no gradient
-for a parent that does not require one (masks, noise, one-hot rows,
-landing scatters).
+``getitem``; ``shift_mass``, the soft walk's clamped move; ``concat``,
+``reshape``, ``transpose`` and ``tsum``; ``dropout``; the losses
+``cross_entropy`` and ``mse_loss``. ``add``, ``mul``, ``matmul``,
+``linear``, ``mix_rows``, ``gru_cell``, ``gru_seq`` and ``concat``
+compute no gradient for a parent that does not require one (masks,
+noise, one-hot rows, landing scatters).
 
 numpy hands a one-row product to GEMV, whose sums round differently
 from GEMM's, so ``matmul``, ``linear``, ``gru_cell`` and ``gru_seq``
@@ -631,24 +630,6 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     return _result(data, (x,), bwd, "take_rows")
 
 
-def scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
-    """Rows of ``x`` placed at the distinct rows ``idx`` of ``n`` zero rows,
-    the inverse of ``take_rows``; the backward is ``take_rows``' forward,
-    the gradient's rows ``idx``."""
-    idx = np.asarray(idx)
-    if idx.shape != x.shape[:1]:
-        raise ShapeError(f"scatter_rows: {idx.shape} indices for {x.shape[0]} rows")
-    data = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
-    data[idx] = x.data
-
-    def bwd():
-        def fn(g):
-            return (g[idx],)
-        return fn
-
-    return _result(data, (x,), bwd, "scatter_rows")
-
-
 def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray) -> Tensor:
     """Move each row's mass by every offset, weighted, landings clamped.
 
@@ -709,20 +690,6 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return _result(data, tuple(tensors), bwd, "concat")
 
 
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    tensors = [_wrap(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-
-    def bwd():
-        def fn(g):
-            parts = np.moveaxis(g, axis, 0)
-            return tuple(part if t.requires_grad else None
-                         for t, part in zip(tensors, parts))
-        return fn
-
-    return _result(data, tuple(tensors), bwd, "stack")
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
 
@@ -780,10 +747,17 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- randomized / loss ops ----------------------------------------------
 
 
-def dropout(x: Tensor, p: float, rng) -> Tensor:
+def dropout(x: Tensor, p: float, rng, rows: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: each entry is kept with probability 1 - p and
-    scaled by 1 / (1 - p). Callers skip it outside training."""
-    keep = (rng.uniform(x.data.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    scaled by 1 / (1 - p). Callers skip it outside training.
+
+    ``rows``, a boolean vector with one True per row of ``x``, applies
+    those rows of a mask drawn for ``len(rows)`` rows: ``x`` takes the
+    draws it would get as those rows of the whole batch."""
+    shape = x.data.shape if rows is None else (len(rows),) + x.data.shape[1:]
+    keep = (rng.uniform(shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    if rows is not None:
+        keep = keep[rows]
     data = x.data * keep
 
     def bwd():

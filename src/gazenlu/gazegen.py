@@ -37,7 +37,6 @@ from .diffcore import (
     mix_rows,
     mul,
     reshape,
-    scatter_rows,
     shift_mass,
     softmax,
     take_rows,
@@ -94,11 +93,14 @@ class GeneratorConfig:
 
 @dataclass
 class SampledBatch:
-    """One sampled path per batch row, step-major, for the training loop."""
+    """One sampled path per batch row, step-major: step s holds a row for
+    each batch row that fixates at s and no other, so the scan GRU reads
+    the rows as they come."""
 
-    rows: list[Tensor]          # per step, (B, W) position weights
+    rows: list[Tensor]          # per step s, (n_s, W) position weights of
+                                # the rows that fixate at s, in batch order
     row_mask: np.ndarray        # (B, S) 1 where row b fixates at step s;
-                                # rows where it is 0 carry no meaning
+                                # n_s = row_mask[:, s].sum()
     fixations: list[list[int]]
     stopped: np.ndarray         # (B,) bool
 
@@ -315,10 +317,10 @@ class ScanpathGenerator(Module):
         set when it stops or reaches its cap and never returns, so the set
         only shrinks: on the steps where it does, the rows that stay are
         gathered with ``take_rows``, and decoding, the masks, the history
-        step and the bookkeeping then run on them alone. Each step's
-        (n, W) rows leave through one ``scatter_rows`` node as a (B, W)
-        tensor, zero for the rows that did not fixate at that step;
-        ``row_mask`` stays (B, S).
+        step and the bookkeeping then run on them alone. Step s emits the
+        working set's rows that fixate there, (n_s, W) in batch order, so
+        a row that chooses STOP is dropped at that step; ``row_mask`` (B, S)
+        says which rows those are.
 
         A live row whose logits are not finite raises FloatingPointError
         naming the step.
@@ -393,7 +395,9 @@ class ScanpathGenerator(Module):
                     onehot = np.zeros((n, W), dtype=dt)
                     onehot[live, fix[live]] = 1.0
                     row = add(y_words, Tensor(onehot - y_words.data))
-            rows.append(row if n == B else scatter_rows(row, ids, B))
+            if not live.all():
+                row = take_rows(row, np.flatnonzero(live))
+            rows.append(row)
             row_mask.append(np.zeros(B, dtype=np.float32))
             row_mask[-1][ids[live]] = 1.0
             for b, f in zip(ids[live], fix[live]):
@@ -405,7 +409,9 @@ class ScanpathGenerator(Module):
             if not keep.all():
                 sel = np.flatnonzero(keep)
                 ids, n_words, fix = ids[sel], n_words[sel], fix[sel]
-                ws, hid, row = take_rows(ws, sel), take_rows(hid, sel), take_rows(row, sel)
+                ws, hid = take_rows(ws, sel), take_rows(hid, sel)
+                if not keep[live].all():
+                    row = take_rows(row, np.flatnonzero(keep[live]))
                 if soft:
                     dist, stop_mass = row, stop_mass[sel]
             pe = matmul(dist, self.fix_pos.w[0:W, :]) if soft else self.fix_pos(fix)

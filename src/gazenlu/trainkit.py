@@ -97,9 +97,12 @@ def _coerce(key: str, typ: str, value: str, where: str):
         if value.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"{where}: {key} expects true/false, got {value!r}")
-    if "int" in base:
-        return int(value)
-    return float(value)
+    kind = int if "int" in base else float
+    try:
+        return kind(value)
+    except ValueError:
+        raise ValueError(f"{where}: {key} expects {'an int' if kind is int else 'a number'}, "
+                         f"got {value!r}") from None
 
 
 # -- optimizer -----------------------------------------------------------

@@ -16,8 +16,8 @@ import scipy.stats
 
 from conftest import record_acceptance
 
-from gazenlu.augmentor import (JointModel, ModelConfig, average_logits,
-                               fixation_steps)
+from gazenlu.augmentor import (JointModel, ModelConfig, ScanpathEncoder,
+                               average_logits)
 from gazenlu.cli import main as cli_main
 from gazenlu.corpus import (MarkovGazeModel, kfold, low_resource_split,
                             make_synthetic_suite)
@@ -230,17 +230,38 @@ def _delta_walk_oracle(gen, word_states, W, rng, max_fix):
     return fix, stopped
 
 
+class _RecordingCell:
+    """Stands in for the scan GRU's cell: records each step's input and
+    keeps the state."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def __call__(self, x, h):
+        self.inputs.append(x.data)
+        return h
+
+
 def test_criterion_03_reordering_oracle():
     rng = RngState(30303, 0)
     n_fixtures = 1000
     for k in range(n_fixtures):
         words, widths, paths = _mixed_width_fixture(k, rng)
-        onehot = np.zeros((max(len(p) for p in paths), 2, words.shape[1]))
+        # the scan GRU's steps: at step t, a one-hot row for each sentence
+        # whose path is longer than t, in batch order
+        lengths = np.array([len(p) for p in paths])
+        mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float32)
+        steps = []
+        for t in range(lengths.max()):
+            onehot = np.zeros((int(mask[:, t].sum()), words.shape[1]))
+            onehot[np.arange(len(onehot)), [p[t] for p in paths if len(p) > t]] = 1.0
+            steps.append(Tensor(onehot))
+        scan = ScanpathEncoder(words.shape[2], rng.substream("scan", k))
+        scan.gru = _RecordingCell()
+        scan.run_steps(steps, mask, words, Tensor(np.zeros((2, words.shape[2]))))
         for b, path in enumerate(paths):
-            onehot[np.arange(len(path)), b, path] = 1.0
-        steps = fixation_steps([Tensor(row) for row in onehot], words)
-        for b, path in enumerate(paths):
-            got = np.stack([steps[t].data[b] for t in range(len(path))])
+            at = mask[:b].sum(axis=0).astype(int)
+            got = np.stack([scan.gru.inputs[t][at[t]] for t in range(len(path))])
             assert np.array_equal(got, words.data[b, path])
 
     n_walks, steps = 120, 0
@@ -266,7 +287,8 @@ def test_criterion_03_reordering_oracle():
                 GumbelConfig(temperature=1e-8, mode=SOFT_CONVOLUTION),
                 max_fixations=6,
             )
-        rows = np.stack([row.data[me] for row, m in
+        # rows come in batch order: the walk's row is the first or the last
+        rows = np.stack([row.data[0 if me == 0 else -1] for row, m in
                          zip(sb.rows, sb.row_mask[me]) if m])
         assert np.all(rows[:, W:] == 0.0)  # no mass reaches the padding
         rows = rows[:, :W]
@@ -281,8 +303,8 @@ def test_criterion_03_reordering_oracle():
         steps += len(oracle_fix)
 
     ok = True
-    detail = (f"{n_fixtures} mixture-vs-gather fixtures (padded batches of "
-              f"mixed width) bit-exact; {n_walks} zero-temperature relaxed "
+    detail = (f"{n_fixtures} scan-GRU-read-vs-gather fixtures (padded batches "
+              f"of mixed width) bit-exact; {n_walks} zero-temperature relaxed "
               f"walks ({steps} steps) beside a longer sentence match the "
               f"integer replay exactly")
     record_acceptance(3, "reordering oracle", ok, detail)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, SCAN_DROPOUT, JointModel,
                                ModelConfig, ScanpathEncoder, TEXT_ONLY,
-                               average_logits, fixation_steps)
-from gazenlu.diffcore import (RngState, Tensor, add, backward, dropout, matmul,
-                              mul, no_grad, tsum)
+                               average_logits)
+from gazenlu.diffcore import (RngState, Tensor, add, backward, dropout, mix_rows,
+                              mul, no_grad, take_rows, tsum)
 from gazenlu.gazegen import GumbelConfig, default_max_fixations
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 from gazenlu.trainkit import GazeModel
@@ -58,31 +58,69 @@ def toy_text():
     return vocab, cfg, enc, (cls, words)
 
 
+class _RecordingCell:
+    """Stands in for the scan GRU's cell: records each step's input and
+    keeps the state."""
+
+    def __init__(self):
+        self.inputs = []
+
+    def __call__(self, x, h):
+        self.inputs.append(x)
+        return h
+
+
+def _read_steps(steps, step_mask, words):
+    """The inputs the scan GRU reads for ``steps`` over ``words``."""
+    enc = ScanpathEncoder(words.shape[2], RngState(38, 0))
+    enc.gru = _RecordingCell()
+    cls = Tensor(np.zeros((words.shape[0], words.shape[2]), dtype=words.dtype))
+    enc.run_steps(steps, step_mask, words, cls)
+    return enc.gru.inputs
+
+
 def test_soft_reorder_mixes_word_embeddings():
     """Each step's position weights mix that row's own word vectors,
-    across a padded batch of mixed width."""
+    across a padded batch of mixed width; a row that has stopped is not
+    read, and the rows after it keep their own words."""
     r = RngState(39, 0)
-    words = Tensor(r.substream("w").normal((2, 3, 4)).astype(np.float32))
+    words = Tensor(r.substream("w").normal((3, 3, 4)).astype(np.float32))
     words.data[0, 2] = 0.0          # row 0 has two words; word 2 is padding
-    weights = [np.array([[0.4, 0.6, 0.0], [0.2, 0.5, 0.3]], dtype=np.float32),
+    weights = [np.array([[0.4, 0.6, 0.0], [0.2, 0.5, 0.3], [0.1, 0.1, 0.8]],
+                        dtype=np.float32),
                np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)]
-    steps = fixation_steps([Tensor(w) for w in weights], words)
-    for w, step in zip(weights, steps):
-        manual = np.einsum("bw,bwd->bd", w, words.data)
-        assert step.shape == (2, 4)
+    mask = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+    got = _read_steps([Tensor(w) for w in weights], mask, words)
+    for t, (w, step) in enumerate(zip(weights, got)):
+        live = mask[:, t] > 0
+        manual = np.einsum("bw,bwd->bd", w, words.data[live])
+        assert step.shape == (live.sum(), 4)
         assert np.abs(step.data - manual).max() < 1e-6
 
 
 def test_fixation_step_is_one_graph_node():
-    """Each step reads its words through one mix_rows node over the row
-    and the word vectors themselves."""
+    """Each step reads its words through one mix_rows node over the step's
+    rows and the word vectors themselves, gathered once the set shrinks."""
     words = Tensor(np.ones((2, 3, 4), dtype=np.float32), requires_grad=True)
-    row = Tensor(np.eye(3, dtype=np.float32)[:2], requires_grad=True)
-    (step,) = fixation_steps([row], words)
-    assert step._op == "mix_rows" and step._parents == (row, words)
+    rows = [Tensor(np.eye(3, dtype=np.float32)[:2], requires_grad=True),
+            Tensor(np.eye(3, dtype=np.float32)[1:2], requires_grad=True)]
+    first, second = _read_steps(rows, np.array([[1.0, 0.0], [1.0, 1.0]]), words)
+    assert first._op == "mix_rows" and first._parents == (rows[0], words)
+    assert second._op == "mix_rows" and second._parents[0] is rows[1]
+    (taken,) = second._parents[1:]
+    assert taken._op == "take_rows" and taken._parents == (words,)
 
 
 # -- scanpath encoder ----------------------------------------------------
+
+
+def _full_rows(mask, W, seed):
+    """One (B, W) row of position weights per step, and the steps the
+    scan GRU takes: each step's rows that ``mask`` marks."""
+    r = RngState(seed, 3)
+    full = [r.substream("w", t).uniform((mask.shape[0], W)).astype(np.float32)
+            for t in range(mask.shape[1])]
+    return full, [Tensor(f[mask[:, t] > 0]) for t, f in enumerate(full)]
 
 
 def test_cls_initializes_state_directly_when_widths_match():
@@ -90,9 +128,10 @@ def test_cls_initializes_state_directly_when_widths_match():
     initial state as is: a row with every step masked reads out [CLS]."""
     enc = ScanpathEncoder(8, RngState(41, 0))
     cls = Tensor(RngState(42, 0).normal((2, 8)).astype(np.float32))
-    steps = [Tensor(np.ones((2, 8), dtype=np.float32))]
+    words = Tensor(np.ones((2, 1, 8), dtype=np.float32))
+    steps = [Tensor(np.ones((1, 1), dtype=np.float32))]
     with no_grad():
-        out = enc.run_steps(steps, np.array([[0.0], [1.0]]), cls)
+        out = enc.run_steps(steps, np.array([[0.0], [1.0]]), words, cls)
     assert np.array_equal(out.data[0], cls.data[0])
     assert not np.array_equal(out.data[1], cls.data[1])
 
@@ -101,24 +140,27 @@ def test_step_mask_freezes_finished_rows():
     enc = ScanpathEncoder(4, RngState(43, 0))
     enc.eval()
     r = RngState(44, 0)
-    steps = [Tensor(r.substream("x", t).normal((1, 4)).astype(np.float32))
-             for t in range(3)]
+    words = Tensor(r.substream("x").normal((1, 3, 4)).astype(np.float32))
+    steps = [Tensor(np.eye(3, dtype=np.float32)[t:t + 1]) for t in range(3)]
     cls = Tensor(r.substream("cls").normal((1, 4)).astype(np.float32))
     with no_grad():
-        full = enc.run_steps(steps, np.array([[1.0, 1.0, 1.0]]), cls)
-        cut = enc.run_steps(steps, np.array([[1.0, 0.0, 0.0]]), cls)
-        one = enc.run_steps(steps[:1], np.array([[1.0]]), cls)
+        full = enc.run_steps(steps, np.array([[1.0, 1.0, 1.0]]), words, cls)
+        cut = enc.run_steps(steps[:1] + [Tensor(np.zeros((0, 3), np.float32))] * 2,
+                            np.array([[1.0, 0.0, 0.0]]), words, cls)
+        one = enc.run_steps(steps[:1], np.array([[1.0]]), words, cls)
     assert np.array_equal(cut.data, one.data)
     assert not np.array_equal(full.data, one.data)
 
 
-def _masked_per_step(enc, steps, step_mask, cls, rng=None):
-    """Oracle: the scan GRU stepping every row at every step, a finished
-    row's state carried on by one masked update per step,
-    ``new * m + old * (1 - m)`` for the step's 0/1 row flags ``m``."""
+def _masked_per_step(enc, full, step_mask, words, cls, rng=None):
+    """Oracle: the scan GRU stepping every row at every step over the
+    (B, W) rows ``full``, a finished row's state carried on by one masked
+    update per step, ``new * m + old * (1 - m)`` for the step's 0/1 row
+    flags ``m``."""
     h = cls
     train = enc.training and rng is not None
-    for t, x in enumerate(steps):
+    for t, w in enumerate(full):
+        x = mix_rows(w, words)
         if train:
             x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
         m = step_mask[:, t].reshape(-1, 1).astype(cls.dtype)
@@ -142,40 +184,43 @@ def _prefix_batches(draw):
 @settings(max_examples=60, deadline=None)
 def test_run_steps_matches_masked_update_per_step(batch, training):
     """Stepping only the rows still reading changes nothing: against the
-    per-step masked update, the forward is bit-equal without a graph and
-    within 1e-6 with one, and so is every gradient (eval, and training
-    with dropout). d=16 makes the GRU's products 48 columns wide, a width
-    at which OpenBLAS's GEMM rounds a row the same whatever the number of
-    rows; at some widths (d=38, say) it does not, and the forward then
-    agrees only within 1e-6."""
+    per-step masked update over every row, the forward is bit-equal
+    without a graph and within 1e-6 with one, and so is every gradient
+    (eval, and training with dropout). d=16 makes the GRU's products 48
+    columns wide, a width at which OpenBLAS's GEMM rounds a row the same
+    whatever the number of rows; at some widths (d=38, say) it does not,
+    and the forward then agrees only within 1e-6."""
     mask, seed = batch
     B, T = mask.shape
-    d = 16
+    d, W = 16, 3
     r = RngState(seed, 1)
     enc = ScanpathEncoder(d, r.substream("enc"))
     enc.train(training)
-    steps = [Tensor(r.substream("x", t).normal((B, d)).astype(np.float32),
-                    requires_grad=True) for t in range(T)]
+    full_np, _ = _full_rows(mask, W, seed)
+    full = [Tensor(f, requires_grad=True) for f in full_np]
+    steps = [take_rows(f, np.flatnonzero(mask[:, t])) for t, f in enumerate(full)]
+    words = Tensor(r.substream("x").normal((B, W, d)).astype(np.float32),
+                   requires_grad=True)
     cls = Tensor(r.substream("cls").normal((B, d)).astype(np.float32),
                  requires_grad=True)
     readout = Tensor(r.substream("readout").normal((B, d)).astype(np.float32))
     drop = r.substream("drop") if training else None
-    leaves = steps + [cls] + [p for _, p in enc.named_parameters()]
+    leaves = full + [words, cls] + [p for _, p in enc.named_parameters()]
 
-    def run(fn, graph):
+    def run(fn, graph, rows):
         for p in leaves:
             p.grad = None
         with nullcontext() if graph else no_grad():
-            out = fn(enc, steps, mask, cls, drop)
+            out = fn(enc, rows, mask, words, cls, drop)
             if graph:
                 backward(tsum(mul(out, readout)))
         return out.data, [p.grad for p in leaves]
 
-    got, _ = run(ScanpathEncoder.run_steps, graph=False)
-    want, _ = run(_masked_per_step, graph=False)
+    got, _ = run(ScanpathEncoder.run_steps, False, steps)
+    want, _ = run(_masked_per_step, False, full)
     assert np.array_equal(got, want)
-    got, got_grads = run(ScanpathEncoder.run_steps, graph=True)
-    want, want_grads = run(_masked_per_step, graph=True)
+    got, got_grads = run(ScanpathEncoder.run_steps, True, steps)
+    want, want_grads = run(_masked_per_step, True, full)
     assert np.abs(got - want).max(initial=0.0) <= 1e-6
     for g, w in zip(got_grads, want_grads):
         if w is None or not w.any():
@@ -186,20 +231,33 @@ def test_run_steps_matches_masked_update_per_step(batch, training):
 
 def test_run_steps_rejects_a_mask_that_is_not_a_prefix():
     enc = ScanpathEncoder(4, RngState(47, 0))
-    steps = [Tensor(np.ones((1, 4), dtype=np.float32))] * 2
+    steps = [Tensor(np.ones((1, 1), dtype=np.float32))] * 2
     with pytest.raises(ValueError, match="prefix"):
         enc.run_steps(steps, np.array([[0.0, 1.0]]),
+                      Tensor(np.ones((1, 1, 4), dtype=np.float32)),
                       Tensor(np.zeros((1, 4), dtype=np.float32)))
+
+
+@pytest.mark.parametrize("rows", [(1, 1), (3, 1), (2, 2), (2, 0)])
+def test_run_steps_rejects_a_step_unlike_its_mask(rows):
+    """A step must hold one row for each row its mask column marks."""
+    enc = ScanpathEncoder(4, RngState(47, 1))
+    steps = [Tensor(np.ones((n, 3), dtype=np.float32)) for n in rows]
+    mask = np.array([[1.0, 0.0], [1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"step \d has \d rows for the \d rows"):
+        enc.run_steps(steps, mask, Tensor(np.ones((2, 3, 4), dtype=np.float32)),
+                      Tensor(np.zeros((2, 4), dtype=np.float32)))
 
 
 def test_encoder_is_order_sensitive(toy_text):
     _, cfg, enc, (cls, words) = toy_text
     sc = ScanpathEncoder(cfg.d_model, RngState(45, 0))
     sc.eval()
+    eye = np.eye(words.shape[1], dtype=np.float32)
 
     def feature(order):
-        steps = [words[:, f, :] for f in order]
-        return sc.run_steps(steps, np.ones((1, len(order))), cls)
+        steps = [Tensor(eye[f:f + 1]) for f in order]
+        return sc.run_steps(steps, np.ones((1, len(order))), words, cls)
 
     with no_grad():
         f_ab, f_ba = feature([0, 1]), feature([1, 0])
@@ -209,7 +267,8 @@ def test_encoder_is_order_sensitive(toy_text):
 def test_empty_sequence_rejected():
     sc = ScanpathEncoder(4, RngState(46, 0))
     with pytest.raises(ValueError):
-        sc.run_steps([], np.zeros((1, 0)), Tensor(np.zeros((1, 4), dtype=np.float32)))
+        sc.run_steps([], np.zeros((1, 0)), Tensor(np.zeros((1, 1, 4), dtype=np.float32)),
+                     Tensor(np.zeros((1, 4), dtype=np.float32)))
 
 
 # -- joint model ---------------------------------------------------------
@@ -357,9 +416,10 @@ def test_text_only_loss_ignores_scanpaths():
 
 def _looped_content_steps(encs):
     """The baseline's steps as a loop over every word's tokens, reading
-    the word spans from the encoded texts."""
-    def steps(self, batch, tokens):
-        B, T, _ = tokens.shape
+    the word spans from the encoded texts: step r holds a one-hot row over
+    the token positions for each row with more than r content tokens."""
+    def steps(self, batch, dtype):
+        B, _, T = batch.pool.shape
         W = batch.pool.shape[1]
         starts = np.zeros((B, W), dtype=np.int64)
         ends = np.ones((B, W), dtype=np.int64)
@@ -378,8 +438,7 @@ def _looped_content_steps(encs):
                     scat[b, r, t] = 1.0
                     mask[b, r] = 1.0
                     r += 1
-        content = matmul(Tensor(scat.astype(tokens.dtype)), tokens)
-        return [content[:, t, :] for t in range(L)], mask
+        return [Tensor(scat[mask[:, r] > 0, r].astype(dtype)) for r in range(L)], mask
     return steps
 
 
@@ -486,8 +545,7 @@ def _per_path_predict(model, batch, ids, n_paths, rng):
         for p in range(n_paths):
             sampled = model.generator.sample_gumbel_batch(
                 ws, counts, [rng.substream(sid, p) for sid in ids], gumbel, caps)
-            feature = model.scan.run_steps(fixation_steps(sampled.rows, words),
-                                           sampled.row_mask, cls)
+            feature = model.scan.run_steps(sampled.rows, sampled.row_mask, words, cls)
             outs.append(model.head(feature).data)
     model.train(was_training)
     return average_logits(outs)

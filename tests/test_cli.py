@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from gazenlu import trainkit
 from gazenlu.augmentor import ModelConfig
-from gazenlu.cli import (_check_text_only, _model_cfg_from_meta, _model_meta,
-                         _spec_from_dict, build_parser, main)
+from gazenlu.cli import (_check_text_only, _from_dict, _model_meta, build_parser,
+                         main)
 from gazenlu.corpus import DatasetSpec, make_synthetic_suite
 from gazenlu.evalkit import load_reports
 from gazenlu.gazegen import GumbelConfig
@@ -259,7 +259,7 @@ def test_model_meta_round_trips_every_field():
     assert set(meta["text"]) == {"vocab_size", "d_model", "n_layers", "n_heads",
                                  "d_ff", "max_len"}
     assert "tau" not in meta["train"]
-    assert _model_cfg_from_meta(meta, "model.json") == cfg
+    assert _from_dict(ModelConfig, meta, "model.json", ("kind", "train")) == cfg
 
 
 def test_dataset_spec_round_trips_through_suite_json(pipeline):
@@ -268,13 +268,13 @@ def test_dataset_spec_round_trips_through_suite_json(pipeline):
                                 n_keyword=(2, 2, 2), n_pairs=(2, 2, 2))
     for task, spec in (("keyword", made.keyword_spec),
                        ("pairs", made.pairs_spec)):
-        assert _spec_from_dict(suite["tasks"][task]["spec"]) == spec
+        assert _from_dict(DatasetSpec, suite["tasks"][task]["spec"], "spec") == spec
     spec = DatasetSpec("sim", fields="pair", label_kind="real",
                        metric_id="spearman", n_classes=1,
                        label_range=(1.0, 5.0))
     _non_default(DatasetSpec, spec)
     stored = json.loads(json.dumps(dataclasses.asdict(spec)))
-    assert _spec_from_dict(stored) == spec
+    assert _from_dict(DatasetSpec, stored, "spec") == spec
 
 
 # the flags only joint training reads, with a value where they take one
@@ -339,6 +339,23 @@ def test_tau_is_a_model_flag_not_a_config_key(pipeline, capsys):
     assert re.search(r"tau\.cfg:2: unknown config key 'tau'", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("batch_size=abc", "batch_size expects an int, got 'abc'"),
+    ("lr=fast", "lr expects a number, got 'fast'"),
+])
+def test_bad_config_value_exits_one_naming_file_line_and_key(pipeline, capsys,
+                                                            line, message):
+    cfg_file = pipeline["root"] / "bad_value.cfg"
+    cfg_file.write_text(f"max_epochs=1\n{line}\n")
+    out = pipeline["root"] / "joint_bad_value"
+    assert main([
+        "train", "--task", "keyword", "--data-dir", pipeline["data"],
+        "--vocab", pipeline["vocab"], "--config", str(cfg_file), "--out", str(out),
+    ]) == 1
+    assert f"bad_value.cfg:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_pretrain_config_needs_no_lr(pipeline):
     cfg_file = pipeline["root"] / "pre.cfg"
     cfg_file.write_text("pretrain_lr=2e-3\nmax_epochs=1\n")
@@ -355,19 +372,34 @@ def test_pretrain_config_needs_no_lr(pipeline):
     assert train["pretrain_lr"] == 2e-3 and train["lr"] is None
 
 
-@pytest.mark.parametrize("run, section, key", [
-    ("train", None, "scan_dropout"), ("train", None, "scan_hidden"),
-    ("train", "text", "n_segments"),
-    ("train", "text", "dropout"), ("train", "train", "tau"),
-    ("pre", "text", "n_segments"), ("pre", "train", "tau"),
+STALE = [("train", None, "scan_dropout"), ("train", None, "scan_hidden"),
+         ("train", "text", "n_segments"),
+         ("train", "text", "dropout"), ("train", "train", "tau"),
+         ("pre", "text", "n_segments"), ("pre", "train", "tau"),
+         ("pre", None, "scan_hidden")]
+MISSING = [("train", None, "gen_hidden"), ("train", "gumbel", "mode"),
+           ("train", None, "train"), ("train", "text", "d_model"),
+           ("pre", None, "gen_hidden"), ("pre", None, "l_max"),
+           ("pre", "text", "d_model"), ("pre", "train", "seed")]
+
+
+@pytest.mark.parametrize("run, section, key, drop", [
+    *(pytest.param(*case, False, id="-".join(map(str, case))) for case in STALE),
+    *(pytest.param(*case, True, id="-".join(map(str, case)) + "-missing")
+      for case in MISSING),
 ])
-def test_stale_run_directory_exits_one_naming_the_key(pipeline, tmp_path,
-                                                      capsys, run, section, key):
-    """model.json from an older version (before the single temperature,
-    or holding the scan width the scan GRU no longer has), one stale key
-    at a time."""
+def test_stale_run_directory_exits_one_naming_the_key(pipeline, tmp_path, capsys,
+                                                      run, section, key, drop):
+    """model.json from another version, one key at a time: a stale key
+    (before the single temperature, or holding the scan width the scan
+    GRU no longer has), or a key the file lacks, even one whose field
+    has a default."""
     meta = json.load(open(os.path.join(pipeline[run], "model.json")))
-    (meta[section] if section else meta)[key] = 0.1
+    where = meta[section] if section else meta
+    if drop:
+        del where[key]
+    else:
+        where[key] = 0.1
     (tmp_path / "model.json").write_text(json.dumps(meta))
     if run == "train":
         argv = ["evaluate", "--model", str(tmp_path), "--task", "keyword",
@@ -380,6 +412,7 @@ def test_stale_run_directory_exits_one_naming_the_key(pipeline, tmp_path,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert "model.json" in err and key in err
+    assert ("missing key(s)" if drop else "unknown key(s)") in err
 
 
 def test_generate_rejects_overlong_line_before_sampling(pipeline, capsys):

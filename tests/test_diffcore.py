@@ -14,7 +14,7 @@ from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
                               is_grad_enabled, layer_norm, linear,
                               load_checkpoint, matmul, mix_rows, mse_loss, mul,
                               no_grad, relu, reshape, run_standard_checks,
-                              save_checkpoint, softmax, stack, take_rows,
+                              save_checkpoint, softmax, take_rows,
                               transpose, tsum)
 
 
@@ -142,6 +142,21 @@ def test_dropout_contract():
     assert np.allclose(out[kept], 1.0 / 0.7)
     same = dropout(x, 0.3, rng.substream("d")).data
     assert np.array_equal(out, same)
+
+
+def test_dropout_rows_apply_their_rows_of_the_whole_draw():
+    """Given rows, a row takes the mask entries it would get as that row
+    of the whole batch, forward and backward."""
+    rng = RngState(0, 1)
+    x = Tensor(rng.substream("x").normal((6, 5)), requires_grad=True)
+    rows = np.array([False, True, True, False, False, True])
+    whole = dropout(x, 0.4, rng.substream("d"))
+    part = dropout(take_rows(x, np.flatnonzero(rows)), 0.4, rng.substream("d"), rows)
+    assert np.array_equal(part.data, whole.data[rows])
+    g = np.arange(15.0).reshape(3, 5)
+    full_g = np.zeros((6, 5))
+    full_g[rows] = g
+    assert np.array_equal(part._backward(g)[0], whole._backward(full_g)[0][rows])
 
 
 def test_layer_norm_normalizes():
@@ -344,8 +359,8 @@ def _gru_steps(x, lengths, h0, cell, reverse):
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         m = (t < lengths).astype(x.dtype).reshape(-1, 1)
         h = add(mul(cell(x[:, t, :], h), Tensor(m)), mul(h, Tensor(1.0 - m)))
-        states[t] = h
-    return stack(states, axis=1)
+        states[t] = reshape(h, (h.shape[0], 1, h.shape[1]))
+    return concat(states, axis=1)
 
 
 @st.composite
@@ -431,7 +446,7 @@ def test_gradients_skip_constant_operands():
     """Only parents that require grad receive one; a constant matrix in a
     matmul, a constant state in a GRU step, a constant term or factor in
     add and mul, a constant input or initial state of a GRU sequence,
-    constant parts of a concat or stack, a constant input or bias of a
+    constant parts of a concat, a constant input or bias of a
     linear layer and either constant operand of a mix_rows get none
     computed."""
     w = Tensor(np.ones((4, 2)), requires_grad=True)
@@ -455,10 +470,9 @@ def test_gradients_skip_constant_operands():
     x_grad, h_grad, *weight_grads = out._backward(np.ones(out.shape))
     assert x_grad is None and h_grad is None
     assert all(g is not None for g in weight_grads)
-    for op in (concat, stack):
-        out = op([k, t, k], axis=1)
-        got = out._backward(np.ones(out.shape))
-        assert got[0] is None and got[2] is None and got[1].shape == (2, 3), op
+    out = concat([k, t, k], axis=1)
+    got = out._backward(np.ones(out.shape))
+    assert got[0] is None and got[2] is None and got[1].shape == (2, 3)
     x = Tensor(np.ones((2, 5, 4)))
     out = linear(x, w, Tensor(np.ones(2)))
     got = out._backward(np.ones(out.shape))
@@ -548,20 +562,18 @@ def test_atomic_write_failure_keeps_old_file(tmp_path):
 # -- misc op semantics ---------------------------------------------------
 
 
-def test_concat_stack_transpose_reshape():
+def test_concat_transpose_reshape():
     a = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3), requires_grad=True)
     b = Tensor(np.ones((2, 3)), requires_grad=True)
     c = concat([a, b], axis=1)
     assert c.shape == (2, 6)
-    s = stack([a, b])
-    assert s.shape == (2, 2, 3)
     t = transpose(a, (1, 0))
     assert t.shape == (3, 2)
     r = reshape(a, (3, 2))
     assert r.shape == (3, 2)
-    tsum(add(tsum(c), add(tsum(s), add(tsum(t), tsum(r))))).backward()
+    tsum(add(tsum(c), add(tsum(t), tsum(r)))).backward()
     assert a.grad.shape == (2, 3)
-    assert np.allclose(a.grad, 4.0)  # used four times, each with unit gradient
+    assert np.allclose(a.grad, 3.0)  # used three times, each with unit gradient
 
 
 def test_activation_values():

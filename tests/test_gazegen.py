@@ -42,8 +42,10 @@ def batched_valid(gen, pos: int, n_words: int) -> np.ndarray:
 
 
 def live_rows(batch, b=0):
-    """Row b's (n_fix, W) position weights, one per fixation."""
-    return np.stack([r.data[b] for r, m in zip(batch.rows, batch.row_mask[b]) if m])
+    """Row b's (n_fix, W) position weights, one per fixation: at each step
+    it fixates, its row of that step's rows, which come in batch order."""
+    at = batch.row_mask[:b].sum(axis=0).astype(int)
+    return np.stack([r.data[i] for r, i, m in zip(batch.rows, at, batch.row_mask[b]) if m])
 
 
 @pytest.fixture(scope="module")
@@ -615,7 +617,8 @@ def _sample_rows_loss(gen, ws, counts, rngs, cfg, caps, readout, surrogate):
     sb = gen.sample_gumbel_batch(ws, counts, rngs, cfg, caps, surrogate=surrogate)
     loss = None
     for t, row in enumerate(sb.rows):
-        term = tsum(mul(row, Tensor(readout[:, t, :row.shape[1]])))
+        live = sb.row_mask[:, t] > 0
+        term = tsum(mul(row, Tensor(readout[live, t, :row.shape[1]])))
         loss = term if loss is None else add(loss, term)
     return sb, loss
 

@@ -431,6 +431,19 @@ def test_config_bool_coercion(tmp_path):
         load_config(path)
 
 
+def test_config_bad_number_names_line_and_key(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("lr=1e-3\nbatch_size=abc\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:2: batch_size expects an int, got 'abc'"):
+        load_config(path)
+    path.write_text("# rates\nlr=fast\n")
+    with pytest.raises(ValueError, match=r"run\.cfg:2: lr expects a number, got 'fast'"):
+        load_config(path)
+    path.write_text("lr=1e-3\n")
+    with pytest.raises(ValueError, match=r"override: max_epochs expects an int, got '2\.5'"):
+        load_config(path, {"max_epochs": "2.5"})
+
+
 # -- generator pretraining ------------------------------------------------
 
 
