@@ -37,7 +37,6 @@ from .gazegen import (
     STRAIGHT_THROUGH,
     ScanpathGenerator,
     default_max_fixations,
-    path_rows,
 )
 from .textenc import Batch, TextEncoder, TextEncoderConfig
 
@@ -198,18 +197,6 @@ class JointModel(Module):
         _, _, words = self.gen_encoder.forward_batch(batch, rng)
         return self.generator.encode_words_batch(words, batch.word_counts)
 
-    def _scan_steps(self, counts: np.ndarray, word_states: Tensor,
-                    pair_rngs: list[RngState], gumbel: GumbelConfig):
-        """One sampled path per row, as the scan GRU's steps over word
-        positions, and the step mask."""
-        # per-sentence caps: a row's path length never depends on how long
-        # the other sentences in its batch happen to be
-        caps = np.array([default_max_fixations(int(c)) for c in counts])
-        sampled = self.generator.sample_gumbel_batch(
-            word_states, counts, pair_rngs, gumbel, caps
-        )
-        return sampled.rows, sampled.row_mask
-
     # -- training loss ---------------------------------------------------
 
     def loss_pairs(self, batch: Batch, labels: np.ndarray,
@@ -225,8 +212,13 @@ class JointModel(Module):
             words = tokens
         else:
             ws = self._word_states(batch, rng.substream("gen_enc") if rng else None)
-            steps, mask = self._scan_steps(batch.word_counts, ws, pair_rngs,
-                                           self.cfg.gumbel)
+            # per-sentence caps: a row's path length never depends on how
+            # long the other sentences in its batch happen to be
+            counts = batch.word_counts
+            sampled = self.generator.sample_gumbel_batch(
+                ws, counts, pair_rngs, self.cfg.gumbel,
+                np.array([default_max_fixations(int(c)) for c in counts]))
+            steps, mask = sampled.rows, sampled.row_mask
         feature = self.scan.run_steps(
             steps, mask, words, cls, rng.substream("scan") if rng else None
         )
@@ -280,11 +272,11 @@ class JointModel(Module):
                 if gumbel.hard_eval:
                     gumbel = dataclasses.replace(gumbel, mode=STRAIGHT_THROUGH)
                 ws = self._word_states(batch, None)
-                pick, pair_rngs = path_rows(sentence_ids, n_scanpaths, rng)
-                steps, mask = self._scan_steps(batch.word_counts[pick],
-                                               take_rows(ws, pick), pair_rngs, gumbel)
-                out = self.head(self.scan.run_steps(steps, mask, take_rows(words, pick),
-                                                    take_rows(cls, pick)))
+                pick, sampled = self.generator.sample_paths(
+                    ws, batch.word_counts, sentence_ids, n_scanpaths, rng, gumbel)
+                out = self.head(self.scan.run_steps(
+                    sampled.rows, sampled.row_mask, take_rows(words, pick),
+                    take_rows(cls, pick)))
                 per_path = out.data.reshape(batch.size, n_scanpaths, -1)
                 return average_logits([per_path[:, p] for p in range(n_scanpaths)])
         finally:

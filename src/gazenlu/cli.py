@@ -18,19 +18,19 @@ import json
 import os
 import sys
 import time
+import types
 import typing
 
 from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
 from .corpus import (DatasetSpec, load_dataset, load_gaze_corpus,
                      make_synthetic_suite, write_dataset, write_gaze_corpus)
 from .diffcore import (RngState, atomic_write, checkpoint_hash, load_checkpoint,
-                       no_grad, save_checkpoint, take_rows)
-from .evalkit import (ABLATIONS, EvalReport, Experiment, load_reports,
-                      metric_fn_for, new_report, reports_to_csv, run_ablations,
-                      run_crossval, run_lowresource, save_reports,
-                      score_instances, sweep_scanpaths)
-from .gazegen import (SOFT_CONVOLUTION, STRAIGHT_THROUGH, GumbelConfig,
-                     default_max_fixations, path_rows)
+                       no_grad, save_checkpoint)
+from .evalkit import (ABLATIONS, EvalReport, Experiment, metric_fn_for,
+                      new_report, reports_to_csv, run_ablations, run_crossval,
+                      run_lowresource, save_reports, score_instances,
+                      sweep_scanpaths)
+from .gazegen import SOFT_CONVOLUTION, STRAIGHT_THROUGH, GumbelConfig
 from .textenc import (TextEncoderConfig, Vocab, build_vocab, collate,
                       tokenize_whole)
 from .trainkit import (GazeModel, TrainConfig, load_config, pretrain_generator,
@@ -137,7 +137,7 @@ def _read_run(run_dir: str, kind: str, model_cls):
     if not isinstance(meta, dict) or meta.get("kind") != kind:
         raise ValueError(f"{run_dir}: not a {RUN_KINDS[kind]} run directory")
     model_cfg = _from_dict(model_cls, meta, where, RUN_KEYS[kind])
-    cfg = _from_dict(TrainConfig, meta["train"], f"{where} train")
+    cfg = _from_dict(TrainConfig, meta["train"], where, path="train")
     return model_cfg, cfg, Vocab.load(os.path.join(run_dir, VOCAB_FILE))
 
 
@@ -149,32 +149,59 @@ def _model_meta(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
             "train": dataclasses.asdict(train_cfg)}
 
 
-def _from_dict(cls, d, where: str, run_keys=()):
-    """``cls`` from settings read back from a file, as
-    ``dataclasses.asdict`` wrote them: a dataclass-typed field is read the
-    same way and a list becomes a tuple where the field is one. The file
-    holds exactly the fields and ``run_keys``; a key ``cls`` does not
-    have, or one the file lacks, fails by name, as in a run directory of
-    another version."""
+def _from_dict(cls, d, where: str, run_keys=(), path: str = ""):
+    """``cls`` from the object at key path ``path`` of the file ``where``,
+    as ``dataclasses.asdict`` wrote it. The object holds exactly the fields
+    and ``run_keys``; a key ``cls`` does not have, or one the object lacks,
+    fails by name, as in a run directory of another version. Each field's
+    value is read by ``_typed``."""
+    at = f"{where}: {path}" if path else where
     if not isinstance(d, dict):
-        raise ValueError(f"{where}: expected an object, got {json.dumps(d)}")
+        raise ValueError(f"{at}: expected an object, got {json.dumps(d)}")
     hints = typing.get_type_hints(cls)
     names = [f.name for f in dataclasses.fields(cls)]
     found = [f"{what} key(s) {', '.join(keys)}" for what, keys in (
         ("unknown", sorted(set(d) - set(names) - set(run_keys))),
         ("missing", [k for k in (*names, *run_keys) if k not in d])) if keys]
     if found:
-        raise ValueError(f"{where}: {'; '.join(found)}; the file was written "
+        raise ValueError(f"{at}: {'; '.join(found)}; the file was written "
                          f"by another gazenlu version, re-run it")
-    kw = {}
-    for name in names:
-        typ, value = hints[name], d[name]
-        if dataclasses.is_dataclass(typ):
-            value = _from_dict(typ, value, f"{where} {name}")
-        elif typing.get_origin(typ) is tuple:
-            value = tuple(value)
-        kw[name] = value
-    return cls(**kw)
+    return cls(**{name: _typed(hints[name], d[name], where,
+                               f"{path}.{name}" if path else name)
+                  for name in names})
+
+
+# what a JSON value must be to fill a field of each plain type
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "a string", dict: "an object"}
+
+
+def _typed(typ, value, where: str, path: str):
+    """``value``, read from JSON at key path ``path`` of the file ``where``,
+    as a value of the annotation ``typ``: a plain type of ``_KINDS`` (a
+    float field also takes an integer, and a bool is no integer),
+    ``X | None``, a list for a ``list[X]`` or, of its length, for a
+    ``tuple[...]``, or an object for a dataclass. A mismatch raises
+    ValueError naming the file, the key path and the value."""
+    if dataclasses.is_dataclass(typ):
+        return _from_dict(typ, value, where, path=path)
+    origin, args = typing.get_origin(typ), typing.get_args(typ)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (typ,) = [a for a in args if a is not type(None)]
+        return _typed(typ, value, where, path)
+    if origin in (list, tuple):
+        what = "a list" if origin is list else f"a list of {len(args)}"
+        if isinstance(value, list) and (origin is list or len(value) == len(args)):
+            items = [_typed(args[0] if origin is list else args[i], v, where,
+                            f"{path}[{i}]") for i, v in enumerate(value)]
+            return items if origin is list else tuple(items)
+    else:
+        what = _KINDS[typ]
+        if type(value) is typ or (typ is float and type(value) is int):
+            return float(value) if typ is float else value
+    raise ValueError(f"{where}: {path}: expected {what}, got {json.dumps(value)}")
 
 
 def _load_task(data_dir: str, task: str):
@@ -183,7 +210,8 @@ def _load_task(data_dir: str, task: str):
         raise ValueError(f"task {task!r} not in {data_dir}/{SUITE_FILE} "
                          f"(have {sorted(suite['tasks'])})")
     entry = suite["tasks"][task]
-    spec = _from_dict(DatasetSpec, entry["spec"], f"{SUITE_FILE} spec")
+    spec = _from_dict(DatasetSpec, entry["spec"], os.path.join(data_dir, SUITE_FILE),
+                      path=f"tasks.{task}.spec")
     splits = {}
     for split in ("train", "dev", "test"):
         splits[split] = load_dataset(os.path.join(data_dir, entry[split]), spec)
@@ -342,8 +370,9 @@ def cmd_build_vocab(args, parser) -> int:
             lines.append(rec.text)
         for rec in load_gaze_corpus(os.path.join(d, suite["gaze"]["dev"])):
             lines.append(rec.text)
-        for entry in suite["tasks"].values():
-            spec = _from_dict(DatasetSpec, entry["spec"], f"{SUITE_FILE} spec")
+        for task, entry in suite["tasks"].items():
+            spec = _from_dict(DatasetSpec, entry["spec"], os.path.join(d, SUITE_FILE),
+                              path=f"tasks.{task}.spec")
             for split in ("train", "dev", "test"):
                 for inst in load_dataset(os.path.join(d, entry[split]), spec):
                     lines.append(inst.text1)
@@ -468,13 +497,9 @@ def cmd_generate(args, parser) -> int:
         for at in range(0, len(encs), GENERATE_BATCH):
             ids = range(at, min(at + GENERATE_BATCH, len(encs)))
             batch = collate([encs[i] for i in ids])
-            ws = model.word_states(batch, None)
-            pick, path_rngs = path_rows([f"s{i}" for i in ids], args.n_paths, rng)
-            counts = batch.word_counts[pick]
-            sampled = model.generator.sample_gumbel_batch(
-                take_rows(ws, pick), counts, path_rngs, GumbelConfig(),
-                [default_max_fixations(int(c)) for c in counts],
-            )
+            pick, sampled = model.generator.sample_paths(
+                model.word_states(batch, None), batch.word_counts,
+                [f"s{i}" for i in ids], args.n_paths, rng, GumbelConfig())
             for r, b in enumerate(pick):
                 rows.append({"sentence_id": f"s{ids[b]}",
                              "fixations": sampled.fixations[r],
@@ -540,6 +565,15 @@ def cmd_ablate(args, parser) -> int:
         for name in ABLATIONS:
             print(f"{name}: {reports[name].metric_id} {reports[name].mean:.4f}")
         return _finish(args, run_dir, resolved, reports)
+
+
+def load_reports(path) -> dict[str, EvalReport]:
+    """The reports of a report file, each read as ``save_reports`` wrote it."""
+    payload = _read_json(path)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected an object, got {json.dumps(payload)}")
+    return {name: _from_dict(EvalReport, d, path, ("mean", "stderr"), name)
+            for name, d in payload.items()}
 
 
 def cmd_report(args, parser) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import RngState
+from .diffcore import RngState, atomic_write
 
 METRICS = ("accuracy", "f1", "matthews", "spearman", "auc")
 SINGLE, PAIR = "single", "pair"
@@ -114,7 +114,7 @@ def load_gaze_corpus(path) -> list[GazeRecord]:
 
 
 def write_gaze_corpus(path, records: list[GazeRecord]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("\t".join(GAZE_HEADER) + "\n")
         for r in records:
             fix = " ".join(str(i) for i in r.fixations)
@@ -159,7 +159,7 @@ def load_dataset(path, spec: DatasetSpec) -> list[TextInstance]:
 
 
 def write_dataset(path, spec: DatasetSpec, instances: list[TextInstance]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("\t".join(_dataset_header(spec)) + "\n")
         for inst in instances:
             label = (

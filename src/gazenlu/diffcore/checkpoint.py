@@ -38,10 +38,12 @@ def _parse_shape(text: str) -> tuple:
 def atomic_write(path, mode: str = "w"):
     """Open a temporary file beside ``path``; a clean exit moves it onto
     ``path`` with ``os.replace``, an error removes it and leaves ``path``
-    as it was."""
+    as it was. A text file is UTF-8 and holds its line endings as written."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    text = "b" not in mode
     try:
-        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+        with open(tmp, mode, encoding="utf-8" if text else None,
+                  newline="" if text else None) as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

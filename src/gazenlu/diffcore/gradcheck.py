@@ -25,7 +25,6 @@ from .tensor import (
     concat,
     cross_entropy,
     dropout,
-    embedding,
     getitem,
     gru_cell,
     gru_seq,
@@ -239,10 +238,6 @@ def standard_op_checks(dtype=np.float64):
     bt = _rand(rng.substream("ln_b"), (6,), d)
     entry("layer_norm", {"x": x, "gamma": gm, "beta": bt},
           lambda x=x, gm=gm, bt=bt: readout(layer_norm(x, gm, bt), "ln"))
-
-    t = _rand(rng.substream("emb"), (6, 4), d)
-    ids = np.array([0, 2, 2, 5])
-    entry("embedding", {"table": t}, lambda t=t, ids=ids: readout(embedding(t, ids), "emb"))
 
     x = _rand(rng.substream("tr"), (6, 4), d)
     idx = np.array([1, 1, 3, 0])

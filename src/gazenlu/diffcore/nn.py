@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import RngState
-from .tensor import Tensor, embedding, gru_cell, gru_seq, layer_norm, linear
+from .tensor import Tensor, gru_cell, gru_seq, layer_norm, linear, take_rows
 
 EMBEDDING_STD = 0.02
 
@@ -116,7 +116,7 @@ class Embedding(Module):
         self.w = Tensor(w.astype(np.float32), requires_grad=True)
 
     def __call__(self, ids) -> Tensor:
-        return embedding(self.w, ids)
+        return take_rows(self.w, ids)
 
 
 class LayerNorm(Module):
@@ -130,12 +130,8 @@ class LayerNorm(Module):
 
 
 class GRUCell(Module):
-    """Gated recurrent unit step: gates r, z then candidate n.
-
-        r = sigmoid(x W_ir + h W_hr + b_ir + b_hr)
-        z = sigmoid(x W_iz + h W_hz + b_iz + b_hz)
-        n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
-        h' = (1 - z) * n + z * h
+    """Gated recurrent unit; ``gru_cell`` gives its equations, and both
+    GRU ops run them through one step kernel (``tensor._gru_gates``).
 
     The three gates live in fused (d_in, 3h) / (h, 3h) weights, sliced
     in the order r, z, n; one step is one ``gru_cell`` graph node, and

@@ -15,13 +15,17 @@ The ops: elementwise ``add``, ``mul``, ``relu`` and ``softmax``;
 ``matmul``, ``linear`` (matmul plus bias) and ``mix_rows`` (each row's
 weighted sums of its own rows); ``gru_cell``, one GRU step, and
 ``gru_seq``, a GRU over whole sequences whose inputs are all known;
-``layer_norm``; the gathers ``embedding``, ``take_rows`` and
-``getitem``; ``shift_mass``, the soft walk's clamped move; ``concat``,
-``reshape``, ``transpose`` and ``tsum``; ``dropout``; the losses
-``cross_entropy`` and ``mse_loss``. ``add``, ``mul``, ``matmul``,
-``linear``, ``mix_rows``, ``gru_cell``, ``gru_seq`` and ``concat``
-compute no gradient for a parent that does not require one (masks,
-noise, one-hot rows, landing scatters).
+``layer_norm``; the gathers ``take_rows`` and ``getitem``;
+``shift_mass``, the soft walk's clamped move; ``concat``, ``reshape``,
+``transpose`` and ``tsum``; ``dropout``; the losses ``cross_entropy`` and
+``mse_loss``. ``add``, ``mul``, ``matmul``, ``linear``, ``mix_rows``,
+``gru_cell``, ``gru_seq`` and ``concat`` compute no gradient for a parent
+that does not require one (masks, noise, one-hot rows, landing scatters).
+
+Each op hands one backward closure ``fn(g)``, returning a gradient or
+None per parent, to ``_result``, which keeps it only when the node is
+recorded; the closure computes its own backward-only values, so a
+forward under ``no_grad`` does no work for a backward that never runs.
 
 numpy hands a one-row product to GEMV, whose sums round differently
 from GEMM's, so ``matmul``, ``linear``, ``gru_cell`` and ``gru_seq``
@@ -82,13 +86,13 @@ class Tensor:
     # -- construction helpers -------------------------------------------
 
     @staticmethod
-    def _node(data: np.ndarray, parents: tuple, bwd, op: str) -> "Tensor":
+    def _node(data: np.ndarray, parents: tuple, fn, op: str) -> "Tensor":
         t = Tensor.__new__(Tensor)
         t.data = data
         t.requires_grad = True
         t.grad = None
         t._parents = parents
-        t._backward = bwd
+        t._backward = fn
         t._op = op
         t._id = next(_ids)
         return t
@@ -147,10 +151,10 @@ def _record(parents: tuple) -> bool:
     return _grad_enabled[-1] and any(p.requires_grad for p in parents)
 
 
-def _result(data, parents, bwd_factory, op) -> Tensor:
-    """bwd_factory is called only when the node is recorded."""
+def _result(data, parents, fn, op) -> Tensor:
+    """A node with backward closure ``fn`` if it is recorded, else a leaf."""
     if _record(parents):
-        return Tensor._node(data, parents, bwd_factory(), op)
+        return Tensor._node(data, parents, fn, op)
     return Tensor._leaf(data)
 
 
@@ -231,13 +235,11 @@ def add(a, b) -> Tensor:
         raise ShapeError(f"add: shapes {a.data.shape} and {b.data.shape} do not broadcast")
     data = a.data + b.data
 
-    def bwd():
-        def fn(g):
-            return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
-                    _unbroadcast(g, b.data.shape) if b.requires_grad else None)
-        return fn
+    def fn(g):
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return _result(data, (a, b), bwd, "add")
+    return _result(data, (a, b), fn, "add")
 
 
 def mul(a, b) -> Tensor:
@@ -247,17 +249,14 @@ def mul(a, b) -> Tensor:
         np.broadcast_shapes(a.data.shape, b.data.shape)
     except ValueError:
         raise ShapeError(f"mul: shapes {a.data.shape} and {b.data.shape} do not broadcast")
-    data = a.data * b.data
+    ad, bd = a.data, b.data
+    data = ad * bd
 
-    def bwd():
-        ad, bd = a.data, b.data
+    def fn(g):
+        return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
+                _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
 
-        def fn(g):
-            return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
-                    _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
-        return fn
-
-    return _result(data, (a, b), bwd, "mul")
+    return _result(data, (a, b), fn, "mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -272,19 +271,17 @@ def matmul(a, b) -> Tensor:
     else:
         data = np.matmul(a.data, b.data)
 
-    def bwd():
-        ad, bd = a.data, b.data
+    ad, bd = a.data, b.data
 
-        def fn(g):
-            ga = gb = None
-            if a.requires_grad:
-                ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
-            if b.requires_grad:
-                gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
-            return (ga, gb)
-        return fn
+    def fn(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(bd, -1, -2)), ad.shape)
+        if b.requires_grad:
+            gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
+        return (ga, gb)
 
-    return _result(data, (a, b), bwd, "matmul")
+    return _result(data, (a, b), fn, "matmul")
 
 
 def linear(x, w, b) -> Tensor:
@@ -306,15 +303,13 @@ def linear(x, w, b) -> Tensor:
     data += b.data
     data = data.reshape(x.shape[:-1] + (d_out,))
 
-    def bwd():
-        def fn(g):
-            g2 = g.reshape(-1, d_out)
-            return (np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None,
-                    np.matmul(x2.T, g2) if w.requires_grad else None,
-                    g2.sum(axis=0) if b.requires_grad else None)
-        return fn
+    def fn(g):
+        g2 = g.reshape(-1, d_out)
+        return (np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None,
+                np.matmul(x2.T, g2) if w.requires_grad else None,
+                g2.sum(axis=0) if b.requires_grad else None)
 
-    return _result(data, (x, w, b), bwd, "linear")
+    return _result(data, (x, w, b), fn, "linear")
 
 
 def mix_rows(w, X) -> Tensor:
@@ -337,21 +332,41 @@ def mix_rows(w, X) -> Tensor:
     if one:
         data = data[:, 0]
 
-    def bwd():
-        def fn(g):
-            g3 = g[:, None, :] if one else g
-            gw = gX = None
-            if w.requires_grad:
-                gw = np.matmul(g3, np.swapaxes(X.data, 1, 2))
-                if one:
-                    gw = gw[:, 0]
-            if X.requires_grad:
-                gX = (w.data[:, :, None] * g[:, None, :] if one
-                      else np.matmul(np.swapaxes(w3, 1, 2), g3))
-            return (gw, gX)
-        return fn
+    def fn(g):
+        g3 = g[:, None, :] if one else g
+        gw = gX = None
+        if w.requires_grad:
+            gw = np.matmul(g3, np.swapaxes(X.data, 1, 2))
+            if one:
+                gw = gw[:, 0]
+        if X.requires_grad:
+            gX = (w.data[:, :, None] * g[:, None, :] if one
+                  else np.matmul(np.swapaxes(w3, 1, 2), g3))
+        return (gw, gX)
 
-    return _result(data, (w, X), bwd, "mix_rows")
+    return _result(data, (w, X), fn, "mix_rows")
+
+
+def _gru_gates(gi, gh, h):
+    """One GRU step from its input and hidden projections ``gi`` and ``gh``
+    (rows, 3H), biases added, and its state ``h`` (rows, H): the new state
+    and the (r, z, n, ghn) that ``_gru_grads`` reads."""
+    H = h.shape[1]
+    r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
+    z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
+    ghn = gh[:, 2 * H:3 * H]
+    n = np.tanh(gi[:, 2 * H:3 * H] + r * ghn)
+    return n + z * (h + n * -1.0), (r, z, n, ghn)
+
+
+def _gru_grads(g, h, r, z, n, ghn):
+    """The gradients (dgi, dgh) of one step's projections, given ``g``, the
+    gradient of its new state; the state's own is ``dgh @ w_hh.T + g * z``."""
+    dz = g * (h - n) * z * (1.0 - z)
+    da_n = g * (1.0 - z) * (1.0 - n * n)
+    dr = da_n * ghn * r * (1.0 - r)
+    return (np.concatenate([dr, dz, da_n], axis=1),
+            np.concatenate([dr, dz, da_n * r], axis=1))
 
 
 def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
@@ -384,30 +399,20 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
         )
     gi = _rows_matmul(x.data, w_ih.data) + b_ih.data
     gh = _rows_matmul(h.data, w_hh.data) + b_hh.data
-    r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
-    z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
-    ghn = gh[:, 2 * H:3 * H]
-    n = np.tanh(gi[:, 2 * H:3 * H] + r * ghn)
-    data = n + z * (h.data + n * -1.0)
+    data, (r, z, n, ghn) = _gru_gates(gi, gh, h.data)
 
-    def bwd():
-        def fn(g):
-            dz = g * (h.data - n) * z * (1.0 - z)
-            da_n = g * (1.0 - z) * (1.0 - n * n)
-            dr = da_n * ghn * r * (1.0 - r)
-            dgi = np.concatenate([dr, dz, da_n], axis=1)
-            dgh = np.concatenate([dr, dz, da_n * r], axis=1)
-            return (
-                np.matmul(dgi, w_ih.data.T) if x.requires_grad else None,
-                np.matmul(dgh, w_hh.data.T) + g * z if h.requires_grad else None,
-                np.matmul(x.data.T, dgi) if w_ih.requires_grad else None,
-                np.matmul(h.data.T, dgh) if w_hh.requires_grad else None,
-                dgi.sum(axis=0) if b_ih.requires_grad else None,
-                dgh.sum(axis=0) if b_hh.requires_grad else None,
-            )
-        return fn
+    def fn(g):
+        dgi, dgh = _gru_grads(g, h.data, r, z, n, ghn)
+        return (
+            np.matmul(dgi, w_ih.data.T) if x.requires_grad else None,
+            np.matmul(dgh, w_hh.data.T) + g * z if h.requires_grad else None,
+            np.matmul(x.data.T, dgi) if w_ih.requires_grad else None,
+            np.matmul(h.data.T, dgh) if w_hh.requires_grad else None,
+            dgi.sum(axis=0) if b_ih.requires_grad else None,
+            dgh.sum(axis=0) if b_hh.requires_grad else None,
+        )
 
-    return _result(data, (x, h, w_ih, w_hh, b_ih, b_hh), bwd, "gru_cell")
+    return _result(data, (x, h, w_ih, w_hh, b_ih, b_hh), fn, "gru_cell")
 
 
 def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tensor:
@@ -459,61 +464,50 @@ def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Te
     N = len(cell_rows)
     dt = gi_all.dtype
     record = _record(parents)
-    saved = {k: np.empty((N, H), dtype=dt) for k in ("h", "r", "z", "n", "ghn")}
+    saved = [np.empty((N, H), dtype=dt) for _ in range(5)]   # h, r, z, n, ghn per cell
     h = h0.data[order].astype(dt, copy=False)
     out = np.empty((B, T, H), dtype=dt)
     for k, t in enumerate(times):
         n, c = live[k], slice(starts[k], starts[k + 1])
         if n:
             hp = h[:n]
-            gi = gi_all[c]
-            gh = _rows_matmul(hp, w_hh.data) + b_hh.data
-            r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
-            z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
-            ghn = gh[:, 2 * H:3 * H]
-            ng = np.tanh(gi[:, 2 * H:3 * H] + r * ghn)
+            h_new, gates = _gru_gates(gi_all[c], _rows_matmul(hp, w_hh.data) + b_hh.data, hp)
             if record:
-                for key, val in (("h", hp), ("r", r), ("z", z), ("n", ng), ("ghn", ghn)):
-                    saved[key][c] = val
-            h[:n] = ng + z * (hp + ng * -1.0)
+                for buf, val in zip(saved, (hp, *gates)):
+                    buf[c] = val
+            h[:n] = h_new
         out[order, t] = h
 
-    def bwd():
-        def fn(g):
-            gs = g[order]
-            dh = np.zeros((B, H), dtype=dt)
-            dgi = np.empty((N, 3 * H), dtype=dt)
-            dgh = np.empty((N, 3 * H), dtype=dt)
-            for k in range(T - 1, -1, -1):
-                t, n, c = times[k], live[k], slice(starts[k], starts[k + 1])
-                dh += gs[:, t]
-                if not n:
-                    continue
-                gn = dh[:n]
-                r, z, ng = saved["r"][c], saved["z"][c], saved["n"][c]
-                dz = gn * (saved["h"][c] - ng) * z * (1.0 - z)
-                da_n = gn * (1.0 - z) * (1.0 - ng * ng)
-                dr = da_n * saved["ghn"][c] * r * (1.0 - r)
-                dgi[c] = np.concatenate([dr, dz, da_n], axis=1)
-                dgh[c] = np.concatenate([dr, dz, da_n * r], axis=1)
-                dh[:n] = np.matmul(dgh[c], w_hh.data.T) + gn * z
-            gx = gh0 = None
-            if x.requires_grad:
-                gx = np.zeros_like(x.data)
-                gx[cell_rows, cell_times] = np.matmul(dgi, w_ih.data.T)
-            if h0.requires_grad:
-                gh0 = np.empty_like(dh)
-                gh0[order] = dh
-            return (
-                gx, gh0,
-                np.matmul(xs.T, dgi) if w_ih.requires_grad else None,
-                np.matmul(saved["h"].T, dgh) if w_hh.requires_grad else None,
-                dgi.sum(axis=0) if b_ih.requires_grad else None,
-                dgh.sum(axis=0) if b_hh.requires_grad else None,
-            )
-        return fn
+    def fn(g):
+        gs = g[order]
+        dh = np.zeros((B, H), dtype=dt)
+        dgi = np.empty((N, 3 * H), dtype=dt)
+        dgh = np.empty((N, 3 * H), dtype=dt)
+        for k in range(T - 1, -1, -1):
+            t, n, c = times[k], live[k], slice(starts[k], starts[k + 1])
+            dh += gs[:, t]
+            if not n:
+                continue
+            gn = dh[:n]
+            hp, r, z, ng, ghn = (buf[c] for buf in saved)
+            dgi[c], dgh[c] = _gru_grads(gn, hp, r, z, ng, ghn)
+            dh[:n] = np.matmul(dgh[c], w_hh.data.T) + gn * z
+        gx = gh0 = None
+        if x.requires_grad:
+            gx = np.zeros_like(x.data)
+            gx[cell_rows, cell_times] = np.matmul(dgi, w_ih.data.T)
+        if h0.requires_grad:
+            gh0 = np.empty_like(dh)
+            gh0[order] = dh
+        return (
+            gx, gh0,
+            np.matmul(xs.T, dgi) if w_ih.requires_grad else None,
+            np.matmul(saved[0].T, dgh) if w_hh.requires_grad else None,
+            dgi.sum(axis=0) if b_ih.requires_grad else None,
+            dgh.sum(axis=0) if b_hh.requires_grad else None,
+        )
 
-    return _result(out, parents, bwd, "gru_seq")
+    return _result(out, parents, fn, "gru_seq")
 
 
 # -- activations ---------------------------------------------------------
@@ -522,14 +516,10 @@ def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Te
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
 
-    def bwd():
-        pos = x.data > 0
+    def fn(g):
+        return (g * (data > 0),)
 
-        def fn(g):
-            return (g * pos,)
-        return fn
-
-    return _result(data, (x,), bwd, "relu")
+    return _result(data, (x,), fn, "relu")
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -539,13 +529,11 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     e = np.exp(z)
     data = e / e.sum(axis=-1, keepdims=True)
 
-    def bwd():
-        def fn(g):
-            dot = (g * data).sum(axis=-1, keepdims=True)
-            return (data * (g - dot),)
-        return fn
+    def fn(g):
+        dot = (g * data).sum(axis=-1, keepdims=True)
+        return (data * (g - dot),)
 
-    return _result(data, (x,), bwd, "softmax")
+    return _result(data, (x,), fn, "softmax")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -561,19 +549,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     xhat = xc * invstd
     data = xhat * gamma.data + beta.data
 
-    def bwd():
-        gd = gamma.data
+    gd = gamma.data
 
-        def fn(g):
-            dxhat = g * gd
-            m1 = dxhat.mean(axis=-1, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-            gx = invstd * (dxhat - m1 - xhat * m2)
-            lead = tuple(range(g.ndim - 1))
-            return (gx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
-        return fn
+    def fn(g):
+        dxhat = g * gd
+        m1 = dxhat.mean(axis=-1, keepdims=True)
+        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        gx = invstd * (dxhat - m1 - xhat * m2)
+        lead = tuple(range(g.ndim - 1))
+        return (gx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
 
-    return _result(data, (x, gamma, beta), bwd, "layer_norm")
+    return _result(data, (x, gamma, beta), fn, "layer_norm")
 
 
 # -- structural ops ------------------------------------------------------
@@ -600,34 +586,16 @@ def _row_sums(idx: np.ndarray, g: np.ndarray, like: np.ndarray) -> np.ndarray:
     return out
 
 
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row gather: out[..., :] = table[ids[...], :]."""
-    ids = np.asarray(ids)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ShapeError(
-            f"embedding: ids in [{ids.min()}, {ids.max()}] out of range for table {table.shape}"
-        )
-    data = table.data[ids]
-
-    def bwd():
-        def fn(g):
-            return (_row_sums(ids, g, table.data),)
-        return fn
-
-    return _result(data, (table,), bwd, "embedding")
-
-
 def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather rows along axis 0; duplicate indices accumulate in backward."""
+    """Row gather, out[...] = x[idx[...]], for ``idx`` of any shape;
+    negative indices wrap, and duplicates accumulate in backward."""
     idx = np.asarray(idx)
     data = x.data[idx]
 
-    def bwd():
-        def fn(g):
-            return (_row_sums(idx, g, x.data),)
-        return fn
+    def fn(g):
+        return (_row_sums(idx, g, x.data),)
 
-    return _result(data, (x,), bwd, "take_rows")
+    return _result(data, (x,), fn, "take_rows")
 
 
 def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray) -> Tensor:
@@ -659,89 +627,71 @@ def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray)
     data = np.bincount(landings().reshape(-1), weights=moved.reshape(-1),
                        minlength=B * W).reshape(B, W).astype(dist.dtype)
 
-    def bwd():
-        def fn(g):
-            at = g.reshape(-1)[landings()]          # (B, K, W)
-            gd = gq = None
-            if dist.requires_grad:
-                gd = np.matmul(q.data[:, None, :], at)[:, 0, :]
-                gd *= np.arange(W) < counts[:, None]
-            if q.requires_grad:
-                gq = np.matmul(at, src[:, :, None])[:, :, 0]
-            return (gd, gq)
-        return fn
+    def fn(g):
+        at = g.reshape(-1)[landings()]          # (B, K, W)
+        gd = gq = None
+        if dist.requires_grad:
+            gd = np.matmul(q.data[:, None, :], at)[:, 0, :]
+            gd *= np.arange(W) < counts[:, None]
+        if q.requires_grad:
+            gq = np.matmul(at, src[:, :, None])[:, :, 0]
+        return (gd, gq)
 
-    return _result(data, (dist, q), bwd, "shift_mass")
+    return _result(data, (dist, q), fn, "shift_mass")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
 
-    def bwd():
-        sizes = [t.data.shape[axis] for t in tensors]
-        cuts = np.cumsum(sizes)[:-1]
+    def fn(g):
+        cuts = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        return tuple(part if t.requires_grad else None
+                     for t, part in zip(tensors, np.split(g, cuts, axis=axis)))
 
-        def fn(g):
-            return tuple(part if t.requires_grad else None
-                         for t, part in zip(tensors, np.split(g, cuts, axis=axis)))
-        return fn
-
-    return _result(data, tuple(tensors), bwd, "concat")
+    return _result(data, tuple(tensors), fn, "concat")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
     data = x.data.reshape(shape)
 
-    def bwd():
-        orig = x.data.shape
+    def fn(g):
+        return (g.reshape(x.data.shape),)
 
-        def fn(g):
-            return (g.reshape(orig),)
-        return fn
-
-    return _result(data, (x,), bwd, "reshape")
+    return _result(data, (x,), fn, "reshape")
 
 
 def transpose(x: Tensor, axes) -> Tensor:
     data = x.data.transpose(axes)
 
-    def bwd():
-        inv = np.argsort(axes)
+    def fn(g):
+        return (g.transpose(np.argsort(axes)),)
 
-        def fn(g):
-            return (g.transpose(inv),)
-        return fn
-
-    return _result(data, (x,), bwd, "transpose")
+    return _result(data, (x,), fn, "transpose")
 
 
 def getitem(x: Tensor, key) -> Tensor:
     """Basic (slice/int) indexing; integer-array keys belong in take_rows."""
     data = x.data[key]
 
-    def bwd():
-        def fn(g):
-            gx = np.zeros_like(x.data)
-            gx[key] = g
-            return (gx,)
-        return fn
+    def fn(g):
+        gx = np.zeros_like(x.data)
+        gx[key] = g
+        return (gx,)
 
-    return _result(data, (x,), bwd, "getitem")
+    return _result(data, (x,), fn, "getitem")
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
-    def bwd():
-        def fn(g):
-            if axis is None:
-                return (np.broadcast_to(g, x.data.shape).copy(),)
-            gg = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(gg, x.data.shape).copy(),)
-        return fn
+    def fn(g):
+        if axis is None:
+            return (np.broadcast_to(g, x.data.shape).copy(),)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, x.data.shape).copy(),)
 
-    return _result(np.asarray(data), (x,), bwd, "sum")
+    return _result(np.asarray(data), (x,), fn, "sum")
 
 
 # -- randomized / loss ops ----------------------------------------------
@@ -760,12 +710,10 @@ def dropout(x: Tensor, p: float, rng, rows: np.ndarray | None = None) -> Tensor:
         keep = keep[rows]
     data = x.data * keep
 
-    def bwd():
-        def fn(g):
-            return (g * keep,)
-        return fn
+    def fn(g):
+        return (g * keep,)
 
-    return _result(data, (x,), bwd, "dropout")
+    return _result(data, (x,), fn, "dropout")
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -784,16 +732,14 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     rows = np.arange(z.shape[0])
     data = np.asarray((lse - z[rows, t]).mean(), dtype=logits.dtype)
 
-    def bwd():
-        def fn(g):
-            p = np.exp(z - m)
-            p /= p.sum(axis=1, keepdims=True)
-            p[rows, t] -= 1.0
-            gx = p * (g / z.shape[0])
-            return (gx,)
-        return fn
+    def fn(g):
+        p = np.exp(z - m)
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows, t] -= 1.0
+        gx = p * (g / z.shape[0])
+        return (gx,)
 
-    return _result(data, (logits,), bwd, "cross_entropy")
+    return _result(data, (logits,), fn, "cross_entropy")
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -804,9 +750,7 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     diff = pred.data - target
     data = np.asarray((diff * diff).mean(), dtype=pred.dtype)
 
-    def bwd():
-        def fn(g):
-            return (g * 2.0 * diff / diff.size,)
-        return fn
+    def fn(g):
+        return (g * 2.0 * diff / diff.size,)
 
-    return _result(data, (pred,), bwd, "mse_loss")
+    return _result(data, (pred,), fn, "mse_loss")

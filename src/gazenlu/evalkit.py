@@ -155,11 +155,6 @@ class EvalReport:
         return {**dataclasses.asdict(self), "mean": self.mean,
                 "stderr": self.stderr}
 
-    @staticmethod
-    def from_dict(d: dict) -> "EvalReport":
-        return EvalReport(**{f.name: d[f.name]
-                             for f in dataclasses.fields(EvalReport) if f.name in d})
-
 
 def save_reports(path, reports: dict[str, EvalReport]) -> None:
     payload = {name: r.to_dict() for name, r in reports.items()}
@@ -168,15 +163,9 @@ def save_reports(path, reports: dict[str, EvalReport]) -> None:
         f.write("\n")
 
 
-def load_reports(path) -> dict[str, EvalReport]:
-    with open(path, encoding="utf-8") as f:
-        payload = json.load(f)
-    return {name: EvalReport.from_dict(d) for name, d in payload.items()}
-
-
 def reports_to_csv(path, reports: dict[str, EvalReport]) -> None:
     """Flat (config, run, value) rows for plotting."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    with atomic_write(path) as f:
         w = csv.writer(f)
         w.writerow(["name", "task", "metric", "config", "run", "value"])
         for name in sorted(reports):

@@ -109,18 +109,6 @@ def default_max_fixations(n_words: int) -> int:
     return min(2 * n_words, 64)
 
 
-def path_rows(sentence_ids, n_paths: int, rng: RngState):
-    """Sampler rows for ``n_paths`` paths of each sentence, sentence-major.
-
-    Returns (sentence index of each row, noise stream of each row): row
-    ``b * n_paths + p`` is path p of sentence b and draws from
-    ``rng.substream(sentence_ids[b], p)``.
-    """
-    pick = np.repeat(np.arange(len(sentence_ids)), n_paths)
-    rngs = [rng.substream(sid, p) for sid in sentence_ids for p in range(n_paths)]
-    return pick, rngs
-
-
 class ScanpathGenerator(Module):
     def __init__(self, cfg: GeneratorConfig, rng: RngState):
         super().__init__()
@@ -278,6 +266,23 @@ class ScanpathGenerator(Module):
         scatter = np.zeros((len(positions), self.cfg.n_classes, W), dtype=dtype)
         scatter[b, c, landing[b, c]] = 1.0
         return scatter
+
+    def sample_paths(self, word_states: Tensor, counts: np.ndarray, sentence_ids,
+                     n_paths: int, rng: RngState, cfg: GumbelConfig):
+        """``n_paths`` paths of each sentence in one sampler call.
+
+        Returns (the sentence index of each row, the SampledBatch). Rows are
+        sentence-major: row ``b * n_paths + p`` is path p of sentence b,
+        draws from ``rng.substream(sentence_ids[b], p)`` and is capped at
+        ``default_max_fixations`` of its own word count, so its path never
+        depends on the other sentences of the batch.
+        """
+        pick = np.repeat(np.arange(len(sentence_ids)), n_paths)
+        rngs = [rng.substream(sid, p) for sid in sentence_ids for p in range(n_paths)]
+        counts = counts[pick]
+        return pick, self.sample_gumbel_batch(
+            take_rows(word_states, pick), counts, rngs, cfg,
+            [default_max_fixations(int(c)) for c in counts])
 
     def sample_gumbel_batch(
         self,

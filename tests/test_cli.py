@@ -18,9 +18,8 @@ from hypothesis import strategies as st
 from gazenlu import trainkit
 from gazenlu.augmentor import ModelConfig
 from gazenlu.cli import (_check_text_only, _from_dict, _model_meta, build_parser,
-                         main)
+                         load_reports, main)
 from gazenlu.corpus import DatasetSpec, make_synthetic_suite
-from gazenlu.evalkit import load_reports
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.textenc import TextEncoderConfig
 from gazenlu.trainkit import TrainConfig
@@ -413,6 +412,70 @@ def test_stale_run_directory_exits_one_naming_the_key(pipeline, tmp_path, capsys
     err = capsys.readouterr().err
     assert "model.json" in err and key in err
     assert ("missing key(s)" if drop else "unknown key(s)") in err
+
+
+DROP = object()
+
+
+def _set(obj, path, value):
+    """Set the key at ``path`` of a JSON value, or delete it for DROP."""
+    *parents, key = path
+    for k in parents:
+        obj = obj[k]
+    if value is DROP:
+        del obj[key]
+    else:
+        obj[key] = value
+
+
+REPORT = {"x": {"task": "kw", "metric_id": "accuracy", "values": [0.5],
+                "run_labels": ["s1"], "config": {}, "errors": [], "mean": 0.5,
+                "stderr": 0.0}}
+
+
+@pytest.mark.parametrize("file, path, value, message", [
+    ("model.json", ("train", "batch_size"), "abc",
+     'model.json: train.batch_size: expected an integer, got "abc"'),
+    ("model.json", ("train", "seed"), "7", 'model.json: train.seed: expected an integer, got "7"'),
+    ("model.json", ("train", "patience"), True,
+     "model.json: train.patience: expected an integer, got true"),
+    ("model.json", ("train", "lr"), [1], "model.json: train.lr: expected a number, got [1]"),
+    ("model.json", ("gumbel", "hard_eval"), 0,
+     "model.json: gumbel.hard_eval: expected true or false, got 0"),
+    ("model.json", ("text",), 64, "model.json: text: expected an object, got 64"),
+    ("suite.json", ("tasks", "keyword", "spec", "label_range"), 5,
+     "suite.json: tasks.keyword.spec.label_range: expected a list of 2, got 5"),
+    ("suite.json", ("tasks", "keyword", "spec", "label_range"), [0, "1"],
+     'suite.json: tasks.keyword.spec.label_range[1]: expected a number, got "1"'),
+    ("report.json", ("x", "values"), DROP, "report.json: x: missing key(s) values"),
+    ("report.json", ("x", "values", 0), "a",
+     'report.json: x.values[0]: expected a number, got "a"'),
+    ("report.json", ("x",), 5, "report.json: x: expected an object, got 5"),
+])
+def test_setting_of_the_wrong_type_exits_one_naming_the_key(pipeline, tmp_path, capsys,
+                                                            file, path, value, message):
+    """Every settings and report file is read against its fields' types: a
+    value of another type exits 1 with the file, the key path and the
+    value, never a traceback from deeper in."""
+    source = {"model.json": os.path.join(pipeline["train"], "model.json"),
+              "suite.json": os.path.join(pipeline["data"], "suite.json")}
+    data = json.load(open(source[file])) if file in source else json.loads(json.dumps(REPORT))
+    _set(data, path, value)
+    (tmp_path / file).write_text(json.dumps(data))
+    argv = {"model.json": ["evaluate", "--model", str(tmp_path), "--task", "keyword",
+                           "--data-dir", pipeline["data"], "--out", str(tmp_path / "e")],
+            "suite.json": ["train", "--task", "keyword", "--data-dir", str(tmp_path),
+                           "--vocab", pipeline["vocab"], "--text-only", "--lr", "1e-3",
+                           "--out", str(tmp_path / "t")],
+            "report.json": ["report", "--input", str(tmp_path / "report.json")]}[file]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_number_fields_take_integers_as_floats():
+    cfg = _from_dict(TrainConfig, {**dataclasses.asdict(TrainConfig()), "lr": 1},
+                     "model.json", path="train")
+    assert cfg.lr == 1.0 and type(cfg.lr) is float
 
 
 def test_generate_rejects_overlong_line_before_sampling(pipeline, capsys):

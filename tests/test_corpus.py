@@ -252,6 +252,25 @@ def test_real_dataset_round_trip_preserves_floats(tmp_path):
     assert load_dataset(path, spec)[0].label == 3.7500001
 
 
+@pytest.mark.parametrize("write, good, bad", [
+    (write_gaze_corpus, [GazeRecord("s0", "r0", "aa bb", [0, 1])],
+     [GazeRecord("s1", "r0", "cc dd", [1, 0]), GazeRecord("s2", "r0", "ee", None)]),
+    (lambda path, insts: write_dataset(path, DatasetSpec("toy"), insts),
+     [TextInstance("toy-1", "aa", None, 1)],
+     [TextInstance("toy-2", "bb", None, 0), TextInstance("toy-3", "cc", None, "x")]),
+])
+def test_tsv_writer_failure_keeps_old_file(tmp_path, write, good, bad):
+    """A writer that fails after some rows leaves the file it was to
+    replace whole, and no temporary file beside it."""
+    path = tmp_path / "d.tsv"
+    write(path, good)
+    old = path.read_bytes()
+    with pytest.raises((TypeError, ValueError)):
+        write(path, bad)
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["d.tsv"]
+
+
 def test_class_label_validation(tmp_path):
     spec = DatasetSpec("toy")
     path = tmp_path / "d.tsv"

@@ -7,9 +7,10 @@ import pytest
 import scipy.stats
 
 from gazenlu.augmentor import JointModel, ModelConfig, TEXT_ONLY
+from gazenlu.cli import load_reports
 from gazenlu.diffcore import RngState
 from gazenlu.evalkit import (ABLATIONS, CV_DEV_FRACTION, EvalReport,
-                             Experiment, cv_fold_split, load_reports, metric,
+                             Experiment, cv_fold_split, metric,
                              metric_fn_for, reports_to_csv, run_ablations,
                              run_crossval, run_lowresource, save_reports,
                              scores_from_logits, sweep_scanpaths,
@@ -167,6 +168,20 @@ def test_report_writer_failure_keeps_old_file(tmp_path):
         save_reports(path, {"a": bad})
     assert path.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_report_csv_writer_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "curve.csv"
+    good = EvalReport("kw", "accuracy", [0.5], ["s1"], {"K": 2})
+    reports_to_csv(path, {"a": good})
+    old = path.read_bytes()
+    assert old.endswith(b"\r\n")     # the csv writer's row ending, kept as written
+    newer = EvalReport("kw", "accuracy", [0.75], ["s1"], {"K": 2})
+    bad = EvalReport("kw", "accuracy", [0.5], ["s1"], {"K": 2, 3: 4})
+    with pytest.raises(TypeError):     # row "b"'s config keys do not sort
+        reports_to_csv(path, {"a": newer, "b": bad})
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
 def test_report_csv_rows_round_trip_values(tmp_path):

@@ -38,12 +38,7 @@ def _scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
     data = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
     data[idx] = x.data
 
-    def bwd():
-        def fn(g):
-            return (g[idx],)
-        return fn
-
-    return _result(data, (x,), bwd, "scatter_rows")
+    return _result(data, (x,), lambda g: (g[idx],), "scatter_rows")
 
 
 def _fixation_steps(rows, words):
