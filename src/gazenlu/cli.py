@@ -37,6 +37,7 @@ from .trainkit import (GazeModel, TrainConfig, load_config, pretrain_generator,
                        train_joint)
 
 SUITE_FILE = "suite.json"
+SPLITS = ("train", "dev", "test")
 MANIFEST = "manifest.json"
 MODEL_META = "model.json"
 VOCAB_FILE = "vocab.txt"
@@ -48,6 +49,31 @@ GENERATE_BATCH = 64     # sentences per sampler call in generate
 # what a model.json holds besides its model settings, by run kind
 RUN_KEYS = {"joint": ("kind", "train", "task", "best_epoch", "best_dev_metric"),
             "gaze_pretrain": ("kind", "train", "best_epoch", "best_dev_nll")}
+
+
+@dataclasses.dataclass(frozen=True)
+class GazeFiles:
+    train: str
+    dev: str
+
+
+@dataclasses.dataclass(frozen=True)
+class TaskFiles:
+    spec: DatasetSpec
+    train: str
+    dev: str
+    test: str
+
+
+@dataclasses.dataclass(frozen=True)
+class SuiteFile:
+    """suite.json, as make-synthetic writes it: the suite's seed, its gaze
+    files and each task's spec and split files, named relative to the
+    suite's directory."""
+
+    seed: int
+    gaze: GazeFiles
+    tasks: dict[str, TaskFiles]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -181,8 +207,9 @@ def _typed(typ, value, where: str, path: str):
     as a value of the annotation ``typ``: a plain type of ``_KINDS`` (a
     float field also takes an integer, and a bool is no integer),
     ``X | None``, a list for a ``list[X]`` or, of its length, for a
-    ``tuple[...]``, or an object for a dataclass. A mismatch raises
-    ValueError naming the file, the key path and the value."""
+    ``tuple[...]``, an object for a ``dict[str, X]`` or a dataclass. A
+    mismatch raises ValueError naming the file, the key path and the
+    value."""
     if dataclasses.is_dataclass(typ):
         return _from_dict(typ, value, where, path=path)
     origin, args = typing.get_origin(typ), typing.get_args(typ)
@@ -197,6 +224,10 @@ def _typed(typ, value, where: str, path: str):
             items = [_typed(args[0] if origin is list else args[i], v, where,
                             f"{path}[{i}]") for i, v in enumerate(value)]
             return items if origin is list else tuple(items)
+    elif origin is dict:
+        what = _KINDS[dict]
+        if isinstance(value, dict):
+            return {k: _typed(args[1], v, where, f"{path}.{k}") for k, v in value.items()}
     else:
         what = _KINDS[typ]
         if type(value) is typ or (typ is float and type(value) is int):
@@ -204,18 +235,20 @@ def _typed(typ, value, where: str, path: str):
     raise ValueError(f"{where}: {path}: expected {what}, got {json.dumps(value)}")
 
 
+def _read_suite(data_dir: str) -> SuiteFile:
+    where = os.path.join(data_dir, SUITE_FILE)
+    return _from_dict(SuiteFile, _read_json(where), where)
+
+
 def _load_task(data_dir: str, task: str):
-    suite = _read_json(os.path.join(data_dir, SUITE_FILE))
-    if task not in suite["tasks"]:
+    suite = _read_suite(data_dir)
+    if task not in suite.tasks:
         raise ValueError(f"task {task!r} not in {data_dir}/{SUITE_FILE} "
-                         f"(have {sorted(suite['tasks'])})")
-    entry = suite["tasks"][task]
-    spec = _from_dict(DatasetSpec, entry["spec"], os.path.join(data_dir, SUITE_FILE),
-                      path=f"tasks.{task}.spec")
-    splits = {}
-    for split in ("train", "dev", "test"):
-        splits[split] = load_dataset(os.path.join(data_dir, entry[split]), spec)
-    return spec, splits
+                         f"(have {sorted(suite.tasks)})")
+    entry = suite.tasks[task]
+    splits = {split: load_dataset(os.path.join(data_dir, getattr(entry, split)), entry.spec)
+              for split in SPLITS}
+    return entry.spec, splits
 
 
 def _build_text_cfg(args, vocab: Vocab) -> TextEncoderConfig:
@@ -335,8 +368,9 @@ def cmd_make_synthetic(args, parser) -> int:
         n_keyword=tuple(args.n_keyword), n_pairs=tuple(args.n_pairs),
     )
     with _run_dir(args, None, args.seed) as (out, resolved):
-        write_gaze_corpus(os.path.join(out, "gaze_train.tsv"), suite.gaze_train)
-        write_gaze_corpus(os.path.join(out, "gaze_dev.tsv"), suite.gaze_dev)
+        gaze = GazeFiles("gaze_train.tsv", "gaze_dev.tsv")
+        write_gaze_corpus(os.path.join(out, gaze.train), suite.gaze_train)
+        write_gaze_corpus(os.path.join(out, gaze.dev), suite.gaze_dev)
         tasks = {}
         for name, spec, splits in (
             ("keyword", suite.keyword_spec,
@@ -344,17 +378,11 @@ def cmd_make_synthetic(args, parser) -> int:
             ("pairs", suite.pairs_spec,
              (suite.pairs_train, suite.pairs_dev, suite.pairs_test)),
         ):
-            entry = {"spec": dataclasses.asdict(spec)}
-            for split, insts in zip(("train", "dev", "test"), splits):
-                fname = f"{name}_{split}.tsv"
-                write_dataset(os.path.join(out, fname), spec, insts)
-                entry[split] = fname
-            tasks[name] = entry
-        _write_json(os.path.join(out, SUITE_FILE), {
-            "seed": args.seed,
-            "gaze": {"train": "gaze_train.tsv", "dev": "gaze_dev.tsv"},
-            "tasks": tasks,
-        })
+            tasks[name] = TaskFiles(spec, *(f"{name}_{split}.tsv" for split in SPLITS))
+            for split, insts in zip(SPLITS, splits):
+                write_dataset(os.path.join(out, getattr(tasks[name], split)), spec, insts)
+        _write_json(os.path.join(out, SUITE_FILE),
+                    dataclasses.asdict(SuiteFile(args.seed, gaze, tasks)))
         return _finish(args, out, resolved, None)
 
 
@@ -365,16 +393,12 @@ def cmd_build_vocab(args, parser) -> int:
             lines.extend(line.rstrip("\n") for line in f if line.strip())
     if args.from_synthetic:
         d = args.from_synthetic
-        suite = _read_json(os.path.join(d, SUITE_FILE))
-        for rec in load_gaze_corpus(os.path.join(d, suite["gaze"]["train"])):
-            lines.append(rec.text)
-        for rec in load_gaze_corpus(os.path.join(d, suite["gaze"]["dev"])):
-            lines.append(rec.text)
-        for task, entry in suite["tasks"].items():
-            spec = _from_dict(DatasetSpec, entry["spec"], os.path.join(d, SUITE_FILE),
-                              path=f"tasks.{task}.spec")
-            for split in ("train", "dev", "test"):
-                for inst in load_dataset(os.path.join(d, entry[split]), spec):
+        suite = _read_suite(d)
+        for name in (suite.gaze.train, suite.gaze.dev):
+            lines.extend(rec.text for rec in load_gaze_corpus(os.path.join(d, name)))
+        for entry in suite.tasks.values():
+            for split in SPLITS:
+                for inst in load_dataset(os.path.join(d, getattr(entry, split)), entry.spec):
                     lines.append(inst.text1)
                     if inst.text2 is not None:
                         lines.append(inst.text2)
@@ -651,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="training run directory")
     p.add_argument("--task", required=True)
     p.add_argument("--data-dir", required=True)
-    p.add_argument("--split", choices=["train", "dev", "test"], default="test")
+    p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--n-scanpaths", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_evaluate)

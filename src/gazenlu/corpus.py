@@ -8,18 +8,19 @@ compared against the true conditional entropy rather than a guess.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diffcore import RngState, atomic_write
+from .diffcore import RngState, atomic_write, first_uniforms, scaled_ints
 
 METRICS = ("accuracy", "f1", "matthews", "spearman", "auc")
 SINGLE, PAIR = "single", "pair"
 CLASSES, REAL = "classes", "real"
+# uniforms drawn per walking path at a time (a multiple of Philox's 4-value block)
+PATH_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -256,35 +257,63 @@ class MarkovGazeModel:
         return float(-sum(q * math.log(q) for q in p if q > 0))
 
     @functools.lru_cache(maxsize=64)
-    def _step_cdfs(self, n_words: int) -> tuple[tuple[float, ...], ...]:
+    def _step_cdfs(self, n_words: int) -> np.ndarray:
         """Cumulative step distributions, row ``pos + 1`` for each position."""
-        return tuple(
-            tuple(np.cumsum(self.step_distribution(pos, n_words)[0]).tolist())
-            for pos in range(-1, n_words)
-        )
+        cdfs = np.array([np.cumsum(self.step_distribution(pos, n_words)[0])
+                         for pos in range(-1, n_words)])
+        cdfs.setflags(write=False)
+        return cdfs
 
-    def sample_path(self, n_words: int, rng: RngState, cap: int | None = None) -> list[int]:
-        """Walk from the virtual start until STOP or ``cap`` fixations.
+    def sample_paths(self, n_words, rngs: list[RngState],
+                     cap: int | None = None) -> list[list[int]]:
+        """One walk per stream: path i reads ``n_words[i]`` words and draws
+        from ``rngs[i]``, from the virtual start until STOP or ``cap``
+        fixations (default ``8 * n_words[i]``).
 
-        Step t draws its move by inverse CDF from uniform t of one
-        ``(cap,)`` call: the right-side search of ``u * cdf[-1]``, clipped
-        to STOP, as a one-draw-per-step walk over the same stream would.
+        Step t of a path takes its move from the path's uniform t by
+        inverse CDF: the right-side search of ``u * cdf[-1]``, clipped to
+        STOP. All paths step together, and the uniforms come from
+        ``first_uniforms`` in chunks, drawn again only for the paths still
+        walking; these are the values of one draw per step, since a
+        stream's draws come in sequence.
         """
-        if n_words < 1:
-            raise ValueError(f"a path needs at least 1 word, got n_words={n_words}")
-        if cap is None:
-            cap = 8 * n_words
-        cdfs = self._step_cdfs(n_words)
-        pos = -1
-        path: list[int] = []
-        for u in rng.uniform((cap,)).tolist():
-            cdf = cdfs[pos + 1]
-            k = min(bisect.bisect_right(cdf, u * cdf[-1]), 3)
-            if k == 3:
-                break
-            pos += self.MOVES[k]
-            path.append(pos)
-        return path
+        n = np.array(n_words, dtype=np.int64).reshape(-1)
+        if len(rngs) != len(n):
+            raise ValueError(f"{len(rngs)} streams for {len(n)} paths")
+        if not n.size:
+            return []
+        if n.min() < 1:
+            raise ValueError(f"a path needs at least 1 word, got n_words={n.min()}")
+        caps = 8 * n if cap is None else np.full(len(n), cap, dtype=np.int64)
+        # the CDF rows of every length in one table; a path at position pos
+        # of its n words reads row starts[n] + pos + 1
+        lengths = np.array(sorted(set(n.tolist())), dtype=np.int64)
+        table = np.concatenate([self._step_cdfs(int(k)) for k in lengths])
+        starts = np.cumsum(lengths + 1) - (lengths + 1)
+        moves = np.array(self.MOVES)
+        # step t's fixations in row t, so a step writes one row
+        fixations = np.zeros((max(caps.max(), 0), len(n)), dtype=np.int32)
+        n_fix = np.zeros(len(n), dtype=np.int64)
+        live = np.flatnonzero(caps > 0)
+        at = starts[np.searchsorted(lengths, n[live])]
+        pos = np.full(len(live), -1)
+        t = drawn = 0
+        while live.size:
+            if t == drawn:
+                # uniforms t .. 2t-1 (at least PATH_CHUNK) of each walking path
+                u = first_uniforms([rngs[i] for i in live], max(PATH_CHUNK, t), t)
+                first, drawn = t, t + u.shape[1]
+            cdf = table[at]
+            k = (cdf <= (u[:, t - first] * cdf[:, 3])[:, None]).sum(1)
+            go = np.flatnonzero(k < 3)
+            step = moves[k[go]]
+            live, u, pos, at = live[go], u[go], pos[go] + step, at[go] + step
+            fixations[t, live] = pos
+            t += 1
+            n_fix[live] = t
+            go = np.flatnonzero(caps[live] > t)
+            live, u, pos, at = live[go], u[go], pos[go], at[go]
+        return [f[:m].tolist() for f, m in zip(fixations.T, n_fix.tolist())]
 
     def path_entropy(self, path: list[int], n_words: int) -> float:
         """Sum of conditional entropies over the path's F+1 decisions."""
@@ -372,9 +401,19 @@ def _word_pool(rng: RngState, count: int, length: int = 4) -> list[str]:
     return pool
 
 
-def _sentence(rng: RngState, pool: list[str], w_min: int, w_max: int) -> list[str]:
-    n = int(rng.integers(w_min, w_max + 1, ()))
-    return [pool[int(i)] for i in rng.integers(0, len(pool), (n,))]
+def _sentences(streams: list[RngState], pool: list[str], w_min: int,
+               w_max: int) -> list[list[str]]:
+    """One sentence per stream: uniform 0 picks its length in
+    ``[w_min, w_max]``, uniforms 1..n its words from ``pool``."""
+    u = first_uniforms(streams, 1 + w_max)
+    lengths = scaled_ints(u[:, 0], w_min, w_max + 1).tolist()
+    words = scaled_ints(u[:, 1:], 0, len(pool)).tolist()
+    return [[pool[i] for i in row[:n]] for row, n in zip(words, lengths)]
+
+
+def _picks(u: np.ndarray, highs) -> list[int]:
+    """Int i in ``[0, highs[i])`` from uniform ``u[i]``."""
+    return scaled_ints(u, 0, np.array(highs, dtype=np.int64)).tolist()
 
 
 def make_synthetic_suite(
@@ -388,6 +427,17 @@ def make_synthetic_suite(
     w_min: int = 4,
     w_max: int = 10,
 ) -> SyntheticSuite:
+    """The gaze corpus and the keyword and pairs tasks, from ``seed``.
+
+    Every draw comes from its own stream under its set's stream: sentence
+    s from ``("text", s)`` (a pair's from ``("t1", i)`` and ``("t2", i)``),
+    reader r's path from ``("path", s, r)``, and each word position and
+    marker from ``("at", i)``, ``("m1", i)``, ``("m2", i)``, ``("a1", i)``
+    or ``("a2", i)``. A set draws all its sentences in one
+    ``first_uniforms`` call, its one-value picks in another and its paths
+    in one ``sample_paths`` walk, each stream's values being those its own
+    generator would give.
+    """
     for name, counts in (("n_gaze_train", n_gaze_train), ("n_gaze_dev", n_gaze_dev),
                          ("n_keyword", n_keyword), ("n_pairs", n_pairs)):
         if np.min(counts) < 0:
@@ -401,48 +451,54 @@ def make_synthetic_suite(
     pool = _word_pool(root.substream("pool"), 40)
     keyword = "zq" + pool[0][:2]
     markers = ["m" + w[:3] for w in pool[1:5]]
+    others = {m: [o for o in markers if o != m] for m in markers}
 
     def gaze(tag: str, n: int) -> list[GazeRecord]:
-        recs = []
         srng = root.substream("gaze", tag)
-        for s in range(n):
-            words = _sentence(srng.substream("text", s), pool, w_min, w_max)
-            for r in range(readers):
-                path = markov.sample_path(len(words), srng.substream("path", s, r))
-                recs.append(GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(words), path))
-        return recs
+        texts = _sentences(srng.substreams("text", tails=[(s,) for s in range(n)]),
+                           pool, w_min, w_max)
+        tails = [(s, r) for s in range(n) for r in range(readers)]
+        paths = markov.sample_paths([len(texts[s]) for s, _ in tails],
+                                    srng.substreams("path", tails=tails))
+        return [GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(texts[s]), path)
+                for (s, r), path in zip(tails, paths)]
 
     def keyword_set(tag: str, n: int) -> list[TextInstance]:
         srng = root.substream("keyword", tag)
         labels = [1] * (n // 2) + [0] * (n - n // 2)
         labels = srng.substream("labels").shuffled(labels)
-        out = []
-        for i, lbl in enumerate(labels):
-            words = _sentence(srng.substream("text", i), pool, w_min, w_max)
-            if lbl == 1:
-                at = int(srng.substream("at", i).integers(0, len(words), ()))
-                words[at] = keyword
-            out.append(TextInstance(f"kw-{tag}-{i}", " ".join(words), None, lbl))
-        return out
+        texts = _sentences(srng.substreams("text", tails=[(i,) for i in range(n)]),
+                           pool, w_min, w_max)
+        positive = [i for i, lbl in enumerate(labels) if lbl == 1]
+        u = first_uniforms(srng.substreams("at", tails=[(i,) for i in positive]), 1)[:, 0]
+        ats = _picks(u, [len(texts[i]) for i in positive])
+        for i, at in zip(positive, ats):
+            texts[i][at] = keyword
+        return [TextInstance(f"kw-{tag}-{i}", " ".join(words), None, lbl)
+                for i, (words, lbl) in enumerate(zip(texts, labels))]
 
     def pairs_set(tag: str, n: int) -> list[TextInstance]:
         srng = root.substream("pairs", tag)
         labels = [1] * (n // 2) + [0] * (n - n // 2)
         labels = srng.substream("labels").shuffled(labels)
-        out = []
-        for i, lbl in enumerate(labels):
-            w1 = _sentence(srng.substream("t1", i), pool, w_min, w_max)
-            w2 = _sentence(srng.substream("t2", i), pool, w_min, w_max)
-            m1 = markers[int(srng.substream("m1", i).integers(0, len(markers), ()))]
-            if lbl == 1:
-                m2 = m1
-            else:
-                others = [m for m in markers if m != m1]
-                m2 = others[int(srng.substream("m2", i).integers(0, len(others), ()))]
-            w1[int(srng.substream("a1", i).integers(0, len(w1), ()))] = m1
-            w2[int(srng.substream("a2", i).integers(0, len(w2), ()))] = m2
-            out.append(TextInstance(f"pr-{tag}-{i}", " ".join(w1), " ".join(w2), lbl))
-        return out
+        tails = [(i,) for i in range(n)]
+        neg = [i for i, lbl in enumerate(labels) if lbl == 0]
+        texts = _sentences(srng.substreams("t1", tails=tails)
+                           + srng.substreams("t2", tails=tails), pool, w_min, w_max)
+        w1s, w2s = texts[:n], texts[n:]
+        # one uniform from each m1, a1 and a2 stream and each negative's m2
+        u = first_uniforms(srng.substreams("m1", tails=tails) + srng.substreams("a1", tails=tails)
+                           + srng.substreams("a2", tails=tails)
+                           + srng.substreams("m2", tails=[(i,) for i in neg]), 1)[:, 0]
+        m1s = [markers[k] for k in _picks(u[:n], [len(markers)] * n)]
+        m2s = list(m1s)
+        for i, k in zip(neg, _picks(u[3 * n:], [len(others[m1s[i]]) for i in neg])):
+            m2s[i] = others[m1s[i]][k]
+        for ws, ms, ats in ((w1s, m1s, u[n:2 * n]), (w2s, m2s, u[2 * n:3 * n])):
+            for words, marker, at in zip(ws, ms, _picks(ats, [len(w) for w in ws])):
+                words[at] = marker
+        return [TextInstance(f"pr-{tag}-{i}", " ".join(w1), " ".join(w2), lbl)
+                for i, (w1, w2, lbl) in enumerate(zip(w1s, w2s, labels))]
 
     kw_spec = DatasetSpec("keyword", SINGLE, CLASSES, "accuracy", 2)
     pr_spec = DatasetSpec("pairs", PAIR, CLASSES, "accuracy", 2)

@@ -5,15 +5,31 @@ a (seed, stream_id) pair backed by the Philox counter-based bit generator.
 The stream's Philox key is the two words ``[seed, stream_id]``, so any draw
 sequence is reproducible from its (seed, stream_id) alone, independent of
 what other streams consumed. The words are converted as numpy converts a
-``key=[seed, stream_id]`` list: when one of the two is at or above 2^63
-and the other below, the pair goes through float64, so both keep only
-their top 53 significant bits. Distinct stream ids at or above 2^63 beside
-a seed below 2^63 share a key when they round to the same float64 (about
-half of all ``fold_key`` ids are at or above 2^63).
+``key=[seed, stream_id]`` list, by ``_key_words``, the one conversion both
+draw paths below use: when one of the two is at or above 2^63 and the
+other below, the pair goes through float64, so both keep only their top
+53 significant bits. Distinct stream ids at or above 2^63 beside a seed
+below 2^63 share a key when they round to the same float64 (about half of
+all ``fold_key`` ids are at or above 2^63).
 
 A stream's draws come in sequence: k uniforms drawn in one call are the
 values k one-at-a-time calls would give. Callers rely on this to draw a
 whole walk's or shuffle's uniforms in one call.
+
+Two paths draw the same streams. Philox is counter-based: block j of a
+stream (its uniforms 4j..4j+3) is Philox4x64-10 of counter j+1 under the
+stream's key, so any block of any stream can be computed on its own
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+``first_uniforms`` uses this to draw the first values of many fresh
+streams in one vectorized numpy pass, each stream's values bit for bit
+what its own generator gives. Use it for many short streams: building a
+numpy generator costs about 6-8 us, while the vectorized pass draws a
+stream's first 4 values in about 0.8 us, as for the synthetic suite's
+thousands of streams of a few to a few dozen values. Draw long streams
+through ``RngState``'s generator: numpy's C loop costs about 8 ns per
+value against about 100 ns in the vectorized pass, as for the sampler's
+noise, dropout and initialization (hundreds of streams of about 1,500
+values). These times are from a 2-core x86-64 machine with numpy 2.4.
 
 Derived distributions (normal, Gumbel, integers, shuffle) are computed
 here from raw uniforms instead of numpy's distribution methods, so the
@@ -23,6 +39,8 @@ exact draw sequence is pinned by this file rather than by numpy internals.
 from __future__ import annotations
 
 import hashlib
+import itertools
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -30,6 +48,17 @@ from numpy.random.bit_generator import ISeedSequence
 _MASK64 = (1 << 64) - 1
 # Guards log(0) in the inverse-CDF transforms below.
 _EPS = 1e-20
+# Philox4x64-10 (Random123): the round multipliers of counter words 0 and 2,
+# split into 32-bit halves, and the key increments
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & np.uint64(0xFFFFFFFF), _PHILOX_M >> np.uint64(32)
+_PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_PHILOX_ROUNDS = 10
+_LO32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _parts_bytes(parts) -> bytes:
+    return "".join([f"{part!r}\x1f" for part in parts]).encode("utf-8")
 
 
 def fold_key(*parts: int | str) -> int:
@@ -37,11 +66,84 @@ def fold_key(*parts: int | str) -> int:
 
     Unlike builtin ``hash`` this is identical across interpreter runs.
     """
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        h.update(repr(part).encode("utf-8"))
-        h.update(b"\x1f")
+    h = hashlib.blake2b(_parts_bytes(parts), digest_size=8)
     return int.from_bytes(h.digest(), "little")
+
+
+def _key_words(seed: int, stream_id: int) -> tuple[int, int]:
+    """Philox key words of the stream ``(seed, stream_id)``, as numpy
+    converts a ``key=[seed, stream_id]`` list: a pair with one word at or
+    above 2^63 and the other below goes through float64, and a word that
+    rounds up to 2^64 wraps to 0 (numpy's uint64 cast on x86-64)."""
+    if (seed ^ stream_id) >> 63:
+        return int(float(seed)) & _MASK64, int(float(stream_id)) & _MASK64
+    return seed, stream_id
+
+
+def _philox(counter: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """Philox4x64-10 of the counters ``(counter, 0, 0, 0)`` under the keys
+    ``key`` (``(2, N)`` words, updated in place): the ``(N, 4)`` output
+    words, in the order numpy's Philox hands them out.
+
+    ``a`` holds counter words 0 and 2, which a round multiplies, and ``b``
+    words 1 and 3, which it XORs in. The 64x64-bit products are built from
+    32-bit halves, so their high words are exact in uint64 arithmetic.
+    """
+    a = np.stack([counter, np.zeros_like(counter)])
+    b = np.zeros_like(a)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_W
+        a_lo, a_hi = a & _LO32, a >> _SHIFT32
+        lh, hl = _PHILOX_M_LO * a_hi, _PHILOX_M_HI * a_lo
+        hi = _PHILOX_M_LO * a_lo
+        hi >>= _SHIFT32
+        hi += lh & _LO32
+        hi += hl & _LO32
+        hi >>= _SHIFT32              # the carry out of the middle words
+        hi += _PHILOX_M_HI * a_hi
+        hi += lh >> _SHIFT32
+        hi += hl >> _SHIFT32
+        del a_lo, a_hi, lh, hl       # freed before the next round's arrays
+        # words 0 and 2 take the crossed high words, 1 and 3 the low words
+        a *= _PHILOX_M
+        a, b = hi[::-1] ^ b, a[::-1]
+        a ^= key
+    return np.stack([a[0], b[0], a[1], b[1]], axis=1)
+
+
+def first_uniforms(streams: Sequence["RngState"], n: int, start: int = 0) -> np.ndarray:
+    """Uniforms ``start .. start+n-1`` of each stream, as one
+    ``(len(streams), n)`` array.
+
+    Row i is bit for bit what ``streams[i].uniform((start + n,))[start:]``
+    gives on a fresh stream: each stream is read from its start, whatever
+    its own generator has drawn, and none is advanced. All (stream, block)
+    pairs run through one vectorized Philox pass instead of one numpy
+    generator per stream (the module docstring says when to use which).
+    """
+    if not streams or n == 0:
+        return np.zeros((len(streams), n))
+    first, stop = start // 4, -(-(start + n) // 4)
+    n_blocks = stop - first
+    pairs = itertools.chain.from_iterable(
+        [_key_words(s.seed, s.stream_id) for s in streams])
+    key = np.fromiter(pairs, np.uint64, 2 * len(streams)).reshape(-1, 2).T
+    # block j of a stream runs Philox on counter j + 1
+    counter = np.tile(np.arange(first + 1, stop + 1, dtype=np.uint64), len(streams))
+    key = np.repeat(key, n_blocks, axis=1)
+    words = _philox(counter, key).reshape(len(streams), 4 * n_blocks)
+    skip = start - 4 * first
+    # a double from the top 53 bits, as numpy's Philox makes it
+    return (words[:, skip:skip + n] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def scaled_ints(u, low, high) -> np.ndarray:
+    """Ints in ``[low, high)`` from uniforms ``u``: the floor of ``u``
+    scaled to the range, clipped below ``high``. ``low`` and ``high`` may
+    be arrays that broadcast against ``u``."""
+    out = (low + np.floor(u * (high - low))).astype(np.int64)
+    return np.minimum(out, high - 1)
 
 
 class _KeyWords(ISeedSequence):
@@ -78,11 +180,21 @@ class RngState:
         """Fresh non-overlapping stream keyed by this stream plus ``parts``."""
         return RngState(self.seed, fold_key(self.stream_id, *parts))
 
+    def substreams(self, *parts: int | str, tails: Iterable[tuple]) -> list["RngState"]:
+        """``[self.substream(*parts, *tail) for tail in tails]``, hashing
+        the shared ``parts`` once."""
+        base = hashlib.blake2b(_parts_bytes((self.stream_id, *parts)), digest_size=8)
+        out = []
+        for tail in tails:
+            h = base.copy()
+            h.update(_parts_bytes(tail))
+            out.append(RngState(self.seed, int.from_bytes(h.digest(), "little")))
+        return out
+
     @property
     def generator(self) -> np.random.Generator:
         if self._gen is None:
-            # the same conversion numpy applies to ``key=[seed, stream_id]``
-            words = np.asarray([self.seed, self.stream_id]).astype(np.uint64)
+            words = np.array(_key_words(self.seed, self.stream_id), np.uint64)
             self._gen = np.random.Generator(np.random.Philox(_KeyWords(words)))
         return self._gen
 
@@ -110,19 +222,18 @@ class RngState:
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Uniform ints in [low, high) via floor of scaled uniforms."""
-        u = self.generator.random(shape)
-        out = (low + np.floor(u * (high - low))).astype(np.int64)
-        return np.minimum(out, high - 1)
+        return scaled_ints(self.generator.random(shape), low, high)
 
     def shuffled(self, items: list) -> list:
         """Fisher-Yates shuffled copy of ``items``.
 
-        Swap k (i = n-1-k) takes ``j = min(floor(u_k * (i+1)), i)`` from
-        one call's uniforms, which is what ``integers(0, i+1)`` computes.
+        Swap k (i = n-1-k) takes ``j`` from uniform k of one call, as
+        ``integers(0, i+1)`` computes it.
         """
         out = list(items)
-        u = self.generator.random(max(len(out) - 1, 0)).tolist()
-        for i, u_k in zip(range(len(out) - 1, 0, -1), u):
-            j = min(int(u_k * (i + 1)), i)
+        n = len(out)
+        u = self.generator.random(max(n - 1, 0))
+        swaps = scaled_ints(u, 0, np.arange(n, 1, -1)).tolist()
+        for i, j in zip(range(n - 1, 0, -1), swaps):
             out[i], out[j] = out[j], out[i]
         return out

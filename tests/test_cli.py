@@ -472,6 +472,31 @@ def test_setting_of_the_wrong_type_exits_one_naming_the_key(pipeline, tmp_path, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path, value, message", [
+    (("tasks",), 5, "suite.json: tasks: expected an object, got 5"),
+    (("tasks", "keyword", "train"), 7,
+     "suite.json: tasks.keyword.train: expected a string, got 7"),
+    (("gaze", "dev"), DROP, "suite.json: gaze: missing key(s) dev"),
+])
+@pytest.mark.parametrize("verb", ["train", "build-vocab"])
+def test_suite_file_of_the_wrong_shape_exits_one_naming_the_key(pipeline, tmp_path, capsys,
+                                                                path, value, message, verb):
+    """suite.json is read whole against ``SuiteFile`` before any file it
+    names: a wrong shape anywhere in it exits 1 with one error line."""
+    data = json.load(open(os.path.join(pipeline["data"], "suite.json")))
+    _set(data, path, value)
+    (tmp_path / "suite.json").write_text(json.dumps(data))
+    argv = {"train": ["train", "--task", "keyword", "--data-dir", str(tmp_path),
+                      "--vocab", pipeline["vocab"], "--text-only", "--lr", "1e-3",
+                      "--out", str(tmp_path / "t")],
+            "build-vocab": ["build-vocab", "--from-synthetic", str(tmp_path),
+                            "--out", str(tmp_path / "vocab.txt")]}[verb]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0], err
+    assert not (tmp_path / "t").exists() and not (tmp_path / "vocab.txt").exists()
+
+
 def test_number_fields_take_integers_as_floats():
     cfg = _from_dict(TrainConfig, {**dataclasses.asdict(TrainConfig()), "lr": 1},
                      "model.json", path="train")

@@ -1,17 +1,19 @@
 """Corpus IO, splits, the Markov gaze law, and the synthetic suite."""
 
+import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gazenlu.cli import main
 from gazenlu.corpus import (CLASSES, DatasetSpec, GazeRecord, MarkovGazeModel,
-                            PAIR, REAL, SINGLE, TextInstance, _sentence,
-                            _word_pool, kfold, load_dataset, load_gaze_corpus,
-                            low_resource_split, make_synthetic_suite,
-                            write_dataset, write_gaze_corpus)
+                            PAIR, REAL, SINGLE, TextInstance, _word_pool, kfold,
+                            load_dataset, load_gaze_corpus, low_resource_split,
+                            make_synthetic_suite, write_dataset, write_gaze_corpus)
 from gazenlu.diffcore import RngState
 
 # entropy of the fully-interior move distribution (0.6, 0.25, 0.15),
@@ -105,8 +107,9 @@ def test_path_nll_rejects_impossible_transitions():
 
 def test_pure_forward_walk_is_strict_left_to_right():
     m = MarkovGazeModel(1.0, 0.0, 0.0)
-    for n in (1, 2, 5):
-        path = m.sample_path(n, RngState(70, 0).substream("p", n))
+    ns = (1, 2, 5)
+    paths = m.sample_paths(ns, [RngState(70, 0).substream("p", n) for n in ns])
+    for n, path in zip(ns, paths):
         assert path == list(range(n))
         assert m.path_entropy(path, n) == 0.0
         assert m.path_nll(path, n) == 0.0
@@ -115,9 +118,9 @@ def test_pure_forward_walk_is_strict_left_to_right():
 def test_sampled_paths_respect_the_law():
     m = MarkovGazeModel()
     rng = RngState(71, 0)
-    for k in range(50):
-        n = 4 + k % 5
-        path = m.sample_path(n, rng.substream("p", k))
+    ns = [4 + k % 5 for k in range(50)]
+    paths = m.sample_paths(ns, [rng.substream("p", k) for k in range(50)])
+    for n, path in zip(ns, paths):
         assert path, "entry is forced, paths are never empty"
         assert path[0] in (0, 1)
         prev = path[0]
@@ -129,23 +132,26 @@ def test_sampled_paths_respect_the_law():
 
 def test_sample_path_deterministic_and_capped():
     m = MarkovGazeModel()
-    a = m.sample_path(6, RngState(72, 0).substream("p"))
-    b = m.sample_path(6, RngState(72, 0).substream("p"))
+    a = m.sample_paths([6], [RngState(72, 0).substream("p")])
+    b = m.sample_paths([6], [RngState(72, 0).substream("p")])
     assert a == b
-    capped = m.sample_path(6, RngState(73, 0).substream("p"), cap=2)
+    (capped,) = m.sample_paths([6], [RngState(73, 0).substream("p")], cap=2)
     assert len(capped) <= 2
+    assert m.sample_paths([], []) == []
 
 
 def test_sample_path_needs_a_word():
     with pytest.raises(ValueError, match="n_words"):
-        MarkovGazeModel().sample_path(0, RngState(0, 0))
+        MarkovGazeModel().sample_paths([3, 0], [RngState(0, 0), RngState(0, 1)])
+    with pytest.raises(ValueError, match="2 streams for 1 paths"):
+        MarkovGazeModel().sample_paths([3], [RngState(0, 0), RngState(0, 1)])
 
 
 def test_sample_path_step_frequencies_match_step_distribution():
     """The entry move, then the move from word 0 (STOP included)."""
     m = MarkovGazeModel()
     rng = RngState(75, 0)
-    paths = [m.sample_path(5, rng.substream("p", k)) for k in range(20_000)]
+    paths = m.sample_paths([5] * 20_000, [rng.substream("p", k) for k in range(20_000)])
     p_entry, _ = m.step_distribution(-1, 5)
     first = np.bincount([p[0] for p in paths], minlength=2)
     assert np.abs(first / len(paths) - p_entry[[0, 2]]).max() < 0.01
@@ -160,12 +166,51 @@ def test_observed_nll_converges_to_pooled_entropy():
     paths approaches the pooled conditional entropy of those paths."""
     m = MarkovGazeModel()
     rng = RngState(74, 0)
-    records = [
-        GazeRecord(f"s{k}", "r0", "w " * 7, m.sample_path(7, rng.substream("p", k)))
-        for k in range(3000)
-    ]
+    paths = m.sample_paths([7] * 3000, [rng.substream("p", k) for k in range(3000)])
+    records = [GazeRecord(f"s{k}", "r0", "w " * 7, path) for k, path in enumerate(paths)]
     gap = abs(m.corpus_nll(records) - m.corpus_entropy(records))
     assert gap < 0.05, gap
+
+
+def _ints_per_stream(rng, low, high, k):
+    """``k`` ints in [low, high): floor of scaled uniforms, clipped."""
+    return [min(low + math.floor(u * (high - low)), high - 1)
+            for u in rng.uniform((k,)).tolist()]
+
+
+def _walk_per_step(m, n_words, rng, cap=None):
+    """The walk as one inverse-CDF draw per step, until STOP or ``cap``
+    fixations (default 8 per word)."""
+    cap = 8 * n_words if cap is None else cap
+    pos, path = -1, []
+    while len(path) < cap:
+        p, _ = m.step_distribution(pos, n_words)
+        cdf = np.cumsum(p)
+        u = float(rng.uniform())
+        k = int(np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, 3))
+        if k == 3:
+            break
+        pos += m.MOVES[k]
+        path.append(pos)
+    return path
+
+
+LAWS = [MarkovGazeModel(), MarkovGazeModel(0.45, 0.45, 0.10), MarkovGazeModel(1.0, 0.0, 0.0)]
+
+
+@given(n_words=st.lists(st.integers(1, 24), max_size=30), law=st.sampled_from(LAWS),
+       cap=st.sampled_from([None, 1, 2, 3, 9, 17]), seed=st.integers(0, 2**64 - 1))
+@settings(max_examples=60, deadline=None)
+@example(n_words=[20] * 30, law=LAWS[1], cap=None, seed=5)  # walks past 64 steps
+def test_sample_paths_match_per_stream_walk(n_words, law, cap, seed):
+    rngs = [RngState(seed, 0).substream("p", i) for i in range(len(n_words))]
+    want = [_walk_per_step(law, n, RngState(r.seed, r.stream_id), cap)
+            for n, r in zip(n_words, rngs)]
+    assert law.sample_paths(n_words, rngs, cap) == want
+    # a cap below each walk's own length cuts it there
+    for n, r, full in zip(n_words, rngs, want):
+        if len(full) > 1:
+            assert law.sample_paths([n], [r], len(full) - 1) == [full[:-1]]
 
 
 # -- dataset specs -------------------------------------------------------
@@ -501,32 +546,77 @@ def test_suite_is_deterministic(tiny_suite):
     assert again.pairs_test == tiny_suite.pairs_test
 
 
-def _walk_per_step(m, n_words, rng):
-    """The walk as one inverse-CDF draw per step."""
-    pos, path = -1, []
-    while len(path) < 8 * n_words:
-        p, _ = m.step_distribution(pos, n_words)
-        cdf = np.cumsum(p)
-        u = float(rng.uniform())
-        k = int(np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, 3))
-        if k == 3:
-            break
-        pos += m.MOVES[k]
-        path.append(pos)
-    return path
+def _sentence_per_stream(rng, pool, w_min, w_max):
+    """A sentence from one stream: its length, then its words."""
+    (n,) = _ints_per_stream(rng, w_min, w_max + 1, 1)
+    return [pool[i] for i in _ints_per_stream(rng, 0, len(pool), n)]
 
 
-def _gaze_per_step(seed, tag, n, readers, w_min, w_max):
+def _suite_sets(suite):
+    return [suite.gaze_train, suite.gaze_dev, suite.keyword_train, suite.keyword_dev,
+            suite.keyword_test, suite.pairs_train, suite.pairs_dev, suite.pairs_test]
+
+
+def _suite_per_stream(seed, n_gaze_train=400, n_gaze_dev=100, readers=2,
+                      n_keyword=(2000, 500, 500), n_pairs=(1000, 300, 300), w_min=4, w_max=10):
+    """The suite's sets with one generator per stream: each sentence, path
+    (one draw per step), word position and marker drawn from its own
+    stream in turn."""
+    markov = MarkovGazeModel()
     root = RngState(seed, 0).substream("synthetic")
     pool = _word_pool(root.substream("pool"), 40)
-    srng = root.substream("gaze", tag)
-    recs = []
-    for s in range(n):
-        words = _sentence(srng.substream("text", s), pool, w_min, w_max)
-        for r in range(readers):
-            path = _walk_per_step(MarkovGazeModel(), len(words), srng.substream("path", s, r))
-            recs.append(GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(words), path or [0]))
-    return recs
+    keyword = "zq" + pool[0][:2]
+    markers = ["m" + w[:3] for w in pool[1:5]]
+
+    def sentence(rng):
+        return _sentence_per_stream(rng, pool, w_min, w_max)
+
+    def pick(rng, high):
+        return _ints_per_stream(rng, 0, high, 1)[0]
+
+    def gaze(tag, n):
+        srng = root.substream("gaze", tag)
+        recs = []
+        for s in range(n):
+            words = sentence(srng.substream("text", s))
+            for r in range(readers):
+                path = _walk_per_step(markov, len(words), srng.substream("path", s, r))
+                recs.append(GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(words), path))
+        return recs
+
+    def labels(srng, n):
+        return srng.substream("labels").shuffled([1] * (n // 2) + [0] * (n - n // 2))
+
+    def keyword_set(tag, n):
+        srng = root.substream("keyword", tag)
+        out = []
+        for i, lbl in enumerate(labels(srng, n)):
+            words = sentence(srng.substream("text", i))
+            if lbl == 1:
+                words[pick(srng.substream("at", i), len(words))] = keyword
+            out.append(TextInstance(f"kw-{tag}-{i}", " ".join(words), None, lbl))
+        return out
+
+    def pairs_set(tag, n):
+        srng = root.substream("pairs", tag)
+        out = []
+        for i, lbl in enumerate(labels(srng, n)):
+            w1 = sentence(srng.substream("t1", i))
+            w2 = sentence(srng.substream("t2", i))
+            m1 = markers[pick(srng.substream("m1", i), len(markers))]
+            m2 = m1
+            if lbl == 0:
+                others = [m for m in markers if m != m1]
+                m2 = others[pick(srng.substream("m2", i), len(others))]
+            w1[pick(srng.substream("a1", i), len(w1))] = m1
+            w2[pick(srng.substream("a2", i), len(w2))] = m2
+            out.append(TextInstance(f"pr-{tag}-{i}", " ".join(w1), " ".join(w2), lbl))
+        return out
+
+    tags = ("train", "dev", "test")
+    return ([gaze("train", n_gaze_train), gaze("dev", n_gaze_dev)]
+            + [keyword_set(t, n) for t, n in zip(tags, n_keyword)]
+            + [pairs_set(t, n) for t, n in zip(tags, n_pairs)])
 
 
 @pytest.mark.parametrize("sizes", [
@@ -535,12 +625,48 @@ def _gaze_per_step(seed, tag, n, readers, w_min, w_max):
          n_pairs=(10, 10, 10), w_min=8, w_max=16, readers=3),
 ])
 def test_suite_gaze_matches_per_step_walk(sizes):
-    suite = make_synthetic_suite(42, **sizes)
-    readers, w_min, w_max = (sizes.get(k, d) for k, d in
-                             (("readers", 2), ("w_min", 4), ("w_max", 10)))
-    for tag, recs in (("train", suite.gaze_train), ("dev", suite.gaze_dev)):
-        n = sizes[f"n_gaze_{tag}"]
-        assert recs == _gaze_per_step(42, tag, n, readers, w_min, w_max)
+    assert _suite_sets(make_synthetic_suite(42, **sizes)) == _suite_per_stream(42, **sizes)
+
+
+_counts = st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7))
+
+
+@given(seed=st.integers(0, 2**64 - 1), n_gaze=st.tuples(st.integers(0, 6), st.integers(0, 3)),
+       readers=st.integers(1, 3), n_keyword=_counts, n_pairs=_counts,
+       w_min=st.integers(1, 5), w_extra=st.integers(0, 4))
+@settings(max_examples=40, deadline=None)
+@example(seed=0, n_gaze=(0, 0), readers=1, n_keyword=(0, 0, 0), n_pairs=(0, 0, 0),
+         w_min=1, w_extra=0)
+@example(seed=2**63 + 5, n_gaze=(1, 1), readers=3, n_keyword=(1, 1, 3), n_pairs=(1, 5, 1),
+         w_min=3, w_extra=0)
+def test_suite_matches_one_generator_per_stream(seed, n_gaze, readers, n_keyword, n_pairs,
+                                                w_min, w_extra):
+    sizes = dict(n_gaze_train=n_gaze[0], n_gaze_dev=n_gaze[1], readers=readers,
+                 n_keyword=n_keyword, n_pairs=n_pairs, w_min=w_min, w_max=w_min + w_extra)
+    assert _suite_sets(make_synthetic_suite(seed, **sizes)) == _suite_per_stream(seed, **sizes)
+
+
+# sha256 of each file `gazenlu make-synthetic --seed 9` writes (manifest.json
+# aside, which holds a timestamp), as written with one generator per stream
+MAKE_SYNTHETIC_SEED_9 = {
+    "gaze_dev.tsv": "6cc03b49bf4c3cb68c944dc4be6d3b9d82280b456b017208da2a0fb610e9cc24",
+    "gaze_train.tsv": "47a42120571fc370719557ae8ca9d796736b0383dba83ff7b9fe63803d5641a2",
+    "keyword_dev.tsv": "4f1271fe01241249b20327efeee8587940847a578d885806169dfcbde74f26e1",
+    "keyword_test.tsv": "a31a738cd151a88282c9cbc4e65a228631cc422922ffab89fb17a82cda832d23",
+    "keyword_train.tsv": "ad352ac5a30ede2a58e4728da06071217d14e66896989739edbd1dfda9f8cff8",
+    "pairs_dev.tsv": "61906d7d51560ee70b38d3863a5e88edd9ff9ed3c900b93ddbee1ccdc9f011fa",
+    "pairs_test.tsv": "4838cf24287546d7054a0169855913d76e21676185f75bc5b9a1ece1cf8b913f",
+    "pairs_train.tsv": "4f758d41aefcaaa21c49eecf4fc77cb2a73668d184c50d7639ccdb6674635d7e",
+    "suite.json": "c4decdbaf7852566fb8032a8ffa8b35c269cf279c1ed28d8f3b78d5eb6d0c15f",
+}
+
+
+def test_make_synthetic_files_are_pinned(tmp_path, capsys):
+    out = tmp_path / "suite"
+    assert main(["make-synthetic", "--seed", "9", "--out", str(out)]) == 0
+    assert sorted(os.listdir(out)) == sorted([*MAKE_SYNTHETIC_SEED_9, "manifest.json"])
+    for name, digest in MAKE_SYNTHETIC_SEED_9.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 @pytest.mark.parametrize("w_min, w_max", [(0, 4), (-1, 4), (5, 4)])

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazenlu.diffcore import RngState, fold_key
+from gazenlu.diffcore import RngState, first_uniforms, fold_key
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -114,6 +114,40 @@ def test_stream_keys_match_philox_key_list():
             assert np.array_equal(got["key"], want["key"]), (seed, stream_id)
             assert np.array_equal(got["counter"], want["counter"])
             assert np.array_equal(gen.random(64), ref.random(64)), (seed, stream_id)
+
+
+@given(seed=st.integers(0, MAX_ID), stream_id=st.integers(0, MAX_ID))
+@settings(max_examples=100, deadline=None)
+def test_any_stream_key_matches_philox_key_list(seed, stream_id):
+    ref = np.random.Philox(key=[seed, stream_id]).state["state"]["key"]
+    got = RngState(seed, stream_id).generator.bit_generator.state["state"]["key"]
+    assert np.array_equal(got, ref)
+
+
+_ids = st.one_of(st.sampled_from(KEY_IDS), st.integers(0, MAX_ID))
+
+
+@given(seed=st.sampled_from(KEY_SEEDS), ids=st.lists(_ids, max_size=50),
+       start=st.integers(0, 300), n=st.integers(0, 300))
+@settings(max_examples=80, deadline=None)
+def test_first_uniforms_match_each_streams_own_draws(seed, ids, start, n):
+    streams = [RngState(seed, i) for i in ids]
+    got = first_uniforms(streams, n, start)
+    assert got.shape == (len(ids), n) and got.dtype == np.float64
+    for row, stream_id in zip(got, ids):
+        want = RngState(seed, stream_id).uniform((start + n,))[start:]
+        assert row.tobytes() == want.tobytes(), (seed, stream_id, start, n)
+    # the streams themselves are not advanced
+    for stream, stream_id in zip(streams[:3], ids):
+        assert stream.uniform() == RngState(seed, stream_id).uniform()
+
+
+def test_substreams_share_a_prefix():
+    tails = [(), (1,), ("x", 2), (("a", 1),)]
+    base = RngState(5, 9)
+    assert [(s.seed, s.stream_id) for s in base.substreams("path", 3, tails=tails)] \
+        == [(5, base.substream("path", 3, *t).stream_id) for t in tails]
+    assert base.substreams(tails=[(1,)])[0].stream_id == fold_key(9, 1)
 
 
 def test_high_stream_ids_beside_a_low_seed_keep_53_bits():
