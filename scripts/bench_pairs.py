@@ -1,0 +1,103 @@
+"""Alternating parent/change pairs of the benchmark, judged pair by pair.
+
+    python3 scripts/bench_pairs.py --parent ../parent --change . \
+        --workloads predict train_st --pairs 10 --seed 9000 --seconds 12
+
+``--parent`` and ``--change`` are two checkouts of the repository, for
+example the parent commit made with ``git worktree add ../parent HEAD~1``
+or unpacked with ``git archive``. Pair k of a workload runs
+``perfbench/run.py --seed <seed + k>`` once from each checkout, the parent
+first in even pairs and the change first in odd ones, so a drift of the
+machine's speed does not favour one side.
+
+For each workload and end-to-end metric of ``BENCHMARK.json`` it prints
+each side's median and quartiles, the pairs the change won (ties count
+for neither) and whether a gain is shown: the change wins at least nine
+tenths of the pairs and its median beats the parent's by more than the
+distance between the parent's quartiles. Every run's metrics go to
+``--out`` as JSON lines. A run that fails its output checks stops the
+script with exit code 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, required=True)
+    p.add_argument("--change", type=Path, default=ROOT)
+    p.add_argument("--workloads", nargs="+", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, required=True, help="seed of pair 0")
+    p.add_argument("--seconds", type=float, default=12)
+    p.add_argument("--out", type=Path, help="append every run's metrics here")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error("--pairs must be at least 1")
+    return args
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; its end-to-end metrics by name."""
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, cwd=checkout)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if lines else {}
+    if proc.returncode != 0 or not result.get("correct"):
+        sys.stderr.write(proc.stderr)
+        raise SystemExit(f"bench_pairs: {' '.join(cmd)} failed (exit {proc.returncode})")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def judge(parent: list[float], change: list[float], higher: bool) -> dict:
+    """Medians, quartiles, pairs won and whether the gain rule holds."""
+    sign = 1.0 if higher else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, med_p, q3 = np.percentile(parent, [25, 50, 75])
+    med_c = float(np.median(change))
+    gain = wins >= 0.9 * len(parent) and sign * (med_c - med_p) > q3 - q1
+    return {"parent": (med_p, q1, q3), "change": (med_c, *np.percentile(change, [25, 75])),
+            "wins": wins, "pairs": len(parent), "gain": bool(gain)}
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for workload in args.workloads:
+        runs = {"parent": [], "change": []}
+        for k in range(args.pairs):
+            seed = args.seed + k
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                metrics = run_once(sides[side], workload, seed, args.seconds)
+                runs[side].append(metrics)
+                if args.out:
+                    with open(args.out, "a", encoding="utf-8") as f:
+                        f.write(json.dumps({"workload": workload, "side": side,
+                                            "seed": seed, "metrics": metrics}) + "\n")
+        last = args.seed + args.pairs - 1
+        print(f"{workload} ({args.pairs} pairs, seeds {args.seed}-{last})")
+        for name, up in higher.items():
+            j = judge([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]], up)
+            p, c = j["parent"], j["change"]
+            print(f"  {name:12s} {p[0]:10.4g} [{p[1]:.4g}, {p[2]:.4g}] -> "
+                  f"{c[0]:10.4g} [{c[1]:.4g}, {c[2]:.4g}]  won {j['wins']}/{j['pairs']}  "
+                  f"gain {'holds' if j['gain'] else 'not shown'}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

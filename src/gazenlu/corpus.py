@@ -416,6 +416,22 @@ def _picks(u: np.ndarray, highs) -> list[int]:
     return scaled_ints(u, 0, np.array(highs, dtype=np.int64)).tolist()
 
 
+def _labels(srng: RngState, n: int) -> list[int]:
+    """A set's balanced labels, shuffled by its "labels" stream."""
+    return srng.substream("labels").shuffled([1] * (n // 2) + [0] * (n - n // 2))
+
+
+def _firsts(srng: RngState, name: str, ids) -> list[RngState]:
+    """The streams ``(name, i)`` under ``srng``, one for each i in ``ids``."""
+    return srng.substreams(name, tails=[(i,) for i in ids])
+
+
+def _split(flat, groups) -> list:
+    """``flat`` cut into consecutive pieces, one as long as each group."""
+    ends = np.cumsum([len(g) for g in groups], dtype=np.int64).tolist()
+    return [flat[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def make_synthetic_suite(
     seed: int,
     markov: MarkovGazeModel | None = None,
@@ -433,10 +449,10 @@ def make_synthetic_suite(
     s from ``("text", s)`` (a pair's from ``("t1", i)`` and ``("t2", i)``),
     reader r's path from ``("path", s, r)``, and each word position and
     marker from ``("at", i)``, ``("m1", i)``, ``("m2", i)``, ``("a1", i)``
-    or ``("a2", i)``. A set draws all its sentences in one
-    ``first_uniforms`` call, its one-value picks in another and its paths
-    in one ``sample_paths`` walk, each stream's values being those its own
-    generator would give.
+    or ``("a2", i)``. The suite draws the sentences of all its sets in one
+    ``first_uniforms`` call, their one-value picks in another and their
+    paths in one ``sample_paths`` walk, each stream's values being those
+    its own generator would give.
     """
     for name, counts in (("n_gaze_train", n_gaze_train), ("n_gaze_dev", n_gaze_dev),
                          ("n_keyword", n_keyword), ("n_pairs", n_pairs)):
@@ -453,43 +469,48 @@ def make_synthetic_suite(
     markers = ["m" + w[:3] for w in pool[1:5]]
     others = {m: [o for o in markers if o != m] for m in markers}
 
-    def gaze(tag: str, n: int) -> list[GazeRecord]:
-        srng = root.substream("gaze", tag)
-        texts = _sentences(srng.substreams("text", tails=[(s,) for s in range(n)]),
-                           pool, w_min, w_max)
-        tails = [(s, r) for s in range(n) for r in range(readers)]
-        paths = markov.sample_paths([len(texts[s]) for s, _ in tails],
-                                    srng.substreams("path", tails=tails))
-        return [GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(texts[s]), path)
-                for (s, r), path in zip(tails, paths)]
+    tags = ("train", "dev", "test")
+    gaze_sets = [(root.substream("gaze", tag), tag, n)
+                 for tag, n in (("train", n_gaze_train), ("dev", n_gaze_dev))]
+    kw_sets = [(root.substream("keyword", tag), tag, n) for tag, n in zip(tags, n_keyword)]
+    pr_sets = [(root.substream("pairs", tag), tag, n) for tag, n in zip(tags, n_pairs)]
+    kw_labels = [_labels(srng, n) for srng, _, n in kw_sets]
+    pr_labels = [_labels(srng, n) for srng, _, n in pr_sets]
+    kw_pos = [[i for i, lbl in enumerate(labels) if lbl == 1] for labels in kw_labels]
+    pr_neg = [[i for i, lbl in enumerate(labels) if lbl == 0] for labels in pr_labels]
 
-    def keyword_set(tag: str, n: int) -> list[TextInstance]:
-        srng = root.substream("keyword", tag)
-        labels = [1] * (n // 2) + [0] * (n - n // 2)
-        labels = srng.substream("labels").shuffled(labels)
-        texts = _sentences(srng.substreams("text", tails=[(i,) for i in range(n)]),
-                           pool, w_min, w_max)
-        positive = [i for i, lbl in enumerate(labels) if lbl == 1]
-        u = first_uniforms(srng.substreams("at", tails=[(i,) for i in positive]), 1)[:, 0]
-        ats = _picks(u, [len(texts[i]) for i in positive])
-        for i, at in zip(positive, ats):
+    # each set's streams, the sets in the order gaze, keyword, pairs
+    text_streams = ([_firsts(srng, "text", range(n)) for srng, _, n in gaze_sets + kw_sets]
+                    + [_firsts(srng, "t1", range(n)) + _firsts(srng, "t2", range(n))
+                       for srng, _, n in pr_sets])
+    # one uniform from each positive's at stream; from each pair's m1, a1
+    # and a2 streams and each negative's m2
+    pick_streams = ([_firsts(srng, "at", pos) for (srng, _, _), pos in zip(kw_sets, kw_pos)]
+                    + [_firsts(srng, "m1", range(n)) + _firsts(srng, "a1", range(n))
+                       + _firsts(srng, "a2", range(n)) + _firsts(srng, "m2", neg)
+                       for (srng, _, n), neg in zip(pr_sets, pr_neg)])
+    texts = _split(_sentences(sum(text_streams, []), pool, w_min, w_max), text_streams)
+    picks = _split(first_uniforms(sum(pick_streams, []), 1)[:, 0], pick_streams)
+    readings = [[(s, r) for s in range(n) for r in range(readers)] for _, _, n in gaze_sets]
+    path_streams = [srng.substreams("path", tails=reads)
+                    for (srng, _, _), reads in zip(gaze_sets, readings)]
+    paths = _split(markov.sample_paths(
+        [len(words[s]) for words, reads in zip(texts, readings) for s, _ in reads],
+        sum(path_streams, [])), path_streams)
+
+    def gaze(tag: str, texts, reads, paths) -> list[GazeRecord]:
+        return [GazeRecord(f"{tag}-{s}", f"r{r}", " ".join(texts[s]), path)
+                for (s, r), path in zip(reads, paths)]
+
+    def keyword_set(tag: str, texts, labels, positive, u) -> list[TextInstance]:
+        for i, at in zip(positive, _picks(u, [len(texts[i]) for i in positive])):
             texts[i][at] = keyword
         return [TextInstance(f"kw-{tag}-{i}", " ".join(words), None, lbl)
                 for i, (words, lbl) in enumerate(zip(texts, labels))]
 
-    def pairs_set(tag: str, n: int) -> list[TextInstance]:
-        srng = root.substream("pairs", tag)
-        labels = [1] * (n // 2) + [0] * (n - n // 2)
-        labels = srng.substream("labels").shuffled(labels)
-        tails = [(i,) for i in range(n)]
-        neg = [i for i, lbl in enumerate(labels) if lbl == 0]
-        texts = _sentences(srng.substreams("t1", tails=tails)
-                           + srng.substreams("t2", tails=tails), pool, w_min, w_max)
+    def pairs_set(tag: str, texts, labels, neg, u) -> list[TextInstance]:
+        n = len(labels)
         w1s, w2s = texts[:n], texts[n:]
-        # one uniform from each m1, a1 and a2 stream and each negative's m2
-        u = first_uniforms(srng.substreams("m1", tails=tails) + srng.substreams("a1", tails=tails)
-                           + srng.substreams("a2", tails=tails)
-                           + srng.substreams("m2", tails=[(i,) for i in neg]), 1)[:, 0]
         m1s = [markers[k] for k in _picks(u[:n], [len(markers)] * n)]
         m2s = list(m1s)
         for i, k in zip(neg, _picks(u[3 * n:], [len(others[m1s[i]]) for i in neg])):
@@ -500,18 +521,11 @@ def make_synthetic_suite(
         return [TextInstance(f"pr-{tag}-{i}", " ".join(w1), " ".join(w2), lbl)
                 for i, (w1, w2, lbl) in enumerate(zip(w1s, w2s, labels))]
 
+    gz = [gaze(tag, *args) for (_, tag, _), *args in zip(gaze_sets, texts, readings, paths)]
+    kw = [keyword_set(tag, *args)
+          for (_, tag, _), *args in zip(kw_sets, texts[2:5], kw_labels, kw_pos, picks)]
+    pr = [pairs_set(tag, *args)
+          for (_, tag, _), *args in zip(pr_sets, texts[5:], pr_labels, pr_neg, picks[3:])]
     kw_spec = DatasetSpec("keyword", SINGLE, CLASSES, "accuracy", 2)
     pr_spec = DatasetSpec("pairs", PAIR, CLASSES, "accuracy", 2)
-    return SyntheticSuite(
-        markov=markov,
-        gaze_train=gaze("train", n_gaze_train),
-        gaze_dev=gaze("dev", n_gaze_dev),
-        keyword_spec=kw_spec,
-        keyword_train=keyword_set("train", n_keyword[0]),
-        keyword_dev=keyword_set("dev", n_keyword[1]),
-        keyword_test=keyword_set("test", n_keyword[2]),
-        pairs_spec=pr_spec,
-        pairs_train=pairs_set("train", n_pairs[0]),
-        pairs_dev=pairs_set("dev", n_pairs[1]),
-        pairs_test=pairs_set("test", n_pairs[2]),
-    )
+    return SyntheticSuite(markov, *gz, kw_spec, *kw, pr_spec, *pr)

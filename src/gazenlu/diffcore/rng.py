@@ -16,20 +16,29 @@ A stream's draws come in sequence: k uniforms drawn in one call are the
 values k one-at-a-time calls would give. Callers rely on this to draw a
 whole walk's or shuffle's uniforms in one call.
 
-Two paths draw the same streams. Philox is counter-based: block j of a
+Three paths draw the same streams. Philox is counter-based: block j of a
 stream (its uniforms 4j..4j+3) is Philox4x64-10 of counter j+1 under the
 stream's key, so any block of any stream can be computed on its own
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
-``first_uniforms`` uses this to draw the first values of many fresh
-streams in one vectorized numpy pass, each stream's values bit for bit
-what its own generator gives. Use it for many short streams: building a
-numpy generator costs about 6-8 us, while the vectorized pass draws a
-stream's first 4 values in about 0.8 us, as for the synthetic suite's
-thousands of streams of a few to a few dozen values. Draw long streams
-through ``RngState``'s generator: numpy's C loop costs about 8 ns per
-value against about 100 ns in the vectorized pass, as for the sampler's
-noise, dropout and initialization (hundreds of streams of about 1,500
-values). These times are from a 2-core x86-64 machine with numpy 2.4.
+Which path to use depends on how many streams there are and how long:
+
+- ``first_uniforms`` draws the first values of many fresh streams in one
+  vectorized numpy pass. Use it for many short streams, as for the
+  synthetic suite's thousands of streams of a few to a few dozen values:
+  it draws a stream's first 4 values in about 0.8 us, where building a
+  numpy generator costs about 6-8 us.
+- ``stream_uniforms`` draws the first values of fresh streams of any
+  length through one numpy Philox whose key is reset for each stream.
+  Use it for a batch of long streams, as for the sampler's noise
+  (hundreds of streams of about 1,000 values): numpy's C loop costs about
+  8 ns per value against about 100 ns in the vectorized pass, and a key
+  reset with its draw call costs about 3 us a stream, against about 6 us
+  to build a generator.
+- ``RngState``'s own generator draws a stream in sequence, call after
+  call, as for dropout and initialization.
+
+Each gives bit for bit the values of the stream's own generator. These
+times are from a 2-core x86-64 machine with numpy 2.4.
 
 Derived distributions (normal, Gumbel, integers, shuffle) are computed
 here from raw uniforms instead of numpy's distribution methods, so the
@@ -138,6 +147,39 @@ def first_uniforms(streams: Sequence["RngState"], n: int, start: int = 0) -> np.
     return (words[:, skip:skip + n] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
+def stream_uniforms(streams: Sequence["RngState"], counts) -> np.ndarray:
+    """The first ``counts[i]`` uniforms of each stream, as one
+    ``(len(streams), max(counts))`` array padded with zeros.
+
+    Row i is bit for bit what ``streams[i].uniform((counts[i],))`` gives
+    on a fresh stream: each stream is read from its start, whatever its
+    own generator has drawn, and none is advanced. One numpy Philox draws
+    every row, its key reset for each stream through its ``state``
+    setter, in place of one generator per stream (the module docstring
+    says when to use which).
+    """
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if len(counts) != len(streams):
+        raise ValueError(f"{len(counts)} counts for {len(streams)} streams")
+    out = np.zeros((len(streams), int(counts.max(initial=0))))
+    bits = np.random.Philox(_KeyWords(np.zeros(2, np.uint64)))
+    gen = np.random.Generator(bits)
+    # a fresh stream: counter 0, an empty output buffer, the stream's key
+    # (lists, which the setter reads faster than arrays)
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, s, n in zip(out, streams, counts.tolist()):
+        state["state"]["key"] = _key_words(s.seed, s.stream_id)
+        bits.state = state
+        gen.random(out=row[:n])
+    return out
+
+
+def gumbel_of(u) -> np.ndarray:
+    """Standard Gumbel(0, 1) noise -log(-log(U)) of uniforms ``u``."""
+    return -np.log(-np.log(u + _EPS) + _EPS)
+
+
 def scaled_ints(u, low, high) -> np.ndarray:
     """Ints in ``[low, high)`` from uniforms ``u``: the floor of ``u``
     scaled to the range, clipped below ``high``. ``low`` and ``high`` may
@@ -217,8 +259,7 @@ class RngState:
 
     def gumbel(self, shape=()) -> np.ndarray:
         """Standard Gumbel(0, 1) noise, -log(-log(U))."""
-        u = self.generator.random(shape)
-        return -np.log(-np.log(u + _EPS) + _EPS)
+        return gumbel_of(self.generator.random(shape))
 
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Uniform ints in [low, high) via floor of scaled uniforms."""

@@ -33,12 +33,14 @@ from .diffcore import (
     add,
     concat,
     cross_entropy,
+    gumbel_of,
     matmul,
     mix_rows,
     mul,
     reshape,
     shift_mass,
     softmax,
+    stream_uniforms,
     take_rows,
     transpose,
 )
@@ -278,7 +280,7 @@ class ScanpathGenerator(Module):
         depends on the other sentences of the batch.
         """
         pick = np.repeat(np.arange(len(sentence_ids)), n_paths)
-        rngs = [rng.substream(sid, p) for sid in sentence_ids for p in range(n_paths)]
+        rngs = rng.substreams(tails=[(sid, p) for sid in sentence_ids for p in range(n_paths)])
         counts = counts[pick]
         return pick, self.sample_gumbel_batch(
             take_rows(word_states, pick), counts, rngs, cfg,
@@ -297,15 +299,23 @@ class ScanpathGenerator(Module):
 
         ``max_fixations`` is a scalar cap or one per row; a row's draws
         and path depend only on its own word count, cap and noise stream,
-        never on which other rows share the batch. Row b's noise is drawn
-        from ``rngs[b]`` in one block of ``(caps[b], n_classes)`` Gumbel
-        values, step s reading row s: the same values as one draw per live
-        step, since a stream's draws come in sequence. A stream is used up
-        by the sampler, so each call takes fresh streams.
+        never on which other rows share the batch. Row b's noise comes from
+        the first ``caps[b] * n_classes`` uniforms of ``rngs[b]``, drawn for
+        the whole batch in one ``stream_uniforms`` call, step s reading
+        the s-th run of ``n_classes``: the same values as one draw per live
+        step, since a stream's draws come in sequence. Each stream is read
+        from its start, so each call takes fresh streams. A step turns
+        into Gumbel noise only the working set's uniforms at the classes
+        its mask leaves open, and gives a masked class noise 0: the mask
+        sends that class's softmax entry, and so its gradient, to exactly
+        0 whatever its value.
 
         ``straight_through``: each step fixates the argmax of logits plus
         noise (the Gumbel-max draw) and emits its one-hot row, carrying
-        the relaxed softmax's gradient. ``surrogate=True`` keeps the
+        the relaxed softmax's gradient. A step whose softmax needs no
+        gradient (under ``no_grad``, or with a frozen generator) emits the
+        one-hot row alone and builds no relaxed row, whose values it
+        would equal exactly. ``surrogate=True`` keeps the
         relaxed rows as the forward values (positions still advance by
         the hard offsets); the analytic gradient of the straight-through
         rows is exactly the gradient of this surrogate forward, which is
@@ -341,9 +351,7 @@ class ScanpathGenerator(Module):
         )
         if (caps < 1).any():
             raise ValueError("max_fixations must be >= 1")
-        noise = np.zeros((B, int(caps.max()), C), dtype=dt)
-        for b in range(B):
-            noise[b, :caps[b]] = rngs[b].gumbel((int(caps[b]), C))
+        uniforms = stream_uniforms(rngs, caps * C).reshape(B, int(caps.max()), C)
         offsets = np.arange(C - 1) - (gc.l_max - 1)
         stopped = np.zeros(B, dtype=bool)
         fixations: list[list[int]] = [[] for _ in range(B)]
@@ -360,7 +368,18 @@ class ScanpathGenerator(Module):
         for step in range(int(caps.max())):
             n = len(ids)
             logits = self.decode_logits_batch(state, ws, n_words)
-            z = mul(add(logits, Tensor(noise[ids, step])), inv_tau)
+            if dist is None:
+                mask = self._additive_masks(positions, n_words)
+            else:
+                # a soft step moves by any offset shorter than its row, or stops
+                valid = np.concatenate([np.abs(offsets) < n_words[:, None],
+                                        np.ones((n, 1), dtype=bool)], axis=1)
+                mask = np.where(valid, 0.0, NEG_INF).astype(np.float32)
+            # noise on the open classes only; a masked class's is never read
+            r, c = np.nonzero(mask == 0)
+            noise = np.zeros((n, C), dtype=dt)
+            noise[r, c] = gumbel_of(uniforms[ids[r], step, c])
+            z = mul(add(logits, Tensor(noise)), inv_tau)
             if not np.isfinite(z.data).all():
                 # a NaN row would argmax to class 0, a move off the sentence
                 raise FloatingPointError(
@@ -369,23 +388,22 @@ class ScanpathGenerator(Module):
             if dist is None:
                 # a hard step from the current positions; for a soft
                 # path, the entry saccade
-                y = softmax(z, mask=self._additive_masks(positions, n_words))
+                y = softmax(z, mask=mask)
                 hard = y.data.argmax(axis=1)
                 live = hard != gc.stop_class
                 stopped[ids[~live]] = True
                 if not live.any():
                     break
-                scatter = self._landing_scatter(positions, n_words, live, W, dt)
-                y_words = mix_rows(y, Tensor(scatter))
+                relaxed = soft or surrogate or y.requires_grad
+                if relaxed:
+                    scatter = self._landing_scatter(positions, n_words, live, W, dt)
+                    y_words = mix_rows(y, Tensor(scatter))
                 if soft:
                     dist = y_words
             else:
                 live = np.ones(n, dtype=bool)
-                move_mask = np.where(np.abs(offsets) < n_words[:, None], 0.0,
-                                     NEG_INF).astype(np.float32)
-                stop_mask = np.concatenate([move_mask, np.zeros((n, 1), np.float32)], axis=1)
-                p_stop = softmax(z, mask=stop_mask).data[:, gc.stop_class]
-                q = softmax(z[:, :C - 1], mask=move_mask)
+                p_stop = softmax(z, mask=mask).data[:, gc.stop_class]
+                q = softmax(z[:, :C - 1], mask=mask[:, :C - 1])
                 dist = shift_mass(dist, q, offsets, n_words)
                 stop_mass += (1.0 - stop_mass) * p_stop
             if soft:
@@ -399,7 +417,11 @@ class ScanpathGenerator(Module):
                 else:
                     onehot = np.zeros((n, W), dtype=dt)
                     onehot[live, fix[live]] = 1.0
-                    row = add(y_words, Tensor(onehot - y_words.data))
+                    # the relaxed row plus (onehot - itself) is the one-hot
+                    # bit for bit: its zeros cancel exactly, and y + fl(1 - y)
+                    # rounds to 1
+                    row = (add(y_words, Tensor(onehot - y_words.data)) if relaxed
+                           else Tensor(onehot))
             if not live.all():
                 row = take_rows(row, np.flatnonzero(live))
             rows.append(row)

@@ -487,10 +487,8 @@ def train_joint(model: JointModel, train_instances: list[TextInstance],
 
     def step(rows, epoch, drop_rng):
         batch = collate([tr_encs[i] for i, _ in rows])
-        pair_rngs = [
-            root.substream("gumbel", epoch, train_instances[i].instance_id, p)
-            for i, p in rows
-        ]
+        pair_rngs = root.substreams(
+            "gumbel", epoch, tails=[(train_instances[i].instance_id, p) for i, p in rows])
         loss = model.loss_pairs(batch, tr_labels[[i for i, _ in rows]],
                                 pair_rngs, drop_rng)
         return loss, len(rows)

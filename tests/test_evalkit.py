@@ -15,6 +15,7 @@ from gazenlu.evalkit import (ABLATIONS, CV_DEV_FRACTION, EvalReport,
                              run_crossval, run_lowresource, save_reports,
                              scores_from_logits, sweep_scanpaths,
                              train_and_score)
+from gazenlu import gazegen
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.corpus import kfold
 from gazenlu.trainkit import TrainConfig, encode_instances
@@ -313,21 +314,17 @@ def test_sweep_moves_both_counts_together_and_text_only_is_flat(
         sweep_scanpaths(text_only_exp, [], [], [], cfg, counts=())
 
 
-class _ZeroNoise:
-    """A noise stream whose every Gumbel draw is zero."""
-
-    def substream(self, *parts):
-        return self
-
-    def gumbel(self, shape=()):
-        return np.zeros(shape)
+def _constant_uniforms(streams, counts):
+    """The sampler's batched uniform draw, one constant value throughout."""
+    return np.full((len(streams), int(np.max(counts))), 0.5)
 
 
 def test_deterministic_paths_make_extra_samples_free(gaze_exp, tiny_suite,
-                                                     tiny_text_cfg):
-    """With zero Gumbel noise every hard path takes its modal saccade, so
-    all sampled paths are identical and averaging many of them
-    reproduces the single-path output bit for bit."""
+                                                     tiny_text_cfg, monkeypatch):
+    """With one constant Gumbel value on every open class every hard path takes
+    its modal saccade, so all sampled paths are identical and averaging
+    many of them reproduces the single-path output bit for bit."""
+    monkeypatch.setattr(gazegen, "stream_uniforms", _constant_uniforms)
     cfg_m = ModelConfig(text=tiny_text_cfg, gen_hidden=32, l_max=32,
                         gumbel=GumbelConfig(hard_eval=True))
     model = JointModel(cfg_m, RngState(91, 0))
@@ -336,8 +333,8 @@ def test_deterministic_paths_make_extra_samples_free(gaze_exp, tiny_suite,
                             tiny_text_cfg.max_len)
     batch = collate(encs)
     ids = [i.instance_id for i in tiny_suite.keyword_dev[:4]]
-    one = model.predict_batch(batch, ids, 1, _ZeroNoise())
-    many = model.predict_batch(batch, ids, 5, _ZeroNoise())
+    one = model.predict_batch(batch, ids, 1, RngState(92, 0))
+    many = model.predict_batch(batch, ids, 5, RngState(92, 0))
     assert np.array_equal(one, many)
 
 

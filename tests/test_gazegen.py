@@ -11,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gazenlu.diffcore import (NEG_INF, RngState, Tensor, add, backward,
-                              cross_entropy, grad_check, mul, no_grad, reshape,
-                              shift_mass, softmax, take_rows, tsum)
-from gazenlu.gazegen import (GeneratorConfig, GumbelConfig, ScanpathGenerator,
-                             SOFT_CONVOLUTION, default_max_fixations)
+                              cross_entropy, grad_check, matmul, mix_rows, mul,
+                              no_grad, reshape, shift_mass, softmax, take_rows,
+                              tsum)
+from gazenlu.gazegen import (SOFT_STOP_MASS, GeneratorConfig, GumbelConfig,
+                             SampledBatch, ScanpathGenerator, SOFT_CONVOLUTION,
+                             default_max_fixations)
 
 CFG = GeneratorConfig(d_word=10, d_hidden=12, l_max=6)
 ST = GumbelConfig(temperature=0.5)
@@ -656,6 +658,182 @@ def test_batch_gradients_match_solo_sampling(cfg, surrogate):
         backward(solo_loss)
         assert np.abs(ws.grad[b, :n] - solo_ws.grad[0]).max() <= 1e-6, b
         assert (ws.grad[b, n:] == 0.0).all(), b
+
+
+def _sample_full_noise(gen, word_states, counts, rngs, cfg, max_fixations,
+                       surrogate=False):
+    """The sampler as it was before it trimmed its work: every row draws
+    a full (cap, C) Gumbel block from its stream, every step adds noise to
+    every class, and every straight-through step builds its relaxed row."""
+    B, W, h = word_states.shape
+    gc = gen.cfg
+    C = gc.n_classes
+    dt = word_states.dtype
+    soft = cfg.mode == SOFT_CONVOLUTION
+    inv_tau = 1.0 / cfg.temperature
+    caps = np.broadcast_to(np.asarray(max_fixations, dtype=np.int64), (B,))
+    noise = np.zeros((B, int(caps.max()), C), dtype=dt)
+    for b in range(B):
+        noise[b, :caps[b]] = rngs[b].gumbel((int(caps[b]), C))
+    offsets = np.arange(C - 1) - (gc.l_max - 1)
+    stopped = np.zeros(B, dtype=bool)
+    fixations = [[] for _ in range(B)]
+    rows, row_mask = [], []
+    ids = np.arange(B)
+    ws, n_words = word_states, counts
+    state = gen.start_state(B, dt)
+    hid = Tensor(np.zeros((B, h), dtype=dt))
+    positions = np.full(B, -1, dtype=np.int64)
+    dist = None
+    stop_mass = np.zeros(B)
+    for step in range(int(caps.max())):
+        n = len(ids)
+        logits = gen.decode_logits_batch(state, ws, n_words)
+        z = mul(add(logits, Tensor(noise[ids, step])), inv_tau)
+        if dist is None:
+            y = softmax(z, mask=gen._additive_masks(positions, n_words))
+            hard = y.data.argmax(axis=1)
+            live = hard != gc.stop_class
+            stopped[ids[~live]] = True
+            if not live.any():
+                break
+            scatter = gen._landing_scatter(positions, n_words, live, W, dt)
+            y_words = mix_rows(y, Tensor(scatter))
+            if soft:
+                dist = y_words
+        else:
+            live = np.ones(n, dtype=bool)
+            move_mask = np.where(np.abs(offsets) < n_words[:, None], 0.0,
+                                 NEG_INF).astype(np.float32)
+            stop_mask = np.concatenate([move_mask, np.zeros((n, 1), np.float32)], axis=1)
+            p_stop = softmax(z, mask=stop_mask).data[:, gc.stop_class]
+            q = softmax(z[:, :C - 1], mask=move_mask)
+            dist = shift_mass(dist, q, offsets, n_words)
+            stop_mass += (1.0 - stop_mass) * p_stop
+        if soft:
+            row = dist
+            fix = dist.data.argmax(axis=1)
+            stopped[ids[stop_mass >= SOFT_STOP_MASS]] = True
+        else:
+            fix = positions + hard - (gc.l_max - 1)
+            if surrogate:
+                row = y_words
+            else:
+                onehot = np.zeros((n, W), dtype=dt)
+                onehot[live, fix[live]] = 1.0
+                row = add(y_words, Tensor(onehot - y_words.data))
+        if not live.all():
+            row = take_rows(row, np.flatnonzero(live))
+        rows.append(row)
+        row_mask.append(np.zeros(B, dtype=np.float32))
+        row_mask[-1][ids[live]] = 1.0
+        for b, f in zip(ids[live], fix[live]):
+            fixations[b].append(int(f))
+        keep = live & ~stopped[ids] & (step + 1 < caps[ids])
+        if not keep.any():
+            break
+        if not keep.all():
+            sel = np.flatnonzero(keep)
+            ids, n_words, fix = ids[sel], n_words[sel], fix[sel]
+            ws, hid = take_rows(ws, sel), take_rows(hid, sel)
+            if not keep[live].all():
+                row = take_rows(row, np.flatnonzero(keep[live]))
+            if soft:
+                dist, stop_mass = row, stop_mass[sel]
+        pe = matmul(dist, gen.fix_pos.w[0:W, :]) if soft else gen.fix_pos(fix)
+        state, hid = gen.history_step(mix_rows(row, ws), pe, hid)
+        positions = fix
+    mask_arr = np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), np.float32)
+    return SampledBatch(rows, mask_arr, fixations, stopped)
+
+
+@st.composite
+def _sampler_cases(draw):
+    """A sampler call: l_max, padded width W <= l_max - 1, ragged word
+    counts, caps (one per row or one for all, 1 included), a relaxation,
+    a dtype, a grad mode and seeds."""
+    l_max = draw(st.integers(2, 7))
+    B = draw(st.integers(1, 4))
+    W = draw(st.integers(1, l_max - 1))
+    counts = np.array(draw(st.lists(st.integers(1, W), min_size=B, max_size=B)))
+    counts[draw(st.integers(0, B - 1))] = W
+    caps = draw(st.one_of(st.integers(1, 12),
+                          st.lists(st.integers(1, 12), min_size=B, max_size=B)))
+    relax = draw(st.sampled_from(["straight_through", "surrogate", "soft"]))
+    return dict(l_max=l_max, counts=counts, caps=caps, relax=relax,
+                dtype=draw(st.sampled_from([np.float32, np.float64])),
+                grad=draw(st.sampled_from(["grad", "no_grad", "frozen"])),
+                tau=draw(st.sampled_from([0.3, 0.5, 1.0, 2.0])),
+                seed=draw(st.integers(0, 2**32)))
+
+
+@given(case=_sampler_cases())
+@settings(max_examples=200, deadline=None)
+def test_sampler_matches_full_noise_oracle(case):
+    """Noise on the open classes only and one-hot rows when no gradient is
+    wanted change no output: the same fixations, ``stopped``, ``row_mask``
+    and row values bit for bit as full noise and relaxed rows everywhere,
+    and the same gradients of a scalar through the rows."""
+    counts, caps, dtype = case["counts"], case["caps"], case["dtype"]
+    B, W = len(counts), int(counts.max())
+    gcfg = GeneratorConfig(d_word=5, d_hidden=6, l_max=case["l_max"])
+    mode = SOFT_CONVOLUTION if case["relax"] == "soft" else "straight_through"
+    cfg = GumbelConfig(temperature=case["tau"], mode=mode)
+    r = RngState(case["seed"], 1)
+    gen = ScanpathGenerator(gcfg, r.substream("gen"))
+    params = [p for _, p in gen.named_parameters()]
+    for p in params:
+        p.data = p.data.astype(dtype)
+        p.requires_grad = case["grad"] != "frozen"
+    pad = (np.arange(W) < counts[:, None])[:, :, None]
+    ws_data = np.where(pad, r.substream("ws").normal((B, W, 6)), 0.0).astype(dtype)
+    readout = r.substream("readout").normal((B, 12, W)).astype(dtype)
+    results = []
+    for fn in (gen.sample_gumbel_batch, lambda *a, **k: _sample_full_noise(gen, *a, **k)):
+        for p in params:
+            p.grad = None
+        ws = Tensor(ws_data, requires_grad=case["grad"] == "grad")
+        rngs = [r.substream("noise", b) for b in range(B)]
+        with no_grad() if case["grad"] == "no_grad" else nullcontext():
+            sb = fn(ws, counts, rngs, cfg, caps, surrogate=case["relax"] == "surrogate")
+        grads = []
+        if case["grad"] == "grad":
+            loss = None
+            for t, row in enumerate(sb.rows):
+                live = sb.row_mask[:, t] > 0
+                term = tsum(mul(row, Tensor(readout[live, t])))
+                loss = term if loss is None else add(loss, term)
+            backward(loss)
+            grads = [ws.grad] + [p.grad for p in params]
+        results.append((sb, grads))
+    (got, got_grads), (want, want_grads) = results
+    assert got.fixations == want.fixations
+    assert np.array_equal(got.stopped, want.stopped)
+    assert got.row_mask.tobytes() == want.row_mask.tobytes()
+    assert len(got.rows) == len(want.rows)
+    for a, b in zip(got.rows, want.rows):
+        assert a.dtype == b.dtype == dtype
+        assert a.data.tobytes() == b.data.tobytes()
+    for a, b in zip(got_grads, want_grads):
+        assert (a is None) == (b is None)
+        assert a is None or a.tobytes() == b.tobytes()
+
+
+def test_sample_paths_stream_ids_match_per_row_substreams(gen, mixed_pair, monkeypatch):
+    """Row b * n_paths + p draws from ``rng.substream(sentence_ids[b], p)``."""
+    seen = []
+    sample = ScanpathGenerator.sample_gumbel_batch
+
+    def spy(self, word_states, counts, rngs, *args, **kwargs):
+        seen.extend((s.seed, s.stream_id) for s in rngs)
+        return sample(self, word_states, counts, rngs, *args, **kwargs)
+
+    monkeypatch.setattr(ScanpathGenerator, "sample_gumbel_batch", spy)
+    rng = RngState(41, 5).substream("eval")
+    ids = ["kw-dev-3", 17]
+    with no_grad():
+        gen.sample_paths(mixed_pair, np.array([3, 5]), ids, 3, rng, ST)
+    assert seen == [(41, rng.substream(sid, p).stream_id) for sid in ids for p in range(3)]
 
 
 # -- relaxed-path gradient fidelity --------------------------------------

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazenlu.diffcore import RngState, first_uniforms, fold_key
+from gazenlu.diffcore import (RngState, first_uniforms, fold_key, gumbel_of,
+                              stream_uniforms)
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -140,6 +141,35 @@ def test_first_uniforms_match_each_streams_own_draws(seed, ids, start, n):
     # the streams themselves are not advanced
     for stream, stream_id in zip(streams[:3], ids):
         assert stream.uniform() == RngState(seed, stream_id).uniform()
+
+
+@given(seed=st.sampled_from(KEY_SEEDS),
+       rows=st.lists(st.tuples(_ids, st.integers(0, 700)), max_size=30),
+       drawn=st.integers(0, 9))
+@settings(max_examples=80, deadline=None)
+def test_stream_uniforms_match_each_streams_own_draws(seed, rows, drawn):
+    """Ragged counts, 0 included, and ids at or above 2**63 beside small
+    seeds: row i is stream i's own first counts[i] uniforms, then zeros,
+    whatever the stream has drawn already, and no stream is advanced."""
+    ids = [i for i, _ in rows]
+    counts = [n for _, n in rows]
+    streams = [RngState(seed, i) for i in ids]
+    for s in streams[:3]:
+        s.uniform((drawn,))
+    got = stream_uniforms(streams, counts)
+    assert got.shape == (len(rows), max(counts, default=0)) and got.dtype == np.float64
+    for row, stream_id, n in zip(got, ids, counts):
+        want = RngState(seed, stream_id).uniform((n,))
+        assert row[:n].tobytes() == want.tobytes(), (seed, stream_id, n)
+        assert not row[n:].any()
+    for stream, stream_id in zip(streams[:3], ids):
+        assert stream.uniform() == RngState(seed, stream_id).uniform((drawn + 1,))[-1]
+
+
+def test_gumbel_is_gumbel_of_the_streams_uniforms():
+    for key in KEY_IDS:
+        g = RngState(2, key).gumbel((5, 64))
+        assert g.tobytes() == gumbel_of(RngState(2, key).uniform((5, 64))).tobytes()
 
 
 def test_substreams_share_a_prefix():

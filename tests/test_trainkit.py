@@ -598,6 +598,33 @@ def test_joint_tau_reaches_the_sampler(tiny_suite, tiny_vocab, tiny_text_cfg,
     assert model.cfg is model_cfg
 
 
+def test_joint_pair_streams_match_per_pair_substreams(tiny_suite, tiny_vocab,
+                                                     tiny_text_cfg, tiny_gaze_state,
+                                                     monkeypatch):
+    """Pair (instance, path p) of epoch e draws its Gumbel noise from the
+    run's ``substream("gumbel", e, instance_id, p)``, once per epoch."""
+    gen_state, _ = tiny_gaze_state
+    model = JointModel(ModelConfig(text=tiny_text_cfg, gen_hidden=32, l_max=32),
+                       RngState(83, 0))
+    seen = []
+    loss_pairs = JointModel.loss_pairs
+
+    def spy(self, batch, labels, pair_rngs, drop_rng):
+        seen.extend((s.seed, s.stream_id) for s in pair_rngs)
+        return loss_pairs(self, batch, labels, pair_rngs, drop_rng)
+
+    monkeypatch.setattr(JointModel, "loss_pairs", spy)
+    train = tiny_suite.keyword_train[:6]
+    cfg = TrainConfig(lr=1e-3, max_epochs=2, patience=3, batch_size=4,
+                      n_scanpaths_train=2, seed=6)
+    train_joint(model, train, tiny_suite.keyword_dev[:2], tiny_vocab, cfg,
+                generator_state=gen_state)
+    root = RngState(6, 0).substream("joint")
+    want = [(6, root.substream("gumbel", e, i.instance_id, p).stream_id)
+            for e in (1, 2) for i in train for p in range(2)]
+    assert sorted(seen) == sorted(want) and len(set(want)) == len(want)
+
+
 def _count_steps(monkeypatch) -> list:
     steps = []
     step = trainkit.AdamW.step
