@@ -29,6 +29,7 @@ from .diffcore import (
     mix_rows,
     mse_loss,
     no_grad,
+    stream_uniforms,
     take_rows,
 )
 from .gazegen import (
@@ -84,15 +85,20 @@ class ScanpathEncoder(Module):
         states are put back in row order at the end. A row with no steps
         reads out ``cls``. In training, step t's dropout mask is drawn for
         the whole (B, d) step from ``rng.substream("drop", t)`` and its
-        live rows applied.
+        live rows applied; every step's uniforms come from one
+        ``stream_uniforms`` call, each stream's own draws.
         """
         if not steps:
             raise ValueError("scanpath encoder needs at least one step")
         if (np.diff(step_mask, axis=1) > 0).any():
             raise ValueError("step mask must mark a prefix of each row's steps")
         lengths = step_mask.sum(axis=1)
-        train = self.training and rng is not None
-        ids = np.arange(cls.shape[0])
+        B, d = cls.shape
+        drops = None
+        if self.training and rng is not None:
+            streams = rng.substreams("drop", tails=[(t,) for t in range(len(steps))])
+            drops = stream_uniforms(streams, [B * d] * len(steps)).reshape(-1, B, d)
+        ids = np.arange(B)
         h = cls
         parts: list[tuple[np.ndarray, Tensor]] = []   # finished rows, their states
         for t, w in enumerate(steps):
@@ -108,8 +114,8 @@ class ScanpathEncoder(Module):
                 keep = np.flatnonzero(live)
                 h, words = take_rows(h, keep), take_rows(words, keep)
             x = mix_rows(w, words)
-            if train:
-                x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t), lengths > t)
+            if drops is not None:
+                x = dropout(x, SCAN_DROPOUT, drops[t], lengths > t)
             h = self.gru(x, h)
         if len(ids):
             parts.append((ids, h))

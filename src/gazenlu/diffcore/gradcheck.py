@@ -277,6 +277,31 @@ def standard_op_checks(dtype=np.float64):
     entry("dropout_rows", {"x": x},
           lambda x=x, live=live: readout(dropout(x, 0.5, RngState(77, 8), live), "dor"))
 
+    # the Gumbel sampler's node (``gazegen``), relaxed rows forward so
+    # finite differences see the gradient: two rows of 3 and 2 words
+    # with caps 3 and 2, so the working set shrinks. Each relaxation checks
+    # the word states, the fixation embedding and half the weights; the
+    # biases' sums are ``linear_bwd``'s, checked above
+    from ..gazegen import (SOFT_CONVOLUTION, STRAIGHT_THROUGH, GeneratorConfig,
+                           GumbelConfig, ScanpathGenerator)
+    for name, mode, weights in (
+            ("sampler", STRAIGHT_THROUGH, ("start", "w_ih")),
+            ("sampler_soft", SOFT_CONVOLUTION, ("w_hh", "proj_w", "head_w"))):
+        gen = ScanpathGenerator(GeneratorConfig(d_word=2, d_hidden=2, l_max=3),
+                                rng.substream(name, "gen"))
+        for _, p in gen.named_parameters():
+            p.data = p.data.astype(d)
+        ws = _rand(rng.substream(name, "ws"), (2, 3, 2), d)
+        own = {"start": gen.start, "w_ih": gen.gru_hist.w_ih, "w_hh": gen.gru_hist.w_hh,
+               "proj_w": gen.hist_proj.w, "head_w": gen.head.w}
+        params = {"word_states": ws, "fix_pos": gen.fix_pos.w,
+                  **{k: own[k] for k in weights}}
+        entry(name, params,
+              lambda gen=gen, ws=ws, cfg=GumbelConfig(mode=mode), k=name:
+              readout(concat(gen.sample_gumbel_batch(
+                  ws, np.array([3, 2]), [RngState(2024, 5), RngState(2024, 6)], cfg,
+                  np.array([3, 2]), surrogate=True).rows, axis=0), k))
+
     z = _rand(rng.substream("ce"), (4, 3), d)
     tgt = np.array([0, 2, 1, 1])
     entry("cross_entropy", {"logits": z}, lambda z=z, tgt=tgt: cross_entropy(z, tgt))

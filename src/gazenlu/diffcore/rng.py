@@ -257,10 +257,6 @@ class RngState:
         out = z[:n].reshape(shape)
         return out if shape else float(out)
 
-    def gumbel(self, shape=()) -> np.ndarray:
-        """Standard Gumbel(0, 1) noise, -log(-log(U))."""
-        return gumbel_of(self.generator.random(shape))
-
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Uniform ints in [low, high) via floor of scaled uniforms."""
         return scaled_ints(self.generator.random(shape), low, high)

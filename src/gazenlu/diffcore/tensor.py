@@ -2,8 +2,8 @@
 
 A :class:`Tensor` wraps an ndarray plus an optional backward closure; ops
 build the graph eagerly and :func:`backward` walks it once in reverse
-topological order. Node ids are assigned at construction and parents are
-stored in call order, so two backward passes over the same graph
+topological order. Parents are stored in call order and the walk visits
+them in that order, so two backward passes over the same graph
 accumulate gradients in the same order and produce bit-identical results.
 
 Training runs in float32; gradient checking builds float64 graphs. A
@@ -23,9 +23,17 @@ weighted sums of its own rows); ``gru_cell``, one GRU step, and
 that does not require one (masks, noise, one-hot rows, landing scatters).
 
 Each op hands one backward closure ``fn(g)``, returning a gradient or
-None per parent, to ``_result``, which keeps it only when the node is
+None per parent, to ``op_result``, which keeps it only when the node is
 recorded; the closure computes its own backward-only values, so a
 forward under ``no_grad`` does no work for a backward that never runs.
+Code outside this module that runs a computation on plain arrays and
+writes its backward by hand records its node through ``op_result`` too.
+
+The forward and backward formulas such code shares with the ops are
+plain-array kernels here, each written once: ``rows_matmul`` (below);
+``softmax_fwd`` and ``softmax_bwd``; ``linear_fwd`` and ``linear_bwd``;
+``mix_rows_fwd`` and ``mix_rows_bwd_w`` (the weights' gradient);
+``gru_step`` and ``gru_bwd``; ``shift_mass_fwd`` and ``shift_mass_bwd``.
 
 numpy hands a one-row product to GEMV, whose sums round differently
 from GEMM's, so ``matmul``, ``linear``, ``gru_cell`` and ``gru_seq``
@@ -40,7 +48,6 @@ only its live rows, without changing a bit.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -49,7 +56,6 @@ import numpy as np
 # probabilities to exact float zero, small enough to never overflow.
 NEG_INF = -1e9
 
-_ids = itertools.count()
 _grad_enabled = [True]
 
 
@@ -72,7 +78,7 @@ def is_grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "_id")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -81,7 +87,6 @@ class Tensor:
         self._parents: tuple = ()
         self._backward = None
         self._op = "leaf"
-        self._id = next(_ids)
 
     # -- construction helpers -------------------------------------------
 
@@ -94,7 +99,6 @@ class Tensor:
         t._parents = parents
         t._backward = fn
         t._op = op
-        t._id = next(_ids)
         return t
 
     @staticmethod
@@ -106,7 +110,6 @@ class Tensor:
         t._parents = ()
         t._backward = None
         t._op = "leaf"
-        t._id = next(_ids)
         return t
 
     # -- basic introspection --------------------------------------------
@@ -151,14 +154,21 @@ def _record(parents: tuple) -> bool:
     return _grad_enabled[-1] and any(p.requires_grad for p in parents)
 
 
-def _result(data, parents, fn, op) -> Tensor:
-    """A node with backward closure ``fn`` if it is recorded, else a leaf."""
+def op_result(data, parents, fn, op: str) -> Tensor:
+    """The result of op ``op``: a node with backward closure ``fn`` if it
+    is recorded, else a leaf.
+
+    This is how every op, and any code outside this module that writes
+    its own backward, records a node. ``fn(g)`` takes the gradient of
+    ``data`` and returns one gradient or None per parent, in order; a
+    node is recorded when grad mode is on and some parent requires a
+    gradient, so ``fn`` runs only then."""
     if _record(parents):
         return Tensor._node(data, parents, fn, op)
     return Tensor._leaf(data)
 
 
-def _rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def rows_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` for a 2-d ``a``, through GEMM even when ``a`` has one row."""
     if a.shape[0] == 1:
         return np.matmul(np.concatenate([a, a]), b)[:1]
@@ -176,6 +186,94 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad
+
+
+# -- plain-array kernels ---------------------------------------------------
+#
+# The forward and backward formulas of the ops below that code outside this
+# module reuses when it writes a backward by hand; the ops call them too.
+
+
+def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``x @ w + b`` over the last axis: one GEMM over all the leading
+    rows of ``x`` (a one-row ``x`` still through GEMM), then the bias."""
+    d_in, d_out = w.shape
+    data = rows_matmul(x.reshape(-1, d_in), w)
+    data += b
+    return data.reshape(x.shape[:-1] + (d_out,))
+
+
+def linear_bwd(x2: np.ndarray, w: np.ndarray, g2: np.ndarray, need=(True, True, True)):
+    """The gradients of ``linear_fwd``'s x, w and b, on flat rows: ``x2``
+    (rows, d_in) the inputs and ``g2`` (rows, d_out) their output
+    gradients; None where ``need`` says none is wanted."""
+    return (np.matmul(g2, w.T) if need[0] else None,
+            np.matmul(x2.T, g2) if need[1] else None,
+            g2.sum(axis=0) if need[2] else None)
+
+
+def mix_rows_fwd(w: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """out[b] = w[b] @ X[b]: (B, W) or (B, S, W) weights over (B, W, d) rows."""
+    if w.ndim == 2:
+        return np.matmul(w[:, None, :], X)[:, 0]
+    return np.matmul(w, X)
+
+
+def mix_rows_bwd_w(g: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The gradient of ``mix_rows_fwd``'s weights, g[b] @ X[b].T, given
+    ``g``, that of its output."""
+    if g.ndim == 2:
+        return np.matmul(g[:, None, :], np.swapaxes(X, 1, 2))[:, 0]
+    return np.matmul(g, np.swapaxes(X, 1, 2))
+
+
+def softmax_fwd(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Softmax along the last axis; ``mask`` is an additive constant."""
+    z = x if mask is None else x + mask
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def softmax_bwd(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient of the softmax's input, given its output ``y`` and
+    the gradient ``g`` of that output."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
+
+
+def _shift_landings(B: int, W: int, offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(B, K, W) flat index b * W + landing word of each (offset, source)."""
+    land = np.clip(np.arange(W) + offsets[:, None], 0, counts[:, None, None] - 1)
+    return land + (np.arange(B) * W)[:, None, None]
+
+
+def shift_mass_fwd(dist: np.ndarray, q: np.ndarray, offsets: np.ndarray,
+                   counts: np.ndarray) -> np.ndarray:
+    """``shift_mass`` on arrays: each landing's terms summed in float64."""
+    B, W = dist.shape
+    src = dist * (np.arange(W) < counts[:, None])
+    moved = q[:, :, None] * src[:, None, :]
+    return np.bincount(_shift_landings(B, W, offsets, counts).reshape(-1),
+                       weights=moved.reshape(-1),
+                       minlength=B * W).reshape(B, W).astype(dist.dtype)
+
+
+def shift_mass_bwd(g: np.ndarray, dist: np.ndarray, q: np.ndarray, offsets: np.ndarray,
+                   counts: np.ndarray, need=(True, True)):
+    """The gradients of ``shift_mass_fwd``'s dist and q, given ``g``, that
+    of its output; None where ``need`` says none is wanted. The gradient
+    is gathered at every landing, a (B, K, W) array."""
+    B, W = dist.shape
+    at = g.reshape(-1)[_shift_landings(B, W, offsets, counts)]
+    real = np.arange(W) < counts[:, None]
+    gd = gq = None
+    if need[0]:
+        gd = np.matmul(q[:, None, :], at)[:, 0, :]
+        gd *= real
+    if need[1]:
+        gq = np.matmul(at, (dist * real)[:, :, None])[:, :, 0]
+    return gd, gq
 
 
 # -- backward engine -----------------------------------------------------
@@ -239,7 +337,7 @@ def add(a, b) -> Tensor:
         return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
                 _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
-    return _result(data, (a, b), fn, "add")
+    return op_result(data, (a, b), fn, "add")
 
 
 def mul(a, b) -> Tensor:
@@ -256,7 +354,7 @@ def mul(a, b) -> Tensor:
         return (_unbroadcast(g * bd, ad.shape) if a.requires_grad else None,
                 _unbroadcast(g * ad, bd.shape) if b.requires_grad else None)
 
-    return _result(data, (a, b), fn, "mul")
+    return op_result(data, (a, b), fn, "mul")
 
 
 def matmul(a, b) -> Tensor:
@@ -267,7 +365,7 @@ def matmul(a, b) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     if a.ndim == 2 and b.ndim == 2:
-        data = _rows_matmul(a.data, b.data)
+        data = rows_matmul(a.data, b.data)
     else:
         data = np.matmul(a.data, b.data)
 
@@ -281,7 +379,7 @@ def matmul(a, b) -> Tensor:
             gb = _unbroadcast(np.matmul(np.swapaxes(ad, -1, -2), g), bd.shape)
         return (ga, gb)
 
-    return _result(data, (a, b), fn, "matmul")
+    return op_result(data, (a, b), fn, "matmul")
 
 
 def linear(x, w, b) -> Tensor:
@@ -297,19 +395,15 @@ def linear(x, w, b) -> Tensor:
     x = _wrap(x)
     if x.ndim < 2 or w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: x {x.shape}, w {w.shape} and b {b.shape} do not conform")
-    d_in, d_out = w.shape
-    x2 = x.data.reshape(-1, d_in)
-    data = _rows_matmul(x2, w.data)
-    data += b.data
-    data = data.reshape(x.shape[:-1] + (d_out,))
+    data = linear_fwd(x.data, w.data, b.data)
 
     def fn(g):
-        g2 = g.reshape(-1, d_out)
-        return (np.matmul(g2, w.data.T).reshape(x.shape) if x.requires_grad else None,
-                np.matmul(x2.T, g2) if w.requires_grad else None,
-                g2.sum(axis=0) if b.requires_grad else None)
+        gx, gw, gb = linear_bwd(x.data.reshape(-1, w.shape[0]), w.data,
+                                g.reshape(-1, w.shape[1]),
+                                (x.requires_grad, w.requires_grad, b.requires_grad))
+        return (None if gx is None else gx.reshape(x.shape), gw, gb)
 
-    return _result(data, (x, w, b), fn, "linear")
+    return op_result(data, (x, w, b), fn, "linear")
 
 
 def mix_rows(w, X) -> Tensor:
@@ -326,31 +420,23 @@ def mix_rows(w, X) -> Tensor:
     w, X = _wrap(w), _wrap(X)
     if w.ndim not in (2, 3) or X.ndim != 3 or X.shape[:2] != (w.shape[0], w.shape[-1]):
         raise ShapeError(f"mix_rows: weights {w.shape} and rows {X.shape} do not conform")
-    one = w.ndim == 2
-    w3 = w.data[:, None, :] if one else w.data
-    data = np.matmul(w3, X.data)
-    if one:
-        data = data[:, 0]
+    data = mix_rows_fwd(w.data, X.data)
 
     def fn(g):
-        g3 = g[:, None, :] if one else g
-        gw = gX = None
-        if w.requires_grad:
-            gw = np.matmul(g3, np.swapaxes(X.data, 1, 2))
-            if one:
-                gw = gw[:, 0]
+        gw = mix_rows_bwd_w(g, X.data) if w.requires_grad else None
+        gX = None
         if X.requires_grad:
-            gX = (w.data[:, :, None] * g[:, None, :] if one
-                  else np.matmul(np.swapaxes(w3, 1, 2), g3))
+            gX = (w.data[:, :, None] * g[:, None, :] if w.ndim == 2
+                  else np.matmul(np.swapaxes(w.data, 1, 2), g))
         return (gw, gX)
 
-    return _result(data, (w, X), fn, "mix_rows")
+    return op_result(data, (w, X), fn, "mix_rows")
 
 
 def _gru_gates(gi, gh, h):
     """One GRU step from its input and hidden projections ``gi`` and ``gh``
     (rows, 3H), biases added, and its state ``h`` (rows, H): the new state
-    and the (r, z, n, ghn) that ``_gru_grads`` reads."""
+    and the gates (r, z, n, ghn) that ``gru_bwd`` reads."""
     H = h.shape[1]
     r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
     z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
@@ -359,14 +445,26 @@ def _gru_gates(gi, gh, h):
     return n + z * (h + n * -1.0), (r, z, n, ghn)
 
 
-def _gru_grads(g, h, r, z, n, ghn):
-    """The gradients (dgi, dgh) of one step's projections, given ``g``, the
-    gradient of its new state; the state's own is ``dgh @ w_hh.T + g * z``."""
+def gru_step(x, h, w_ih, w_hh, b_ih, b_hh):
+    """One GRU step on arrays (``gru_cell`` gives the equations): the new
+    state and the gates that ``gru_bwd`` reads."""
+    gi = rows_matmul(x, w_ih) + b_ih
+    gh = rows_matmul(h, w_hh) + b_hh
+    return _gru_gates(gi, gh, h)
+
+
+def gru_bwd(g, h, gates, w_hh):
+    """One step's backward, given ``g``, the gradient of its new state:
+    the gradients (dgi, dgh) of its input and hidden projections and
+    that of its state ``h``. The weight gradients are ``x.T @ dgi`` and
+    ``h.T @ dgh``, the input's ``dgi @ w_ih.T``."""
+    r, z, n, ghn = gates
     dz = g * (h - n) * z * (1.0 - z)
     da_n = g * (1.0 - z) * (1.0 - n * n)
     dr = da_n * ghn * r * (1.0 - r)
-    return (np.concatenate([dr, dz, da_n], axis=1),
-            np.concatenate([dr, dz, da_n * r], axis=1))
+    dgh = np.concatenate([dr, dz, da_n * r], axis=1)
+    return (np.concatenate([dr, dz, da_n], axis=1), dgh,
+            np.matmul(dgh, w_hh.T) + g * z)
 
 
 def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
@@ -397,22 +495,17 @@ def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
             f"gru_cell: x {x.shape}, h {h.shape}, w_ih {w_ih.shape}, "
             f"w_hh {w_hh.shape}, b_ih {b_ih.shape}, b_hh {b_hh.shape} do not conform"
         )
-    gi = _rows_matmul(x.data, w_ih.data) + b_ih.data
-    gh = _rows_matmul(h.data, w_hh.data) + b_hh.data
-    data, (r, z, n, ghn) = _gru_gates(gi, gh, h.data)
+    data, gates = gru_step(x.data, h.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data)
 
     def fn(g):
-        dgi, dgh = _gru_grads(g, h.data, r, z, n, ghn)
-        return (
-            np.matmul(dgi, w_ih.data.T) if x.requires_grad else None,
-            np.matmul(dgh, w_hh.data.T) + g * z if h.requires_grad else None,
-            np.matmul(x.data.T, dgi) if w_ih.requires_grad else None,
-            np.matmul(h.data.T, dgh) if w_hh.requires_grad else None,
-            dgi.sum(axis=0) if b_ih.requires_grad else None,
-            dgh.sum(axis=0) if b_hh.requires_grad else None,
-        )
+        dgi, dgh, dh = gru_bwd(g, h.data, gates, w_hh.data)
+        gx, gw_ih, gb_ih = linear_bwd(x.data, w_ih.data, dgi, (
+            x.requires_grad, w_ih.requires_grad, b_ih.requires_grad))
+        _, gw_hh, gb_hh = linear_bwd(h.data, w_hh.data, dgh, (
+            False, w_hh.requires_grad, b_hh.requires_grad))
+        return (gx, dh if h.requires_grad else None, gw_ih, gw_hh, gb_ih, gb_hh)
 
-    return _result(data, (x, h, w_ih, w_hh, b_ih, b_hh), fn, "gru_cell")
+    return op_result(data, (x, h, w_ih, w_hh, b_ih, b_hh), fn, "gru_cell")
 
 
 def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tensor:
@@ -460,7 +553,7 @@ def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Te
     starts = np.concatenate([[0], np.cumsum(live)]).astype(np.int64).tolist()
     cell_rows, cell_times = order[pos], times[step]
     xs = x.data[cell_rows, cell_times]
-    gi_all = _rows_matmul(xs, w_ih.data) + b_ih.data
+    gi_all = rows_matmul(xs, w_ih.data) + b_ih.data
     N = len(cell_rows)
     dt = gi_all.dtype
     record = _record(parents)
@@ -471,7 +564,7 @@ def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Te
         n, c = live[k], slice(starts[k], starts[k + 1])
         if n:
             hp = h[:n]
-            h_new, gates = _gru_gates(gi_all[c], _rows_matmul(hp, w_hh.data) + b_hh.data, hp)
+            h_new, gates = _gru_gates(gi_all[c], rows_matmul(hp, w_hh.data) + b_hh.data, hp)
             if record:
                 for buf, val in zip(saved, (hp, *gates)):
                     buf[c] = val
@@ -488,26 +581,22 @@ def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Te
             dh += gs[:, t]
             if not n:
                 continue
-            gn = dh[:n]
-            hp, r, z, ng, ghn = (buf[c] for buf in saved)
-            dgi[c], dgh[c] = _gru_grads(gn, hp, r, z, ng, ghn)
-            dh[:n] = np.matmul(dgh[c], w_hh.data.T) + gn * z
+            hp, *gates = (buf[c] for buf in saved)
+            dgi[c], dgh[c], dh[:n] = gru_bwd(dh[:n], hp, gates, w_hh.data)
+        gxs, gw_ih, gb_ih = linear_bwd(xs, w_ih.data, dgi, (
+            x.requires_grad, w_ih.requires_grad, b_ih.requires_grad))
+        _, gw_hh, gb_hh = linear_bwd(saved[0], w_hh.data, dgh, (
+            False, w_hh.requires_grad, b_hh.requires_grad))
         gx = gh0 = None
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            gx[cell_rows, cell_times] = np.matmul(dgi, w_ih.data.T)
+            gx[cell_rows, cell_times] = gxs
         if h0.requires_grad:
             gh0 = np.empty_like(dh)
             gh0[order] = dh
-        return (
-            gx, gh0,
-            np.matmul(xs.T, dgi) if w_ih.requires_grad else None,
-            np.matmul(saved[0].T, dgh) if w_hh.requires_grad else None,
-            dgi.sum(axis=0) if b_ih.requires_grad else None,
-            dgh.sum(axis=0) if b_hh.requires_grad else None,
-        )
+        return (gx, gh0, gw_ih, gw_hh, gb_ih, gb_hh)
 
-    return _result(out, parents, fn, "gru_seq")
+    return op_result(out, parents, fn, "gru_seq")
 
 
 # -- activations ---------------------------------------------------------
@@ -519,21 +608,17 @@ def relu(x: Tensor) -> Tensor:
     def fn(g):
         return (g * (data > 0),)
 
-    return _result(data, (x,), fn, "relu")
+    return op_result(data, (x,), fn, "relu")
 
 
 def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     """Softmax along the last axis; ``mask`` is an additive constant (0 or NEG_INF)."""
-    z = x.data if mask is None else x.data + mask
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    data = e / e.sum(axis=-1, keepdims=True)
+    data = softmax_fwd(x.data, mask)
 
     def fn(g):
-        dot = (g * data).sum(axis=-1, keepdims=True)
-        return (data * (g - dot),)
+        return (softmax_bwd(data, g),)
 
-    return _result(data, (x,), fn, "softmax")
+    return op_result(data, (x,), fn, "softmax")
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -559,7 +644,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         lead = tuple(range(g.ndim - 1))
         return (gx, (g * xhat).sum(axis=lead), g.sum(axis=lead))
 
-    return _result(data, (x, gamma, beta), fn, "layer_norm")
+    return op_result(data, (x, gamma, beta), fn, "layer_norm")
 
 
 # -- structural ops ------------------------------------------------------
@@ -595,7 +680,7 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
     def fn(g):
         return (_row_sums(idx, g, x.data),)
 
-    return _result(data, (x,), fn, "take_rows")
+    return op_result(data, (x,), fn, "take_rows")
 
 
 def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray) -> Tensor:
@@ -617,27 +702,13 @@ def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray)
         raise ShapeError(f"shift_mass: dist {dist.shape}, q {q.shape}, "
                          f"{len(offsets)} offsets and {counts.shape} counts do not conform")
 
-    def landings():
-        """(B, K, W) flat index b * W + landing word of each (offset, source)."""
-        land = np.clip(np.arange(W) + offsets[:, None], 0, counts[:, None, None] - 1)
-        return land + (np.arange(B) * W)[:, None, None]
-
-    src = dist.data * (np.arange(W) < counts[:, None])
-    moved = q.data[:, :, None] * src[:, None, :]
-    data = np.bincount(landings().reshape(-1), weights=moved.reshape(-1),
-                       minlength=B * W).reshape(B, W).astype(dist.dtype)
+    data = shift_mass_fwd(dist.data, q.data, offsets, counts)
 
     def fn(g):
-        at = g.reshape(-1)[landings()]          # (B, K, W)
-        gd = gq = None
-        if dist.requires_grad:
-            gd = np.matmul(q.data[:, None, :], at)[:, 0, :]
-            gd *= np.arange(W) < counts[:, None]
-        if q.requires_grad:
-            gq = np.matmul(at, src[:, :, None])[:, :, 0]
-        return (gd, gq)
+        return shift_mass_bwd(g, dist.data, q.data, offsets, counts,
+                              (dist.requires_grad, q.requires_grad))
 
-    return _result(data, (dist, q), fn, "shift_mass")
+    return op_result(data, (dist, q), fn, "shift_mass")
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -649,7 +720,7 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
         return tuple(part if t.requires_grad else None
                      for t, part in zip(tensors, np.split(g, cuts, axis=axis)))
 
-    return _result(data, tuple(tensors), fn, "concat")
+    return op_result(data, tuple(tensors), fn, "concat")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -658,7 +729,7 @@ def reshape(x: Tensor, shape) -> Tensor:
     def fn(g):
         return (g.reshape(x.data.shape),)
 
-    return _result(data, (x,), fn, "reshape")
+    return op_result(data, (x,), fn, "reshape")
 
 
 def transpose(x: Tensor, axes) -> Tensor:
@@ -667,7 +738,7 @@ def transpose(x: Tensor, axes) -> Tensor:
     def fn(g):
         return (g.transpose(np.argsort(axes)),)
 
-    return _result(data, (x,), fn, "transpose")
+    return op_result(data, (x,), fn, "transpose")
 
 
 def getitem(x: Tensor, key) -> Tensor:
@@ -679,7 +750,7 @@ def getitem(x: Tensor, key) -> Tensor:
         gx[key] = g
         return (gx,)
 
-    return _result(data, (x,), fn, "getitem")
+    return op_result(data, (x,), fn, "getitem")
 
 
 def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -691,7 +762,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         gg = g if keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, x.data.shape).copy(),)
 
-    return _result(np.asarray(data), (x,), fn, "sum")
+    return op_result(np.asarray(data), (x,), fn, "sum")
 
 
 # -- randomized / loss ops ----------------------------------------------
@@ -701,11 +772,14 @@ def dropout(x: Tensor, p: float, rng, rows: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: each entry is kept with probability 1 - p and
     scaled by 1 / (1 - p). Callers skip it outside training.
 
-    ``rows``, a boolean vector with one True per row of ``x``, applies
-    those rows of a mask drawn for ``len(rows)`` rows: ``x`` takes the
-    draws it would get as those rows of the whole batch."""
+    ``rng`` is the stream the mask's uniforms are drawn from, or those
+    uniforms already drawn (an array of the mask's shape). ``rows``, a
+    boolean vector with one True per row of ``x``, applies those rows of
+    a mask drawn for ``len(rows)`` rows: ``x`` takes the draws it would
+    get as those rows of the whole batch."""
     shape = x.data.shape if rows is None else (len(rows),) + x.data.shape[1:]
-    keep = (rng.uniform(shape) >= p).astype(x.data.dtype) / (1.0 - p)
+    u = rng if isinstance(rng, np.ndarray) else rng.uniform(shape)
+    keep = (u >= p).astype(x.data.dtype) / (1.0 - p)
     if rows is not None:
         keep = keep[rows]
     data = x.data * keep
@@ -713,7 +787,7 @@ def dropout(x: Tensor, p: float, rng, rows: np.ndarray | None = None) -> Tensor:
     def fn(g):
         return (g * keep,)
 
-    return _result(data, (x,), fn, "dropout")
+    return op_result(data, (x,), fn, "dropout")
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -739,7 +813,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         gx = p * (g / z.shape[0])
         return (gx,)
 
-    return _result(data, (logits,), fn, "cross_entropy")
+    return op_result(data, (logits,), fn, "cross_entropy")
 
 
 def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
@@ -753,4 +827,4 @@ def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
     def fn(g):
         return (g * 2.0 * diff / diff.size,)
 
-    return _result(data, (pred,), fn, "mse_loss")
+    return op_result(data, (pred,), fn, "mse_loss")

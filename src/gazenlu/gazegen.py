@@ -11,7 +11,9 @@ One batched Gumbel-softmax sampler draws every path, in either of two
 relaxations: straight-through (hard one-hot rows forward, relaxed
 gradient backward; under ``no_grad`` these are exact Gumbel-max draws)
 and a soft convolution that transports a whole position distribution
-per step.
+per step. The sampler runs its step loop on plain arrays and records
+one graph node for the whole call, whose backward is a hand-written
+reverse pass over the steps.
 """
 
 from __future__ import annotations
@@ -33,13 +35,25 @@ from .diffcore import (
     add,
     concat,
     cross_entropy,
+    getitem,
+    gru_bwd,
+    gru_step,
     gumbel_of,
-    matmul,
+    is_grad_enabled,
+    linear_bwd,
+    linear_fwd,
     mix_rows,
+    mix_rows_bwd_w,
+    mix_rows_fwd,
     mul,
+    op_result,
     reshape,
-    shift_mass,
+    rows_matmul,
+    shift_mass_bwd,
+    shift_mass_fwd,
     softmax,
+    softmax_bwd,
+    softmax_fwd,
     stream_uniforms,
     take_rows,
     transpose,
@@ -157,8 +171,18 @@ class ScanpathGenerator(Module):
     def start_state(self, batch: int, dtype=np.float32) -> Tensor:
         return add(Tensor(np.zeros((batch, self.cfg.d_hidden), dtype=dtype)), self.start)
 
-    def history_step(self, word_row: Tensor, pos_emb: Tensor, h_prev: Tensor):
-        """One recurrence step; returns (residual output, new hidden)."""
+    def history_step(self, word_row, pos_emb, h_prev):
+        """One recurrence step; returns (residual output, new hidden).
+
+        On plain arrays it records nothing and returns (output, hidden,
+        cache), the cache being the step's input and GRU gates, which the
+        sampler's reverse pass reads; the values are the Tensor path's."""
+        if not isinstance(word_row, Tensor):
+            inp = np.concatenate([word_row, pos_emb], axis=1)
+            g, p = self.gru_hist, self.hist_proj
+            h_new, gates = gru_step(inp, h_prev, g.w_ih.data, g.w_hh.data,
+                                    g.b_ih.data, g.b_hh.data)
+            return linear_fwd(inp, p.w.data, p.b.data) + h_new, h_new, (inp, gates)
         inp = concat([word_row, pos_emb], axis=1)
         h_new = self.gru_hist(inp, h_prev)
         return add(self.hist_proj(inp), h_new), h_new
@@ -179,16 +203,26 @@ class ScanpathGenerator(Module):
         valid = np.concatenate([ok, positions[:, None] >= 0], axis=1)
         return np.where(valid, 0.0, NEG_INF).astype(np.float32)
 
-    def decode_logits_batch(self, state: Tensor, word_states: Tensor,
-                            counts: np.ndarray) -> Tensor:
+    def decode_logits_batch(self, state, word_states, counts: np.ndarray):
         """Cross-attention readout of (B, h) states, one per row, or
         (B, S, h), S per row, over (B, W, h) word states; (B, n_classes)
-        or (B, S, n_classes)."""
+        or (B, S, n_classes).
+
+        On plain arrays, (B, h) states only, it records nothing and
+        returns (logits, (attention weights, head input)), which the
+        sampler's reverse pass reads; the values are the Tensor path's,
+        through the same numpy calls."""
         B, W, h = word_states.shape
-        scores = mul(mix_rows(state, transpose(word_states, (0, 2, 1))), 1.0 / math.sqrt(h))
         pad = (np.arange(W)[None, :] >= counts[:, None])
-        pad = pad.reshape((B,) + (1,) * (state.ndim - 2) + (W,))
-        attn = softmax(scores, mask=(pad * NEG_INF).astype(np.float32))
+        pad = (pad.reshape((B,) + (1,) * (state.ndim - 2) + (W,)) * NEG_INF).astype(np.float32)
+        if not isinstance(state, Tensor):
+            scale = np.asarray(1.0 / math.sqrt(h), dtype=word_states.dtype)
+            scores = mix_rows_fwd(state, word_states.transpose(0, 2, 1)) * scale
+            attn = softmax_fwd(scores, pad)
+            x_head = np.concatenate([mix_rows_fwd(attn, word_states), state], axis=1)
+            return linear_fwd(x_head, self.head.w.data, self.head.b.data), (attn, x_head)
+        scores = mul(mix_rows(state, transpose(word_states, (0, 2, 1))), 1.0 / math.sqrt(h))
+        attn = softmax(scores, mask=pad)
         ctx = mix_rows(attn, word_states)
         return self.head(concat([ctx, state], axis=-1))
 
@@ -312,10 +346,8 @@ class ScanpathGenerator(Module):
 
         ``straight_through``: each step fixates the argmax of logits plus
         noise (the Gumbel-max draw) and emits its one-hot row, carrying
-        the relaxed softmax's gradient. A step whose softmax needs no
-        gradient (under ``no_grad``, or with a frozen generator) emits the
-        one-hot row alone and builds no relaxed row, whose values it
-        would equal exactly. ``surrogate=True`` keeps the
+        the gradient of the relaxed row: the step's softmax gathered at
+        the words its move classes land on. ``surrogate=True`` keeps the
         relaxed rows as the forward values (positions still advance by
         the hard offsets); the analytic gradient of the straight-through
         rows is exactly the gradient of this surrogate forward, which is
@@ -323,19 +355,28 @@ class ScanpathGenerator(Module):
 
         ``soft_convolution``: each row carries a distribution over its
         words, moved every step by the relaxed offset distribution with
-        landings clamped to the row's word range (one ``shift_mass``
-        node). The row is emitted as is and its argmax reported as the
-        fixation; the path ends once the expected probability of having
-        stopped reaches SOFT_STOP_MASS.
+        landings clamped to the row's word range (``shift_mass``). The
+        row is emitted as is and its argmax reported as the fixation; the
+        path ends once the expected probability of having stopped
+        reaches SOFT_STOP_MASS.
 
         Only the rows still reading are stepped. A row leaves the working
         set when it stops or reaches its cap and never returns, so the set
         only shrinks: on the steps where it does, the rows that stay are
-        gathered with ``take_rows``, and decoding, the masks, the history
-        step and the bookkeeping then run on them alone. Step s emits the
-        working set's rows that fixate there, (n_s, W) in batch order, so
-        a row that chooses STOP is dropped at that step; ``row_mask`` (B, S)
-        says which rows those are.
+        gathered, and decoding (``decode_logits_batch``), the masks, the
+        history step (``history_step``) and the bookkeeping then run on
+        them alone. Step s emits the working set's rows that fixate
+        there, (n_s, W) in batch order, so a row that chooses STOP is
+        dropped at that step; ``row_mask`` (B, S) says which rows those
+        are.
+
+        The loop runs on plain arrays. When a gradient is wanted (grad
+        mode on, and the word states or a generator parameter the loop
+        reads require one), each step keeps what the reverse pass reads
+        and the rows come out of one recorded ``sampler`` node, step s's
+        rows a slice of it. That node's backward (``_reverse_pass``)
+        walks the steps in reverse. Otherwise nothing is kept and the
+        rows are plain tensors.
 
         A live row whose logits are not finite raises FloatingPointError
         naming the step.
@@ -345,7 +386,7 @@ class ScanpathGenerator(Module):
         C = gc.n_classes
         dt = word_states.dtype
         soft = cfg.mode == SOFT_CONVOLUTION
-        inv_tau = 1.0 / cfg.temperature
+        inv_tau = np.asarray(1.0 / cfg.temperature, dtype=dt)
         caps = np.broadcast_to(
             np.asarray(max_fixations, dtype=np.int64), (B,)
         )
@@ -353,21 +394,25 @@ class ScanpathGenerator(Module):
             raise ValueError("max_fixations must be >= 1")
         uniforms = stream_uniforms(rngs, caps * C).reshape(B, int(caps.max()), C)
         offsets = np.arange(C - 1) - (gc.l_max - 1)
+        parents = (word_states, *self._sampler_params())
+        tape: list[_Step] | None = (
+            [] if is_grad_enabled() and any(p.requires_grad for p in parents) else None)
+        fix_w = self.fix_pos.w.data
         stopped = np.zeros(B, dtype=bool)
         fixations: list[list[int]] = [[] for _ in range(B)]
-        rows: list[Tensor] = []
+        rows: list[np.ndarray] = []
         row_mask: list[np.ndarray] = []
         # the working set: the batch rows still reading, and their state
         ids = np.arange(B)
-        ws, n_words = word_states, counts
-        state = self.start_state(B, dt)
-        hid = Tensor(np.zeros((B, h), dtype=dt))
+        ws, n_words = word_states.data, counts
+        state = np.zeros((B, h), dtype=dt) + self.start.data
+        hid = np.zeros((B, h), dtype=dt)
         positions = np.full(B, -1, dtype=np.int64)
         dist = None     # soft: (n, W) position distribution after entry
         stop_mass = np.zeros(B)
         for step in range(int(caps.max())):
             n = len(ids)
-            logits = self.decode_logits_batch(state, ws, n_words)
+            logits, (attn, x_head) = self.decode_logits_batch(state, ws, n_words)
             if dist is None:
                 mask = self._additive_masks(positions, n_words)
             else:
@@ -379,56 +424,59 @@ class ScanpathGenerator(Module):
             r, c = np.nonzero(mask == 0)
             noise = np.zeros((n, C), dtype=dt)
             noise[r, c] = gumbel_of(uniforms[ids[r], step, c])
-            z = mul(add(logits, Tensor(noise)), inv_tau)
-            if not np.isfinite(z.data).all():
+            z = (logits + noise) * inv_tau
+            if not np.isfinite(z).all():
                 # a NaN row would argmax to class 0, a move off the sentence
                 raise FloatingPointError(
                     f"sampler step {step}: a live row's logits are not finite "
                     f"(non-finite generator parameters or temperature)")
+            moved = relax = None
             if dist is None:
                 # a hard step from the current positions; for a soft
                 # path, the entry saccade
-                y = softmax(z, mask=mask)
-                hard = y.data.argmax(axis=1)
+                probs = softmax_fwd(z, mask)
+                hard = probs.argmax(axis=1)
                 live = hard != gc.stop_class
                 stopped[ids[~live]] = True
                 if not live.any():
                     break
-                relaxed = soft or surrogate or y.requires_grad
-                if relaxed:
-                    scatter = self._landing_scatter(positions, n_words, live, W, dt)
-                    y_words = mix_rows(y, Tensor(scatter))
+                if soft or surrogate or tape is not None:
+                    # the relaxed row: each (row, move class) that lands on
+                    # a word puts its probability there; no two classes of
+                    # a row land on the same word
+                    landing, ok = self._landings(positions, n_words)
+                    lr, lc = np.nonzero(ok & live[:, None])
+                    relax = (lr, lc, landing[lr, lc])
+                if soft or surrogate:
+                    y_words = np.zeros((n, W), dtype=dt)
+                    y_words[lr, relax[2]] = probs[lr, lc]
                 if soft:
                     dist = y_words
             else:
                 live = np.ones(n, dtype=bool)
-                p_stop = softmax(z, mask=mask).data[:, gc.stop_class]
-                q = softmax(z[:, :C - 1], mask=mask[:, :C - 1])
-                dist = shift_mass(dist, q, offsets, n_words)
+                p_stop = softmax_fwd(z, mask)[:, gc.stop_class]
+                probs = softmax_fwd(z[:, :C - 1], mask[:, :C - 1])
+                moved = (dist, n_words)
+                dist = shift_mass_fwd(dist, probs, offsets, n_words)
                 stop_mass += (1.0 - stop_mass) * p_stop
             if soft:
                 row = dist
-                fix = dist.data.argmax(axis=1)
+                fix = dist.argmax(axis=1)
                 stopped[ids[stop_mass >= SOFT_STOP_MASS]] = True
             else:
                 fix = positions + hard - (gc.l_max - 1)
                 if surrogate:
                     row = y_words
                 else:
-                    onehot = np.zeros((n, W), dtype=dt)
-                    onehot[live, fix[live]] = 1.0
-                    # the relaxed row plus (onehot - itself) is the one-hot
-                    # bit for bit: its zeros cancel exactly, and y + fl(1 - y)
-                    # rounds to 1
-                    row = (add(y_words, Tensor(onehot - y_words.data)) if relaxed
-                           else Tensor(onehot))
-            if not live.all():
-                row = take_rows(row, np.flatnonzero(live))
-            rows.append(row)
+                    row = np.zeros((n, W), dtype=dt)
+                    row[live, fix[live]] = 1.0
+            rows.append(row if live.all() else row[live])
             row_mask.append(np.zeros(B, dtype=np.float32))
             row_mask[-1][ids[live]] = 1.0
             for b, f in zip(ids[live], fix[live]):
                 fixations[b].append(int(f))
+            if tape is not None:
+                tape.append(_Step(ids, ws, attn, x_head, probs, live, relax, moved))
             # every row of the working set has fixated at each step so far
             keep = live & ~stopped[ids] & (step + 1 < caps[ids])
             if not keep.any():
@@ -436,16 +484,149 @@ class ScanpathGenerator(Module):
             if not keep.all():
                 sel = np.flatnonzero(keep)
                 ids, n_words, fix = ids[sel], n_words[sel], fix[sel]
-                ws, hid = take_rows(ws, sel), take_rows(hid, sel)
-                if not keep[live].all():
-                    row = take_rows(row, np.flatnonzero(keep[live]))
+                ws, hid, row = ws[sel], hid[sel], row[sel]
                 if soft:
                     dist, stop_mass = row, stop_mass[sel]
-            pe = matmul(dist, self.fix_pos.w[0:W, :]) if soft else self.fix_pos(fix)
-            word_row = mix_rows(row, ws)
-            state, hid = self.history_step(word_row, pe, hid)
+            pe = rows_matmul(dist, fix_w[0:W, :]) if soft else fix_w[fix]
+            h_prev = hid
+            state, hid, (inp, gates) = self.history_step(mix_rows_fwd(row, ws), pe, hid)
+            if tape is not None:
+                tape[-1].history = (np.flatnonzero(keep), ids, ws, row,
+                                    dist if soft else fix, h_prev, inp, gates)
             positions = fix
         mask_arr = (
             np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), dtype=np.float32)
         )
-        return SampledBatch(rows, mask_arr, fixations, stopped)
+        if tape is None:
+            return SampledBatch([Tensor(r) for r in rows], mask_arr, fixations, stopped)
+        ends = np.cumsum([len(r) for r in rows]).tolist()
+        for st, a, b in zip(tape, [0] + ends, ends):
+            st.out = slice(a, b)
+        node = op_result(
+            np.concatenate(rows), parents,
+            lambda g: self._reverse_pass(g, tape, parents, soft, inv_tau, offsets),
+            "sampler")
+        return SampledBatch([getitem(node, st.out) for st in tape], mask_arr,
+                            fixations, stopped)
+
+    def _sampler_params(self) -> tuple[Tensor, ...]:
+        """The parameters the sampler's loop reads, in its node's order
+        after the word states."""
+        g, p = self.gru_hist, self.hist_proj
+        return (self.start, self.fix_pos.w, g.w_ih, g.w_hh, g.b_ih, g.b_hh,
+                p.w, p.b, self.head.w, self.head.b)
+
+    def _reverse_pass(self, g: np.ndarray, tape: list["_Step"], parents: tuple,
+                      soft: bool, inv_tau: np.ndarray, offsets: np.ndarray) -> tuple:
+        """The sampler node's backward: ``g`` (N, W) is the gradient of its
+        packed rows; one gradient or None per parent.
+
+        Only the recurrence is sequential. Walking the steps in reverse,
+        each step's state and hidden gradients flow back through its
+        history GRU, its word read, its row (the relaxed row for a hard or
+        entry step, ``shift_mass`` for a soft walk step), the decision
+        softmax, the head and the attention into the previous working
+        set, scattered by index. Word-state gradients collect as outer
+        products in two (B, 3S, W) and (B, 3S, h) buffers, summed by one
+        batched matmul; each weight's and bias's gradient is one GEMM or
+        one sum over all the steps' stacked terms.
+        """
+        need = [p.requires_grad for p in parents]
+        B, W, h = parents[0].shape
+        C = self.cfg.n_classes
+        dt = g.dtype
+        S = len(tape)
+        head_w, proj_w, fix_w = self.head.w.data, self.hist_proj.w.data, self.fix_pos.w.data
+        w_ih, w_hh = self.gru_hist.w_ih.data, self.gru_hist.w_hh.data
+        scale = np.asarray(1.0 / math.sqrt(h), dtype=dt)
+        if need[0]:
+            # per step s: slot 3s the context read, 3s + 1 the attention
+            # scores, 3s + 2 the history's word read
+            P = np.zeros((B, 3 * S, W), dtype=dt)
+            Q = np.zeros((B, 3 * S, h), dtype=dt)
+        heads, hists = [], []       # (input, output gradient) per step
+        d_state = d_hid = d_moved = None
+        for s in range(S - 1, -1, -1):
+            st = tape[s]
+            n = len(st.ids)
+            d_row = np.zeros((n, W), dtype=dt)
+            d_row[st.live] = g[st.out]
+            d_hid_n = None
+            if d_state is not None:
+                # the history step after this one fed the next step's decode
+                keep, ids_k, ws_k, row_k, at, h_prev, inp, gates = st.history
+                d_new = d_state if d_hid is None else d_state + d_hid
+                dgi, dgh, d_h = gru_bwd(d_new, h_prev, gates, w_hh)
+                d_inp = np.matmul(d_state, proj_w.T) + np.matmul(dgi, w_ih.T)
+                d_read, d_pe = d_inp[:, :h], d_inp[:, h:]
+                d_keep = mix_rows_bwd_w(d_read, ws_k)
+                if soft:
+                    d_keep += np.matmul(d_pe, fix_w[0:W, :].T) + d_moved
+                d_row[keep] += d_keep
+                if len(keep) == n:
+                    d_hid_n = d_h
+                else:
+                    d_hid_n = np.zeros((n, h), dtype=dt)
+                    d_hid_n[keep] = d_h
+                hists.append((inp, d_state, dgi, dgh, h_prev, at, d_pe))
+                if need[0]:
+                    P[ids_k, 3 * s + 2], Q[ids_k, 3 * s + 2] = row_k, d_read
+            if st.relax is not None:
+                lr, lc, land = st.relax
+                d_probs = np.zeros((n, C), dtype=dt)
+                d_probs[lr, lc] = d_row[lr, land]
+                d_z = softmax_bwd(st.probs, d_probs)
+            else:
+                dist_in, n_words = st.moved
+                d_moved, d_q = shift_mass_bwd(d_row, dist_in, st.probs, offsets, n_words)
+                d_z = np.zeros((n, C), dtype=dt)
+                d_z[:, :C - 1] = softmax_bwd(st.probs, d_q)
+            d_logits = d_z * inv_tau
+            heads.append((st.x_head, d_logits))
+            d_x = np.matmul(d_logits, head_w.T)
+            d_ctx = d_x[:, :h]
+            d_scores = softmax_bwd(st.attn, mix_rows_bwd_w(d_ctx, st.ws)) * scale
+            d_state = d_x[:, h:] + mix_rows_bwd_w(d_scores, st.ws.transpose(0, 2, 1))
+            d_hid = d_hid_n
+            if need[0]:
+                P[st.ids, 3 * s], Q[st.ids, 3 * s] = st.attn, d_ctx
+                P[st.ids, 3 * s + 1], Q[st.ids, 3 * s + 1] = d_scores, st.x_head[:, h:]
+        grads = [None] * len(parents)
+        if need[0]:
+            grads[0] = np.matmul(P.transpose(0, 2, 1), Q)
+        if need[1]:
+            grads[1] = d_state.sum(axis=0)
+        if any(need[9:]):
+            x_head, d_logits = (np.concatenate(t) for t in zip(*heads))
+            _, grads[9], grads[10] = linear_bwd(x_head, head_w, d_logits, (False, *need[9:]))
+        if hists and any(need[2:9]):
+            inp, d_out, dgi, dgh, h_prev, at, d_pe = (np.concatenate(t) for t in zip(*hists))
+            _, grads[7], grads[8] = linear_bwd(inp, proj_w, d_out, (False, *need[7:9]))
+            _, grads[3], grads[5] = linear_bwd(inp, w_ih, dgi, (False, need[3], need[5]))
+            _, grads[4], grads[6] = linear_bwd(h_prev, w_hh, dgh, (False, need[4], need[6]))
+            if need[2]:
+                grads[2] = np.zeros_like(fix_w)
+                if soft:
+                    grads[2][0:W] = np.matmul(at.T, d_pe)
+                else:
+                    np.add.at(grads[2], at, d_pe)
+        return tuple(grads)
+
+
+@dataclass(eq=False)
+class _Step:
+    """What the sampler's reverse pass reads of one step that emitted rows."""
+
+    ids: np.ndarray         # (n,) batch rows of the working set
+    ws: np.ndarray          # (n, W, h) their word states
+    attn: np.ndarray        # (n, W) attention weights
+    x_head: np.ndarray      # (n, 2h) head input: context, then state
+    probs: np.ndarray       # (n, C) decision softmax, or a soft walk's (n, C-1) moves
+    live: np.ndarray        # (n,) the rows that fixate
+    relax: tuple | None     # hard or entry step: (row, class, word) of each landing
+    moved: tuple | None     # soft walk step: the distribution moved, word counts
+    out: slice | None = None    # the rows it emitted, in the node's packed rows
+    # the history step after it: which rows it kept, their batch rows, word
+    # states, rows, fixations (soft: distributions), previous hidden, input
+    # and gates; None if the loop ended here
+    history: tuple | None = None

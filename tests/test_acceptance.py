@@ -22,9 +22,9 @@ from gazenlu.cli import main as cli_main
 from gazenlu.corpus import (MarkovGazeModel, kfold, low_resource_split,
                             make_synthetic_suite)
 from gazenlu.diffcore import (RngState, Tensor, add, checkpoint_hash,
-                              grad_check, matmul, mul, no_grad, reshape,
-                              save_checkpoint, softmax, standard_op_checks,
-                              tsum)
+                              grad_check, gumbel_of, matmul, mul, no_grad,
+                              reshape, save_checkpoint, softmax,
+                              standard_op_checks, tsum)
 from gazenlu.evalkit import (Experiment, metric, run_crossval, run_lowresource,
                              sweep_scanpaths)
 from gazenlu.gazegen import (SOFT_CONVOLUTION, GeneratorConfig, GumbelConfig,
@@ -145,7 +145,7 @@ def test_criterion_02_gumbel_max_fidelity():
 
     rng = RngState(20240, 0).substream("gumbel-fidelity")
     with no_grad():
-        g = rng.gumbel((n, 3))
+        g = gumbel_of(rng.uniform((n, 3)))
         z = mul(add(Tensor(np.broadcast_to(logits, (n, 3)).copy()), Tensor(g)),
                 1.0 / 0.7)  # temperature cannot move the argmax
         y = softmax(z, mask=np.zeros((n, 3), dtype=np.float32))
@@ -204,7 +204,7 @@ def _delta_walk_oracle(gen, word_states, W, rng, max_fix):
     with no_grad():
         for _ in range(max_fix):
             logits = gen.decode_logits_batch(state, ws3, counts).data[0]
-            g = rng.gumbel((1, C)).astype(dt)[0]
+            g = gumbel_of(rng.uniform((1, C))).astype(dt)[0]
             z = logits + g
             if pos is None:
                 valid = np.zeros(C, dtype=bool)

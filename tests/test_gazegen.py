@@ -7,13 +7,13 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gazenlu.diffcore import (NEG_INF, RngState, Tensor, add, backward,
-                              cross_entropy, grad_check, matmul, mix_rows, mul,
-                              no_grad, reshape, shift_mass, softmax, take_rows,
-                              tsum)
+                              cross_entropy, grad_check, gumbel_of, matmul,
+                              mix_rows, mul, no_grad, reshape, shift_mass,
+                              softmax, take_rows, tsum)
 from gazenlu.gazegen import (SOFT_STOP_MASS, GeneratorConfig, GumbelConfig,
                              SampledBatch, ScanpathGenerator, SOFT_CONVOLUTION,
                              default_max_fixations)
@@ -487,7 +487,7 @@ def _replay_straight_through(gen, ws, n_words, rng, cap, tau):
     pos, fixations = -1, []
     for _ in range(cap):
         logits = gen.decode_logits_batch(state, ws, np.array([n_words]))
-        g = rng.gumbel((cfg.n_classes,)).astype(ws.dtype)
+        g = gumbel_of(rng.uniform((cfg.n_classes,))).astype(ws.dtype)
         z = (logits.data[0] + g) * np.float32(1.0 / tau)
         c = int(np.where(valid_mask(cfg, pos, n_words), z, -np.inf).argmax())
         if c == cfg.stop_class:
@@ -674,7 +674,7 @@ def _sample_full_noise(gen, word_states, counts, rngs, cfg, max_fixations,
     caps = np.broadcast_to(np.asarray(max_fixations, dtype=np.int64), (B,))
     noise = np.zeros((B, int(caps.max()), C), dtype=dt)
     for b in range(B):
-        noise[b, :caps[b]] = rngs[b].gumbel((int(caps[b]), C))
+        noise[b, :caps[b]] = gumbel_of(rngs[b].uniform((int(caps[b]), C)))
     offsets = np.arange(C - 1) - (gc.l_max - 1)
     stopped = np.zeros(B, dtype=bool)
     fixations = [[] for _ in range(B)]
@@ -751,7 +751,9 @@ def _sample_full_noise(gen, word_states, counts, rngs, cfg, max_fixations,
 def _sampler_cases(draw):
     """A sampler call: l_max, padded width W <= l_max - 1, ragged word
     counts, caps (one per row or one for all, 1 included), a relaxation,
-    a dtype, a grad mode and seeds."""
+    a dtype, a grad mode (a gradient for the generator and the word
+    states, none, a frozen generator, or the word states alone), a bias
+    towards STOP and seeds."""
     l_max = draw(st.integers(2, 7))
     B = draw(st.integers(1, 4))
     W = draw(st.integers(1, l_max - 1))
@@ -762,18 +764,37 @@ def _sampler_cases(draw):
     relax = draw(st.sampled_from(["straight_through", "surrogate", "soft"]))
     return dict(l_max=l_max, counts=counts, caps=caps, relax=relax,
                 dtype=draw(st.sampled_from([np.float32, np.float64])),
-                grad=draw(st.sampled_from(["grad", "no_grad", "frozen"])),
+                grad=draw(st.sampled_from(["grad", "no_grad", "frozen", "word_states"])),
                 tau=draw(st.sampled_from([0.3, 0.5, 1.0, 2.0])),
+                stop_bias=draw(st.sampled_from([0.0, 3.0])),
                 seed=draw(st.integers(0, 2**32)))
 
 
+def _case(relax, counts, caps, grad="grad", stop_bias=0.0, seed=0, l_max=5,
+          dtype=np.float64, tau=0.5):
+    return dict(l_max=l_max, counts=np.array(counts), caps=caps, relax=relax,
+                dtype=dtype, grad=grad, tau=tau, stop_bias=stop_bias, seed=seed)
+
+
 @given(case=_sampler_cases())
+# every row ends at step 0, by its cap
+@example(case=_case("straight_through", [3, 1, 4], 1))
+@example(case=_case("soft", [3, 1, 4], 1, dtype=np.float32))
+# row 0 reaches its cap on the step (1) another row stops
+@example(case=_case("straight_through", [4, 4, 2], [2, 6, 6], stop_bias=1.0, seed=1))
+@example(case=_case("soft", [4, 4, 2], [2, 6, 6], stop_bias=1.0, seed=5))
+# soft rows whose stop mass all crosses on the first step that can stop
+# (step 1: the entry step masks STOP)
+@example(case=_case("soft", [4, 2, 3], 6, stop_bias=4.0, seed=1))
+# word states that need a gradient, with a frozen generator
+@example(case=_case("straight_through", [4, 2, 3], 6, grad="word_states", seed=2))
+@example(case=_case("soft", [4, 2, 3], 6, grad="word_states", seed=2, dtype=np.float32))
 @settings(max_examples=200, deadline=None)
 def test_sampler_matches_full_noise_oracle(case):
-    """Noise on the open classes only and one-hot rows when no gradient is
-    wanted change no output: the same fixations, ``stopped``, ``row_mask``
-    and row values bit for bit as full noise and relaxed rows everywhere,
-    and the same gradients of a scalar through the rows."""
+    """The sampler node gives the same fixations, ``stopped``,
+    ``row_mask`` and row values bit for bit as the per-step graph it
+    replaced, and the same gradients of a scalar through the rows, up to
+    the order of their per-step sums."""
     counts, caps, dtype = case["counts"], case["caps"], case["dtype"]
     B, W = len(counts), int(counts.max())
     gcfg = GeneratorConfig(d_word=5, d_hidden=6, l_max=case["l_max"])
@@ -781,10 +802,11 @@ def test_sampler_matches_full_noise_oracle(case):
     cfg = GumbelConfig(temperature=case["tau"], mode=mode)
     r = RngState(case["seed"], 1)
     gen = ScanpathGenerator(gcfg, r.substream("gen"))
+    gen.head.b.data[gcfg.stop_class] += case["stop_bias"]
     params = [p for _, p in gen.named_parameters()]
     for p in params:
         p.data = p.data.astype(dtype)
-        p.requires_grad = case["grad"] != "frozen"
+        p.requires_grad = case["grad"] in ("grad", "no_grad")
     pad = (np.arange(W) < counts[:, None])[:, :, None]
     ws_data = np.where(pad, r.substream("ws").normal((B, W, 6)), 0.0).astype(dtype)
     readout = r.substream("readout").normal((B, 12, W)).astype(dtype)
@@ -792,12 +814,12 @@ def test_sampler_matches_full_noise_oracle(case):
     for fn in (gen.sample_gumbel_batch, lambda *a, **k: _sample_full_noise(gen, *a, **k)):
         for p in params:
             p.grad = None
-        ws = Tensor(ws_data, requires_grad=case["grad"] == "grad")
+        ws = Tensor(ws_data, requires_grad=case["grad"] in ("grad", "word_states"))
         rngs = [r.substream("noise", b) for b in range(B)]
         with no_grad() if case["grad"] == "no_grad" else nullcontext():
             sb = fn(ws, counts, rngs, cfg, caps, surrogate=case["relax"] == "surrogate")
         grads = []
-        if case["grad"] == "grad":
+        if case["grad"] in ("grad", "word_states"):
             loss = None
             for t, row in enumerate(sb.rows):
                 live = sb.row_mask[:, t] > 0
@@ -814,9 +836,11 @@ def test_sampler_matches_full_noise_oracle(case):
     for a, b in zip(got.rows, want.rows):
         assert a.dtype == b.dtype == dtype
         assert a.data.tobytes() == b.data.tobytes()
+    # the reverse pass sums each gradient's per-step terms in another order
+    tol = 1e-12 if dtype == np.float64 else 1e-6
     for a, b in zip(got_grads, want_grads):
         assert (a is None) == (b is None)
-        assert a is None or a.tobytes() == b.tobytes()
+        assert a is None or np.abs(a - b).max() <= tol * max(1.0, np.abs(b).max())
 
 
 def test_sample_paths_stream_ids_match_per_row_substreams(gen, mixed_pair, monkeypatch):

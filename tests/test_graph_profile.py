@@ -1,0 +1,31 @@
+"""scripts/graph_profile.py at the benchmark's tiny size."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _profile(workload: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "graph_profile.py"), "--workload", workload,
+         "--seed", "1", "--steps", "2", "--size", "tiny"],
+        capture_output=True, text=True, timeout=600)
+
+
+def test_graph_profile_counts_one_sampler_node_per_step():
+    proc = _profile("train_st")
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: [float(v) for v in line.split()[1:]]
+            for line in proc.stdout.splitlines()[2:]}
+    total = rows.pop("total")
+    assert rows["sampler"][0] == 1.0
+    assert total[0] == sum(nodes for nodes, _ in rows.values())
+    assert total[1] > 0 and all(ms >= 0 for _, ms in rows.values())
+
+
+def test_graph_profile_fails_on_a_workload_without_training_steps():
+    proc = _profile("predict")
+    assert proc.returncode == 2
+    assert "ran 0 of 2 profiled training steps" in proc.stderr

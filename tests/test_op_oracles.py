@@ -22,8 +22,8 @@ from gazenlu.augmentor import TEXT_ONLY, JointModel, ModelConfig
 from gazenlu.diffcore import (Embedding, RngState, Tensor, concat, gru_cell,
                               gru_seq, no_grad, relu, standard_op_checks,
                               take_rows, transpose)
-from gazenlu.diffcore.tensor import (ShapeError, _record, _row_sums,
-                                     _rows_matmul, _wrap)
+from gazenlu.diffcore.tensor import (ShapeError, _record, _row_sums, _wrap,
+                                     rows_matmul)
 from gazenlu.gazegen import SOFT_CONVOLUTION, GumbelConfig
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 from gazenlu.trainkit import GazeModel
@@ -41,8 +41,8 @@ def _old_result(data, parents, bwd_factory, op) -> Tensor:
 def _old_gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
     x, h = _wrap(x), _wrap(h)
     H = h.shape[1]
-    gi = _rows_matmul(x.data, w_ih.data) + b_ih.data
-    gh = _rows_matmul(h.data, w_hh.data) + b_hh.data
+    gi = rows_matmul(x.data, w_ih.data) + b_ih.data
+    gh = rows_matmul(h.data, w_hh.data) + b_hh.data
     r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
     z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
     ghn = gh[:, 2 * H:3 * H]
@@ -82,7 +82,7 @@ def _old_gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse=False) -> Tenso
     starts = np.concatenate([[0], np.cumsum(live)]).astype(np.int64).tolist()
     cell_rows, cell_times = order[pos], times[step]
     xs = x.data[cell_rows, cell_times]
-    gi_all = _rows_matmul(xs, w_ih.data) + b_ih.data
+    gi_all = rows_matmul(xs, w_ih.data) + b_ih.data
     N = len(cell_rows)
     dt = gi_all.dtype
     record = _record(parents)
@@ -94,7 +94,7 @@ def _old_gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse=False) -> Tenso
         if n:
             hp = h[:n]
             gi = gi_all[c]
-            gh = _rows_matmul(hp, w_hh.data) + b_hh.data
+            gh = rows_matmul(hp, w_hh.data) + b_hh.data
             r = 0.5 * (np.tanh(0.5 * (gi[:, 0:H] + gh[:, 0:H])) + 1.0)
             z = 0.5 * (np.tanh(0.5 * (gi[:, H:2 * H] + gh[:, H:2 * H])) + 1.0)
             ghn = gh[:, 2 * H:3 * H]
@@ -392,7 +392,7 @@ def test_every_training_graph_op_has_a_gradcheck():
     gaze = GazeModel(text, gen_hidden=16, l_max=8, seed=0)
     graphs["batch_nll"] = _graph_ops(
         gaze.batch_nll(batch, [[0, 1], [2, 0, 1]], RngState(3, 0))[0])
-    assert {"gru_seq", "gru_cell", "shift_mass", "dropout"} <= set().union(*graphs.values())
+    assert {"gru_seq", "gru_cell", "sampler", "dropout"} <= set().union(*graphs.values())
     for name, ops in graphs.items():
         assert not ops - checked, (name, sorted(ops - checked))
 

@@ -59,7 +59,7 @@ def test_normal_moments():
 
 
 def test_gumbel_mean_matches_euler_mascheroni():
-    g = RngState(2, 0).gumbel((400_000,))
+    g = gumbel_of(RngState(2, 0).uniform((400_000,)))
     assert abs(g.mean() - EULER_MASCHERONI) < 0.01
     # Gumbel variance is pi^2/6
     assert abs(g.var() - np.pi ** 2 / 6.0) < 0.03
@@ -167,9 +167,13 @@ def test_stream_uniforms_match_each_streams_own_draws(seed, rows, drawn):
 
 
 def test_gumbel_is_gumbel_of_the_streams_uniforms():
-    for key in KEY_IDS:
-        g = RngState(2, key).gumbel((5, 64))
-        assert g.tobytes() == gumbel_of(RngState(2, key).uniform((5, 64))).tobytes()
+    """The sampler's noise, Gumbel noise of a batch's uniforms drawn by
+    ``stream_uniforms``, is each stream's own draws turned into noise."""
+    streams = [RngState(2, key) for key in KEY_IDS]
+    batched = gumbel_of(stream_uniforms(streams, [5 * 64] * len(streams)))
+    for row, key in zip(batched, KEY_IDS):
+        g = gumbel_of(RngState(2, key).uniform((5, 64)))
+        assert row.tobytes() == g.reshape(-1).tobytes()
 
 
 def test_substreams_share_a_prefix():

@@ -21,7 +21,7 @@ from gazenlu.augmentor import (CLASSIFICATION, GAZE, SCAN_DROPOUT, TEXT_ONLY,
 from gazenlu.diffcore import (RngState, Tensor, backward, concat, cross_entropy,
                               dropout, matmul, mix_rows, mse_loss, mul, no_grad,
                               take_rows, tsum)
-from gazenlu.diffcore.tensor import ShapeError, _result
+from gazenlu.diffcore.tensor import ShapeError, op_result
 from gazenlu.gazegen import (SOFT_CONVOLUTION, STRAIGHT_THROUGH, GumbelConfig,
                              default_max_fixations)
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
@@ -38,7 +38,7 @@ def _scatter_rows(x: Tensor, idx: np.ndarray, n: int) -> Tensor:
     data = np.zeros((n,) + x.shape[1:], dtype=x.dtype)
     data[idx] = x.data
 
-    return _result(data, (x,), lambda g: (g[idx],), "scatter_rows")
+    return op_result(data, (x,), lambda g: (g[idx],), "scatter_rows")
 
 
 def _fixation_steps(rows, words):
