@@ -14,7 +14,12 @@ For each workload and end-to-end metric of ``BENCHMARK.json`` it prints
 each side's median and quartiles, the pairs the change won (ties count
 for neither) and whether a gain is shown: the change wins at least nine
 tenths of the pairs and its median beats the parent's by more than the
-distance between the parent's quartiles. Every run's metrics go to
+distance between the parent's quartiles. Beside it stands the
+no-regression verdict: "fails" when the change's median is worse than the
+parent's by more than the metric's ``bound`` (a fraction of the parent's
+median), else "unresolved" when either side's quartile spread is wider
+than the bound, else "holds"; a change whose every run beats every parent
+run holds whatever the spread. Every run's metrics go to
 ``--out`` as JSON lines. A run that fails its output checks stops the
 script with exit code 1.
 """
@@ -71,10 +76,26 @@ def judge(parent: list[float], change: list[float], higher: bool) -> dict:
             "wins": wins, "pairs": len(parent), "gain": bool(gain)}
 
 
+def no_regression(parent: list[float], change: list[float], higher: bool,
+                  bound: float) -> str:
+    """The no-regression verdict, "holds", "fails" or "unresolved": is the
+    change's median worse than the parent's by at most ``bound`` times the
+    parent's, with both sides' quartile spreads within that margin?"""
+    sign = 1.0 if higher else -1.0
+    if min(sign * c for c in change) > max(sign * p for p in parent):
+        return "holds"
+    med_p = float(np.median(parent))
+    margin = bound * abs(med_p)
+    if sign * (med_p - float(np.median(change))) > margin:
+        return "fails"
+    spread = max(np.subtract(*np.percentile(side, [75, 25])) for side in (parent, change))
+    return "unresolved" if spread > margin else "holds"
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    higher = {m["name"]: m["better"] == "higher" for m in spec["end_to_end"]}
+    rules = {m["name"]: (m["better"] == "higher", m["bound"]) for m in spec["end_to_end"]}
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
@@ -90,12 +111,15 @@ def main(argv=None) -> int:
                                             "seed": seed, "metrics": metrics}) + "\n")
         last = args.seed + args.pairs - 1
         print(f"{workload} ({args.pairs} pairs, seeds {args.seed}-{last})")
-        for name, up in higher.items():
-            j = judge([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]], up)
+        for name, (up, bound) in rules.items():
+            parent = [r[name] for r in runs["parent"]]
+            change = [r[name] for r in runs["change"]]
+            j = judge(parent, change, up)
             p, c = j["parent"], j["change"]
             print(f"  {name:12s} {p[0]:10.4g} [{p[1]:.4g}, {p[2]:.4g}] -> "
                   f"{c[0]:10.4g} [{c[1]:.4g}, {c[2]:.4g}]  won {j['wins']}/{j['pairs']}  "
-                  f"gain {'holds' if j['gain'] else 'not shown'}", flush=True)
+                  f"gain {'holds' if j['gain'] else 'not shown'}  "
+                  f"no regression {no_regression(parent, change, up, bound)}", flush=True)
     return 0
 
 

@@ -12,6 +12,14 @@ runs the backward. It prints, per op, the mean node count and backward
 milliseconds per step, largest time first; the times include the
 timers' own overhead.
 
+It then prints the memory of the warm-up step, the only part of the
+session that runs under ``tracemalloc``, so the profiled steps stay
+untraced. Tracing starts with the session (which builds the model and
+encodes its inputs) and stops when the warm-up backward returns. "freed
+by backward" is the traced memory before that backward minus after it:
+the graph the backward consumes, less the gradients it leaves behind.
+"peak" is the traced peak up to that point. Both are in MiB.
+
 Exit code 2: the workload runs no training step.
 """
 
@@ -22,10 +30,12 @@ import os
 import sys
 import tempfile
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MIB = 2 ** 20
 
 
 def parse_args(argv):
@@ -68,8 +78,10 @@ def timed_backward(loss, backward, nodes: Counter, ms: Counter) -> None:
     backward(loss)
 
 
-def profile(workload: str, seed: int, steps: int, size: str) -> tuple[Counter, Counter]:
-    """(nodes, backward ms) per op, summed over ``steps`` training steps."""
+def profile(workload: str, seed: int, steps: int,
+            size: str) -> tuple[Counter, Counter, tuple[float, float]]:
+    """(nodes, backward ms) per op, summed over ``steps`` training steps,
+    and the warm-up step's traced (MiB freed by backward, peak MiB)."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from gazenlu.diffcore import Tensor
     from instrument import Probe
@@ -82,12 +94,18 @@ def profile(workload: str, seed: int, steps: int, size: str) -> tuple[Counter, C
     nodes, ms = Counter(), Counter()
     original = Tensor.backward
     calls = 0
+    memory = (0.0, 0.0)
 
     def backward(loss):
-        nonlocal calls
+        nonlocal calls, memory
         calls += 1
-        if calls == 1:              # warm-up
-            return original(loss)
+        if calls == 1:              # warm-up, the one traced step
+            before = tracemalloc.get_traced_memory()[0]
+            original(loss)
+            after, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+            memory = ((before - after) / MIB, peak / MIB)
+            return
         timed_backward(loss, original, nodes, ms)
         if calls > steps:
             raise _Done
@@ -96,17 +114,19 @@ def profile(workload: str, seed: int, steps: int, size: str) -> tuple[Counter, C
         run = cls(seed, SIZES[size], Probe(cls.timed), workdir, **options)
         run.setup()                 # pretrains the set-up generator: not profiled
         Tensor.backward = backward
+        tracemalloc.start()
         try:
             run.session()
         except _Done:
             pass
         finally:
             Tensor.backward = original
+            tracemalloc.stop()
     if calls <= steps:
         print(f"graph_profile: {workload} ran {max(calls - 1, 0)} of {steps} profiled "
               f"training steps", file=sys.stderr)
         raise SystemExit(2)
-    return nodes, ms
+    return nodes, ms, memory
 
 
 def main(argv=None) -> int:
@@ -114,13 +134,14 @@ def main(argv=None) -> int:
     # BLAS reads its thread count once, when numpy is first imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
-    nodes, ms = profile(args.workload, args.seed, args.steps, args.size)
+    nodes, ms, (freed, peak) = profile(args.workload, args.seed, args.steps, args.size)
     n = args.steps
     print(f"{args.workload} seed {args.seed}: per step, mean of {n} steps after one warm-up")
     print(f"{'op':16s} {'nodes':>8s} {'backward ms':>12s}")
     for op in sorted(nodes, key=lambda o: (-ms[o], o)):
         print(f"{op:16s} {nodes[op] / n:8.1f} {ms[op] / n:12.3f}")
     print(f"{'total':16s} {sum(nodes.values()) / n:8.1f} {sum(ms.values()) / n:12.3f}")
+    print(f"warm-up step, traced: {freed:.1f} MiB freed by backward, peak {peak:.1f} MiB")
     return 0
 
 

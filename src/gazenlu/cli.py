@@ -21,6 +21,8 @@ import time
 import types
 import typing
 
+import numpy as np
+
 from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
 from .corpus import (DatasetSpec, load_dataset, load_gaze_corpus,
                      make_synthetic_suite, write_dataset, write_gaze_corpus)
@@ -718,7 +720,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, parser)
+        # A diverging run overflows long before it fails; the sampler's and
+        # AdamW's finite checks report that as one error line, so numpy's
+        # floating-point warnings would only repeat it.
+        with np.errstate(all="ignore"):
+            return args.func(args, parser)
     except (ValueError, OSError, KeyError, FloatingPointError) as ex:
         print(f"error: {ex}", file=sys.stderr)
         return 1

@@ -3,8 +3,15 @@
 A :class:`Tensor` wraps an ndarray plus an optional backward closure; ops
 build the graph eagerly and :func:`backward` walks it once in reverse
 topological order. Parents are stored in call order and the walk visits
-them in that order, so two backward passes over the same graph
+them in that order, so backward passes over two graphs built alike
 accumulate gradients in the same order and produce bit-identical results.
+
+A graph lives from its forward to the end of its backward. The walk
+consumes it: each node drops its parents and its backward closure, and
+with them the arrays they saved, as soon as it has passed its gradient
+on, so the activations of a training step are gone when ``backward``
+returns, whatever tensors the caller still holds. Leaves and every
+node's ``data`` stay; backward through a consumed node raises.
 
 Training runs in float32; gradient checking builds float64 graphs. A
 graph keeps the dtype of its tensors: a plain number or array meeting a
@@ -78,7 +85,7 @@ def is_grad_enabled() -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = np.asarray(data, dtype=dtype)
@@ -140,6 +147,9 @@ class Tensor:
         return getitem(self, key)
 
     def backward(self):
+        """Backpropagate from this scalar into the leaves' ``.grad``; the
+        walk consumes the graph, so it runs once per graph (see
+        :func:`backward`)."""
         backward(self)
 
 
@@ -279,11 +289,23 @@ def shift_mass_bwd(g: np.ndarray, dist: np.ndarray, q: np.ndarray, offsets: np.n
 # -- backward engine -----------------------------------------------------
 
 
+def _consumed(g):
+    raise RuntimeError("backward through a graph that an earlier backward consumed")
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate dLoss/dLeaf into ``.grad`` of every reachable leaf.
 
     Raises if ``loss`` is not scalar. Leaves with requires_grad=False are
     never visited, so frozen subgraphs allocate no gradients.
+
+    The walk consumes the graph: once a node has passed its gradient to
+    its parents (or got none), it drops its parents and its backward
+    closure, so each node's saved arrays are freed while the walk still
+    runs, even if the caller holds ``loss`` or the node itself. A consumed
+    node keeps its ``data``; a second backward through it raises
+    ``RuntimeError``. Leaves are untouched, so gradients still accumulate
+    across separate graphs.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -303,22 +325,24 @@ def backward(loss: Tensor) -> None:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()           # reverse topological order
         g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is None:
-            if node.requires_grad:
+        if node._backward is None:  # a leaf
+            if g is not None and node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
             continue
-        for p, pg in zip(node._parents, node._backward(g)):
-            if pg is None or not p.requires_grad:
-                continue
-            k = id(p)
-            if k in grads:
-                grads[k] = grads[k] + pg
-            else:
-                grads[k] = pg
+        if g is not None:
+            for p, pg in zip(node._parents, node._backward(g)):
+                if pg is None or not p.requires_grad:
+                    continue
+                k = id(p)
+                if k in grads:
+                    grads[k] = grads[k] + pg
+                else:
+                    grads[k] = pg
+        node._parents = ()
+        node._backward = _consumed
 
 
 # -- arithmetic ops ------------------------------------------------------

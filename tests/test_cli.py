@@ -9,6 +9,7 @@ import os
 import re
 import shutil
 import subprocess
+import warnings
 from pathlib import Path
 
 import pytest
@@ -709,15 +710,22 @@ def test_out_of_range_numeric_flag_exits_one_naming_the_setting(pipeline, verb,
     assert not out.exists()
 
 
+def _runtime_warnings(caught) -> list[str]:
+    return [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 def test_diverging_lr_exits_one_before_sampling_a_nan_path(pipeline, capsys,
                                                            tmp_path):
     """At lr=1e30 the first update makes the generator non-finite; the
     next sampler call fails naming its step instead of indexing a
-    NaN row's argmax off the sentence."""
+    NaN row's argmax off the sentence, with no numpy warning before it."""
     out = tmp_path / "joint"
-    code = main(_verb_argv(pipeline, "train") + ["--lr", "1e30", "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(_verb_argv(pipeline, "train") + ["--lr", "1e30", "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 1
+    assert not _runtime_warnings(caught)
     assert re.fullmatch(r"error: sampler step \d+: .* not finite .*\n", err), err
     assert not (out / "model.ckpt").exists()
 
@@ -758,7 +766,10 @@ def test_failed_run_leaves_no_directory_behind(pipeline, capsys, tmp_path, verb)
     that was there before stays."""
     argv = _failing_run_argv(pipeline, verb)
     out = tmp_path / "run"
-    assert main(argv + ["--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv + ["--out", str(out)]) == 1
+    assert not _runtime_warnings(caught)
     assert not out.exists()
     runs = tmp_path / "runs"
     runs.mkdir()

@@ -1,6 +1,7 @@
 """Autodiff core: op gradients, backward contracts, modules, checkpoints."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -65,6 +66,42 @@ def test_grad_accumulates_across_reuse():
     y = add(mul(x, x), mul(x, 3.0))  # x^2 + 3x, dy/dx = 2x + 3 = 7
     tsum(y).backward()
     assert np.allclose(x.grad, [7.0])
+
+
+def test_grad_accumulates_across_separate_graphs():
+    x = Tensor(np.array([2.0]), requires_grad=True)
+    tsum(mul(x, x)).backward()
+    tsum(mul(x, 3.0)).backward()
+    assert np.allclose(x.grad, [7.0])
+
+
+def test_backward_frees_interior_nodes_while_the_loss_lives():
+    """Each node drops its parents and closure once its gradient is out,
+    so an interior node the caller does not hold is freed by backward."""
+    x = Tensor(np.ones(3), requires_grad=True)
+    h = relu(mul(x, x))
+    ref = weakref.ref(h)
+    loss = tsum(h)
+    del h
+    assert ref() is not None
+    loss.backward()
+    assert ref() is None
+    assert loss._parents == () and float(loss.data) == 3.0
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
+def test_second_backward_through_a_graph_raises():
+    x = Tensor(np.ones(3), requires_grad=True)
+    h = mul(x, x)
+    loss = tsum(h)
+    loss.backward()
+    with pytest.raises(RuntimeError, match="consumed"):
+        loss.backward()
+    # a consumed interior node must not pass as a leaf and take a .grad
+    with pytest.raises(RuntimeError, match="consumed"):
+        tsum(mul(h, 2.0)).backward()
+    assert h.grad is None
+    assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_no_grad_suppresses_graph():

@@ -1,5 +1,6 @@
 """scripts/graph_profile.py at the benchmark's tiny size."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,12 +18,18 @@ def _profile(workload: str) -> subprocess.CompletedProcess:
 def test_graph_profile_counts_one_sampler_node_per_step():
     proc = _profile("train_st")
     assert proc.returncode == 0, proc.stderr
-    rows = {line.split()[0]: [float(v) for v in line.split()[1:]]
-            for line in proc.stdout.splitlines()[2:]}
+    *table, memory = proc.stdout.splitlines()[2:]
+    rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in table}
     total = rows.pop("total")
     assert rows["sampler"][0] == 1.0
     assert total[0] == sum(nodes for nodes, _ in rows.values())
     assert total[1] > 0 and all(ms >= 0 for _, ms in rows.values())
+    # backward consumes the warm-up step's graph, which outweighs its gradients
+    m = re.fullmatch(r"warm-up step, traced: (\S+) MiB freed by backward, peak (\S+) MiB",
+                     memory)
+    assert m, memory
+    freed, peak = float(m[1]), float(m[2])
+    assert 0 < freed < peak
 
 
 def test_graph_profile_fails_on_a_workload_without_training_steps():

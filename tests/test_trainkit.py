@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -623,6 +624,45 @@ def test_joint_pair_streams_match_per_pair_substreams(tiny_suite, tiny_vocab,
     want = [(6, root.substream("gumbel", e, i.instance_id, p).stream_id)
             for e in (1, 2) for i in train for p in range(2)]
     assert sorted(seen) == sorted(want) and len(set(want)) == len(want)
+
+
+def test_a_steps_graph_is_gone_before_the_next_forward(tiny_suite, tiny_vocab,
+                                                      tiny_text_cfg, tiny_gaze_state,
+                                                      monkeypatch):
+    """Backward consumes step k's graph: when step k+1's forward starts,
+    none of step k's nodes is alive, though the epoch loop still holds
+    step k's loss."""
+    gen_state, _ = tiny_gaze_state
+    model = JointModel(ModelConfig(text=tiny_text_cfg, gen_hidden=32, l_max=32),
+                       RngState(84, 0))
+    previous, alive_at_start = [], []
+    loss_pairs = JointModel.loss_pairs
+
+    def spy(self, batch, labels, pair_rngs, drop_rng):
+        alive_at_start.append(sum(r() is not None for r in previous))
+        loss = loss_pairs(self, batch, labels, pair_rngs, drop_rng)
+        previous[:] = [weakref.ref(t) for t in _interior_nodes(loss)]
+        assert previous
+        return loss
+
+    monkeypatch.setattr(JointModel, "loss_pairs", spy)
+    cfg = TrainConfig(lr=1e-3, max_epochs=1, batch_size=4, n_scanpaths_train=1, seed=7)
+    train_joint(model, tiny_suite.keyword_train[:12], tiny_suite.keyword_dev[:2],
+                tiny_vocab, cfg, generator_state=gen_state)
+    assert alive_at_start == [0, 0, 0]
+
+
+def _interior_nodes(loss) -> list:
+    """The recorded nodes of ``loss``'s graph, ``loss`` itself excluded."""
+    seen, stack, nodes = {id(loss)}, list(loss._parents), []
+    while stack:
+        t = stack.pop()
+        if id(t) in seen or t._backward is None:
+            continue
+        seen.add(id(t))
+        nodes.append(t)
+        stack.extend(t._parents)
+    return nodes
 
 
 def _count_steps(monkeypatch) -> list:
