@@ -21,6 +21,7 @@ from .tensor import (
     NEG_INF,
     Tensor,
     add,
+    attention,
     backward,
     concat,
     cross_entropy,
@@ -37,6 +38,7 @@ from .tensor import (
     no_grad,
     relu,
     reshape,
+    scatter_rows,
     shift_mass,
     softmax,
     take_rows,
@@ -233,6 +235,13 @@ def standard_op_checks(dtype=np.float64):
     m[:, 4] = NEG_INF
     entry("softmax_masked", {"x": x}, lambda x=x, m=m: readout(softmax(x, mask=m), "smm"))
 
+    # two rows of 4 and 2 tokens, two heads: the second row's pad slots
+    # are keys and queries inside the node
+    live = np.array([[True] * 4, [True, True, False, False]])
+    qkv = {k: _rand(rng.substream("att", k), (6, 4), d) for k in ("q", "k", "v")}
+    entry("attention", qkv,
+          lambda p=qkv, live=live: readout(attention(p["q"], p["k"], p["v"], live, 2), "att"))
+
     x = _rand(rng.substream("ln"), (3, 6), d)
     gm = Tensor(np.ones(6, dtype=d) + 0.1 * rng.substream("ln_g").normal((6,)).astype(d), requires_grad=True)
     bt = _rand(rng.substream("ln_b"), (6,), d)
@@ -242,6 +251,11 @@ def standard_op_checks(dtype=np.float64):
     x = _rand(rng.substream("tr"), (6, 4), d)
     idx = np.array([1, 1, 3, 0])
     entry("take_rows", {"x": x}, lambda x=x, idx=idx: readout(take_rows(x, idx), "tr"))
+
+    x = _rand(rng.substream("sr"), (3, 2), d)
+    live = np.array([[True, False, True], [False, True, False]])
+    entry("scatter_rows", {"x": x},
+          lambda x=x, live=live: readout(scatter_rows(x, live), "sr"))
 
     # rows of 4, 1 and 3 words; offsets that clamp at both ends
     dist = _rand(rng.substream("shm_d"), (3, 4), d)

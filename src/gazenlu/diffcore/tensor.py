@@ -20,9 +20,10 @@ constant never promotes a float32 graph to float64.
 
 The ops: elementwise ``add``, ``mul``, ``relu`` and ``softmax``;
 ``matmul``, ``linear`` (matmul plus bias) and ``mix_rows`` (each row's
-weighted sums of its own rows); ``gru_cell``, one GRU step, and
-``gru_seq``, a GRU over whole sequences whose inputs are all known;
-``layer_norm``; the gathers ``take_rows`` and ``getitem``;
+weighted sums of its own rows); ``attention``, multi-head attention over
+packed token rows; ``gru_cell``, one GRU step, and ``gru_seq``, a GRU
+over whole sequences whose inputs are all known; ``layer_norm``; the
+gathers ``take_rows`` and ``getitem`` and their inverse ``scatter_rows``;
 ``shift_mass``, the soft walk's clamped move; ``concat``, ``reshape``,
 ``transpose`` and ``tsum``; ``dropout``; the losses ``cross_entropy`` and
 ``mse_loss``. ``add``, ``mul``, ``matmul``, ``linear``, ``mix_rows``,
@@ -36,9 +37,10 @@ forward under ``no_grad`` does no work for a backward that never runs.
 Code outside this module that runs a computation on plain arrays and
 writes its backward by hand records its node through ``op_result`` too.
 
-The forward and backward formulas such code shares with the ops are
-plain-array kernels here, each written once: ``rows_matmul`` (below);
-``softmax_fwd`` and ``softmax_bwd``; ``linear_fwd`` and ``linear_bwd``;
+The forward and backward formulas such code shares with the ops, and
+the attention node's, are plain-array kernels here, each written once:
+``rows_matmul`` (below); ``softmax_fwd`` and ``softmax_bwd``;
+``attention_fwd`` and ``attention_bwd``; ``linear_fwd`` and ``linear_bwd``;
 ``mix_rows_fwd`` and ``mix_rows_bwd_w`` (the weights' gradient);
 ``gru_step`` and ``gru_bwd``; ``shift_mass_fwd`` and ``shift_mass_bwd``.
 
@@ -201,7 +203,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 # -- plain-array kernels ---------------------------------------------------
 #
 # The forward and backward formulas of the ops below that code outside this
-# module reuses when it writes a backward by hand; the ops call them too.
+# module reuses when it writes a backward by hand, and the attention node's;
+# the ops call them too.
 
 
 def linear_fwd(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -241,8 +244,9 @@ def softmax_fwd(x: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis; ``mask`` is an additive constant."""
     z = x if mask is None else x + mask
     z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def softmax_bwd(y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -250,6 +254,55 @@ def softmax_bwd(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     the gradient ``g`` of that output."""
     dot = (g * y).sum(axis=-1, keepdims=True)
     return y * (g - dot)
+
+
+def _heads(x: np.ndarray, live: np.ndarray, n_heads: int) -> np.ndarray:
+    """Packed (N, d) rows scattered into the True slots of the (B, T)
+    mask ``live``, zeros elsewhere, viewed as (B, h, T, d / h) heads."""
+    B, T = live.shape
+    d = x.shape[1]
+    full = np.zeros((B, T, d), dtype=x.dtype)
+    full[live] = x
+    return full.reshape(B, T, n_heads, d // n_heads).transpose(0, 2, 1, 3)
+
+
+def _packed(x: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """(B, h, T, dh) heads back to the packed (N, h * dh) rows of ``live``."""
+    _, h, _, dh = x.shape
+    return x.transpose(0, 2, 1, 3)[live].reshape(-1, h * dh)
+
+
+def attention_fwd(q: np.ndarray, k: np.ndarray, v: np.ndarray, live: np.ndarray,
+                  n_heads: int):
+    """Multi-head scaled dot-product attention over packed rows.
+
+    ``q``, ``k`` and ``v`` are (N, d): the rows of the N True slots of
+    the (B, T) mask ``live``, in row-major order. They are scattered into
+    a zero (B, h, T, d / h) layout; each query attends to the keys of its
+    own batch row that ``live`` marks, the others masked by ``NEG_INF``;
+    the real query rows are gathered back, (N, d). Returns them and what
+    ``attention_bwd`` reads: the three head layouts and the weights."""
+    B, T = live.shape
+    qh, kh, vh = (_heads(x, live, n_heads) for x in (q, k, v))
+    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=q.dtype)
+    key_mask = ((1.0 - live.astype(q.dtype)) * NEG_INF).astype(q.dtype)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    scores *= scale
+    attn = softmax_fwd(scores, key_mask.reshape(B, 1, 1, T))
+    return _packed(np.matmul(attn, vh), live), (qh, kh, vh, attn)
+
+
+def attention_bwd(g: np.ndarray, live: np.ndarray, saved):
+    """The gradients of ``attention_fwd``'s packed q, k and v, given ``g``
+    (N, d), that of its output, and the arrays it saved. Pad slots take
+    no gradient: ``g`` is zero there, and a pad key's weight is zero."""
+    qh, kh, vh, attn = saved
+    gh = _heads(g, live, qh.shape[1])
+    scale = np.asarray(1.0 / np.sqrt(qh.shape[-1]), dtype=qh.dtype)
+    d_scores = softmax_bwd(attn, np.matmul(gh, vh.transpose(0, 1, 3, 2))) * scale
+    return (_packed(np.matmul(d_scores, kh), live),
+            _packed(np.matmul(d_scores.transpose(0, 1, 3, 2), qh), live),
+            _packed(np.matmul(attn.transpose(0, 1, 3, 2), gh), live))
 
 
 def _shift_landings(B: int, W: int, offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -645,6 +698,26 @@ def softmax(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
     return op_result(data, (x,), fn, "softmax")
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor, live: np.ndarray, n_heads: int) -> Tensor:
+    """Multi-head attention over packed rows, one node: ``attention_fwd``
+    gives the forward, ``attention_bwd`` the backward.
+
+    ``q``, ``k`` and ``v`` (N, d) hold the N tokens that the boolean
+    (B, T) mask ``live`` marks, row by row; the padded layout exists only
+    inside the node, where the pad slots are masked keys."""
+    live = np.asarray(live, dtype=bool)
+    if (q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or live.ndim != 2
+            or q.shape[0] != np.count_nonzero(live) or q.shape[1] % n_heads):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, "
+                         f"{n_heads} heads and mask {live.shape} do not conform")
+    data, saved = attention_fwd(q.data, k.data, v.data, live, n_heads)
+
+    def fn(g):
+        return attention_bwd(g, live, saved)
+
+    return op_result(data, (q, k, v), fn, "attention")
+
+
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis, then scale and shift."""
     if gamma.shape != x.shape[-1:] or beta.shape != x.shape[-1:]:
@@ -705,6 +778,23 @@ def take_rows(x: Tensor, idx: np.ndarray) -> Tensor:
         return (_row_sums(idx, g, x.data),)
 
     return op_result(data, (x,), fn, "take_rows")
+
+
+def scatter_rows(x: Tensor, mask: np.ndarray) -> Tensor:
+    """The rows of ``x`` placed at the True slots of the boolean ``mask``
+    in row-major order, zeros elsewhere: out[mask] = x, of shape
+    ``mask.shape + x.shape[1:]``. The backward gathers g[mask]."""
+    mask = np.asarray(mask, dtype=bool)
+    if x.ndim < 1 or x.shape[0] != np.count_nonzero(mask):
+        raise ShapeError(f"scatter_rows: {x.shape} rows for a mask of "
+                         f"{np.count_nonzero(mask)} slots")
+    data = np.zeros(mask.shape + x.shape[1:], dtype=x.dtype)
+    data[mask] = x.data
+
+    def fn(g):
+        return (g[mask],)
+
+    return op_result(data, (x,), fn, "scatter_rows")
 
 
 def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray) -> Tensor:
@@ -803,9 +893,9 @@ def dropout(x: Tensor, p: float, rng, rows: np.ndarray | None = None) -> Tensor:
     get as those rows of the whole batch."""
     shape = x.data.shape if rows is None else (len(rows),) + x.data.shape[1:]
     u = rng if isinstance(rng, np.ndarray) else rng.uniform(shape)
-    keep = (u >= p).astype(x.data.dtype) / (1.0 - p)
     if rows is not None:
-        keep = keep[rows]
+        u = u[rows]
+    keep = (u >= p).astype(x.data.dtype) / (1.0 - p)
     data = x.data * keep
 
     def fn(g):

@@ -171,21 +171,15 @@ class ScanpathGenerator(Module):
     def start_state(self, batch: int, dtype=np.float32) -> Tensor:
         return add(Tensor(np.zeros((batch, self.cfg.d_hidden), dtype=dtype)), self.start)
 
-    def history_step(self, word_row, pos_emb, h_prev):
-        """One recurrence step; returns (residual output, new hidden).
-
-        On plain arrays it records nothing and returns (output, hidden,
-        cache), the cache being the step's input and GRU gates, which the
-        sampler's reverse pass reads; the values are the Tensor path's."""
-        if not isinstance(word_row, Tensor):
-            inp = np.concatenate([word_row, pos_emb], axis=1)
-            g, p = self.gru_hist, self.hist_proj
-            h_new, gates = gru_step(inp, h_prev, g.w_ih.data, g.w_hh.data,
-                                    g.b_ih.data, g.b_hh.data)
-            return linear_fwd(inp, p.w.data, p.b.data) + h_new, h_new, (inp, gates)
-        inp = concat([word_row, pos_emb], axis=1)
-        h_new = self.gru_hist(inp, h_prev)
-        return add(self.hist_proj(inp), h_new), h_new
+    def history_step(self, word_row: np.ndarray, pos_emb: np.ndarray, h_prev: np.ndarray):
+        """One recurrence step on plain arrays, recording nothing: returns
+        (residual output, new hidden, cache), the cache being the step's
+        input and GRU gates, which the sampler's reverse pass reads."""
+        inp = np.concatenate([word_row, pos_emb], axis=1)
+        g, p = self.gru_hist, self.hist_proj
+        h_new, gates = gru_step(inp, h_prev, g.w_ih.data, g.w_hh.data,
+                                g.b_ih.data, g.b_hh.data)
+        return linear_fwd(inp, p.w.data, p.b.data) + h_new, h_new, (inp, gates)
 
     # -- decoder ---------------------------------------------------------
 
@@ -293,15 +287,6 @@ class ScanpathGenerator(Module):
                          f"range +-{self.cfg.l_max - 1}")
 
     # -- sampling --------------------------------------------------------
-
-    def _landing_scatter(self, positions: np.ndarray, counts: np.ndarray,
-                         rows: np.ndarray, W: int, dtype) -> np.ndarray:
-        """(B, C, W) class -> landing word for the given rows' positions."""
-        landing, ok = self._landings(positions, counts)
-        b, c = np.nonzero(ok & rows[:, None])
-        scatter = np.zeros((len(positions), self.cfg.n_classes, W), dtype=dtype)
-        scatter[b, c, landing[b, c]] = 1.0
-        return scatter
 
     def sample_paths(self, word_states: Tensor, counts: np.ndarray, sentence_ids,
                      n_paths: int, rng: RngState, cfg: GumbelConfig):

@@ -5,6 +5,13 @@ by greedy longest match against the vocabulary. The encoder is a
 2-layer pre-norm transformer (4 heads, d=128 by default) with learned
 position and segment embeddings; word vectors are arithmetic means of
 the piece vectors inside each word span.
+
+The encoder computes on real tokens only. It gathers a batch's tokens
+once into (N, d) packed rows, and the embedding sum, every layer norm,
+linear, ReLU, dropout and residual add run on those rows. Padding exists
+only inside the ``attention`` node, which lays the rows out as
+(B, heads, T, d / heads) and masks the pad keys, and in the (B, T, d)
+token states the encoder returns, which are zero at the padding.
 """
 
 from __future__ import annotations
@@ -21,18 +28,15 @@ from .diffcore import (
     Linear,
     Module,
     ModuleList,
-    NEG_INF,
     RngState,
     Tensor,
     add,
     atomic_write,
+    attention,
     dropout,
     matmul,
-    mul,
     relu,
-    reshape,
-    softmax,
-    transpose,
+    scatter_rows,
 )
 
 CLS_ID, SEP_ID, PAD_ID, UNK_ID = 0, 1, 2, 3
@@ -282,24 +286,16 @@ class MultiHeadAttention(Module):
         if d_model % n_heads:
             raise ValueError(f"d_model {d_model} not divisible by {n_heads} heads")
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.wq = Linear(d_model, d_model, rng.substream("q"))
         self.wk = Linear(d_model, d_model, rng.substream("k"))
         self.wv = Linear(d_model, d_model, rng.substream("v"))
         self.wo = Linear(d_model, d_model, rng.substream("o"))
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray) -> Tensor:
-        B, T, d = x.shape
-        h, dh = self.n_heads, self.d_head
-
-        def heads(t: Tensor) -> Tensor:
-            return transpose(reshape(t, (B, T, h, dh)), (0, 2, 1, 3))
-
-        q, k, v = heads(self.wq(x)), heads(self.wk(x)), heads(self.wv(x))
-        scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-        attn = softmax(scores, mask=key_mask.reshape(B, 1, 1, T))
-        mixed = transpose(matmul(attn, v), (0, 2, 1, 3))
-        return self.wo(reshape(mixed, (B, T, d)))
+    def __call__(self, x: Tensor, live: np.ndarray) -> Tensor:
+        """Packed (N, d) token rows to packed rows; the (B, T) mask
+        ``live`` marks the tokens' slots, and each token attends to the
+        tokens of its own sentence."""
+        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x), live, self.n_heads))
 
 
 class EncoderBlock(Module):
@@ -311,15 +307,15 @@ class EncoderBlock(Module):
         self.ff1 = Linear(cfg.d_model, cfg.d_ff, rng.substream("ff1"))
         self.ff2 = Linear(cfg.d_ff, cfg.d_model, rng.substream("ff2"))
 
-    def __call__(self, x: Tensor, key_mask: np.ndarray, rng: RngState | None) -> Tensor:
+    def __call__(self, x: Tensor, live: np.ndarray, rng: RngState | None) -> Tensor:
         train = self.training and rng is not None
-        a = self.attn(self.ln1(x), key_mask)
+        a = self.attn(self.ln1(x), live)
         if train:
-            a = dropout(a, DROPOUT, rng.substream("attn_drop"))
+            a = dropout(a, DROPOUT, rng.substream("attn_drop"), live.reshape(-1))
         x = add(x, a)
         f = self.ff2(relu(self.ff1(self.ln2(x))))
         if train:
-            f = dropout(f, DROPOUT, rng.substream("ff_drop"))
+            f = dropout(f, DROPOUT, rng.substream("ff_drop"), live.reshape(-1))
         return add(x, f)
 
 
@@ -344,7 +340,16 @@ class TextEncoder(Module):
         attention_mask: np.ndarray,
         rng: RngState | None = None,
     ) -> Tensor:
-        """(B, T) int arrays to (B, T, d) contextual embeddings."""
+        """(B, T) int arrays to (B, T, d) contextual embeddings, zero at
+        the padding.
+
+        The N tokens that ``attention_mask`` marks are gathered once, and
+        every token-wise layer runs on those (N, d) packed rows; only the
+        attention node lays them out padded. Each dropout mask is drawn
+        for the whole (B * T, d) padded batch and applied at the tokens'
+        rows, so a token takes the draws it took when every layer ran on
+        the padded batch.
+        """
         token_ids = np.asarray(token_ids)
         if token_ids.max(initial=0) >= self.cfg.vocab_size or token_ids.min(initial=0) < 0:
             raise ValueError(
@@ -353,17 +358,16 @@ class TextEncoder(Module):
         B, T = token_ids.shape
         if T > self.cfg.max_len:
             raise ValueError(f"sequence length {T} exceeds max_len {self.cfg.max_len}")
-        positions = np.broadcast_to(np.arange(T), (B, T))
-        x = add(add(self.tok(token_ids), self.pos(positions)), self.seg(segment_ids))
+        live = np.asarray(attention_mask) > 0
+        real = np.flatnonzero(live)
+        x = add(add(self.tok(token_ids.reshape(-1)[real]), self.pos(real % T)),
+                self.seg(np.asarray(segment_ids).reshape(-1)[real]))
         train = self.training and rng is not None
         if train:
-            x = dropout(x, DROPOUT, rng.substream("emb_drop"))
-        key_mask = ((1.0 - np.asarray(attention_mask, dtype=x.dtype)) * NEG_INF).astype(
-            x.dtype
-        )
+            x = dropout(x, DROPOUT, rng.substream("emb_drop"), live.reshape(-1))
         for i, block in enumerate(self.blocks):
-            x = block(x, key_mask, rng.substream("block", i) if train else None)
-        return self.final_ln(x)
+            x = block(x, live, rng.substream("block", i) if train else None)
+        return scatter_rows(self.final_ln(x), live)
 
     def forward_batch(self, batch: Batch, rng: RngState | None = None):
         """Returns (token (B,T,d), cls (B,d), words (B,W,d)) tensors."""

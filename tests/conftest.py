@@ -1,9 +1,11 @@
-"""Shared fixtures and the acceptance-summary terminal hook."""
+"""Shared fixtures, the acceptance-summary terminal hook and a reference
+form of the generator's history step."""
 
 import numpy as np
 import pytest
 
 from gazenlu.corpus import make_synthetic_suite
+from gazenlu.diffcore import add, concat
 from gazenlu.textenc import TextEncoderConfig, build_vocab
 from gazenlu.trainkit import GazeModel, TrainConfig, pretrain_generator
 
@@ -25,6 +27,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         desc, passed, detail = ACCEPTANCE_RESULTS[n]
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {n:2d} {status} - {desc}: {detail}")
+
+
+def history_step_graph(gen, word_row, pos_emb, h_prev):
+    """``ScanpathGenerator.history_step`` on Tensors, as graph nodes:
+    (residual output, new hidden). The step-by-step replays of the sampler
+    feed their fixations through it."""
+    inp = concat([word_row, pos_emb], axis=1)
+    h_new = gen.gru_hist(inp, h_prev)
+    return add(gen.hist_proj(inp), h_new), h_new
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import record_acceptance
+from conftest import history_step_graph, record_acceptance
 
 from gazenlu.augmentor import (JointModel, ModelConfig, ScanpathEncoder,
                                average_logits)
@@ -226,7 +226,7 @@ def _delta_walk_oracle(gen, word_states, W, rng, max_fix):
             a = Tensor(one)
             word_row = matmul(a, word_states)
             pe = matmul(a, gen.fix_pos.w[0:W, :])
-            state, hid = gen.history_step(word_row, pe, hid)
+            state, hid = history_step_graph(gen, word_row, pe, hid)
     return fix, stopped
 
 

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import history_step_graph
+
 from gazenlu.diffcore import (NEG_INF, RngState, Tensor, add, backward,
                               cross_entropy, grad_check, gumbel_of, matmul,
                               mix_rows, mul, no_grad, reshape, shift_mass,
@@ -41,6 +43,17 @@ def valid_mask(cfg, pos: int, n_words: int) -> np.ndarray:
 
 def batched_valid(gen, pos: int, n_words: int) -> np.ndarray:
     return gen._additive_masks(np.array([pos]), np.array([n_words]))[0] == 0.0
+
+
+def _landing_scatter(gen, positions, counts, rows, W, dtype) -> np.ndarray:
+    """(B, C, W) one-hot from each move class to its landing word, for
+    the ``rows`` marked at their ``positions``; zero for other rows and
+    for moves that leave the row's words."""
+    landing, ok = gen._landings(positions, counts)
+    b, c = np.nonzero(ok & rows[:, None])
+    scatter = np.zeros((len(positions), gen.cfg.n_classes, W), dtype=dtype)
+    scatter[b, c, landing[b, c]] = 1.0
+    return scatter
 
 
 def live_rows(batch, b=0):
@@ -128,7 +141,7 @@ def test_batched_masks_and_scatters_match_single_row_oracle(gen):
         positions = np.minimum((np.arange(len(counts)) + trial) % (W + 1) - 1, counts - 1)
         live = (np.arange(len(counts)) + trial) % 3 != 0
         masks = gen._additive_masks(positions, counts)
-        scatter = gen._landing_scatter(positions, counts, live, W, np.float32)
+        scatter = _landing_scatter(gen, positions, counts, live, W, np.float32)
         for b, (pos, n) in enumerate(zip(positions, counts)):
             want = valid_mask(CFG, int(pos), int(n))
             assert np.array_equal(masks[b], np.where(want, 0.0, NEG_INF).astype(np.float32))
@@ -190,7 +203,7 @@ def _replay_step_probs(gen, ws, n_words, prefix, pos):
     state = gen.start_state(1, ws.dtype)
     hid = Tensor(np.zeros((1, gen.cfg.d_hidden), dtype=ws.dtype))
     for f in prefix:
-        state, hid = gen.history_step(ws[:, f, :], gen.fix_pos(np.array([f])), hid)
+        state, hid = history_step_graph(gen, ws[:, f, :], gen.fix_pos(np.array([f])), hid)
     logits = gen.decode_logits_batch(state, ws, np.array([n_words])).data[0]
     z = np.where(valid_mask(gen.cfg, pos, n_words), logits, -np.inf)
     e = np.exp(z - z.max())
@@ -291,8 +304,8 @@ def _stepwise_nll(gen, word_states, counts, paths):
             continue
         feed = np.zeros(B, dtype=np.int64)
         feed[feeders] = [paths[b][t] for b in feeders]
-        out, hn = gen.history_step(take_rows(flat, np.arange(B) * W + feed),
-                                   gen.fix_pos(feed), hid)
+        out, hn = history_step_graph(gen, take_rows(flat, np.arange(B) * W + feed),
+                                     gen.fix_pos(feed), hid)
         m = np.zeros((B, 1), dtype=word_states.dtype)
         m[feeders] = 1.0
         state = add(mul(out, Tensor(m)), mul(state, Tensor(1.0 - m)))
@@ -494,7 +507,7 @@ def _replay_straight_through(gen, ws, n_words, rng, cap, tau):
             return fixations, True
         pos += c - (cfg.l_max - 1)
         fixations.append(pos)
-        state, hid = gen.history_step(ws[:, pos, :], gen.fix_pos(np.array([pos])), hid)
+        state, hid = history_step_graph(gen, ws[:, pos, :], gen.fix_pos(np.array([pos])), hid)
     return fixations, False
 
 
@@ -697,7 +710,7 @@ def _sample_full_noise(gen, word_states, counts, rngs, cfg, max_fixations,
             stopped[ids[~live]] = True
             if not live.any():
                 break
-            scatter = gen._landing_scatter(positions, n_words, live, W, dt)
+            scatter = _landing_scatter(gen, positions, n_words, live, W, dt)
             y_words = mix_rows(y, Tensor(scatter))
             if soft:
                 dist = y_words
@@ -741,7 +754,7 @@ def _sample_full_noise(gen, word_states, counts, rngs, cfg, max_fixations,
             if soft:
                 dist, stop_mass = row, stop_mass[sel]
         pe = matmul(dist, gen.fix_pos.w[0:W, :]) if soft else gen.fix_pos(fix)
-        state, hid = gen.history_step(mix_rows(row, ws), pe, hid)
+        state, hid = history_step_graph(gen, mix_rows(row, ws), pe, hid)
         positions = fix
     mask_arr = np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), np.float32)
     return SampledBatch(rows, mask_arr, fixations, stopped)

@@ -1,5 +1,5 @@
-"""The GRU ops, the row gather and the lazily built backward closures
-against the forms they replaced.
+"""The GRU ops, the row gather, the lazily built backward closures and
+the packed text encoder against the forms they replaced.
 
 The oracles are test-local copies of the earlier ``gru_cell``,
 ``gru_seq``, ``embedding``, ``relu``, ``concat`` and ``transpose``. Each
@@ -7,6 +7,11 @@ wrapped its backward closure in a factory that ``_result`` called only
 for a recorded node, and the GRU gate algebra was written out in both GRU
 ops. The ops must give the same forward values and the same gradients,
 bit for bit, in float32 and float64.
+
+The text encoder's oracle is its earlier padded form, which ran every
+layer on all B x T slots and built attention from per-op nodes. The
+packed encoder must give the same token, CLS and word states, bit for
+bit, and the same parameter gradients up to summation order.
 """
 
 import inspect
@@ -19,13 +24,15 @@ from hypothesis import strategies as st
 
 from gazenlu import diffcore
 from gazenlu.augmentor import TEXT_ONLY, JointModel, ModelConfig
-from gazenlu.diffcore import (Embedding, RngState, Tensor, concat, gru_cell,
-                              gru_seq, no_grad, relu, standard_op_checks,
-                              take_rows, transpose)
+from gazenlu.diffcore import (NEG_INF, Embedding, RngState, Tensor, add,
+                              backward, concat, dropout, gru_cell, gru_seq,
+                              matmul, mul, no_grad, relu, reshape, softmax,
+                              standard_op_checks, take_rows, transpose, tsum)
 from gazenlu.diffcore.tensor import (ShapeError, _record, _row_sums, _wrap,
                                      rows_matmul)
 from gazenlu.gazegen import SOFT_CONVOLUTION, GumbelConfig
-from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
+from gazenlu.textenc import (DROPOUT, TextEncoder, TextEncoderConfig,
+                             build_vocab, collate, tokenize)
 from gazenlu.trainkit import GazeModel
 
 # -- the ops as they were -------------------------------------------------
@@ -199,6 +206,45 @@ def _old_transpose(x: Tensor, axes) -> Tensor:
     return _old_result(data, (x,), bwd, "transpose")
 
 
+def _old_attention(attn, x: Tensor, key_mask: np.ndarray) -> Tensor:
+    B, T, d = x.shape
+    h = attn.n_heads
+    dh = d // h
+
+    def heads(t: Tensor) -> Tensor:
+        return transpose(reshape(t, (B, T, h, dh)), (0, 2, 1, 3))
+
+    q, k, v = heads(attn.wq(x)), heads(attn.wk(x)), heads(attn.wv(x))
+    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    weights = softmax(scores, mask=key_mask.reshape(B, 1, 1, T))
+    mixed = transpose(matmul(weights, v), (0, 2, 1, 3))
+    return attn.wo(reshape(mixed, (B, T, d)))
+
+
+def _old_encoder(enc: TextEncoder, batch, rng: RngState | None = None):
+    """``enc.forward_batch`` as it was: every layer on the padded (B, T)
+    slots, pad tokens included, and attention through reshape, transpose,
+    matmul, mul and softmax nodes. Returns (tokens, cls, words)."""
+    B, T = batch.token_ids.shape
+    positions = np.broadcast_to(np.arange(T), (B, T))
+    x = add(add(enc.tok(batch.token_ids), enc.pos(positions)), enc.seg(batch.segment_ids))
+    train = enc.training and rng is not None
+    if train:
+        x = dropout(x, DROPOUT, rng.substream("emb_drop"))
+    key_mask = ((1.0 - batch.attention_mask.astype(x.dtype)) * NEG_INF).astype(x.dtype)
+    for i, block in enumerate(enc.blocks):
+        a = _old_attention(block.attn, block.ln1(x), key_mask)
+        if train:
+            a = dropout(a, DROPOUT, rng.substream("block", i).substream("attn_drop"))
+        x = add(x, a)
+        f = block.ff2(relu(block.ff1(block.ln2(x))))
+        if train:
+            f = dropout(f, DROPOUT, rng.substream("block", i).substream("ff_drop"))
+        x = add(x, f)
+    tokens = enc.final_ln(x)
+    return tokens, tokens[:, 0, :], matmul(Tensor(batch.pool.astype(tokens.dtype)), tokens)
+
+
 # -- comparison ------------------------------------------------------------
 
 
@@ -310,6 +356,86 @@ def test_relu_concat_transpose_match_their_earlier_backward(dtype):
     for axes in ((2, 0, 1), (1, 2, 0), (0, 2, 1)):
         g = r.substream("g3", *axes).normal(x.data.transpose(axes).shape).astype(dtype)
         _same_node(transpose(x, axes), _old_transpose(x, axes), g)
+
+
+_WORDS = ["the", "cat", "sat", "on", "mat", "zqab", "reading", "eyes", "a", "b"]
+_VOCAB = build_vocab([" ".join(_WORDS)] * 2 + ["the cat", "reading eyes"], 40)
+
+
+@st.composite
+def _encoder_cases(draw):
+    """(first texts, second texts or None, d_model, heads, layers, dtype,
+    seed): 1-6 sentences of 1-7 words, with one or two segments each.
+    ``d_model`` and ``d_ff`` are multiples of 16, the widths at which a
+    GEMM row rounds alike whatever the row count, as the padded and the
+    packed forms run their linears over B x T and N rows."""
+    n = draw(st.integers(1, 6))
+    sentence = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=7).map(" ".join)
+    first = draw(st.lists(sentence, min_size=n, max_size=n))
+    second = draw(st.none() | st.lists(sentence, min_size=n, max_size=n))
+    return (first, second, draw(st.sampled_from([16, 32])), draw(st.sampled_from([1, 2, 4])),
+            draw(st.integers(1, 2)), draw(DTYPES), draw(st.integers(0, 2**16)))
+
+
+def _readout(outs, weights) -> Tensor:
+    """The sum of each output weighted by its own fixed array."""
+    tok, cls, words = (tsum(mul(o, Tensor(w))) for o, w in zip(outs, weights))
+    return add(add(tok, cls), words)
+
+
+@given(case=_encoder_cases())
+@example(case=(["the cat sat", "a"], None, 32, 4, 2, np.float32, 0))
+@example(case=(["reading", "the cat sat on the mat", "b a"], ["eyes", "a", "zqab on the mat"],
+               16, 2, 1, np.float64, 1))
+@settings(max_examples=40, deadline=None)
+def test_packed_encoder_matches_the_padded_one(case):
+    """Eval mode: the CLS and word states and the real tokens' states are
+    the padded encoder's, bit for bit. Training mode, with one dropout
+    stream: the same forward, and every parameter's gradient within
+    1e-6 * max(1, max|g|) in float32 and 1e-12 * max(1, max|g|) in
+    float64, max|g| taken over all the encoder's gradients as in
+    ``grad_check``: the weight and layer-norm gradients now sum over the
+    real rows only, so they differ in the last bits, and a sum's rounding
+    scales with its terms, not with the (possibly cancelled) result. The
+    attention key bias, whose true gradient is zero, holds only noise."""
+    first, second, d_model, n_heads, n_layers, dtype, seed = case
+    cfg = TextEncoderConfig(vocab_size=len(_VOCAB), d_model=d_model, n_layers=n_layers,
+                            n_heads=n_heads, d_ff=2 * d_model, max_len=64)
+    enc = TextEncoder(cfg, RngState(seed, 40))
+    for _, p in enc.named_parameters():
+        p.data = p.data.astype(dtype)
+    batch = collate([tokenize(a, None if second is None else second[i], _VOCAB, 64)
+                     for i, a in enumerate(first)])
+    real = batch.attention_mask > 0
+
+    def same(new, old):
+        assert np.array_equal(new[0].data[real], old[0].data[real])
+        assert not new[0].data[~real].any()
+        for a, b in zip(new[1:], old[1:]):
+            assert a.data.dtype == b.data.dtype == dtype and np.array_equal(a.data, b.data)
+
+    enc.eval()
+    with no_grad():
+        same(enc.forward_batch(batch), _old_encoder(enc, batch))
+
+    enc.train()
+    r = RngState(seed, 41)
+    mask = real[..., None].astype(dtype)
+    weights = [r.substream("tok").normal(real.shape + (d_model,)).astype(dtype) * mask,
+               r.substream("cls").normal((batch.size, d_model)).astype(dtype),
+               r.substream("words").normal(batch.pool.shape[:2] + (d_model,)).astype(dtype)]
+    runs = []
+    for forward in (enc.forward_batch, lambda b, rng: _old_encoder(enc, b, rng)):
+        outs = forward(batch, RngState(seed, 42))
+        backward(_readout(outs, weights))
+        runs.append((outs, {n: p.grad for n, p in enc.named_parameters()}))
+        enc.zero_grad()
+    (new, g_new), (old, g_old) = runs
+    same(new, old)
+    tol = (1e-6 if dtype == np.float32 else 1e-12) * max(
+        1.0, *(np.abs(g).max() for g in g_old.values()))
+    for name, g in g_old.items():
+        assert np.abs(g_new[name] - g).max() <= tol, name
 
 
 # -- nothing for a backward that never runs ---------------------------------

@@ -230,21 +230,29 @@ def test_encoder_config_rejects_sizes_out_of_range(field, value):
 
 
 def test_encoder_gradcheck_small():
+    """One sentence in eval mode, and two of unequal length, so that one
+    row has pad slots, in training mode with dropout."""
     vocab = build_vocab(["aa aa ab"], 10)
     cfg = TextEncoderConfig(vocab_size=len(vocab.token_to_id), d_model=8,
                             n_layers=1, n_heads=2, d_ff=16, max_len=8)
     enc = TextEncoder(cfg, RngState(1, 0))
     for _, t in enc.named_parameters():
         t.data = t.data.astype(np.float64)
-    e = tokenize("aa ab", None, vocab, 8)
-    readout = RngState(2, 0).normal((len(e.word_spans), cfg.d_model))
-
-    from gazenlu.diffcore import Tensor, mul, tsum
-
-    def build():
-        words = enc.forward_batch(collate([e]))[2]
-        return tsum(mul(words, Tensor(readout[None])))
-
     params = dict(enc.named_parameters())
-    report = grad_check(build, params, sample=2, rng=RngState(3, 0))
-    assert report.ok, report.failures
+
+    from gazenlu.diffcore import Tensor, add, mul, tsum
+
+    for train, texts in ((False, ["aa ab"]), (True, ["aa ab aa", "ab"])):
+        enc.train(train)
+        batch = collate([tokenize(t, None, vocab, 8) for t in texts])
+        assert batch.attention_mask.min() == (0.0 if train else 1.0)
+        r = RngState(2, int(train))
+        w_words = r.substream("words").normal((batch.size, batch.pool.shape[1], cfg.d_model))
+        w_cls = r.substream("cls").normal((batch.size, cfg.d_model))
+
+        def build():
+            _, cls, words = enc.forward_batch(batch, RngState(4, 0) if train else None)
+            return add(tsum(mul(words, Tensor(w_words))), tsum(mul(cls, Tensor(w_cls))))
+
+        report = grad_check(build, params, sample=2, rng=RngState(3, 0))
+        assert report.ok, (train, report.failures)
