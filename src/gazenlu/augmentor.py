@@ -5,8 +5,10 @@ sampled step contributes one row, its position weights applied to the
 word-pooled embedding matrix (a one-hot row picks one word's vector),
 in training and prediction alike. A GRU whose initial state comes from
 the [CLS] vector reads the rearranged rows; the last step's output
-feeds the task head. Predictions across several sampled scanpaths
-combine by averaging pre-softmax outputs.
+feeds the task head. The GRU is one ``scan`` graph node over the
+sampler's packed rows: its step loop runs on plain arrays, and its
+backward is BPTT written by hand. Predictions across several sampled
+scanpaths combine by averaging pre-softmax outputs.
 """
 
 from __future__ import annotations
@@ -22,13 +24,18 @@ from .diffcore import (
     Module,
     RngState,
     Tensor,
-    concat,
     cross_entropy,
-    dropout,
+    gru_bwd,
+    gru_gates,
+    is_grad_enabled,
+    linear_bwd,
     load_parameters,
-    mix_rows,
+    mix_rows_bwd_w,
+    mix_rows_fwd,
     mse_loss,
     no_grad,
+    op_result,
+    rows_matmul,
     stream_uniforms,
     take_rows,
 )
@@ -71,58 +78,96 @@ class ScanpathEncoder(Module):
         super().__init__()
         self.gru = GRUCell(d, d, rng.substream("gru"))
 
-    def run_steps(self, steps: list[Tensor], step_mask: np.ndarray, words: Tensor,
+    def run_steps(self, steps, step_mask: np.ndarray, rows: Tensor, words: Tensor,
                   cls: Tensor, rng: RngState | None = None) -> Tensor:
         """The GRU's last state per row, started from ``cls``; (B, d).
 
-        ``step_mask`` (B, T) marks each row's steps, a prefix of them.
-        ``steps[t]`` holds (n_t, W) position weights for the n_t rows that
-        step t marks, in batch order, and the GRU reads them in fixation
-        order: each row's weights applied to its own (W, d) rows of
-        ``words``, so a one-hot row picks one word. Only the rows still
-        reading are stepped: on a step where a row finishes, its state is
-        set aside and the others' states and words are gathered; the kept
-        states are put back in row order at the end. A row with no steps
-        reads out ``cls``. In training, step t's dropout mask is drawn for
-        the whole (B, d) step from ``rng.substream("drop", t)`` and its
-        live rows applied; every step's uniforms come from one
-        ``stream_uniforms`` call, each stream's own draws.
+        ``step_mask`` (B, S) marks each row's steps, a prefix of them, and
+        ``steps`` (S,) counts each step's rows. ``rows`` packs the (W,)
+        position weights of each marked (row, step), step after step, a
+        step's rows in batch order, as the sampler emits them; each reads
+        its row's (W, d) ``words``, so a one-hot row picks one word. A row
+        with no steps reads out ``cls``. In training, step t's dropout
+        mask is drawn for the whole (B, d) step from
+        ``rng.substream("drop", t)`` (all in one ``stream_uniforms`` call)
+        and its live rows applied.
+
+        One ``scan`` node, on plain arrays: the words are gathered only on
+        steps where a row finishes, one GEMM projects every step's input,
+        and the recurrence steps only the live rows, in place, so a
+        finished row keeps its state. The backward is BPTT over the same
+        steps (``gru_bwd``); each weight's gradient is one GEMM or sum,
+        and the input gradients, collected per batch row in a (B, S, d)
+        buffer, give the words' and the rows' in one batched matmul each.
         """
-        if not steps:
+        steps = np.asarray(steps, dtype=np.int64)
+        if not len(steps):
             raise ValueError("scanpath encoder needs at least one step")
         if (np.diff(step_mask, axis=1) > 0).any():
             raise ValueError("step mask must mark a prefix of each row's steps")
-        lengths = step_mask.sum(axis=1)
-        B, d = cls.shape
-        drops = None
+        marked = np.count_nonzero(step_mask, axis=0)
+        if len(marked) != len(steps):
+            raise ValueError(f"{len(steps)} steps for a mask of {len(marked)}")
+        for t in np.flatnonzero(steps != marked)[:1]:
+            raise ValueError(f"step {t} has {steps[t]} rows for the "
+                             f"{marked[t]} rows its mask marks")
+        if rows.shape[0] != marked.sum():
+            raise ValueError(f"{rows.shape[0]} packed rows for the {marked.sum()} its mask marks")
+        g = self.gru
+        parents = (rows, words, cls, g.w_ih, g.w_hh, g.b_ih, g.b_hh)
+        record = is_grad_enabled() and any(p.requires_grad for p in parents)
+        (B, d), S, dt = cls.shape, len(steps), words.dtype
+        cell_t, cell_b = np.nonzero(step_mask.T)      # each packed row's step and row
+        ends = np.cumsum(steps).tolist()
+        cuts = list(zip([0] + ends[:-1], ends))
+        x = np.empty((len(cell_b), d), dtype=dt)
+        ws = words.data
+        for a, b in cuts:
+            if b - a < len(ws):
+                ws = words.data[cell_b[a:b]]
+            x[a:b] = mix_rows_fwd(rows.data[a:b], ws)
+        keep = None
         if self.training and rng is not None:
-            streams = rng.substreams("drop", tails=[(t,) for t in range(len(steps))])
-            drops = stream_uniforms(streams, [B * d] * len(steps)).reshape(-1, B, d)
-        ids = np.arange(B)
-        h = cls
-        parts: list[tuple[np.ndarray, Tensor]] = []   # finished rows, their states
-        for t, w in enumerate(steps):
-            live = lengths[ids] > t
-            if w.shape[0] != live.sum():
-                raise ValueError(f"step {t} has {w.shape[0]} rows for the "
-                                 f"{live.sum()} rows its mask marks")
-            if not live.all():
-                parts.append((ids[~live], take_rows(h, np.flatnonzero(~live))))
-                ids = ids[live]
-                if not len(ids):
-                    break
-                keep = np.flatnonzero(live)
-                h, words = take_rows(h, keep), take_rows(words, keep)
-            x = mix_rows(w, words)
-            if drops is not None:
-                x = dropout(x, SCAN_DROPOUT, drops[t], lengths > t)
-            h = self.gru(x, h)
-        if len(ids):
-            parts.append((ids, h))
-        if len(parts) == 1:
-            return parts[0][1]
-        order = np.argsort(np.concatenate([i for i, _ in parts]))
-        return take_rows(concat([state for _, state in parts], axis=0), order)
+            streams = rng.substreams("drop", tails=[(t,) for t in range(S)])
+            drops = stream_uniforms(streams, [B * d] * S).reshape(S, B, d)
+            keep = (drops[cell_t, cell_b] >= SCAN_DROPOUT).astype(dt) / (1.0 - SCAN_DROPOUT)
+            x *= keep
+        gi = rows_matmul(x, g.w_ih.data) + g.b_ih.data
+        h = cls.data.astype(dt, copy=True)
+        saved = np.empty((5,) + x.shape, dtype=dt) if record else None  # h, r, z, n, ghn
+        for a, b in cuts:
+            at = cell_b[a:b]
+            hp = h[at]
+            h[at], gates = gru_gates(gi[a:b], rows_matmul(hp, g.w_hh.data) + g.b_hh.data, hp)
+            if record:
+                for k, v in enumerate((hp, *gates)):
+                    saved[k, a:b] = v
+
+        def bptt(grad):
+            need = [p.requires_grad for p in parents]
+            dh = grad.copy()
+            dgi, dgh = np.empty((2, len(x), 3 * d), dtype=dt)
+            for a, b in reversed(cuts):
+                at = cell_b[a:b]
+                dgi[a:b], dgh[a:b], dh[at] = gru_bwd(dh[at], saved[0, a:b], saved[1:, a:b],
+                                                     g.w_hh.data)
+            dx, gw_ih, gb_ih = linear_bwd(x, g.w_ih.data, dgi, (need[0] or need[1], *need[3::2]))
+            _, gw_hh, gb_hh = linear_bwd(saved[0], g.w_hh.data, dgh, (False, *need[4::2]))
+            d_rows = d_words = None
+            if dx is not None:
+                if keep is not None:
+                    dx *= keep
+                q = np.zeros((B, S, d), dtype=dt)
+                q[cell_b, cell_t] = dx
+                if need[0]:
+                    d_rows = mix_rows_bwd_w(q, words.data)[cell_b, cell_t]
+                if need[1]:
+                    p = np.zeros((B, S, words.shape[1]), dtype=dt)
+                    p[cell_b, cell_t] = rows.data
+                    d_words = np.matmul(p.transpose(0, 2, 1), q)
+            return (d_rows, d_words, dh if need[2] else None, gw_ih, gw_hh, gb_ih, gb_hh)
+
+        return op_result(h, parents, bptt, "scan")
 
 
 class TaskHead(Module):
@@ -214,7 +259,7 @@ class JointModel(Module):
             batch, rng.substream("cls_enc") if rng else None
         )
         if self.cfg.model_kind == TEXT_ONLY:
-            steps, mask = self._content_steps(batch, tokens.dtype)
+            rows, mask = self._content_steps(batch, tokens.dtype)
             words = tokens
         else:
             ws = self._word_states(batch, rng.substream("gen_enc") if rng else None)
@@ -224,10 +269,10 @@ class JointModel(Module):
             sampled = self.generator.sample_gumbel_batch(
                 ws, counts, pair_rngs, self.cfg.gumbel,
                 np.array([default_max_fixations(int(c)) for c in counts]))
-            steps, mask = sampled.rows, sampled.row_mask
+            rows, mask = sampled.rows, sampled.row_mask
         feature = self.scan.run_steps(
-            steps, mask, words, cls, rng.substream("scan") if rng else None
-        )
+            np.count_nonzero(mask, axis=0), mask, rows, words, cls,
+            rng.substream("scan") if rng else None)
         out = self.head(feature)
         if self.head.kind == CLASSIFICATION:
             loss = cross_entropy(out, labels.astype(np.int64))
@@ -237,7 +282,8 @@ class JointModel(Module):
 
     def _content_steps(self, batch: Batch, dtype):
         """Original-order content tokens as GRU steps, for the baseline:
-        one-hot rows over the token positions, and the step mask.
+        one-hot rows over the token positions, packed step by step as the
+        sampler packs its rows, and the step mask.
 
         A token is content when its pool column is non-zero; its step is
         the number of content tokens before it in its row.
@@ -249,7 +295,7 @@ class JointModel(Module):
         mask = np.zeros((batch.size, L), dtype=np.float32)
         mask[b, step] = 1.0
         eye = np.eye(content.shape[1], dtype=dtype)
-        return [Tensor(eye[t[step == i]]) for i in range(L)], mask
+        return Tensor(eye[t[np.lexsort((b, step))]]), mask
 
     # -- prediction ------------------------------------------------------
 
@@ -271,18 +317,19 @@ class JointModel(Module):
             with no_grad():
                 tokens, cls, words = self.cls_encoder.forward_batch(batch)
                 if self.cfg.model_kind == TEXT_ONLY:
-                    steps, mask = self._content_steps(batch, tokens.dtype)
-                    return self.head(self.scan.run_steps(steps, mask, tokens,
-                                                         cls)).data.copy()
+                    rows, mask = self._content_steps(batch, tokens.dtype)
+                    return self.head(self.scan.run_steps(
+                        np.count_nonzero(mask, axis=0), mask, rows, tokens, cls)).data.copy()
                 gumbel = self.cfg.gumbel
                 if gumbel.hard_eval:
                     gumbel = dataclasses.replace(gumbel, mode=STRAIGHT_THROUGH)
                 ws = self._word_states(batch, None)
                 pick, sampled = self.generator.sample_paths(
                     ws, batch.word_counts, sentence_ids, n_scanpaths, rng, gumbel)
+                mask = sampled.row_mask
                 out = self.head(self.scan.run_steps(
-                    sampled.rows, sampled.row_mask, take_rows(words, pick),
-                    take_rows(cls, pick)))
+                    np.count_nonzero(mask, axis=0), mask, sampled.rows,
+                    take_rows(words, pick), take_rows(cls, pick)))
                 per_path = out.data.reshape(batch.size, n_scanpaths, -1)
                 return average_logits([per_path[:, p] for p in range(n_scanpaths)])
         finally:

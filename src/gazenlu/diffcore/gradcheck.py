@@ -27,7 +27,6 @@ from .tensor import (
     cross_entropy,
     dropout,
     getitem,
-    gru_cell,
     gru_seq,
     layer_norm,
     linear,
@@ -39,7 +38,6 @@ from .tensor import (
     relu,
     reshape,
     scatter_rows,
-    shift_mass,
     softmax,
     take_rows,
     transpose,
@@ -202,17 +200,11 @@ def standard_op_checks(dtype=np.float64):
     entry("mix_rows_steps", {"w": a, "X": b},
           lambda a=a, b=b: readout(mix_rows(a, b), "mix3"))
 
-    # half-scale inputs: at float32's step of 1e-2, the central difference
-    # of the gates' tanh at unit-scale pre-activations is off by ~1e-4
-    # (float64 at that step too), the size of the tolerance
-    gru = {k: Tensor((0.5 * rng.substream("gru", k).normal(shape)).astype(d),
-                     requires_grad=True)
-           for k, shape in (("x", (2, 3)), ("h", (2, 4)), ("w_ih", (3, 12)),
-                            ("w_hh", (4, 12)), ("b_ih", (12,)), ("b_hh", (12,)))}
-    entry("gru_cell", gru, lambda p=gru: readout(gru_cell(**p), "gru"))
-
     # rows of 3, 0 and 2 of 3 steps, each direction; the readout also
-    # reaches the carried states, the zero-length row's h0 among them
+    # reaches the carried states, the zero-length row's h0 among them.
+    # Half-scale inputs, here and for the scan GRU: at float32's step of
+    # 1e-2, the central difference of the gates' tanh at unit-scale
+    # pre-activations is off by ~1e-4, the size of the tolerance
     lengths = np.array([3, 0, 2])
     for reverse in (False, True):
         key = "gru_seq_rev" if reverse else "gru_seq"
@@ -256,15 +248,6 @@ def standard_op_checks(dtype=np.float64):
     live = np.array([[True, False, True], [False, True, False]])
     entry("scatter_rows", {"x": x},
           lambda x=x, live=live: readout(scatter_rows(x, live), "sr"))
-
-    # rows of 4, 1 and 3 words; offsets that clamp at both ends
-    dist = _rand(rng.substream("shm_d"), (3, 4), d)
-    q = _rand(rng.substream("shm_q"), (3, 5), d)
-    offs = np.array([-3, -1, 0, 1, 2])
-    counts = np.array([4, 1, 3])
-    entry("shift_mass", {"dist": dist, "q": q},
-          lambda dist=dist, q=q, offs=offs, counts=counts:
-          readout(shift_mass(dist, q, offs, counts), "shm"))
 
     a = _rand(rng.substream("cat_a"), (2, 3), d)
     b = _rand(rng.substream("cat_b"), (2, 2), d)
@@ -312,9 +295,22 @@ def standard_op_checks(dtype=np.float64):
                   **{k: own[k] for k in weights}}
         entry(name, params,
               lambda gen=gen, ws=ws, cfg=GumbelConfig(mode=mode), k=name:
-              readout(concat(gen.sample_gumbel_batch(
+              readout(gen.sample_gumbel_batch(
                   ws, np.array([3, 2]), [RngState(2024, 5), RngState(2024, 6)], cfg,
-                  np.array([3, 2]), surrogate=True).rows, axis=0), k))
+                  np.array([3, 2]), surrogate=True).rows, k))
+
+    # the scanpath GRU's node (``augmentor``), in training with dropout:
+    # soft rows of 3, 0 and 2 steps over 3 words
+    from ..augmentor import ScanpathEncoder
+    enc = ScanpathEncoder(4, rng.substream("scan"))
+    scan = {k: Tensor(np.zeros(shape), requires_grad=True)
+            for k, shape in (("rows", (5, 3)), ("words", (3, 3, 4)), ("cls", (3, 4)))}
+    scan.update(enc.gru.named_parameters())
+    for k, p in scan.items():
+        p.data = (0.5 * rng.substream("scan", k).normal(p.shape)).astype(d)
+    mask = (np.arange(3) < np.array([[3], [0], [2]])).astype(np.float32)
+    entry("scan", scan, lambda enc=enc, m=mask, p=scan: readout(enc.run_steps(
+        m.sum(axis=0), m, p["rows"], p["words"], p["cls"], RngState(2024, 7)), "scan"))
 
     z = _rand(rng.substream("ce"), (4, 3), d)
     tgt = np.array([0, 2, 1, 1])

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .rng import RngState
-from .tensor import Tensor, gru_cell, gru_seq, layer_norm, linear, take_rows
+from .tensor import Tensor, gru_seq, layer_norm, linear, take_rows
 
 EMBEDDING_STD = 0.02
 
@@ -130,13 +130,15 @@ class LayerNorm(Module):
 
 
 class GRUCell(Module):
-    """Gated recurrent unit; ``gru_cell`` gives its equations, and both
-    GRU ops run them through one step kernel (``tensor._gru_gates``).
+    """Gated recurrent unit weights; ``tensor.gru_step`` gives its
+    equations, and every GRU runs them through one step kernel
+    (``tensor.gru_gates``).
 
     The three gates live in fused (d_in, 3h) / (h, 3h) weights, sliced
-    in the order r, z, n; one step is one ``gru_cell`` graph node, and
-    ``seq`` runs whole sequences whose inputs are all known as one
-    ``gru_seq`` node.
+    in the order r, z, n. ``seq`` runs whole sequences whose inputs are
+    all known as one ``gru_seq`` node; the recurrences whose inputs
+    depend on their own states (the sampler's history, the scanpath GRU)
+    read the weights inside their own nodes.
     """
 
     def __init__(self, d_in: int, d_hidden: int, rng: RngState):
@@ -151,9 +153,6 @@ class GRUCell(Module):
         self.w_hh = init("w_hh", (d_hidden, 3 * d_hidden))
         self.b_ih = init("b_ih", (3 * d_hidden,))
         self.b_hh = init("b_hh", (3 * d_hidden,))
-
-    def __call__(self, x: Tensor, h: Tensor) -> Tensor:
-        return gru_cell(x, h, self.w_ih, self.w_hh, self.b_ih, self.b_hh)
 
     def seq(self, x: Tensor, lengths, h0: Tensor, reverse: bool = False) -> Tensor:
         """(B, T, H) states over (B, T, d_in) inputs; see ``gru_seq``."""

@@ -21,38 +21,41 @@ constant never promotes a float32 graph to float64.
 The ops: elementwise ``add``, ``mul``, ``relu`` and ``softmax``;
 ``matmul``, ``linear`` (matmul plus bias) and ``mix_rows`` (each row's
 weighted sums of its own rows); ``attention``, multi-head attention over
-packed token rows; ``gru_cell``, one GRU step, and ``gru_seq``, a GRU
-over whole sequences whose inputs are all known; ``layer_norm``; the
-gathers ``take_rows`` and ``getitem`` and their inverse ``scatter_rows``;
-``shift_mass``, the soft walk's clamped move; ``concat``, ``reshape``,
+packed token rows; ``gru_seq``, a GRU over whole sequences whose inputs
+are all known; ``layer_norm``; the gathers ``take_rows`` and ``getitem``
+and their inverse ``scatter_rows``; ``concat``, ``reshape``,
 ``transpose`` and ``tsum``; ``dropout``; the losses ``cross_entropy`` and
-``mse_loss``. ``add``, ``mul``, ``matmul``, ``linear``, ``mix_rows``,
-``gru_cell``, ``gru_seq`` and ``concat`` compute no gradient for a parent
-that does not require one (masks, noise, one-hot rows, landing scatters).
+``mse_loss``. ``add``,
+``mul``, ``matmul``, ``linear``, ``mix_rows``, ``gru_seq`` and ``concat``
+compute no gradient for a parent that does not require one (masks,
+noise, one-hot rows, landing scatters).
 
 Each op hands one backward closure ``fn(g)``, returning a gradient or
 None per parent, to ``op_result``, which keeps it only when the node is
 recorded; the closure computes its own backward-only values, so a
 forward under ``no_grad`` does no work for a backward that never runs.
 Code outside this module that runs a computation on plain arrays and
-writes its backward by hand records its node through ``op_result`` too.
+writes its backward by hand records its node through ``op_result`` too:
+the Gumbel sampler (``sampler``) and the scanpath GRU (``scan``).
 
 The forward and backward formulas such code shares with the ops, and
 the attention node's, are plain-array kernels here, each written once:
 ``rows_matmul`` (below); ``softmax_fwd`` and ``softmax_bwd``;
 ``attention_fwd`` and ``attention_bwd``; ``linear_fwd`` and ``linear_bwd``;
 ``mix_rows_fwd`` and ``mix_rows_bwd_w`` (the weights' gradient);
-``gru_step`` and ``gru_bwd``; ``shift_mass_fwd`` and ``shift_mass_bwd``.
+``gru_step``, ``gru_gates`` (a step from its projections) and ``gru_bwd``;
+``shift_mass_fwd`` and ``shift_mass_bwd``.
 
 numpy hands a one-row product to GEMV, whose sums round differently
-from GEMM's, so ``matmul``, ``linear``, ``gru_cell`` and ``gru_seq``
+from GEMM's, so ``matmul``, ``linear``, ``gru_step`` and ``gru_seq``
 send a one-row ``x`` through GEMM as two rows, and ``linear`` runs one
 GEMM over all the leading rows of its input. A row's forward value then
 does not depend on how many rows share its batch wherever GEMM rounds a
 row the same for any row count (with OpenBLAS float32, at output widths
 that are multiples of 16, among others), which is what lets the sampler
-and the scanpath GRU shrink their working sets, and ``gru_seq`` step
-only its live rows, without changing a bit.
+and the scanpath GRU shrink their working sets, and ``gru_seq`` and the
+scanpath GRU project all their steps' inputs in one GEMM, without
+changing a bit.
 """
 
 from __future__ import annotations
@@ -313,7 +316,18 @@ def _shift_landings(B: int, W: int, offsets: np.ndarray, counts: np.ndarray) -> 
 
 def shift_mass_fwd(dist: np.ndarray, q: np.ndarray, offsets: np.ndarray,
                    counts: np.ndarray) -> np.ndarray:
-    """``shift_mass`` on arrays: each landing's terms summed in float64."""
+    """The soft walk's move: each row's mass moved by every offset,
+    weighted, landings clamped.
+
+    ``dist`` is (B, W) mass over positions, ``q`` (B, K) weights of the
+    ``offsets`` (K,), and row b's positions are ``0 .. counts[b] - 1``:
+
+        out[b, j] = sum of q[b, k] * dist[b, i] over k and i < counts[b]
+                    with clip(i + offsets[k], 0, counts[b] - 1) == j
+
+    Padding positions neither send nor receive mass. Each landing's terms
+    are summed in float64.
+    """
     B, W = dist.shape
     src = dist * (np.arange(W) < counts[:, None])
     moved = q[:, :, None] * src[:, None, :]
@@ -510,7 +524,7 @@ def mix_rows(w, X) -> Tensor:
     return op_result(data, (w, X), fn, "mix_rows")
 
 
-def _gru_gates(gi, gh, h):
+def gru_gates(gi, gh, h):
     """One GRU step from its input and hidden projections ``gi`` and ``gh``
     (rows, 3H), biases added, and its state ``h`` (rows, H): the new state
     and the gates (r, z, n, ghn) that ``gru_bwd`` reads."""
@@ -523,11 +537,23 @@ def _gru_gates(gi, gh, h):
 
 
 def gru_step(x, h, w_ih, w_hh, b_ih, b_hh):
-    """One GRU step on arrays (``gru_cell`` gives the equations): the new
-    state and the gates that ``gru_bwd`` reads."""
+    """One GRU step (Cho et al. 2014) on arrays: the new state and the
+    gates that ``gru_bwd`` reads.
+
+    ``x`` is (B, d_in) and ``h`` (B, H); the weights are (d_in, 3H) and
+    (H, 3H), the biases (3H,), with gates sliced in the order r, z, n:
+
+        r = sigmoid(x W_ir + b_ir + h W_hr + b_hr)
+        z = sigmoid(x W_iz + b_iz + h W_hz + b_hz)
+        n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
+        h' = n + z * (h - n)
+
+    evaluated in the same order and form as a composition of matmul, add
+    and mul nodes with ``sigmoid(a) = 0.5 * (tanh(0.5 * a) + 1)``.
+    """
     gi = rows_matmul(x, w_ih) + b_ih
     gh = rows_matmul(h, w_hh) + b_hh
-    return _gru_gates(gi, gh, h)
+    return gru_gates(gi, gh, h)
 
 
 def gru_bwd(g, h, gates, w_hh):
@@ -544,53 +570,12 @@ def gru_bwd(g, h, gates, w_hh):
             np.matmul(dgh, w_hh.T) + g * z)
 
 
-def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
-    """One GRU step (Cho et al. 2014) as a single node.
-
-    ``x`` is (B, d_in) and ``h`` (B, H); the weights are (d_in, 3H) and
-    (H, 3H), the biases (3H,), with gates sliced in the order r, z, n:
-
-        r = sigmoid(x W_ir + b_ir + h W_hr + b_hr)
-        z = sigmoid(x W_iz + b_iz + h W_hz + b_hz)
-        n = tanh(x W_in + b_in + r * (h W_hn + b_hn))
-        h' = n + z * (h - n)
-
-    The forward evaluates these in the same order and form as a
-    composition of ``matmul``, ``add`` and ``mul`` nodes with
-    ``sigmoid(a) = 0.5 * (tanh(0.5 * a) + 1)``, so its output is
-    bit-identical to that composition. Parents that do not require
-    grad get no gradient.
-    """
-    x, h = _wrap(x), _wrap(h)
-    if x.ndim != 2 or h.ndim != 2:
-        raise ShapeError(f"gru_cell: x {x.shape} and h {h.shape} must be 2-d")
-    B, H = h.shape
-    if (x.shape[0] != B or w_ih.shape != (x.shape[1], 3 * H)
-            or w_hh.shape != (H, 3 * H) or b_ih.shape != (3 * H,)
-            or b_hh.shape != (3 * H,)):
-        raise ShapeError(
-            f"gru_cell: x {x.shape}, h {h.shape}, w_ih {w_ih.shape}, "
-            f"w_hh {w_hh.shape}, b_ih {b_ih.shape}, b_hh {b_hh.shape} do not conform"
-        )
-    data, gates = gru_step(x.data, h.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data)
-
-    def fn(g):
-        dgi, dgh, dh = gru_bwd(g, h.data, gates, w_hh.data)
-        gx, gw_ih, gb_ih = linear_bwd(x.data, w_ih.data, dgi, (
-            x.requires_grad, w_ih.requires_grad, b_ih.requires_grad))
-        _, gw_hh, gb_hh = linear_bwd(h.data, w_hh.data, dgh, (
-            False, w_hh.requires_grad, b_hh.requires_grad))
-        return (gx, dh if h.requires_grad else None, gw_ih, gw_hh, gb_ih, gb_hh)
-
-    return op_result(data, (x, h, w_ih, w_hh, b_ih, b_hh), fn, "gru_cell")
-
-
 def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Tensor:
     """A GRU run over whole sequences as a single node; (B, T, H) states.
 
     ``x`` is (B, T, d_in), ``lengths`` (B,) the steps of each row, each in
     0..T, and ``h0`` (B, H) the initial states; weights as in
-    ``gru_cell``. Row b steps through ``x[b, :lengths[b]]``, from the first
+    ``gru_step``. Row b steps through ``x[b, :lengths[b]]``, from the first
     step forward or, with ``reverse``, from the last step back. Output
     ``[b, t]`` is the state after step t; a step past a row's length
     leaves its state as it was, so the state carries over after the last
@@ -599,9 +584,9 @@ def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Te
     Rows are sorted by length, so the rows live at each step are a
     prefix. The input projection is one GEMM over the live (row, step)
     cells; each step then multiplies only the live rows' states by
-    ``w_hh``, with the gate arithmetic of ``gru_cell``. Wherever GEMM
+    ``w_hh``, with the gate arithmetic of ``gru_step``. Wherever GEMM
     rounds a row the same for any row count, the output is bit-identical
-    to stepping ``gru_cell`` over all B rows and keeping a finished row's
+    to stepping ``gru_step`` over all B rows and keeping a finished row's
     state. The backward runs BPTT over the same prefixes; the input,
     weight and bias gradients are one GEMM or one sum each.
     """
@@ -641,7 +626,7 @@ def gru_seq(x, lengths, h0, w_ih, w_hh, b_ih, b_hh, reverse: bool = False) -> Te
         n, c = live[k], slice(starts[k], starts[k + 1])
         if n:
             hp = h[:n]
-            h_new, gates = _gru_gates(gi_all[c], rows_matmul(hp, w_hh.data) + b_hh.data, hp)
+            h_new, gates = gru_gates(gi_all[c], rows_matmul(hp, w_hh.data) + b_hh.data, hp)
             if record:
                 for buf, val in zip(saved, (hp, *gates)):
                     buf[c] = val
@@ -797,34 +782,6 @@ def scatter_rows(x: Tensor, mask: np.ndarray) -> Tensor:
     return op_result(data, (x,), fn, "scatter_rows")
 
 
-def shift_mass(dist: Tensor, q: Tensor, offsets: np.ndarray, counts: np.ndarray) -> Tensor:
-    """Move each row's mass by every offset, weighted, landings clamped.
-
-    ``dist`` is (B, W) mass over positions, ``q`` (B, K) weights of the
-    ``offsets`` (K,), and row b's positions are ``0 .. counts[b] - 1``:
-
-        out[b, j] = sum of q[b, k] * dist[b, i] over k and i < counts[b]
-                    with clip(i + offsets[k], 0, counts[b] - 1) == j
-
-    Padding positions neither send nor receive mass. The forward sums each
-    landing's terms in float64; the backward gathers the gradient at
-    every landing, a (B, K, W) array, so memory grows with W, not W².
-    """
-    B, W = dist.shape
-    offsets, counts = np.asarray(offsets), np.asarray(counts)
-    if q.shape != (B, len(offsets)) or counts.shape != (B,):
-        raise ShapeError(f"shift_mass: dist {dist.shape}, q {q.shape}, "
-                         f"{len(offsets)} offsets and {counts.shape} counts do not conform")
-
-    data = shift_mass_fwd(dist.data, q.data, offsets, counts)
-
-    def fn(g):
-        return shift_mass_bwd(g, dist.data, q.data, offsets, counts,
-                              (dist.requires_grad, q.requires_grad))
-
-    return op_result(data, (dist, q), fn, "shift_mass")
-
-
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
     tensors = [_wrap(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)
@@ -886,13 +843,12 @@ def dropout(x: Tensor, p: float, rng, rows: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: each entry is kept with probability 1 - p and
     scaled by 1 / (1 - p). Callers skip it outside training.
 
-    ``rng`` is the stream the mask's uniforms are drawn from, or those
-    uniforms already drawn (an array of the mask's shape). ``rows``, a
+    ``rng`` is the stream the mask's uniforms are drawn from. ``rows``, a
     boolean vector with one True per row of ``x``, applies those rows of
     a mask drawn for ``len(rows)`` rows: ``x`` takes the draws it would
     get as those rows of the whole batch."""
     shape = x.data.shape if rows is None else (len(rows),) + x.data.shape[1:]
-    u = rng if isinstance(rng, np.ndarray) else rng.uniform(shape)
+    u = rng.uniform(shape)
     if rows is not None:
         u = u[rows]
     keep = (u >= p).astype(x.data.dtype) / (1.0 - p)

@@ -35,7 +35,6 @@ from .diffcore import (
     add,
     concat,
     cross_entropy,
-    getitem,
     gru_bwd,
     gru_step,
     gumbel_of,
@@ -109,14 +108,14 @@ class GeneratorConfig:
 
 @dataclass
 class SampledBatch:
-    """One sampled path per batch row, step-major: step s holds a row for
-    each batch row that fixates at s and no other, so the scan GRU reads
-    the rows as they come."""
+    """One sampled path per batch row, its rows packed step-major: step s
+    holds a row for each batch row that fixates at s and no other, so the
+    scan GRU reads the rows as they come."""
 
-    rows: list[Tensor]          # per step s, (n_s, W) position weights of
-                                # the rows that fixate at s, in batch order
+    rows: Tensor                # (N, W) position weights, step by step: the
+                                # n_s rows that fixate at step s, in batch order
     row_mask: np.ndarray        # (B, S) 1 where row b fixates at step s;
-                                # n_s = row_mask[:, s].sum()
+                                # n_s = row_mask[:, s].sum(), N = row_mask.sum()
     fixations: list[list[int]]
     stopped: np.ndarray         # (B,) bool
 
@@ -340,7 +339,7 @@ class ScanpathGenerator(Module):
 
         ``soft_convolution``: each row carries a distribution over its
         words, moved every step by the relaxed offset distribution with
-        landings clamped to the row's word range (``shift_mass``). The
+        landings clamped to the row's word range (``shift_mass_fwd``). The
         row is emitted as is and its argmax reported as the fixation; the
         path ends once the expected probability of having stopped
         reaches SOFT_STOP_MASS.
@@ -358,10 +357,10 @@ class ScanpathGenerator(Module):
         The loop runs on plain arrays. When a gradient is wanted (grad
         mode on, and the word states or a generator parameter the loop
         reads require one), each step keeps what the reverse pass reads
-        and the rows come out of one recorded ``sampler`` node, step s's
-        rows a slice of it. That node's backward (``_reverse_pass``)
+        and the packed rows are one recorded ``sampler`` node, which the
+        scan GRU reads whole. That node's backward (``_reverse_pass``)
         walks the steps in reverse. Otherwise nothing is kept and the
-        rows are plain tensors.
+        rows are a plain tensor.
 
         A live row whose logits are not finite raises FloatingPointError
         naming the step.
@@ -482,17 +481,17 @@ class ScanpathGenerator(Module):
         mask_arr = (
             np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), dtype=np.float32)
         )
+        packed = np.concatenate(rows) if rows else np.zeros((0, W), dtype=dt)
         if tape is None:
-            return SampledBatch([Tensor(r) for r in rows], mask_arr, fixations, stopped)
+            return SampledBatch(Tensor(packed), mask_arr, fixations, stopped)
         ends = np.cumsum([len(r) for r in rows]).tolist()
         for st, a, b in zip(tape, [0] + ends, ends):
             st.out = slice(a, b)
         node = op_result(
-            np.concatenate(rows), parents,
+            packed, parents,
             lambda g: self._reverse_pass(g, tape, parents, soft, inv_tau, offsets),
             "sampler")
-        return SampledBatch([getitem(node, st.out) for st in tape], mask_arr,
-                            fixations, stopped)
+        return SampledBatch(node, mask_arr, fixations, stopped)
 
     def _sampler_params(self) -> tuple[Tensor, ...]:
         """The parameters the sampler's loop reads, in its node's order
@@ -509,7 +508,7 @@ class ScanpathGenerator(Module):
         Only the recurrence is sequential. Walking the steps in reverse,
         each step's state and hidden gradients flow back through its
         history GRU, its word read, its row (the relaxed row for a hard or
-        entry step, ``shift_mass`` for a soft walk step), the decision
+        entry step, ``shift_mass_bwd`` for a soft walk step), the decision
         softmax, the head and the attention into the previous working
         set, scattered by index. Word-state gradients collect as outer
         products in two (B, 3S, W) and (B, 3S, h) buffers, summed by one

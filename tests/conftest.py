@@ -1,11 +1,13 @@
-"""Shared fixtures, the acceptance-summary terminal hook and a reference
-form of the generator's history step."""
+"""Shared fixtures, the acceptance-summary terminal hook and the pieces
+of the step-by-step reference forms: one GRU step, the scan GRU's packed
+rows split by step, and the generator's history step."""
 
 import numpy as np
 import pytest
 
 from gazenlu.corpus import make_synthetic_suite
-from gazenlu.diffcore import add, concat
+from gazenlu.diffcore import (Tensor, add, concat, getitem, gru_bwd, gru_step,
+                              linear_bwd, op_result)
 from gazenlu.textenc import TextEncoderConfig, build_vocab
 from gazenlu.trainkit import GazeModel, TrainConfig, pretrain_generator
 
@@ -29,12 +31,41 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {n:2d} {status} - {desc}: {detail}")
 
 
+def gru_cell(x, h, w_ih, w_hh, b_ih, b_hh) -> Tensor:
+    """One GRU step (``gru_step``'s equations) as a single ``gru_cell``
+    node, the form the step-by-step replays of the scan GRU and of the
+    sampler's history use; parents that do not require grad get none."""
+    data, gates = gru_step(x.data, h.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data)
+
+    def fn(g):
+        dgi, dgh, dh = gru_bwd(g, h.data, gates, w_hh.data)
+        gx, gw_ih, gb_ih = linear_bwd(x.data, w_ih.data, dgi, (
+            x.requires_grad, w_ih.requires_grad, b_ih.requires_grad))
+        _, gw_hh, gb_hh = linear_bwd(h.data, w_hh.data, dgh, (
+            False, w_hh.requires_grad, b_hh.requires_grad))
+        return (gx, dh if h.requires_grad else None, gw_ih, gw_hh, gb_ih, gb_hh)
+
+    return op_result(data, (x, h, w_ih, w_hh, b_ih, b_hh), fn, "gru_cell")
+
+
+def gru(cell, x, h) -> Tensor:
+    """One step of the ``GRUCell`` ``cell`` through ``gru_cell``."""
+    return gru_cell(x, h, cell.w_ih, cell.w_hh, cell.b_ih, cell.b_hh)
+
+
+def step_slices(rows: Tensor, step_mask: np.ndarray) -> list[Tensor]:
+    """The scan GRU's packed rows as one slice per step, each step as many
+    rows as its mask column marks."""
+    ends = np.cumsum(np.count_nonzero(step_mask, axis=0)).tolist()
+    return [getitem(rows, slice(a, b)) for a, b in zip([0] + ends[:-1], ends)]
+
+
 def history_step_graph(gen, word_row, pos_emb, h_prev):
     """``ScanpathGenerator.history_step`` on Tensors, as graph nodes:
     (residual output, new hidden). The step-by-step replays of the sampler
     feed their fixations through it."""
     inp = concat([word_row, pos_emb], axis=1)
-    h_new = gen.gru_hist(inp, h_prev)
+    h_new = gru(gen.gru_hist, inp, h_prev)
     return add(gen.hist_proj(inp), h_new), h_new
 
 

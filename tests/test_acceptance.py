@@ -16,6 +16,7 @@ import scipy.stats
 
 from conftest import history_step_graph, record_acceptance
 
+from gazenlu import augmentor
 from gazenlu.augmentor import (JointModel, ModelConfig, ScanpathEncoder,
                                average_logits)
 from gazenlu.cli import main as cli_main
@@ -85,10 +86,9 @@ def _surrogate_build_parts(seed):
             ws, counts, [RngState(5000 + seed, 4).substream("g")],
             GumbelConfig(temperature=1.0), 3, surrogate=True,
         )
-        loss = tsum(mul(ws, Tensor(base_w)))
-        for t, row in enumerate(sb.rows):
-            loss = add(loss, tsum(mul(row, Tensor(readouts[t]))))
-        return loss
+        n = sb.rows.shape[0]            # one row per step
+        return add(tsum(mul(ws, Tensor(base_w))),
+                   tsum(mul(sb.rows, Tensor(np.concatenate(readouts[:n])))))
 
     params = {"emb": emb}
     params.update(dict(gen.named_parameters()))
@@ -230,38 +230,32 @@ def _delta_walk_oracle(gen, word_states, W, rng, max_fix):
     return fix, stopped
 
 
-class _RecordingCell:
-    """Stands in for the scan GRU's cell: records each step's input and
-    keeps the state."""
-
-    def __init__(self):
-        self.inputs = []
-
-    def __call__(self, x, h):
-        self.inputs.append(x.data)
-        return h
-
-
-def test_criterion_03_reordering_oracle():
+def test_criterion_03_reordering_oracle(monkeypatch):
     rng = RngState(30303, 0)
     n_fixtures = 1000
+    # the scan GRU's input reads, step by step, recorded
+    reads = []
+    mix = augmentor.mix_rows_fwd
+    monkeypatch.setattr(augmentor, "mix_rows_fwd",
+                        lambda w, X: reads.append(mix(w, X)) or reads[-1])
     for k in range(n_fixtures):
         words, widths, paths = _mixed_width_fixture(k, rng)
         # the scan GRU's steps: at step t, a one-hot row for each sentence
-        # whose path is longer than t, in batch order
+        # whose path is longer than t, in batch order, packed step by step
         lengths = np.array([len(p) for p in paths])
         mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.float32)
         steps = []
         for t in range(lengths.max()):
             onehot = np.zeros((int(mask[:, t].sum()), words.shape[1]))
             onehot[np.arange(len(onehot)), [p[t] for p in paths if len(p) > t]] = 1.0
-            steps.append(Tensor(onehot))
+            steps.append(onehot)
         scan = ScanpathEncoder(words.shape[2], rng.substream("scan", k))
-        scan.gru = _RecordingCell()
-        scan.run_steps(steps, mask, words, Tensor(np.zeros((2, words.shape[2]))))
+        reads.clear()
+        scan.run_steps([len(s) for s in steps], mask, Tensor(np.concatenate(steps)),
+                       words, Tensor(np.zeros((2, words.shape[2]))))
         for b, path in enumerate(paths):
             at = mask[:b].sum(axis=0).astype(int)
-            got = np.stack([scan.gru.inputs[t][at[t]] for t in range(len(path))])
+            got = np.stack([reads[t][at[t]] for t in range(len(path))])
             assert np.array_equal(got, words.data[b, path])
 
     n_walks, steps = 120, 0
@@ -287,9 +281,9 @@ def test_criterion_03_reordering_oracle():
                 GumbelConfig(temperature=1e-8, mode=SOFT_CONVOLUTION),
                 max_fixations=6,
             )
-        # rows come in batch order: the walk's row is the first or the last
-        rows = np.stack([row.data[0 if me == 0 else -1] for row, m in
-                         zip(sb.rows, sb.row_mask[me]) if m])
+        # each step's rows come in batch order: the walk's row is the
+        # first or the last
+        rows = sb.rows.data[np.nonzero(sb.row_mask.T)[1] == me]
         assert np.all(rows[:, W:] == 0.0)  # no mass reaches the padding
         rows = rows[:, :W]
         assert np.all(rows.max(axis=1) == 1.0)  # exact deltas

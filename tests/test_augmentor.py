@@ -4,14 +4,17 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import gru, step_slices
+
+from gazenlu import augmentor
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, SCAN_DROPOUT, JointModel,
                                ModelConfig, ScanpathEncoder, TEXT_ONLY,
                                average_logits)
-from gazenlu.diffcore import (RngState, Tensor, add, backward, dropout, mix_rows,
-                              mul, no_grad, take_rows, tsum)
+from gazenlu.diffcore import (RngState, Tensor, add, backward, concat, dropout,
+                              mix_rows, mul, no_grad, take_rows, tsum)
 from gazenlu.gazegen import GumbelConfig, default_max_fixations
 from gazenlu.textenc import TextEncoderConfig, build_vocab, collate, tokenize
 from gazenlu.trainkit import GazeModel
@@ -58,28 +61,27 @@ def toy_text():
     return vocab, cfg, enc, (cls, words)
 
 
-class _RecordingCell:
-    """Stands in for the scan GRU's cell: records each step's input and
-    keeps the state."""
-
-    def __init__(self):
-        self.inputs = []
-
-    def __call__(self, x, h):
-        self.inputs.append(x)
-        return h
+def _scan(enc, rows, step_mask, words, cls, rng=None):
+    """``enc.run_steps`` over packed ``rows``, each step's row count read
+    off ``step_mask``."""
+    return enc.run_steps(np.count_nonzero(step_mask, axis=0), step_mask, rows,
+                         words, cls, rng)
 
 
-def _read_steps(steps, step_mask, words):
-    """The inputs the scan GRU reads for ``steps`` over ``words``."""
+def _read_steps(rows, step_mask, words, monkeypatch):
+    """The inputs the scan GRU reads, step by step, for ``rows`` over
+    ``words``: each step's word reads (``mix_rows_fwd``), recorded."""
+    reads = []
+    mix = augmentor.mix_rows_fwd
+    monkeypatch.setattr(augmentor, "mix_rows_fwd",
+                        lambda w, X: reads.append(mix(w, X)) or reads[-1])
     enc = ScanpathEncoder(words.shape[2], RngState(38, 0))
-    enc.gru = _RecordingCell()
     cls = Tensor(np.zeros((words.shape[0], words.shape[2]), dtype=words.dtype))
-    enc.run_steps(steps, step_mask, words, cls)
-    return enc.gru.inputs
+    _scan(enc, rows, step_mask, words, cls)
+    return reads
 
 
-def test_soft_reorder_mixes_word_embeddings():
+def test_soft_reorder_mixes_word_embeddings(monkeypatch):
     """Each step's position weights mix that row's own word vectors,
     across a padded batch of mixed width; a row that has stopped is not
     read, and the rows after it keep their own words."""
@@ -90,37 +92,44 @@ def test_soft_reorder_mixes_word_embeddings():
                         dtype=np.float32),
                np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]], dtype=np.float32)]
     mask = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
-    got = _read_steps([Tensor(w) for w in weights], mask, words)
+    got = _read_steps(Tensor(np.concatenate(weights)), mask, words, monkeypatch)
+    assert len(got) == 2
     for t, (w, step) in enumerate(zip(weights, got)):
         live = mask[:, t] > 0
         manual = np.einsum("bw,bwd->bd", w, words.data[live])
         assert step.shape == (live.sum(), 4)
-        assert np.abs(step.data - manual).max() < 1e-6
+        assert np.abs(step - manual).max() < 1e-6
 
 
 def test_fixation_step_is_one_graph_node():
-    """Each step reads its words through one mix_rows node over the step's
-    rows and the word vectors themselves, gathered once the set shrinks."""
+    """The scan GRU is one ``scan`` node over all its steps, whose parents
+    are the packed rows, the word vectors, [CLS] and the GRU's four
+    weights; under ``no_grad`` it records nothing, and constant rows get
+    no gradient computed."""
+    enc = ScanpathEncoder(4, RngState(38, 0))
+    g = enc.gru
     words = Tensor(np.ones((2, 3, 4), dtype=np.float32), requires_grad=True)
-    rows = [Tensor(np.eye(3, dtype=np.float32)[:2], requires_grad=True),
-            Tensor(np.eye(3, dtype=np.float32)[1:2], requires_grad=True)]
-    first, second = _read_steps(rows, np.array([[1.0, 0.0], [1.0, 1.0]]), words)
-    assert first._op == "mix_rows" and first._parents == (rows[0], words)
-    assert second._op == "mix_rows" and second._parents[0] is rows[1]
-    (taken,) = second._parents[1:]
-    assert taken._op == "take_rows" and taken._parents == (words,)
+    rows = Tensor(np.eye(3, dtype=np.float32)[[0, 1, 1]], requires_grad=True)
+    cls = Tensor(np.zeros((2, 4), dtype=np.float32), requires_grad=True)
+    mask = np.array([[1.0, 0.0], [1.0, 1.0]])
+    out = _scan(enc, rows, mask, words, cls)
+    assert out._op == "scan"
+    assert out._parents == (rows, words, cls, g.w_ih, g.w_hh, g.b_ih, g.b_hh)
+    with no_grad():
+        assert _scan(enc, rows, mask, words, cls)._op == "leaf"
+    rows.requires_grad = False
+    grads = _scan(enc, rows, mask, words, cls)._backward(np.ones((2, 4), np.float32))
+    assert grads[0] is None and all(x is not None for x in grads[1:])
 
 
 # -- scanpath encoder ----------------------------------------------------
 
 
 def _full_rows(mask, W, seed):
-    """One (B, W) row of position weights per step, and the steps the
-    scan GRU takes: each step's rows that ``mask`` marks."""
+    """One (B, W) row of position weights per step."""
     r = RngState(seed, 3)
-    full = [r.substream("w", t).uniform((mask.shape[0], W)).astype(np.float32)
+    return [r.substream("w", t).uniform((mask.shape[0], W)).astype(np.float32)
             for t in range(mask.shape[1])]
-    return full, [Tensor(f[mask[:, t] > 0]) for t, f in enumerate(full)]
 
 
 def test_cls_initializes_state_directly_when_widths_match():
@@ -129,9 +138,9 @@ def test_cls_initializes_state_directly_when_widths_match():
     enc = ScanpathEncoder(8, RngState(41, 0))
     cls = Tensor(RngState(42, 0).normal((2, 8)).astype(np.float32))
     words = Tensor(np.ones((2, 1, 8), dtype=np.float32))
-    steps = [Tensor(np.ones((1, 1), dtype=np.float32))]
+    rows = Tensor(np.ones((1, 1), dtype=np.float32))
     with no_grad():
-        out = enc.run_steps(steps, np.array([[0.0], [1.0]]), words, cls)
+        out = _scan(enc, rows, np.array([[0.0], [1.0]]), words, cls)
     assert np.array_equal(out.data[0], cls.data[0])
     assert not np.array_equal(out.data[1], cls.data[1])
 
@@ -141,13 +150,13 @@ def test_step_mask_freezes_finished_rows():
     enc.eval()
     r = RngState(44, 0)
     words = Tensor(r.substream("x").normal((1, 3, 4)).astype(np.float32))
-    steps = [Tensor(np.eye(3, dtype=np.float32)[t:t + 1]) for t in range(3)]
+    rows = Tensor(np.eye(3, dtype=np.float32))
+    first = Tensor(rows.data[:1])
     cls = Tensor(r.substream("cls").normal((1, 4)).astype(np.float32))
     with no_grad():
-        full = enc.run_steps(steps, np.array([[1.0, 1.0, 1.0]]), words, cls)
-        cut = enc.run_steps(steps[:1] + [Tensor(np.zeros((0, 3), np.float32))] * 2,
-                            np.array([[1.0, 0.0, 0.0]]), words, cls)
-        one = enc.run_steps(steps[:1], np.array([[1.0]]), words, cls)
+        full = _scan(enc, rows, np.array([[1.0, 1.0, 1.0]]), words, cls)
+        cut = _scan(enc, first, np.array([[1.0, 0.0, 0.0]]), words, cls)
+        one = _scan(enc, first, np.array([[1.0]]), words, cls)
     assert np.array_equal(cut.data, one.data)
     assert not np.array_equal(full.data, one.data)
 
@@ -164,8 +173,113 @@ def _masked_per_step(enc, full, step_mask, words, cls, rng=None):
         if train:
             x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
         m = step_mask[:, t].reshape(-1, 1).astype(cls.dtype)
-        h = add(mul(enc.gru(x, h), Tensor(m)), mul(h, Tensor(1.0 - m)))
+        h = add(mul(gru(enc.gru, x, h), Tensor(m)), mul(h, Tensor(1.0 - m)))
     return h
+
+
+def _per_op_run_steps(enc, steps, step_mask, words, cls, rng=None):
+    """Oracle: the scan GRU as it was before it became one node, over a
+    list of per-step (n_t, W) rows. Per step a ``mix_rows``, a ``dropout``
+    and a reference ``gru_cell`` node; ``take_rows`` gathers of the states
+    and words wherever the working set shrinks; the finished rows' states
+    put back in row order by a ``concat`` and a ``take_rows``."""
+    lengths = step_mask.sum(axis=1)
+    train = enc.training and rng is not None
+    ids = np.arange(cls.shape[0])
+    h = cls
+    parts = []
+    for t, w in enumerate(steps):
+        live = lengths[ids] > t
+        if not live.all():
+            parts.append((ids[~live], take_rows(h, np.flatnonzero(~live))))
+            ids = ids[live]
+            if not len(ids):
+                break
+            keep = np.flatnonzero(live)
+            h, words = take_rows(h, keep), take_rows(words, keep)
+        x = mix_rows(w, words)
+        if train:
+            x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t), lengths > t)
+        h = gru(enc.gru, x, h)
+    if len(ids):
+        parts.append((ids, h))
+    if len(parts) == 1:
+        return parts[0][1]
+    order = np.argsort(np.concatenate([i for i, _ in parts]))
+    return take_rows(concat([state for _, state in parts], axis=0), order)
+
+
+@st.composite
+def _scan_cases(draw):
+    """(lengths, T, W, d, dtype, one-hot rows, training, seed): ragged
+    prefix masks, with rows of no steps and rows of every step among
+    them, from one row up."""
+    B = draw(st.integers(1, 6))
+    T = draw(st.integers(1, 6))
+    lengths = draw(st.lists(st.sampled_from([0, T, *range(T + 1)]),
+                            min_size=B, max_size=B))
+    return (np.array(lengths), T, draw(st.integers(1, 5)), draw(st.sampled_from([16, 32])),
+            draw(st.sampled_from([np.float32, np.float64])), draw(st.booleans()),
+            draw(st.booleans()), draw(st.integers(0, 2**16)))
+
+
+@given(case=_scan_cases())
+@example(case=(np.array([0, 4, 2, 4]), 4, 3, 16, np.float32, True, True, 0))
+@example(case=(np.array([3, 0, 1]), 3, 4, 32, np.float64, False, True, 1))
+@example(case=(np.array([5]), 5, 2, 32, np.float32, False, False, 2))
+@example(case=(np.array([2]), 2, 3, 16, np.float64, True, True, 3))
+@settings(max_examples=60, deadline=None)
+def test_scan_node_matches_the_per_op_reference(case):
+    """The ``scan`` node against the per-op graph it replaced, one-hot and
+    soft rows, in eval and in training with dropout: the forward is the
+    same bytes with a graph and without, and every gradient (rows, words,
+    [CLS] and the four GRU weights) agrees within 1e-6 (float32) or 1e-12
+    (float64) times max(1, max|g|), max|g| over all the reference's
+    gradients: the node sums each weight's per-step terms in one GEMM."""
+    lengths, T, W, d, dtype, one_hot, training, seed = case
+    B = len(lengths)
+    mask = (np.arange(T)[None, :] < lengths[:, None]).astype(np.float32)
+    r = RngState(seed, 4)
+    enc = ScanpathEncoder(d, r.substream("enc"))
+    for _, p in enc.named_parameters():
+        p.data = p.data.astype(dtype)
+    enc.train(training)
+    N = int(mask.sum())
+    if one_hot:
+        packed = np.eye(W, dtype=dtype)[r.substream("at").integers(0, W, (N,))]
+    else:
+        packed = r.substream("w").uniform((N, W)).astype(dtype)
+    rows = Tensor(packed, requires_grad=True)
+    words = Tensor(r.substream("x").normal((B, W, d)).astype(dtype), requires_grad=True)
+    cls = Tensor(r.substream("cls").normal((B, d)).astype(dtype), requires_grad=True)
+    readout = Tensor(r.substream("readout").normal((B, d)).astype(dtype))
+    drop = r.substream("drop") if training else None
+    leaves = [rows, words, cls] + [p for _, p in enc.named_parameters()]
+
+    def run(graph, reference):
+        for p in leaves:
+            p.grad = None
+        with nullcontext() if graph else no_grad():
+            if reference:
+                out = _per_op_run_steps(enc, step_slices(rows, mask), mask, words, cls, drop)
+            else:
+                out = _scan(enc, rows, mask, words, cls, drop)
+            if graph:
+                backward(tsum(mul(out, readout)))
+        return out.data, [p.grad for p in leaves]
+
+    for graph in (False, True):
+        got, got_grads = run(graph, False)
+        want, want_grads = run(graph, True)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes(), graph
+    scale = max(1.0, *(np.abs(w).max(initial=0.0) for w in want_grads if w is not None))
+    tol = (1e-6 if dtype == np.float32 else 1e-12) * scale
+    for g, w in zip(got_grads, want_grads):
+        if w is None:
+            assert g is None or not g.any()
+        else:
+            assert g is not None and g.dtype == dtype and np.abs(g - w).max() <= tol
 
 
 @st.composite
@@ -196,9 +310,8 @@ def test_run_steps_matches_masked_update_per_step(batch, training):
     r = RngState(seed, 1)
     enc = ScanpathEncoder(d, r.substream("enc"))
     enc.train(training)
-    full_np, _ = _full_rows(mask, W, seed)
-    full = [Tensor(f, requires_grad=True) for f in full_np]
-    steps = [take_rows(f, np.flatnonzero(mask[:, t])) for t, f in enumerate(full)]
+    full = [Tensor(f, requires_grad=True) for f in _full_rows(mask, W, seed)]
+    packed = concat([take_rows(f, np.flatnonzero(mask[:, t])) for t, f in enumerate(full)])
     words = Tensor(r.substream("x").normal((B, W, d)).astype(np.float32),
                    requires_grad=True)
     cls = Tensor(r.substream("cls").normal((B, d)).astype(np.float32),
@@ -216,10 +329,10 @@ def test_run_steps_matches_masked_update_per_step(batch, training):
                 backward(tsum(mul(out, readout)))
         return out.data, [p.grad for p in leaves]
 
-    got, _ = run(ScanpathEncoder.run_steps, False, steps)
+    got, _ = run(_scan, False, packed)
     want, _ = run(_masked_per_step, False, full)
     assert np.array_equal(got, want)
-    got, got_grads = run(ScanpathEncoder.run_steps, True, steps)
+    got, got_grads = run(_scan, True, packed)
     want, want_grads = run(_masked_per_step, True, full)
     assert np.abs(got - want).max(initial=0.0) <= 1e-6
     for g, w in zip(got_grads, want_grads):
@@ -231,9 +344,9 @@ def test_run_steps_matches_masked_update_per_step(batch, training):
 
 def test_run_steps_rejects_a_mask_that_is_not_a_prefix():
     enc = ScanpathEncoder(4, RngState(47, 0))
-    steps = [Tensor(np.ones((1, 1), dtype=np.float32))] * 2
     with pytest.raises(ValueError, match="prefix"):
-        enc.run_steps(steps, np.array([[0.0, 1.0]]),
+        enc.run_steps([0, 1], np.array([[0.0, 1.0]]),
+                      Tensor(np.ones((1, 1), dtype=np.float32)),
                       Tensor(np.ones((1, 1, 4), dtype=np.float32)),
                       Tensor(np.zeros((1, 4), dtype=np.float32)))
 
@@ -242,10 +355,10 @@ def test_run_steps_rejects_a_mask_that_is_not_a_prefix():
 def test_run_steps_rejects_a_step_unlike_its_mask(rows):
     """A step must hold one row for each row its mask column marks."""
     enc = ScanpathEncoder(4, RngState(47, 1))
-    steps = [Tensor(np.ones((n, 3), dtype=np.float32)) for n in rows]
+    packed = Tensor(np.ones((sum(rows), 3), dtype=np.float32))
     mask = np.array([[1.0, 0.0], [1.0, 1.0]])
     with pytest.raises(ValueError, match=r"step \d has \d rows for the \d rows"):
-        enc.run_steps(steps, mask, Tensor(np.ones((2, 3, 4), dtype=np.float32)),
+        enc.run_steps(rows, mask, packed, Tensor(np.ones((2, 3, 4), dtype=np.float32)),
                       Tensor(np.zeros((2, 4), dtype=np.float32)))
 
 
@@ -256,8 +369,7 @@ def test_encoder_is_order_sensitive(toy_text):
     eye = np.eye(words.shape[1], dtype=np.float32)
 
     def feature(order):
-        steps = [Tensor(eye[f:f + 1]) for f in order]
-        return sc.run_steps(steps, np.ones((1, len(order))), words, cls)
+        return _scan(sc, Tensor(eye[order]), np.ones((1, len(order))), words, cls)
 
     with no_grad():
         f_ab, f_ba = feature([0, 1]), feature([1, 0])
@@ -266,8 +378,9 @@ def test_encoder_is_order_sensitive(toy_text):
 
 def test_empty_sequence_rejected():
     sc = ScanpathEncoder(4, RngState(46, 0))
-    with pytest.raises(ValueError):
-        sc.run_steps([], np.zeros((1, 0)), Tensor(np.zeros((1, 1, 4), dtype=np.float32)),
+    with pytest.raises(ValueError, match="at least one step"):
+        sc.run_steps([], np.zeros((1, 0)), Tensor(np.zeros((0, 1), dtype=np.float32)),
+                     Tensor(np.zeros((1, 1, 4), dtype=np.float32)),
                      Tensor(np.zeros((1, 4), dtype=np.float32)))
 
 
@@ -417,7 +530,8 @@ def test_text_only_loss_ignores_scanpaths():
 def _looped_content_steps(encs):
     """The baseline's steps as a loop over every word's tokens, reading
     the word spans from the encoded texts: step r holds a one-hot row over
-    the token positions for each row with more than r content tokens."""
+    the token positions for each row with more than r content tokens, and
+    the steps are packed one after another."""
     def steps(self, batch, dtype):
         B, _, T = batch.pool.shape
         W = batch.pool.shape[1]
@@ -438,7 +552,8 @@ def _looped_content_steps(encs):
                     scat[b, r, t] = 1.0
                     mask[b, r] = 1.0
                     r += 1
-        return [Tensor(scat[mask[:, r] > 0, r].astype(dtype)) for r in range(L)], mask
+        packed = np.concatenate([scat[mask[:, r] > 0, r] for r in range(L)])
+        return Tensor(packed.astype(dtype)), mask
     return steps
 
 
@@ -545,7 +660,7 @@ def _per_path_predict(model, batch, ids, n_paths, rng):
         for p in range(n_paths):
             sampled = model.generator.sample_gumbel_batch(
                 ws, counts, [rng.substream(sid, p) for sid in ids], gumbel, caps)
-            feature = model.scan.run_steps(sampled.rows, sampled.row_mask, words, cls)
+            feature = _scan(model.scan, sampled.rows, sampled.row_mask, words, cls)
             outs.append(model.head(feature).data)
     model.train(was_training)
     return average_logits(outs)

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import gru
+
 from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
                               ModuleList, RngState, ShapeError, Tensor, add,
                               atomic_write, backward, checkpoint_hash, concat,
-                              cross_entropy, dropout, grad_check,
+                              cross_entropy, dropout, grad_check, gru_step,
                               is_grad_enabled, layer_norm, linear,
                               load_checkpoint, matmul, mix_rows, mse_loss, mul,
                               no_grad, relu, reshape, run_standard_checks,
@@ -279,16 +281,16 @@ def test_gru_zero_state_fixed_point_with_zero_params():
     cell = GRUCell(4, 4, RngState(0, 0))
     for _, t in cell.named_parameters():
         t.data = np.zeros_like(t.data)
-    h = Tensor(np.zeros((2, 4), dtype=np.float32))
-    x = Tensor(np.ones((2, 4), dtype=np.float32))
-    h1 = cell(x, h)
-    assert np.allclose(h1.data, 0.0)
+    h = np.zeros((2, 4), dtype=np.float32)
+    x = np.ones((2, 4), dtype=np.float32)
+    h1, _ = gru_step(x, h, *(p.data for _, p in cell.named_parameters()))
+    assert np.allclose(h1, 0.0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_gru_cell_forward_matches_unfused_composition(dtype):
-    """The fused step is bit-identical to the unfused cell, written out
-    here in numpy as the graph of small ops computed it."""
+    """The fused step kernel is bit-identical to the unfused cell,
+    written out here in numpy as the graph of small ops computed it."""
     cell = _cast(GRUCell(5, 4, RngState(2, 0)), dtype)
     rng = RngState(2, 1)
     x = rng.substream("x").normal((3, 5)).astype(dtype)
@@ -304,10 +306,10 @@ def test_gru_cell_forward_matches_unfused_composition(dtype):
     z = sigmoid(gi[:, H:2 * H] + gh[:, H:2 * H])
     n = np.tanh(gi[:, 2 * H:3 * H] + r * gh[:, 2 * H:3 * H])
     unfused = n + z * (h + n * -1.0)
-    fused = cell(Tensor(x), Tensor(h))
+    fused, _ = gru_step(x, h, cell.w_ih.data, cell.w_hh.data, cell.b_ih.data,
+                        cell.b_hh.data)
     assert fused.dtype == unfused.dtype == dtype
-    assert np.array_equal(fused.data, unfused)
-    assert fused._op == "gru_cell"
+    assert np.array_equal(fused, unfused)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -387,15 +389,15 @@ def test_distinct_row_gradients_are_copies():
 
 
 def _gru_steps(x, lengths, h0, cell, reverse):
-    """Oracle for ``gru_seq``: one ``gru_cell`` node per step over all B
-    rows, a row past its length keeping its state by a masked update
-    written out in add and mul nodes."""
+    """Oracle for ``gru_seq``: one reference ``gru_cell`` node per step
+    over all B rows, a row past its length keeping its state by a masked
+    update written out in add and mul nodes."""
     T = x.shape[1]
     h = h0
     states = [None] * T
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         m = (t < lengths).astype(x.dtype).reshape(-1, 1)
-        h = add(mul(cell(x[:, t, :], h), Tensor(m)), mul(h, Tensor(1.0 - m)))
+        h = add(mul(gru(cell, x[:, t, :], h), Tensor(m)), mul(h, Tensor(1.0 - m)))
         states[t] = reshape(h, (h.shape[0], 1, h.shape[1]))
     return concat(states, axis=1)
 
@@ -462,15 +464,6 @@ def test_gru_seq_node_and_shape_errors():
         cell.seq(x, [1, 1], Tensor(np.zeros((3, 2), dtype=np.float32)))
 
 
-def test_gru_cell_takes_2d_inputs_only():
-    cell = GRUCell(3, 2, RngState(0, 0))
-    h = Tensor(np.zeros((2, 2), dtype=np.float32))
-    with pytest.raises(ShapeError):
-        cell(Tensor(np.ones((1, 2, 3), dtype=np.float32)), h)
-    with pytest.raises(ShapeError):
-        cell(Tensor(np.ones((2, 4), dtype=np.float32)), h)
-
-
 def test_constants_take_the_tensor_dtype():
     t = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
     for out in (mul(t, np.float64(0.5)), mul(np.float64(0.5), t), add(t, 1.0),
@@ -481,7 +474,7 @@ def test_constants_take_the_tensor_dtype():
 
 def test_gradients_skip_constant_operands():
     """Only parents that require grad receive one; a constant matrix in a
-    matmul, a constant state in a GRU step, a constant term or factor in
+    matmul, a constant term or factor in
     add and mul, a constant input or initial state of a GRU sequence,
     constant parts of a concat, a constant input or bias of a
     linear layer and either constant operand of a mix_rows get none
@@ -492,10 +485,6 @@ def test_gradients_skip_constant_operands():
     got = out._backward(np.ones(out.shape))
     assert got[0] is None and np.array_equal(got[1], np.full((4, 2), 15.0))
     cell = _cast(GRUCell(3, 2, RngState(0, 0)), np.float64)
-    h = cell(Tensor(np.ones((2, 3))), Tensor(np.zeros((2, 2))))
-    x_grad, h_grad, *weight_grads = h._backward(np.ones(h.shape))
-    assert x_grad is None and h_grad is None
-    assert all(g is not None for g in weight_grads)
     t = Tensor(np.ones((2, 3)), requires_grad=True)
     k = Tensor(np.full((2, 3), 2.0))
     for op in (add, mul):
@@ -526,10 +515,7 @@ def test_gradients_skip_constant_operands():
 
 def test_gru_gradients_flow():
     cell = _cast(GRUCell(3, 5, RngState(1, 0)), np.float64)
-    h = Tensor(np.zeros((1, 5)))
-    x = Tensor(np.ones((1, 3), dtype=np.float64))
-    for _ in range(3):
-        h = cell(x, h)
+    h = cell.seq(Tensor(np.ones((1, 3, 3))), [3], Tensor(np.zeros((1, 5))))
     tsum(h).backward()
     for name, t in cell.named_parameters():
         assert t.grad is not None, name

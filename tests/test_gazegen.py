@@ -12,10 +12,12 @@ from hypothesis import strategies as st
 
 from conftest import history_step_graph
 
-from gazenlu.diffcore import (NEG_INF, RngState, Tensor, add, backward,
+from gazenlu.diffcore import (FLOAT32_H, FLOAT32_TOL, FLOAT64_H, FLOAT64_TOL,
+                              NEG_INF, RngState, Tensor, add, backward, concat,
                               cross_entropy, grad_check, gumbel_of, matmul,
-                              mix_rows, mul, no_grad, reshape, shift_mass,
-                              softmax, take_rows, tsum)
+                              mix_rows, mul, no_grad, op_result, reshape,
+                              shift_mass_bwd, shift_mass_fwd, softmax, take_rows,
+                              tsum)
 from gazenlu.gazegen import (SOFT_STOP_MASS, GeneratorConfig, GumbelConfig,
                              SampledBatch, ScanpathGenerator, SOFT_CONVOLUTION,
                              default_max_fixations)
@@ -58,9 +60,9 @@ def _landing_scatter(gen, positions, counts, rows, W, dtype) -> np.ndarray:
 
 def live_rows(batch, b=0):
     """Row b's (n_fix, W) position weights, one per fixation: at each step
-    it fixates, its row of that step's rows, which come in batch order."""
-    at = batch.row_mask[:b].sum(axis=0).astype(int)
-    return np.stack([r.data[i] for r, i, m in zip(batch.rows, at, batch.row_mask[b]) if m])
+    it fixates, its row of that step's packed rows, which come in batch
+    order."""
+    return batch.rows.data[np.nonzero(batch.row_mask.T)[1] == b]
 
 
 @pytest.fixture(scope="module")
@@ -449,11 +451,7 @@ def test_straight_through_gradients_reach_generator(gen, words3):
                                     [RngState(13, 0).substream("g")], ST,
                                     max_fixations=4)
     readout = RngState(14, 0).normal((3,)).astype(np.float32)
-    loss = None
-    for row in batch.rows:
-        term = tsum(mul(row, Tensor(readout[None, :])))
-        loss = term if loss is None else add(loss, term)
-    loss.backward()
+    tsum(mul(batch.rows, Tensor(readout[None, :]))).backward()
     assert gen.head.w.grad is not None and np.abs(gen.head.w.grad).max() > 0
     assert gen.gru_hist.w_ih.grad is not None
 
@@ -568,12 +566,8 @@ def test_soft_single_word_collapses_to_delta(gen):
 
 def test_soft_gradients_reach_generator(gen, words3):
     sp = sample(gen, words3, RngState(21, 0).substream("g"), SOFT, cap=4)
-    readout = RngState(22, 0).normal((len(sp.rows), 3)).astype(np.float32)
-    loss = None
-    for t, row in enumerate(sp.rows):
-        term = tsum(mul(row, Tensor(readout[t:t + 1])))
-        loss = term if loss is None else add(loss, term)
-    loss.backward()
+    readout = RngState(22, 0).normal((sp.rows.shape[0], 3)).astype(np.float32)
+    tsum(mul(sp.rows, Tensor(readout))).backward()
     assert gen.head.w.grad is not None and np.abs(gen.head.w.grad).max() > 0
 
 
@@ -592,6 +586,31 @@ def _spread_kernel_step(dist, q, counts, l_max):
         kernel[b, np.broadcast_to(src, dst.shape), dst, np.arange(C - 1)] = 1.0
     spread = np.matmul(kernel.reshape(B, W * W, C), q[:, :, None]).reshape(B, W, W)
     return np.matmul(dist[:, None, :], spread)[:, 0, :], kernel
+
+
+def shift_mass(dist: Tensor, q: Tensor, offsets, counts) -> Tensor:
+    """The soft walk's move (``shift_mass_fwd``) as one graph node, the
+    form the sampler's step-by-step replay uses; its backward is
+    ``shift_mass_bwd``."""
+    data = shift_mass_fwd(dist.data, q.data, offsets, counts)
+    return op_result(data, (dist, q), lambda g: shift_mass_bwd(
+        g, dist.data, q.data, offsets, counts, (dist.requires_grad, q.requires_grad)),
+        "shift_mass")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_shift_mass_gradchecks(dtype):
+    """The move's kernels pass the gradcheck their ``standard_op_checks``
+    entry ran: rows of 4, 1 and 3 words, offsets that clamp at both ends."""
+    r = RngState(2024, 1)
+    p = {k: Tensor(r.substream(k).normal(shape).astype(dtype), requires_grad=True)
+         for k, shape in (("shm_d", (3, 4)), ("shm_q", (3, 5)))}
+    w = RngState(2024, 99).substream("shm").normal((3, 4)).astype(dtype)
+    offs, counts = np.array([-3, -1, 0, 1, 2]), np.array([4, 1, 3])
+    h, tol = (FLOAT64_H, FLOAT64_TOL) if dtype == np.float64 else (FLOAT32_H, FLOAT32_TOL)
+    report = grad_check(lambda: tsum(mul(shift_mass(p["shm_d"], p["shm_q"], offs, counts),
+                                         Tensor(w))), p, h=h, tol=tol)
+    assert report.ok, report.failures
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -627,15 +646,17 @@ def test_soft_step_matches_spread_kernel_oracle(dtype):
     assert np.abs(q_t.grad - want_q[:, :C - 1]).max() <= 1e-6
 
 
+def _rows_loss(sb, readout):
+    """The packed rows contracted with ``readout[b, s]`` at each (row,
+    step) they hold."""
+    cell_t, cell_b = np.nonzero(sb.row_mask.T)
+    return tsum(mul(sb.rows, Tensor(readout[cell_b, cell_t, :sb.rows.shape[1]])))
+
+
 def _sample_rows_loss(gen, ws, counts, rngs, cfg, caps, readout, surrogate):
     """Sample a batch and contract its rows with a fixed readout."""
     sb = gen.sample_gumbel_batch(ws, counts, rngs, cfg, caps, surrogate=surrogate)
-    loss = None
-    for t, row in enumerate(sb.rows):
-        live = sb.row_mask[:, t] > 0
-        term = tsum(mul(row, Tensor(readout[live, t, :row.shape[1]])))
-        loss = term if loss is None else add(loss, term)
-    return sb, loss
+    return sb, _rows_loss(sb, readout)
 
 
 @pytest.mark.parametrize("cfg, surrogate", [(ST, False), (SOFT, False), (ST, True)],
@@ -757,7 +778,8 @@ def _sample_full_noise(gen, word_states, counts, rngs, cfg, max_fixations,
         state, hid = history_step_graph(gen, mix_rows(row, ws), pe, hid)
         positions = fix
     mask_arr = np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), np.float32)
-    return SampledBatch(rows, mask_arr, fixations, stopped)
+    packed = concat(rows) if rows else Tensor(np.zeros((0, W), dtype=dt))
+    return SampledBatch(packed, mask_arr, fixations, stopped)
 
 
 @st.composite
@@ -833,22 +855,16 @@ def test_sampler_matches_full_noise_oracle(case):
             sb = fn(ws, counts, rngs, cfg, caps, surrogate=case["relax"] == "surrogate")
         grads = []
         if case["grad"] in ("grad", "word_states"):
-            loss = None
-            for t, row in enumerate(sb.rows):
-                live = sb.row_mask[:, t] > 0
-                term = tsum(mul(row, Tensor(readout[live, t])))
-                loss = term if loss is None else add(loss, term)
-            backward(loss)
+            backward(_rows_loss(sb, readout))
             grads = [ws.grad] + [p.grad for p in params]
         results.append((sb, grads))
     (got, got_grads), (want, want_grads) = results
     assert got.fixations == want.fixations
     assert np.array_equal(got.stopped, want.stopped)
     assert got.row_mask.tobytes() == want.row_mask.tobytes()
-    assert len(got.rows) == len(want.rows)
-    for a, b in zip(got.rows, want.rows):
-        assert a.dtype == b.dtype == dtype
-        assert a.data.tobytes() == b.data.tobytes()
+    assert got.rows.shape == want.rows.shape
+    assert got.rows.dtype == want.rows.dtype == dtype
+    assert got.rows.data.tobytes() == want.rows.data.tobytes()
     # the reverse pass sums each gradient's per-step terms in another order
     tol = 1e-12 if dtype == np.float64 else 1e-6
     for a, b in zip(got_grads, want_grads):
@@ -892,12 +908,9 @@ def _surrogate_gradcheck(n_words: int, cap: int, noise_seed: int, min_rows: int)
         ws = gen.encode_words_batch(Tensor(base), np.array([n_words]))
         sp = sample(gen, ws, RngState(noise_seed, 0).substream("g"), gcfg,
                     cap=cap, surrogate=True)
-        assert len(sp.rows) >= min_rows
-        loss = None
-        for t, row in enumerate(sp.rows):
-            term = tsum(mul(row, Tensor(readout[t:t + 1])))
-            loss = term if loss is None else add(loss, term)
-        return loss
+        n = sp.rows.shape[0]            # one row per step
+        assert n >= min_rows
+        return tsum(mul(sp.rows, Tensor(readout[:n])))
 
     params = dict(gen.named_parameters())
     report = grad_check(build, params, h=1e-5, tol=1e-4, sample=3,

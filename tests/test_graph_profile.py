@@ -21,7 +21,11 @@ def test_graph_profile_counts_one_sampler_node_per_step():
     *table, memory = proc.stdout.splitlines()[2:]
     rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in table}
     total = rows.pop("total")
-    assert rows["sampler"][0] == 1.0
+    # one node each for the sampler and the scan GRU, which reads the
+    # sampler's packed rows whole: no per-step GRU nodes and no per-step
+    # row slices; the one slice left is the text encoder's [CLS] read
+    assert rows["sampler"][0] == 1.0 and rows["scan"][0] == 1.0
+    assert "gru_cell" not in rows and rows["getitem"][0] == 1.0
     assert total[0] == sum(nodes for nodes, _ in rows.values())
     assert total[1] > 0 and all(ms >= 0 for _, ms in rows.values())
     # backward consumes the warm-up step's graph, which outweighs its gradients

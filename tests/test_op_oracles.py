@@ -1,12 +1,14 @@
-"""The GRU ops, the row gather, the lazily built backward closures and
-the packed text encoder against the forms they replaced.
+"""The GRU step, the GRU op, the row gather, the lazily built backward
+closures and the packed text encoder against the forms they replaced.
 
 The oracles are test-local copies of the earlier ``gru_cell``,
 ``gru_seq``, ``embedding``, ``relu``, ``concat`` and ``transpose``. Each
 wrapped its backward closure in a factory that ``_result`` called only
 for a recorded node, and the GRU gate algebra was written out in both GRU
 ops. The ops must give the same forward values and the same gradients,
-bit for bit, in float32 and float64.
+bit for bit, in float32 and float64. ``gru_cell`` has left the core: its
+step and backward kernels, which the sampler and the scan GRU run, are
+checked through the reference ``conftest.gru_cell`` built from them.
 
 The text encoder's oracle is its earlier padded form, which ran every
 layer on all B x T slots and built attention from per-op nodes. The
@@ -22,10 +24,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import gru_cell
+
 from gazenlu import diffcore
 from gazenlu.augmentor import TEXT_ONLY, JointModel, ModelConfig
-from gazenlu.diffcore import (NEG_INF, Embedding, RngState, Tensor, add,
-                              backward, concat, dropout, gru_cell, gru_seq,
+from gazenlu.diffcore import (FLOAT32_H, FLOAT32_TOL, FLOAT64_H, FLOAT64_TOL,
+                              NEG_INF, Embedding, RngState, Tensor, add,
+                              backward, concat, dropout, grad_check, gru_seq,
                               matmul, mul, no_grad, relu, reshape, softmax,
                               standard_op_checks, take_rows, transpose, tsum)
 from gazenlu.diffcore.tensor import (ShapeError, _record, _row_sums, _wrap,
@@ -295,6 +300,22 @@ def test_gru_cell_matches_its_earlier_form(case):
     _same_node(gru_cell(x, h, *weights), _old_gru_cell(x, h, *weights), g)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_reference_gru_cell_gradchecks(dtype):
+    """The reference step passes the gradcheck its ``standard_op_checks``
+    entry ran, at half-scale inputs: at float32's step of 1e-2, the central
+    difference of the gates' tanh at unit-scale pre-activations is off by
+    ~1e-4, the size of the tolerance."""
+    r = RngState(2024, 1).substream("gru")
+    p = {k: Tensor((0.5 * r.substream(k).normal(shape)).astype(dtype), requires_grad=True)
+         for k, shape in (("x", (2, 3)), ("h", (2, 4)), ("w_ih", (3, 12)),
+                          ("w_hh", (4, 12)), ("b_ih", (12,)), ("b_hh", (12,)))}
+    w = RngState(2024, 99).substream("gru").normal((2, 4)).astype(dtype)
+    h, tol = (FLOAT64_H, FLOAT64_TOL) if dtype == np.float64 else (FLOAT32_H, FLOAT32_TOL)
+    report = grad_check(lambda: tsum(mul(gru_cell(**p), Tensor(w))), p, h=h, tol=tol)
+    assert report.ok, report.failures
+
+
 @st.composite
 def _seq_cases(draw):
     """(lengths, T, d, H, dtype, reverse, h0 requires grad, seed): ragged
@@ -466,7 +487,7 @@ def test_ops_under_no_grad_record_nothing(monkeypatch):
     assert built == []
     for _, build, _ in standard_op_checks(np.float64):
         build()
-    assert {"gru_cell", "gru_seq", "relu", "take_rows"} <= set(built)
+    assert {"scan", "gru_seq", "relu", "take_rows"} <= set(built)
 
 
 def test_relu_mask_is_computed_only_by_its_backward():
@@ -518,7 +539,7 @@ def test_every_training_graph_op_has_a_gradcheck():
     gaze = GazeModel(text, gen_hidden=16, l_max=8, seed=0)
     graphs["batch_nll"] = _graph_ops(
         gaze.batch_nll(batch, [[0, 1], [2, 0, 1]], RngState(3, 0))[0])
-    assert {"gru_seq", "gru_cell", "sampler", "dropout"} <= set().union(*graphs.values())
+    assert {"gru_seq", "scan", "sampler", "dropout"} <= set().union(*graphs.values())
     for name, ops in graphs.items():
         assert not ops - checked, (name, sorted(ops - checked))
 
