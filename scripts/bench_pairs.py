@@ -19,9 +19,13 @@ no-regression verdict: "fails" when the change's median is worse than the
 parent's by more than the metric's ``bound`` (a fraction of the parent's
 median), else "unresolved" when either side's quartile spread is wider
 than the bound, else "holds"; a change whose every run beats every parent
-run holds whatever the spread. Every run's metrics go to
-``--out`` as JSON lines. A run that fails its output checks stops the
-script with exit code 1.
+run holds whatever the spread. For the workloads whose runs report
+``fixations_per_path`` (on the context line before the result), it also
+prints each side's median of it: a change that makes the sampler read
+longer or shorter paths changes the work behind every metric. Every run's
+metrics, and its ``fixations_per_path`` where reported, go to ``--out``
+as JSON lines. A run that fails its output checks stops the script with
+exit code 1.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+PATH_LENGTH = "fixations_per_path"
 
 
 def parse_args(argv):
@@ -53,7 +58,8 @@ def parse_args(argv):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its end-to-end metrics by name."""
+    """One benchmark run; its end-to-end metrics by name, and
+    ``fixations_per_path`` from its context line when it reports one."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=checkout)
@@ -62,7 +68,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not result.get("correct"):
         sys.stderr.write(proc.stderr)
         raise SystemExit(f"bench_pairs: {' '.join(cmd)} failed (exit {proc.returncode})")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    out = {name: m["value"] for name, m in result["metrics"].items()}
+    info = json.loads(lines[-2])["info"] if len(lines) > 1 else {}
+    if info.get(PATH_LENGTH) is not None:
+        out[PATH_LENGTH] = info[PATH_LENGTH]
+    return out
 
 
 def judge(parent: list[float], change: list[float], higher: bool) -> dict:
@@ -120,6 +130,10 @@ def main(argv=None) -> int:
                   f"{c[0]:10.4g} [{c[1]:.4g}, {c[2]:.4g}]  won {j['wins']}/{j['pairs']}  "
                   f"gain {'holds' if j['gain'] else 'not shown'}  "
                   f"no regression {no_regression(parent, change, up, bound)}", flush=True)
+        if all(PATH_LENGTH in r for side in runs.values() for r in side):
+            p, c = (float(np.median([r[PATH_LENGTH] for r in runs[side]]))
+                    for side in ("parent", "change"))
+            print(f"  {PATH_LENGTH} {p:.4g} -> {c:.4g}", flush=True)
     return 0
 
 

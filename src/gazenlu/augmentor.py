@@ -25,6 +25,7 @@ from .diffcore import (
     RngState,
     Tensor,
     cross_entropy,
+    dropout_keep,
     gru_bwd,
     gru_gates,
     is_grad_enabled,
@@ -36,7 +37,7 @@ from .diffcore import (
     no_grad,
     op_result,
     rows_matmul,
-    stream_uniforms,
+    stream_words,
     take_rows,
 )
 from .gazegen import (
@@ -79,7 +80,7 @@ class ScanpathEncoder(Module):
         self.gru = GRUCell(d, d, rng.substream("gru"))
 
     def run_steps(self, steps, step_mask: np.ndarray, rows: Tensor, words: Tensor,
-                  cls: Tensor, rng: RngState | None = None) -> Tensor:
+                  cls: Tensor, rngs: list[RngState] | None = None) -> Tensor:
         """The GRU's last state per row, started from ``cls``; (B, d).
 
         ``step_mask`` (B, S) marks each row's steps, a prefix of them, and
@@ -87,10 +88,11 @@ class ScanpathEncoder(Module):
         position weights of each marked (row, step), step after step, a
         step's rows in batch order, as the sampler emits them; each reads
         its row's (W, d) ``words``, so a one-hot row picks one word. A row
-        with no steps reads out ``cls``. In training, step t's dropout
-        mask is drawn for the whole (B, d) step from
-        ``rng.substream("drop", t)`` (all in one ``stream_uniforms`` call)
-        and its live rows applied.
+        with no steps reads out ``cls``. In training, ``rngs`` holds one
+        dropout stream per batch row, and one ``stream_words`` call draws
+        the masks of the marked cells only: row b's stream gives d words
+        for each of its steps in turn, so a row's masks depend on its
+        stream and its step count alone, never on the rest of its batch.
 
         One ``scan`` node, on plain arrays: the words are gathered only on
         steps where a row finishes, one GEMM projects every step's input,
@@ -127,10 +129,11 @@ class ScanpathEncoder(Module):
                 ws = words.data[cell_b[a:b]]
             x[a:b] = mix_rows_fwd(rows.data[a:b], ws)
         keep = None
-        if self.training and rng is not None:
-            streams = rng.substreams("drop", tails=[(t,) for t in range(S)])
-            drops = stream_uniforms(streams, [B * d] * S).reshape(S, B, d)
-            keep = (drops[cell_t, cell_b] >= SCAN_DROPOUT).astype(dt) / (1.0 - SCAN_DROPOUT)
+        if self.training and rngs is not None:
+            n_cells = np.count_nonzero(step_mask, axis=1)
+            drops = stream_words(rngs, n_cells * d).reshape(-1, d)
+            first = np.cumsum(n_cells) - n_cells         # each row's first cell
+            keep = dropout_keep(drops[first[cell_b] + cell_t], SCAN_DROPOUT, dt)
             x *= keep
         gi = rows_matmul(x, g.w_ih.data) + g.b_ih.data
         h = cls.data.astype(dt, copy=True)
@@ -244,25 +247,33 @@ class JointModel(Module):
 
     # -- fixation-ordered steps ------------------------------------------
 
-    def _word_states(self, batch: Batch, rng: RngState | None) -> Tensor:
-        _, _, words = self.gen_encoder.forward_batch(batch, rng)
+    def _word_states(self, batch: Batch, rngs: list[RngState] | None) -> Tensor:
+        _, _, words = self.gen_encoder.forward_batch(batch, rngs)
         return self.generator.encode_words_batch(words, batch.word_counts)
 
     # -- training loss ---------------------------------------------------
 
     def loss_pairs(self, batch: Batch, labels: np.ndarray,
-                   pair_rngs: list[RngState], drop_rng: RngState | None):
-        """Mean loss over (instance, scanpath) pairs; batch rows are pairs."""
+                   pair_rngs: list[RngState], drop_rngs: list[RngState] | None):
+        """Mean loss over (instance, scanpath) pairs; batch rows are pairs.
+
+        ``drop_rngs`` holds one dropout stream per pair, or is None for no
+        dropout. Its substreams "cls_enc", "gen_enc" and "scan" draw the
+        classifier's encoder's, the generator's encoder's and the scan
+        GRU's masks, so a pair's masks do not depend on its batch.
+        """
         B = batch.size
-        rng = drop_rng if self.training else None
-        tokens, cls, words = self.cls_encoder.forward_batch(
-            batch, rng.substream("cls_enc") if rng else None
-        )
+        rngs = drop_rngs if self.training else None
+
+        def drops(name: str) -> list[RngState] | None:
+            return None if rngs is None else [r.substream(name) for r in rngs]
+
+        tokens, cls, words = self.cls_encoder.forward_batch(batch, drops("cls_enc"))
         if self.cfg.model_kind == TEXT_ONLY:
             rows, mask = self._content_steps(batch, tokens.dtype)
             words = tokens
         else:
-            ws = self._word_states(batch, rng.substream("gen_enc") if rng else None)
+            ws = self._word_states(batch, drops("gen_enc"))
             # per-sentence caps: a row's path length never depends on how
             # long the other sentences in its batch happen to be
             counts = batch.word_counts
@@ -271,8 +282,7 @@ class JointModel(Module):
                 np.array([default_max_fixations(int(c)) for c in counts]))
             rows, mask = sampled.rows, sampled.row_mask
         feature = self.scan.run_steps(
-            np.count_nonzero(mask, axis=0), mask, rows, words, cls,
-            rng.substream("scan") if rng else None)
+            np.count_nonzero(mask, axis=0), mask, rows, words, cls, drops("scan"))
         out = self.head(feature)
         if self.head.kind == CLASSIFICATION:
             loss = cross_entropy(out, labels.astype(np.int64))

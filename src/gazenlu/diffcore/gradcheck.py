@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rng import RngState
+from .rng import RngState, stream_words
 from .tensor import (
     NEG_INF,
     Tensor,
@@ -266,13 +266,9 @@ def standard_op_checks(dtype=np.float64):
     entry("sum", {"x": x}, lambda x=x: readout(tsum(x, axis=1), "sum"))
 
     x = _rand(rng.substream("do"), (4, 4), d)
+    words = stream_words([RngState(77, 7)], [16]).reshape(4, 4)
     entry("dropout", {"x": x},
-          lambda x=x: readout(dropout(x, 0.5, RngState(77, 7)), "do"))
-
-    x = _rand(rng.substream("dor"), (2, 4), d)
-    live = np.array([False, True, False, True])
-    entry("dropout_rows", {"x": x},
-          lambda x=x, live=live: readout(dropout(x, 0.5, RngState(77, 8), live), "dor"))
+          lambda x=x, w=words: readout(dropout(x, 0.5, w), "do"))
 
     # the Gumbel sampler's node (``gazegen``), relaxed rows forward so
     # finite differences see the gradient: two rows of 3 and 2 words
@@ -310,7 +306,8 @@ def standard_op_checks(dtype=np.float64):
         p.data = (0.5 * rng.substream("scan", k).normal(p.shape)).astype(d)
     mask = (np.arange(3) < np.array([[3], [0], [2]])).astype(np.float32)
     entry("scan", scan, lambda enc=enc, m=mask, p=scan: readout(enc.run_steps(
-        m.sum(axis=0), m, p["rows"], p["words"], p["cls"], RngState(2024, 7)), "scan"))
+        m.sum(axis=0), m, p["rows"], p["words"], p["cls"],
+        [RngState(2024, 7 + b) for b in range(3)]), "scan"))
 
     z = _rand(rng.substream("ce"), (4, 3), d)
     tgt = np.array([0, 2, 1, 1])

@@ -16,17 +16,18 @@ A stream's draws come in sequence: k uniforms drawn in one call are the
 values k one-at-a-time calls would give. Callers rely on this to draw a
 whole walk's or shuffle's uniforms in one call.
 
-Three paths draw the same streams. Philox is counter-based: block j of a
+Four paths draw the same streams. Philox is counter-based: block j of a
 stream (its uniforms 4j..4j+3) is Philox4x64-10 of counter j+1 under the
 stream's key, so any block of any stream can be computed on its own
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 Which path to use depends on how many streams there are and how long:
 
-- ``first_uniforms`` draws the first values of many fresh streams in one
-  vectorized numpy pass. Use it for many short streams, as for the
-  synthetic suite's thousands of streams of a few to a few dozen values:
-  it draws a stream's first 4 values in about 0.8 us, where building a
-  numpy generator costs about 6-8 us.
+- ``first_uniforms`` draws the first values of many fresh streams in
+  vectorized numpy passes over fixed-size chunks of (stream, block)
+  pairs. Use it for many short streams, as for the synthetic suite's
+  thousands of streams of a few to a few dozen values: it draws a
+  stream's first 4 values in about 0.8 us, where building a numpy
+  generator costs about 6-8 us.
 - ``stream_uniforms`` draws the first values of fresh streams of any
   length through one numpy Philox whose key is reset for each stream.
   Use it for a batch of long streams, as for the sampler's noise
@@ -34,8 +35,12 @@ Which path to use depends on how many streams there are and how long:
   8 ns per value against about 100 ns in the vectorized pass, and a key
   reset with its draw call costs about 3 us a stream, against about 6 us
   to build a generator.
+- ``stream_words`` draws the first raw 32-bit words of fresh streams the
+  same way, packed end to end. Dropout reads them: one stream per
+  training row, so a row's masks never depend on its batch, and one call
+  per text-encoder forward or scan, for the real cells only.
 - ``RngState``'s own generator draws a stream in sequence, call after
-  call, as for dropout and initialization.
+  call, as for initialization.
 
 Each gives bit for bit the values of the stream's own generator. These
 times are from a 2-core x86-64 machine with numpy 2.4.
@@ -64,6 +69,8 @@ _PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & np.uint64(0xFFFFFFFF), _PHILOX_M >> np.
 _PHILOX_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _PHILOX_ROUNDS = 10
 _LO32, _SHIFT32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+# (stream, block) pairs per vectorized Philox pass of ``first_uniforms``
+_PHILOX_CHUNK = 1024
 
 
 def _parts_bytes(parts) -> bytes:
@@ -127,24 +134,55 @@ def first_uniforms(streams: Sequence["RngState"], n: int, start: int = 0) -> np.
 
     Row i is bit for bit what ``streams[i].uniform((start + n,))[start:]``
     gives on a fresh stream: each stream is read from its start, whatever
-    its own generator has drawn, and none is advanced. All (stream, block)
-    pairs run through one vectorized Philox pass instead of one numpy
-    generator per stream (the module docstring says when to use which).
+    its own generator has drawn, and none is advanced. The (stream, block)
+    pairs run through vectorized Philox passes of at most ``_PHILOX_CHUNK``
+    pairs each, instead of one numpy generator per stream (the module
+    docstring says when to use which), so the passes' temporaries stay
+    bounded however many streams one call draws.
     """
+    out = np.empty((len(streams), n))
     if not streams or n == 0:
-        return np.zeros((len(streams), n))
+        return out
     first, stop = start // 4, -(-(start + n) // 4)
     n_blocks = stop - first
-    pairs = itertools.chain.from_iterable(
-        [_key_words(s.seed, s.stream_id) for s in streams])
-    key = np.fromiter(pairs, np.uint64, 2 * len(streams)).reshape(-1, 2).T
-    # block j of a stream runs Philox on counter j + 1
-    counter = np.tile(np.arange(first + 1, stop + 1, dtype=np.uint64), len(streams))
-    key = np.repeat(key, n_blocks, axis=1)
-    words = _philox(counter, key).reshape(len(streams), 4 * n_blocks)
     skip = start - 4 * first
-    # a double from the top 53 bits, as numpy's Philox makes it
-    return (words[:, skip:skip + n] >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    # block j of a stream runs Philox on counter j + 1
+    blocks = np.arange(first + 1, stop + 1, dtype=np.uint64)
+    per_chunk = max(1, _PHILOX_CHUNK // n_blocks)
+    for at in range(0, len(streams), per_chunk):
+        chunk = streams[at:at + per_chunk]
+        pairs = itertools.chain.from_iterable(
+            [_key_words(s.seed, s.stream_id) for s in chunk])
+        key = np.fromiter(pairs, np.uint64, 2 * len(chunk)).reshape(-1, 2).T
+        words = _philox(np.tile(blocks, len(chunk)), np.repeat(key, n_blocks, axis=1))
+        words = words.reshape(len(chunk), 4 * n_blocks)[:, skip:skip + n]
+        # a double from the top 53 bits, as numpy's Philox makes it
+        words >>= np.uint64(11)
+        np.multiply(words, 1.0 / 9007199254740992.0, out=out[at:at + len(chunk)])
+    return out
+
+
+def _fresh_generators(streams: Sequence["RngState"]):
+    """For each stream in turn, one reused numpy generator whose Philox is
+    reset to that stream's start: counter 0, an empty output buffer and
+    the stream's key, set through the ``state`` setter, in place of one
+    generator per stream (the module docstring says when to use which)."""
+    bits = np.random.Philox(_KeyWords(np.zeros(2, np.uint64)))
+    gen = np.random.Generator(bits)
+    # lists, which the setter reads faster than arrays
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for s in streams:
+        state["state"]["key"] = _key_words(s.seed, s.stream_id)
+        bits.state = state
+        yield gen
+
+
+def _counts(streams: Sequence["RngState"], counts) -> list[int]:
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if len(counts) != len(streams):
+        raise ValueError(f"{len(counts)} counts for {len(streams)} streams")
+    return counts.tolist()
 
 
 def stream_uniforms(streams: Sequence["RngState"], counts) -> np.ndarray:
@@ -153,25 +191,29 @@ def stream_uniforms(streams: Sequence["RngState"], counts) -> np.ndarray:
 
     Row i is bit for bit what ``streams[i].uniform((counts[i],))`` gives
     on a fresh stream: each stream is read from its start, whatever its
-    own generator has drawn, and none is advanced. One numpy Philox draws
-    every row, its key reset for each stream through its ``state``
-    setter, in place of one generator per stream (the module docstring
-    says when to use which).
+    own generator has drawn, and none is advanced.
     """
-    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
-    if len(counts) != len(streams):
-        raise ValueError(f"{len(counts)} counts for {len(streams)} streams")
-    out = np.zeros((len(streams), int(counts.max(initial=0))))
-    bits = np.random.Philox(_KeyWords(np.zeros(2, np.uint64)))
-    gen = np.random.Generator(bits)
-    # a fresh stream: counter 0, an empty output buffer, the stream's key
-    # (lists, which the setter reads faster than arrays)
-    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": [0, 0]},
-             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, s, n in zip(out, streams, counts.tolist()):
-        state["state"]["key"] = _key_words(s.seed, s.stream_id)
-        bits.state = state
+    counts = _counts(streams, counts)
+    out = np.zeros((len(streams), max(counts, default=0)))
+    for row, gen, n in zip(out, _fresh_generators(streams), counts):
         gen.random(out=row[:n])
+    return out
+
+
+def stream_words(streams: Sequence["RngState"], counts) -> np.ndarray:
+    """The first ``counts[i]`` raw 32-bit words of each stream, laid end
+    to end in one uint32 array of ``sum(counts)`` words, with no padding.
+
+    Stream i's words are its own generator's raw 64-bit outputs, each
+    split into its low and high word (``random_raw`` viewed as uint32),
+    read from the stream's start; none is advanced.
+    """
+    counts = _counts(streams, counts)
+    out = np.empty(sum(counts), dtype=np.uint32)
+    at = 0
+    for gen, n in zip(_fresh_generators(streams), counts):
+        out[at:at + n] = gen.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
+        at += n
     return out
 
 

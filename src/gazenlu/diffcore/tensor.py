@@ -60,6 +60,7 @@ changing a bit.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -839,19 +840,19 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- randomized / loss ops ----------------------------------------------
 
 
-def dropout(x: Tensor, p: float, rng, rows: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: each entry is kept with probability 1 - p and
-    scaled by 1 / (1 - p). Callers skip it outside training.
+def dropout_keep(words: np.ndarray, p: float, dtype) -> np.ndarray:
+    """Inverted dropout's multipliers from 32-bit ``words``: 1 / (1 - p)
+    where a word is at least ceil(p * 2^32), else 0. A uniform word is
+    kept with probability 1 - p to within 2^-32."""
+    return (words >= math.ceil(p * 2**32)).astype(dtype) / (1.0 - p)
 
-    ``rng`` is the stream the mask's uniforms are drawn from. ``rows``, a
-    boolean vector with one True per row of ``x``, applies those rows of
-    a mask drawn for ``len(rows)`` rows: ``x`` takes the draws it would
-    get as those rows of the whole batch."""
-    shape = x.data.shape if rows is None else (len(rows),) + x.data.shape[1:]
-    u = rng.uniform(shape)
-    if rows is not None:
-        u = u[rows]
-    keep = (u >= p).astype(x.data.dtype) / (1.0 - p)
+
+def dropout(x: Tensor, p: float, words: np.ndarray) -> Tensor:
+    """Inverted dropout: each entry is kept with probability 1 - p and
+    scaled by 1 / (1 - p), as ``dropout_keep`` reads its word in
+    ``words``, a uint32 array of ``x``'s shape (``rng.stream_words``
+    draws them). Callers skip it outside training."""
+    keep = dropout_keep(words, p, x.data.dtype)
     data = x.data * keep
 
     def fn(g):

@@ -383,7 +383,8 @@ class ScanpathGenerator(Module):
             [] if is_grad_enabled() and any(p.requires_grad for p in parents) else None)
         fix_w = self.fix_pos.w.data
         stopped = np.zeros(B, dtype=bool)
-        fixations: list[list[int]] = [[] for _ in range(B)]
+        fix_rows: list[np.ndarray] = []     # each step's fixating rows
+        fix_at: list[np.ndarray] = []       # and their fixations
         rows: list[np.ndarray] = []
         row_mask: list[np.ndarray] = []
         # the working set: the batch rows still reading, and their state
@@ -457,8 +458,8 @@ class ScanpathGenerator(Module):
             rows.append(row if live.all() else row[live])
             row_mask.append(np.zeros(B, dtype=np.float32))
             row_mask[-1][ids[live]] = 1.0
-            for b, f in zip(ids[live], fix[live]):
-                fixations[b].append(int(f))
+            fix_rows.append(ids[live])
+            fix_at.append(fix[live])
             if tape is not None:
                 tape.append(_Step(ids, ws, attn, x_head, probs, live, relax, moved))
             # every row of the working set has fixated at each step so far
@@ -482,6 +483,12 @@ class ScanpathGenerator(Module):
             np.stack(row_mask, axis=1) if row_mask else np.zeros((B, 0), dtype=np.float32)
         )
         packed = np.concatenate(rows) if rows else np.zeros((0, W), dtype=dt)
+        # each row's fixations in step order: one stable sort by row, one split
+        by_row = np.concatenate([np.zeros(0, np.int64), *fix_rows])
+        order = np.argsort(by_row, kind="stable")
+        fix_sorted = np.concatenate([np.zeros(0, np.int64), *fix_at])[order].tolist()
+        cuts = np.cumsum(np.bincount(by_row, minlength=B)).tolist()
+        fixations = [fix_sorted[a:b] for a, b in zip([0] + cuts, cuts)]
         if tape is None:
             return SampledBatch(Tensor(packed), mask_arr, fixations, stopped)
         ends = np.cumsum([len(r) for r in rows]).tolist()

@@ -37,6 +37,7 @@ from .diffcore import (
     matmul,
     relu,
     scatter_rows,
+    stream_words,
 )
 
 CLS_ID, SEP_ID, PAD_ID, UNK_ID = 0, 1, 2, 3
@@ -307,15 +308,16 @@ class EncoderBlock(Module):
         self.ff1 = Linear(cfg.d_model, cfg.d_ff, rng.substream("ff1"))
         self.ff2 = Linear(cfg.d_ff, cfg.d_model, rng.substream("ff2"))
 
-    def __call__(self, x: Tensor, live: np.ndarray, rng: RngState | None) -> Tensor:
-        train = self.training and rng is not None
+    def __call__(self, x: Tensor, live: np.ndarray, words: np.ndarray | None) -> Tensor:
+        """``words`` (N, 2, d) holds the attention and feed-forward
+        dropout words of the packed rows, or is None for no dropout."""
         a = self.attn(self.ln1(x), live)
-        if train:
-            a = dropout(a, DROPOUT, rng.substream("attn_drop"), live.reshape(-1))
+        if words is not None:
+            a = dropout(a, DROPOUT, words[:, 0])
         x = add(x, a)
         f = self.ff2(relu(self.ff1(self.ln2(x))))
-        if train:
-            f = dropout(f, DROPOUT, rng.substream("ff_drop"), live.reshape(-1))
+        if words is not None:
+            f = dropout(f, DROPOUT, words[:, 1])
         return add(x, f)
 
 
@@ -338,17 +340,19 @@ class TextEncoder(Module):
         token_ids: np.ndarray,
         segment_ids: np.ndarray,
         attention_mask: np.ndarray,
-        rng: RngState | None = None,
+        rngs: list[RngState] | None = None,
     ) -> Tensor:
         """(B, T) int arrays to (B, T, d) contextual embeddings, zero at
         the padding.
 
         The N tokens that ``attention_mask`` marks are gathered once, and
         every token-wise layer runs on those (N, d) packed rows; only the
-        attention node lays them out padded. Each dropout mask is drawn
-        for the whole (B * T, d) padded batch and applied at the tokens'
-        rows, so a token takes the draws it took when every layer ran on
-        the padded batch.
+        attention node lays them out padded. In training, ``rngs`` holds
+        one dropout stream per batch row, and one ``stream_words`` call
+        draws every mask: row b's stream gives its n_b tokens, one after
+        the other, d words for each of the 1 + 2 * n_layers dropout
+        sites. A row's masks thus depend on its stream and its tokens
+        alone, never on the rest of its batch.
         """
         token_ids = np.asarray(token_ids)
         if token_ids.max(initial=0) >= self.cfg.vocab_size or token_ids.min(initial=0) < 0:
@@ -362,17 +366,20 @@ class TextEncoder(Module):
         real = np.flatnonzero(live)
         x = add(add(self.tok(token_ids.reshape(-1)[real]), self.pos(real % T)),
                 self.seg(np.asarray(segment_ids).reshape(-1)[real]))
-        train = self.training and rng is not None
-        if train:
-            x = dropout(x, DROPOUT, rng.substream("emb_drop"), live.reshape(-1))
+        words = None
+        if self.training and rngs is not None:
+            sites, d = 1 + 2 * len(self.blocks), self.cfg.d_model
+            words = stream_words(rngs, live.sum(axis=1) * (sites * d))
+            words = words.reshape(len(real), sites, d)
+            x = dropout(x, DROPOUT, words[:, 0])
         for i, block in enumerate(self.blocks):
-            x = block(x, live, rng.substream("block", i) if train else None)
+            x = block(x, live, None if words is None else words[:, 1 + 2 * i:3 + 2 * i])
         return scatter_rows(self.final_ln(x), live)
 
-    def forward_batch(self, batch: Batch, rng: RngState | None = None):
+    def forward_batch(self, batch: Batch, rngs: list[RngState] | None = None):
         """Returns (token (B,T,d), cls (B,d), words (B,W,d)) tensors."""
         tokens = self.forward_ids(
-            batch.token_ids, batch.segment_ids, batch.attention_mask, rng
+            batch.token_ids, batch.segment_ids, batch.attention_mask, rngs
         )
         cls = tokens[:, 0, :]
         words = matmul(Tensor(batch.pool.astype(tokens.dtype)), tokens)

@@ -1,13 +1,14 @@
 """Shared fixtures, the acceptance-summary terminal hook and the pieces
 of the step-by-step reference forms: one GRU step, the scan GRU's packed
-rows split by step, and the generator's history step."""
+rows split by step, its dropout words per step, and the generator's
+history step."""
 
 import numpy as np
 import pytest
 
 from gazenlu.corpus import make_synthetic_suite
-from gazenlu.diffcore import (Tensor, add, concat, getitem, gru_bwd, gru_step,
-                              linear_bwd, op_result)
+from gazenlu.diffcore import (RngState, Tensor, add, concat, getitem, gru_bwd,
+                              gru_step, linear_bwd, op_result)
 from gazenlu.textenc import TextEncoderConfig, build_vocab
 from gazenlu.trainkit import GazeModel, TrainConfig, pretrain_generator
 
@@ -58,6 +59,29 @@ def step_slices(rows: Tensor, step_mask: np.ndarray) -> list[Tensor]:
     rows as its mask column marks."""
     ends = np.cumsum(np.count_nonzero(step_mask, axis=0)).tolist()
     return [getitem(rows, slice(a, b)) for a, b in zip([0] + ends[:-1], ends)]
+
+
+def own_words(stream: RngState, n: int) -> np.ndarray:
+    """The first ``n`` raw 32-bit words of ``stream``, from a fresh copy of
+    its own generator: ``random_raw`` viewed as uint32."""
+    gen = RngState(stream.seed, stream.stream_id).generator
+    return gen.bit_generator.random_raw(-(-n // 2)).view(np.uint32)[:n]
+
+
+def row_streams(rng: RngState, n: int) -> list[RngState]:
+    """One dropout stream per batch row."""
+    return [rng.substream("row", b) for b in range(n)]
+
+
+def scan_words(rngs, step_mask: np.ndarray, d: int) -> np.ndarray:
+    """The scan GRU's dropout words as a (B, S, d) grid: row b's stream
+    gives d words to each of its marked steps in turn; unmarked cells
+    hold zeros."""
+    lengths = np.count_nonzero(step_mask, axis=1)
+    grid = np.zeros(step_mask.shape + (d,), dtype=np.uint32)
+    for b, (s, n) in enumerate(zip(rngs, lengths)):
+        grid[b, :n] = own_words(s, n * d).reshape(n, d)
+    return grid
 
 
 def history_step_graph(gen, word_row, pos_emb, h_prev):

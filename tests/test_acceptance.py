@@ -408,7 +408,7 @@ def test_criterion_06_ablation_gradient_contracts(tmp_path, tiny_suite,
     labels = np.array([i.label for i in train[:8]])
     pair_rngs = [RngState(61, 0).substream("g", i) for i in range(batch.size)]
     loss = model_u.loss_pairs(batch, labels, pair_rngs,
-                              RngState(62, 0).substream("drop"))
+                              [RngState(62, 0).substream("drop", b) for b in range(batch.size)])
     model_u.zero_grad()
     loss.backward()
     prefixes = model_u.generator_prefixes()

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gru, step_slices
+from conftest import gru, row_streams, scan_words, step_slices
 
-from gazenlu import augmentor
+from gazenlu import augmentor, textenc
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, SCAN_DROPOUT, JointModel,
                                ModelConfig, ScanpathEncoder, TEXT_ONLY,
                                average_logits)
@@ -61,11 +61,11 @@ def toy_text():
     return vocab, cfg, enc, (cls, words)
 
 
-def _scan(enc, rows, step_mask, words, cls, rng=None):
+def _scan(enc, rows, step_mask, words, cls, rngs=None):
     """``enc.run_steps`` over packed ``rows``, each step's row count read
     off ``step_mask``."""
     return enc.run_steps(np.count_nonzero(step_mask, axis=0), step_mask, rows,
-                         words, cls, rng)
+                         words, cls, rngs)
 
 
 def _read_steps(rows, step_mask, words, monkeypatch):
@@ -161,30 +161,34 @@ def test_step_mask_freezes_finished_rows():
     assert not np.array_equal(full.data, one.data)
 
 
-def _masked_per_step(enc, full, step_mask, words, cls, rng=None):
+def _masked_per_step(enc, full, step_mask, words, cls, rngs=None):
     """Oracle: the scan GRU stepping every row at every step over the
     (B, W) rows ``full``, a finished row's state carried on by one masked
     update per step, ``new * m + old * (1 - m)`` for the step's 0/1 row
-    flags ``m``."""
+    flags ``m``. Dropout reads each row's words of ``scan_words``."""
     h = cls
-    train = enc.training and rng is not None
+    train = enc.training and rngs is not None
+    if train:
+        grid = scan_words(rngs, step_mask, cls.shape[1])
     for t, w in enumerate(full):
         x = mix_rows(w, words)
         if train:
-            x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
+            x = dropout(x, SCAN_DROPOUT, grid[:, t])
         m = step_mask[:, t].reshape(-1, 1).astype(cls.dtype)
         h = add(mul(gru(enc.gru, x, h), Tensor(m)), mul(h, Tensor(1.0 - m)))
     return h
 
 
-def _per_op_run_steps(enc, steps, step_mask, words, cls, rng=None):
+def _per_op_run_steps(enc, steps, step_mask, words, cls, rngs=None):
     """Oracle: the scan GRU as it was before it became one node, over a
     list of per-step (n_t, W) rows. Per step a ``mix_rows``, a ``dropout``
     and a reference ``gru_cell`` node; ``take_rows`` gathers of the states
     and words wherever the working set shrinks; the finished rows' states
     put back in row order by a ``concat`` and a ``take_rows``."""
     lengths = step_mask.sum(axis=1)
-    train = enc.training and rng is not None
+    train = enc.training and rngs is not None
+    if train:
+        grid = scan_words(rngs, step_mask, cls.shape[1])
     ids = np.arange(cls.shape[0])
     h = cls
     parts = []
@@ -199,7 +203,7 @@ def _per_op_run_steps(enc, steps, step_mask, words, cls, rng=None):
             h, words = take_rows(h, keep), take_rows(words, keep)
         x = mix_rows(w, words)
         if train:
-            x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t), lengths > t)
+            x = dropout(x, SCAN_DROPOUT, grid[ids, t])
         h = gru(enc.gru, x, h)
     if len(ids):
         parts.append((ids, h))
@@ -253,7 +257,7 @@ def test_scan_node_matches_the_per_op_reference(case):
     words = Tensor(r.substream("x").normal((B, W, d)).astype(dtype), requires_grad=True)
     cls = Tensor(r.substream("cls").normal((B, d)).astype(dtype), requires_grad=True)
     readout = Tensor(r.substream("readout").normal((B, d)).astype(dtype))
-    drop = r.substream("drop") if training else None
+    drop = row_streams(r.substream("drop"), B) if training else None
     leaves = [rows, words, cls] + [p for _, p in enc.named_parameters()]
 
     def run(graph, reference):
@@ -317,7 +321,7 @@ def test_run_steps_matches_masked_update_per_step(batch, training):
     cls = Tensor(r.substream("cls").normal((B, d)).astype(np.float32),
                  requires_grad=True)
     readout = Tensor(r.substream("readout").normal((B, d)).astype(np.float32))
-    drop = r.substream("drop") if training else None
+    drop = row_streams(r.substream("drop"), B) if training else None
     leaves = full + [words, cls] + [p for _, p in enc.named_parameters()]
 
     def run(fn, graph, rows):
@@ -467,7 +471,7 @@ def test_joint_loss_backward_reaches_both_encoders(joint_setup):
     model.train()
     labels = np.array([0, 1])
     pair_rngs = [RngState(54, 0).substream("g", i) for i in range(batch.size)]
-    loss = model.loss_pairs(batch, labels, pair_rngs, RngState(55, 0))
+    loss = model.loss_pairs(batch, labels, pair_rngs, row_streams(RngState(55, 0), 2))
     assert np.isfinite(loss.data)
     loss.backward()
     params = dict(model.named_parameters())
@@ -502,7 +506,8 @@ def test_training_graphs_and_predictions_stay_float32():
     for mode in ("straight_through", "soft_convolution"):
         model = JointModel(_tiny_cfg(vocab, gumbel=GumbelConfig(mode=mode)),
                            RngState(60, 1))
-        loss = model.loss_pairs(batch, np.array([0, 1]), rngs, RngState(60, 2))
+        loss = model.loss_pairs(batch, np.array([0, 1]), rngs,
+                                row_streams(RngState(60, 2), 2))
         assert _graph_dtypes(loss) == {np.dtype(np.float32)}, mode
         loss.backward()
         grads = {n: p.grad.dtype for n, p in model.named_parameters()}
@@ -510,7 +515,7 @@ def test_training_graphs_and_predictions_stay_float32():
         out = model.predict_batch(batch, ["s0", "s1"], 2, RngState(60, 3))
         assert out.dtype == np.float32, mode
     gaze = GazeModel(_tiny_cfg(vocab).text, gen_hidden=16, l_max=8, seed=60)
-    loss, _ = gaze.batch_nll(batch, [[0, 1], [1, 3, 2]], RngState(60, 4))
+    loss, _ = gaze.batch_nll(batch, [[0, 1], [1, 3, 2]], row_streams(RngState(60, 4), 2))
     assert _graph_dtypes(loss) == {np.dtype(np.float32)}
     loss.backward()
     assert {p.grad.dtype for p in gaze.parameters()} == {np.dtype(np.float32)}
@@ -521,7 +526,8 @@ def test_text_only_loss_ignores_scanpaths():
     model = JointModel(_tiny_cfg(vocab, model_kind=TEXT_ONLY), RngState(56, 0))
     model.train()
     encs = [tokenize("aa ab", None, vocab, 32)]
-    loss = model.loss_pairs(collate(encs), np.array([1]), [], RngState(57, 0))
+    loss = model.loss_pairs(collate(encs), np.array([1]), [],
+                            row_streams(RngState(57, 0), 1))
     assert np.isfinite(loss.data)
     loss.backward()
     assert dict(model.named_parameters())["cls_encoder.tok.w"].grad is not None
@@ -571,7 +577,8 @@ def test_text_only_steps_match_the_per_token_loop(pair, monkeypatch):
     def run():
         model.train()
         model.zero_grad()
-        loss = model.loss_pairs(batch, np.array([0, 1, 1]), [], RngState(62, 0))
+        loss = model.loss_pairs(batch, np.array([0, 1, 1]), [],
+                                row_streams(RngState(62, 0), 3))
         loss.backward()
         grads = [p.grad for p in model.parameters()]
         out = model.predict_batch(batch, ["a", "b", "c"], 1, RngState(63, 0))
@@ -582,6 +589,127 @@ def test_text_only_steps_match_the_per_token_loop(pair, monkeypatch):
     looped = run()
     for a, b in zip(vectorised, looped):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+# -- dropout streams -------------------------------------------------------
+
+_DROP_VOCAB = build_vocab(["aa ab ba b a abba bb", "ab aa a b"] * 3, 32)
+_DROP_WORDS = ["a", "aa", "ab", "ba", "b", "abba", "bb"]
+
+
+def _drop_models():
+    """A gaze model whose generator head is zero, so every logit is 0 and
+    a row's sampled path is its Gumbel noise's alone, whatever its batch;
+    and a pretraining model. Two encoder layers, so five sites each."""
+    text = TextEncoderConfig(vocab_size=len(_DROP_VOCAB.token_to_id), d_model=16,
+                             n_layers=2, n_heads=2, d_ff=32, max_len=32)
+    joint = JointModel(ModelConfig(text=text, gen_hidden=16, l_max=8), RngState(64, 0))
+    joint.generator.head.w.data[...] = 0
+    joint.generator.head.b.data[...] = 0
+    return joint, GazeModel(text, gen_hidden=16, l_max=8, seed=64)
+
+
+_JOINT, _GAZE = _drop_models()
+
+
+def _recorded_masks(fn):
+    """Runs ``fn()`` and returns the dropout words it used: each text
+    encoder site's (N, d) words in call order, and the scan GRU's (cells,
+    d) words with its step mask, or None when there is no scan."""
+    sites, scans = [], []
+    saved = (textenc.dropout, augmentor.dropout_keep, ScanpathEncoder.run_steps)
+
+    def site(x, p, words):
+        sites.append(words.copy())
+        return saved[0](x, p, words)
+
+    def keep(words, p, dtype):
+        scans[-1].append(words.copy())
+        return saved[1](words, p, dtype)
+
+    def run_steps(self, steps, step_mask, *args):
+        scans.append([step_mask])
+        return saved[2](self, steps, step_mask, *args)
+
+    textenc.dropout, augmentor.dropout_keep, ScanpathEncoder.run_steps = site, keep, run_steps
+    try:
+        fn()
+    finally:
+        textenc.dropout, augmentor.dropout_keep, ScanpathEncoder.run_steps = saved
+    return sites, (scans[0] if scans else None)
+
+
+def _row_masks(recorded, batch, b):
+    """Row ``b``'s share of the recorded words: its tokens' rows at each
+    encoder site, then its cells' rows of the scan, in step order."""
+    sites, scan = recorded
+    n = batch.attention_mask.sum(axis=1).astype(int)
+    at = int(n[:b].sum())
+    out = [w[at:at + n[b]] for w in sites]
+    if scan is not None:
+        step_mask, words = scan
+        _, cell_b = np.nonzero(step_mask.T)
+        out.append(words[cell_b == b])
+    return out
+
+
+@st.composite
+def _drop_rows(draw):
+    """(texts, paths, order, seed): 1-5 rows of one or two texts of 1-4
+    words, a word of one piece among them, each with a teacher path over
+    its first text's words, and a shuffled order of the rows."""
+    rows = []
+    for _ in range(draw(st.integers(1, 5))):
+        first = draw(st.lists(st.sampled_from(_DROP_WORDS), min_size=1, max_size=4))
+        second = draw(st.one_of(st.none(), st.lists(st.sampled_from(_DROP_WORDS),
+                                                     min_size=1, max_size=3)))
+        path = draw(st.lists(st.integers(0, len(first) - 1), min_size=1, max_size=6))
+        rows.append((" ".join(first), second and " ".join(second), path))
+    order = draw(st.permutations(range(len(rows))))
+    return rows, order, draw(st.integers(0, 2**16))
+
+
+@given(case=_drop_rows(), kind=st.sampled_from(["loss_pairs", "batch_nll"]))
+@example(case=([("a", None, [0])], [0], 0), kind="loss_pairs")
+@example(case=([("a", None, [0, 0]), ("abba bb", "a", [1])], [1, 0], 1), kind="batch_nll")
+@settings(max_examples=40, deadline=None)
+def test_a_rows_dropout_masks_do_not_depend_on_its_batch(case, kind):
+    """The masks a row gets, at both text encoders' sites and in the scan
+    GRU for ``loss_pairs``, at the generator encoder's for ``batch_nll``,
+    are bit-identical when the row is alone, inside its batch and inside
+    the shuffled batch: each row draws from its own stream, for its real
+    tokens and its live cells only."""
+    rows, order, seed = case
+    pair = kind == "loss_pairs"
+    encs = [tokenize(t1, t2 if pair else None, _DROP_VOCAB, 32) for t1, t2, _ in rows]
+    pair_rngs = row_streams(RngState(seed, 1), len(rows))
+    drop_rngs = row_streams(RngState(seed, 2), len(rows))
+
+    def masks(idx):
+        batch = collate([encs[i] for i in idx])
+        if pair:
+            def fn():
+                _JOINT.loss_pairs(batch, np.zeros(len(idx), dtype=np.int64),
+                                  [pair_rngs[i] for i in idx], [drop_rngs[i] for i in idx])
+        else:
+            def fn():
+                _GAZE.batch_nll(batch, [rows[i][2] for i in idx], [drop_rngs[i] for i in idx])
+        recorded = _recorded_masks(fn)
+        assert len(recorded[0]) == (10 if pair else 5)
+        assert (recorded[1] is not None) == pair
+        return [_row_masks(recorded, batch, b) for b in range(len(idx))]
+
+    _JOINT.train()
+    _GAZE.train()
+    inside = masks(range(len(rows)))
+    shuffled = masks(order)
+    for i in range(len(rows)):
+        alone = masks([i])[0]
+        for got in (inside[i], shuffled[order.index(i)]):
+            assert len(got) == len(alone)
+            for a, b in zip(got, alone):
+                assert a.dtype == b.dtype == np.uint32 and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
 
 
 def test_predict_deterministic_under_same_stream(joint_setup):

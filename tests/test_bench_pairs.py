@@ -1,6 +1,8 @@
 """The pair rule of ``scripts/bench_pairs.py``."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -48,22 +50,33 @@ def test_no_regression_bounds_the_median_and_needs_a_spread_within_the_bound():
 
 
 def test_main_prints_both_verdicts_for_every_metric(monkeypatch, capsys, tmp_path):
-    """The run loop stubbed: the change halves every metric's value."""
-    def run_once(checkout, workload, seed, seconds):
-        scale = 0.5 if checkout == tmp_path.resolve() else 1.0
-        return {name: scale * (100 + seed % 3) for name in
-                ("throughput", "step_ms_p50", "setup_s", "peak_rss_mb")}
+    """The benchmark runs faked: the change halves every metric's value,
+    and each run's context line reports its paths' length."""
+    def fake_run(cmd, capture_output, text, cwd):
+        scale = 0.5 if Path(cwd) == tmp_path.resolve() else 1.0
+        seed = int(cmd[cmd.index("--seed") + 1])
+        context = {"info": {"workload": cmd[cmd.index("--workload") + 1],
+                            "fixations_per_path": 4.0 * scale + seed}}
+        result = {"correct": True, "metrics": {
+            name: {"value": scale * (100 + seed % 3)}
+            for name in ("throughput", "step_ms_p50", "setup_s", "peak_rss_mb")}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(context) + "\n"
+                                           + json.dumps(result) + "\n", "")
 
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     out = tmp_path / "runs.jsonl"
     assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path),
                              "--workloads", "train_soft", "--pairs", "3", "--seed", "1",
                              "--out", str(out)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "train_soft (3 pairs, seeds 1-3)"
-    verdicts = {line.split()[0]: line.split("gain ")[1] for line in lines[1:]}
+    verdicts = {line.split()[0]: line.split("gain ")[1] for line in lines[1:-1]}
     assert verdicts == {"throughput": "not shown  no regression fails",
                         "step_ms_p50": "holds  no regression holds",
                         "setup_s": "holds  no regression holds",
                         "peak_rss_mb": "holds  no regression holds"}
-    assert len(out.read_text().splitlines()) == 6
+    assert lines[-1] == "  fixations_per_path 6 -> 4"
+    runs = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(runs) == 6
+    assert all(r["metrics"]["fixations_per_path"] == (4.0 if r["side"] == "parent" else 2.0)
+               + r["seed"] for r in runs)

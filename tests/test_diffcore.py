@@ -17,7 +17,7 @@ from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
                               is_grad_enabled, layer_norm, linear,
                               load_checkpoint, matmul, mix_rows, mse_loss, mul,
                               no_grad, relu, reshape, run_standard_checks,
-                              save_checkpoint, softmax, take_rows,
+                              save_checkpoint, softmax, stream_words, take_rows,
                               transpose, tsum)
 
 
@@ -175,27 +175,14 @@ def test_mse_loss_fixture():
 def test_dropout_contract():
     rng = RngState(0, 0)
     x = Tensor(np.ones((200, 50)))
-    out = dropout(x, 0.3, rng.substream("d")).data
+    words = stream_words([rng.substream("d")], [x.size]).reshape(x.shape)
+    out = dropout(x, 0.3, words).data
     kept = out != 0
     assert 0.6 < kept.mean() < 0.8
     assert np.allclose(out[kept], 1.0 / 0.7)
-    same = dropout(x, 0.3, rng.substream("d")).data
+    assert np.array_equal(kept, words >= np.ceil(0.3 * 2**32))
+    same = dropout(x, 0.3, stream_words([rng.substream("d")], [x.size]).reshape(x.shape)).data
     assert np.array_equal(out, same)
-
-
-def test_dropout_rows_apply_their_rows_of_the_whole_draw():
-    """Given rows, a row takes the mask entries it would get as that row
-    of the whole batch, forward and backward."""
-    rng = RngState(0, 1)
-    x = Tensor(rng.substream("x").normal((6, 5)), requires_grad=True)
-    rows = np.array([False, True, True, False, False, True])
-    whole = dropout(x, 0.4, rng.substream("d"))
-    part = dropout(take_rows(x, np.flatnonzero(rows)), 0.4, rng.substream("d"), rows)
-    assert np.array_equal(part.data, whole.data[rows])
-    g = np.arange(15.0).reshape(3, 5)
-    full_g = np.zeros((6, 5))
-    full_g[rows] = g
-    assert np.array_equal(part._backward(g)[0], whole._backward(full_g)[0][rows])
 
 
 def test_layer_norm_normalizes():

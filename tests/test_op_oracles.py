@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gru_cell
+from conftest import gru_cell, own_words, row_streams
 
 from gazenlu import diffcore
 from gazenlu.augmentor import TEXT_ONLY, JointModel, ModelConfig
@@ -226,25 +226,40 @@ def _old_attention(attn, x: Tensor, key_mask: np.ndarray) -> Tensor:
     return attn.wo(reshape(mixed, (B, T, d)))
 
 
-def _old_encoder(enc: TextEncoder, batch, rng: RngState | None = None):
+def _padded_drop_words(enc: TextEncoder, batch, rngs) -> np.ndarray:
+    """The encoder's dropout words laid out padded, (B, T, sites, d): row
+    b's stream gives each of its tokens in turn d words per site (the
+    embedding, then each block's attention and feed-forward); pad slots
+    hold zeros."""
+    live = batch.attention_mask > 0
+    sites, d = 1 + 2 * len(enc.blocks), enc.cfg.d_model
+    grid = np.zeros(live.shape + (sites, d), dtype=np.uint32)
+    for b, s in enumerate(rngs):
+        n = int(live[b].sum())
+        grid[b, live[b]] = own_words(s, n * sites * d).reshape(n, sites, d)
+    return grid
+
+
+def _old_encoder(enc: TextEncoder, batch, rngs=None):
     """``enc.forward_batch`` as it was: every layer on the padded (B, T)
     slots, pad tokens included, and attention through reshape, transpose,
     matmul, mul and softmax nodes. Returns (tokens, cls, words)."""
     B, T = batch.token_ids.shape
     positions = np.broadcast_to(np.arange(T), (B, T))
     x = add(add(enc.tok(batch.token_ids), enc.pos(positions)), enc.seg(batch.segment_ids))
-    train = enc.training and rng is not None
+    train = enc.training and rngs is not None
     if train:
-        x = dropout(x, DROPOUT, rng.substream("emb_drop"))
+        drops = _padded_drop_words(enc, batch, rngs)
+        x = dropout(x, DROPOUT, drops[:, :, 0])
     key_mask = ((1.0 - batch.attention_mask.astype(x.dtype)) * NEG_INF).astype(x.dtype)
     for i, block in enumerate(enc.blocks):
         a = _old_attention(block.attn, block.ln1(x), key_mask)
         if train:
-            a = dropout(a, DROPOUT, rng.substream("block", i).substream("attn_drop"))
+            a = dropout(a, DROPOUT, drops[:, :, 1 + 2 * i])
         x = add(x, a)
         f = block.ff2(relu(block.ff1(block.ln2(x))))
         if train:
-            f = dropout(f, DROPOUT, rng.substream("block", i).substream("ff_drop"))
+            f = dropout(f, DROPOUT, drops[:, :, 2 + 2 * i])
         x = add(x, f)
     tokens = enc.final_ln(x)
     return tokens, tokens[:, 0, :], matmul(Tensor(batch.pool.astype(tokens.dtype)), tokens)
@@ -412,7 +427,7 @@ def _readout(outs, weights) -> Tensor:
 def test_packed_encoder_matches_the_padded_one(case):
     """Eval mode: the CLS and word states and the real tokens' states are
     the padded encoder's, bit for bit. Training mode, with one dropout
-    stream: the same forward, and every parameter's gradient within
+    stream per row: the same forward, and every parameter's gradient within
     1e-6 * max(1, max|g|) in float32 and 1e-12 * max(1, max|g|) in
     float64, max|g| taken over all the encoder's gradients as in
     ``grad_check``: the weight and layer-norm gradients now sum over the
@@ -447,7 +462,7 @@ def test_packed_encoder_matches_the_padded_one(case):
                r.substream("words").normal(batch.pool.shape[:2] + (d_model,)).astype(dtype)]
     runs = []
     for forward in (enc.forward_batch, lambda b, rng: _old_encoder(enc, b, rng)):
-        outs = forward(batch, RngState(seed, 42))
+        outs = forward(batch, row_streams(RngState(seed, 42), batch.size))
         backward(_readout(outs, weights))
         runs.append((outs, {n: p.grad for n, p in enc.named_parameters()}))
         enc.zero_grad()
@@ -535,10 +550,11 @@ def test_every_training_graph_op_has_a_gradcheck():
         model = JointModel(ModelConfig(text=text, gen_hidden=16, l_max=8, **kw),
                            RngState(50, 0))
         graphs[name] = _graph_ops(model.loss_pairs(
-            batch, np.array([0, 1]), [RngState(1, 0), RngState(1, 1)], RngState(2, 0)))
+            batch, np.array([0, 1]), [RngState(1, 0), RngState(1, 1)],
+            row_streams(RngState(2, 0), 2)))
     gaze = GazeModel(text, gen_hidden=16, l_max=8, seed=0)
     graphs["batch_nll"] = _graph_ops(
-        gaze.batch_nll(batch, [[0, 1], [2, 0, 1]], RngState(3, 0))[0])
+        gaze.batch_nll(batch, [[0, 1], [2, 0, 1]], row_streams(RngState(3, 0), 2))[0])
     assert {"gru_seq", "scan", "sampler", "dropout"} <= set().union(*graphs.values())
     for name, ops in graphs.items():
         assert not ops - checked, (name, sorted(ops - checked))

@@ -1,11 +1,14 @@
 """Counter-based RNG: keyed substreams, pinned draw recipes."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gazenlu.diffcore import (RngState, first_uniforms, fold_key, gumbel_of,
-                              stream_uniforms)
+from conftest import own_words
+
+from gazenlu.diffcore import (RngState, dropout_keep, first_uniforms, fold_key,
+                              gumbel_of, stream_uniforms, stream_words)
 
 EULER_MASCHERONI = 0.5772156649015329
 
@@ -164,6 +167,52 @@ def test_stream_uniforms_match_each_streams_own_draws(seed, rows, drawn):
         assert not row[n:].any()
     for stream, stream_id in zip(streams[:3], ids):
         assert stream.uniform() == RngState(seed, stream_id).uniform((drawn + 1,))[-1]
+
+
+@given(seed=st.sampled_from(KEY_SEEDS),
+       rows=st.lists(st.tuples(_ids, st.integers(0, 301)), max_size=30),
+       drawn=st.integers(0, 9))
+@example(seed=0, rows=[(5, 7)], drawn=0)
+@example(seed=3, rows=[(1, 0), (2, 8), (2**63 + 5, 0), (9, 1)], drawn=3)
+@settings(max_examples=80, deadline=None)
+def test_stream_words_match_each_streams_own_raw_words(seed, rows, drawn):
+    """Odd, even and zero counts, one stream or many: the words are laid
+    end to end, stream i's ``counts[i]`` words being its own generator's
+    ``random_raw`` outputs viewed as uint32, read from its start whatever
+    it has drawn, and no stream is advanced."""
+    ids = [i for i, _ in rows]
+    counts = [n for _, n in rows]
+    streams = [RngState(seed, i) for i in ids]
+    for s in streams[:3]:
+        s.uniform((drawn,))
+    got = stream_words(streams, counts)
+    assert got.shape == (sum(counts),) and got.dtype == np.uint32
+    at = 0
+    for stream_id, n in zip(ids, counts):
+        raw = RngState(seed, stream_id).generator.bit_generator.random_raw(-(-n // 2))
+        assert got[at:at + n].tobytes() == raw.view(np.uint32)[:n].tobytes()
+        at += n
+    for stream, stream_id in zip(streams[:3], ids):
+        assert stream.uniform() == RngState(seed, stream_id).uniform((drawn + 1,))[-1]
+
+
+def test_stream_words_refuse_counts_unlike_the_streams():
+    with pytest.raises(ValueError, match="2 counts for 1 streams"):
+        stream_words([RngState(0, 0)], [1, 2])
+
+
+def test_dropout_keeps_a_word_at_or_above_ceil_p_times_2_to_the_32():
+    """The keep rule at p = 0.1: the threshold is ceil(0.1 * 2^32), and on
+    10^6 words of one stream the keep rate is within 4 sigma of 0.9."""
+    threshold = 429496730
+    assert threshold == -(-(2**32) // 10)      # ceil(2^32 / 10), in integers
+    words = np.array([0, threshold - 1, threshold, 2**32 - 1], dtype=np.uint32)
+    keep = dropout_keep(words, 0.1, np.float32)
+    scale = np.float32(1.0) / np.float32(0.9)
+    assert keep.dtype == np.float32 and keep.tolist() == [0.0, 0.0, scale, scale]
+    n = 10**6
+    kept = np.count_nonzero(dropout_keep(own_words(RngState(8, 1), n), 0.1, np.float32))
+    assert abs(kept / n - 0.9) <= 4 * np.sqrt(0.9 * 0.1 / n)
 
 
 def test_gumbel_is_gumbel_of_the_streams_uniforms():

@@ -18,7 +18,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gru, step_slices
+from conftest import gru, row_streams, scan_words, step_slices
 
 from gazenlu.augmentor import (CLASSIFICATION, GAZE, SCAN_DROPOUT, TEXT_ONLY,
                                JointModel, ModelConfig, ScanpathEncoder)
@@ -49,10 +49,13 @@ def _fixation_steps(rows, words):
     return [mix_rows(r, words) for r in rows]
 
 
-def _full_batch_run_steps(enc, steps, step_mask, cls, rng=None):
-    """The scan GRU over (B, d) steps, gathering each step's live rows."""
+def _full_batch_run_steps(enc, steps, step_mask, cls, rngs=None):
+    """The scan GRU over (B, d) steps, gathering each step's live rows.
+    Dropout reads each row's words of ``scan_words``."""
     lengths = step_mask.sum(axis=1)
-    train = enc.training and rng is not None
+    train = enc.training and rngs is not None
+    if train:
+        grid = scan_words(rngs, step_mask, cls.shape[1])
     ids = np.arange(cls.shape[0])
     h = cls
     parts = []
@@ -65,7 +68,7 @@ def _full_batch_run_steps(enc, steps, step_mask, cls, rng=None):
                 break
             h = take_rows(h, np.flatnonzero(live))
         if train:
-            x = dropout(x, SCAN_DROPOUT, rng.substream("drop", t))
+            x = dropout(x, SCAN_DROPOUT, grid[:, t])
         if len(ids) < x.shape[0]:
             x = take_rows(x, ids)
         h = gru(enc.gru, x, h)
@@ -77,12 +80,12 @@ def _full_batch_run_steps(enc, steps, step_mask, cls, rng=None):
     return take_rows(concat([state for _, state in parts], axis=0), order)
 
 
-def _full_batch_handoff(enc, rows, step_mask, words, cls, rng=None):
+def _full_batch_handoff(enc, rows, step_mask, words, cls, rngs=None):
     """Packed steps scattered back to all rows, read, then gathered."""
     B = cls.shape[0]
     full = [_scatter_rows(s, np.flatnonzero(step_mask[:, t]), B)
             for t, s in enumerate(step_slices(rows, step_mask))]
-    return _full_batch_run_steps(enc, _fixation_steps(full, words), step_mask, cls, rng)
+    return _full_batch_run_steps(enc, _fixation_steps(full, words), step_mask, cls, rngs)
 
 
 def _full_batch_content_steps(batch, tokens):
@@ -99,15 +102,18 @@ def _full_batch_content_steps(batch, tokens):
     return [rows[:, i, :] for i in range(L)], mask
 
 
-def _full_batch_loss(model, batch, labels, pair_rngs, drop_rng):
+def _full_batch_loss(model, batch, labels, pair_rngs, drop_rngs):
     """``JointModel.loss_pairs`` through the full-batch handoff."""
-    rng = drop_rng if model.training else None
-    tokens, cls, words = model.cls_encoder.forward_batch(
-        batch, rng.substream("cls_enc") if rng else None)
+    rngs = drop_rngs if model.training else None
+
+    def drops(name):
+        return None if rngs is None else [r.substream(name) for r in rngs]
+
+    tokens, cls, words = model.cls_encoder.forward_batch(batch, drops("cls_enc"))
     if model.cfg.model_kind == TEXT_ONLY:
         steps, mask = _full_batch_content_steps(batch, tokens)
     else:
-        ws = model._word_states(batch, rng.substream("gen_enc") if rng else None)
+        ws = model._word_states(batch, drops("gen_enc"))
         counts = batch.word_counts
         caps = np.array([default_max_fixations(int(c)) for c in counts])
         sampled = model.generator.sample_gumbel_batch(ws, counts, pair_rngs,
@@ -116,8 +122,7 @@ def _full_batch_loss(model, batch, labels, pair_rngs, drop_rng):
         full = [_scatter_rows(r, np.flatnonzero(mask[:, t]), batch.size)
                 for t, r in enumerate(step_slices(sampled.rows, mask))]
         steps = _fixation_steps(full, words)
-    feature = _full_batch_run_steps(model.scan, steps, mask, cls,
-                                    rng.substream("scan") if rng else None)
+    feature = _full_batch_run_steps(model.scan, steps, mask, cls, drops("scan"))
     out = model.head(feature)
     if model.head.kind == CLASSIFICATION:
         return cross_entropy(out, labels.astype(np.int64))
@@ -180,7 +185,7 @@ def test_run_steps_matches_the_full_batch_handoff(case, training, one_hot):
     words = Tensor(r.substream("x").normal((B, W, d)).astype(dtype), requires_grad=True)
     cls = Tensor(r.substream("cls").normal((B, d)).astype(dtype), requires_grad=True)
     readout = Tensor(r.substream("readout").normal((B, d)).astype(dtype))
-    drop = r.substream("drop") if training else None
+    drop = row_streams(r.substream("drop"), B) if training else None
     leaves = [("rows", rows), ("words", words), ("cls", cls)] + list(enc.named_parameters())
 
     def scan(enc, rows, mask, words, cls, drop):
@@ -260,7 +265,7 @@ def test_loss_matches_the_full_batch_handoff(texts, model_key, training, seed):
     def run(loss_fn):
         model.zero_grad()
         rngs = [RngState(seed, 2).substream("path", b) for b in range(batch.size)]
-        loss = loss_fn(model, batch, labels, rngs, RngState(seed, 3))
+        loss = loss_fn(model, batch, labels, rngs, row_streams(RngState(seed, 3), batch.size))
         backward(loss)
         return loss.data, [(name, p.grad) for name, p in params]
 

@@ -251,7 +251,8 @@ def test_encoder_gradcheck_small():
         w_cls = r.substream("cls").normal((batch.size, cfg.d_model))
 
         def build():
-            _, cls, words = enc.forward_batch(batch, RngState(4, 0) if train else None)
+            _, cls, words = enc.forward_batch(
+                batch, [RngState(4, 0), RngState(4, 1)] if train else None)
             return add(tsum(mul(words, Tensor(w_words))), tsum(mul(cls, Tensor(w_cls))))
 
         report = grad_check(build, params, sample=2, rng=RngState(3, 0))

@@ -54,14 +54,29 @@ def _adamw_steps(value, grads, **kw):
 
 
 def test_adamw_matches_reference_over_two_steps():
-    p = np.array([1.0, -2.0])
-    g1 = np.array([0.5, 0.1])
-    g2 = np.array([-0.2, 0.4])
-    exp, m, v, t = _reference_adamw(p, g1, 0.0, 0.0, 0, lr=0.1)
-    exp2, _, _, _ = _reference_adamw(exp, g2, m, v, t, lr=0.1)
-    got, got2 = _adamw_steps(p, [g1, g2], lr=0.1)
-    assert np.abs(got - exp).max() < 1e-12
-    assert np.abs(got2 - exp2).max() < 1e-12
+    """The update in the slot's own dtype: the reference computes in it
+    too, and a float32 slot keeps float32 moments, a float64 slot float64
+    ones."""
+    for dtype, tol in ((np.float64, 1e-12), (np.float32, 1e-6)):
+        p = np.array([1.0, -2.0], dtype=dtype)
+        g1 = np.array([0.5, 0.1], dtype=dtype)
+        g2 = np.array([-0.2, 0.4], dtype=dtype)
+        exp, m, v, t = _reference_adamw(p, g1, 0.0, 0.0, 0, lr=0.1)
+        exp2, m2, v2, _ = _reference_adamw(exp, g2, m, v, t, lr=0.1)
+        assert exp2.dtype == m2.dtype == v2.dtype == dtype
+        net = _OneParam(p)
+        opt = AdamW(net, lr=0.1)
+        got = []
+        for g in (g1, g2):
+            net.w.grad = g
+            opt.step()
+            got.append(net.w.data.copy())
+        got_m, got_v = _moments(opt, 0)
+        assert got[1].dtype == got_m.dtype == got_v.dtype == dtype
+        assert np.abs(got[0] - exp).max() < tol
+        assert np.abs(got[1] - exp2).max() < tol
+        assert np.abs(got_m - m2).max() <= tol * np.abs(m2).max()
+        assert np.abs(got_v - v2).max() <= tol * np.abs(v2).max()
 
 
 def test_adamw_snapshot_survives_steps_and_keeps_dtype():
@@ -229,9 +244,9 @@ def test_update_refuses_a_loss_that_reaches_no_parameter():
 
 
 def _per_parameter_step(self):
-    """AdamW's step as a loop over parameters, with per-parameter float64
-    moments and a fresh array per step: the reference that the flat
-    optimizer must match bit for bit."""
+    """AdamW's step as a loop over parameters, with per-parameter moments
+    in the parameter's dtype and a fresh array per step: the reference
+    that the flat optimizer must match bit for bit."""
     b1, b2 = trainkit.ADAM_BETAS
     for i, (name, t) in enumerate(self.slots):
         g = t.grad
@@ -243,10 +258,10 @@ def _per_parameter_step(self):
         self._steps[i] += 1
         k = self._steps[i]
         m *= b1
-        m += np.multiply(g, 1.0 - b1, out=s, dtype=np.float64)
+        m += np.multiply(g, 1.0 - b1, out=s)
         v *= b2
-        np.multiply(g, 1.0 - b2, out=s, dtype=np.float64)
-        v += np.multiply(s, g, out=s, dtype=np.float64)
+        np.multiply(g, 1.0 - b2, out=s)
+        v += np.multiply(s, g, out=s)
         np.divide(v, 1.0 - b2 ** k, out=s)
         np.sqrt(s, out=s)
         s += trainkit.ADAM_EPS
@@ -255,7 +270,7 @@ def _per_parameter_step(self):
         p = t.data
         update += np.multiply(p, self.weight_decay, out=s)
         update *= self.lr
-        t.data = np.subtract(p, update, out=update).astype(p.dtype)
+        t.data = np.subtract(p, update, out=update)
 
 
 class _PerParameterAdamW:
@@ -265,8 +280,8 @@ class _PerParameterAdamW:
         self.slots = [(n, t) for n, t in model.named_parameters() if t.requires_grad]
         self.lr = lr
         self.weight_decay = weight_decay
-        self._buffers = [(np.zeros(t.data.shape), np.zeros(t.data.shape),
-                          np.empty(t.data.shape)) for _, t in self.slots]
+        self._buffers = [(np.zeros_like(t.data), np.zeros_like(t.data),
+                          np.empty_like(t.data)) for _, t in self.slots]
         self._steps = [0] * len(self.slots)
 
     @property
@@ -610,9 +625,9 @@ def test_joint_pair_streams_match_per_pair_substreams(tiny_suite, tiny_vocab,
     seen = []
     loss_pairs = JointModel.loss_pairs
 
-    def spy(self, batch, labels, pair_rngs, drop_rng):
+    def spy(self, batch, labels, pair_rngs, drop_rngs):
         seen.extend((s.seed, s.stream_id) for s in pair_rngs)
-        return loss_pairs(self, batch, labels, pair_rngs, drop_rng)
+        return loss_pairs(self, batch, labels, pair_rngs, drop_rngs)
 
     monkeypatch.setattr(JointModel, "loss_pairs", spy)
     train = tiny_suite.keyword_train[:6]
@@ -624,6 +639,49 @@ def test_joint_pair_streams_match_per_pair_substreams(tiny_suite, tiny_vocab,
     want = [(6, root.substream("gumbel", e, i.instance_id, p).stream_id)
             for e in (1, 2) for i in train for p in range(2)]
     assert sorted(seen) == sorted(want) and len(set(want)) == len(want)
+
+
+def test_dropout_streams_are_one_per_row_keyed_by_item_and_epoch(
+        tiny_suite, tiny_vocab, tiny_text_cfg, tiny_gaze_state, monkeypatch):
+    """Each training row draws its dropout from the run's
+    ``substream("drop", e, item)``: a pair (instance k, path p) of joint
+    training, a gaze record k of pretraining, once per epoch e."""
+    gen_state, _ = tiny_gaze_state
+    seen = {"joint": [], "pretrain": []}
+    loss_pairs, batch_nll = JointModel.loss_pairs, GazeModel.batch_nll
+
+    def joint_spy(self, batch, labels, pair_rngs, drop_rngs):
+        assert len(drop_rngs) == batch.size
+        seen["joint"].extend((s.seed, s.stream_id) for s in drop_rngs)
+        return loss_pairs(self, batch, labels, pair_rngs, drop_rngs)
+
+    def gaze_spy(self, batch, paths, drop_rngs):
+        if drop_rngs is not None:
+            assert len(drop_rngs) == batch.size
+            seen["pretrain"].extend((s.seed, s.stream_id) for s in drop_rngs)
+        return batch_nll(self, batch, paths, drop_rngs)
+
+    monkeypatch.setattr(JointModel, "loss_pairs", joint_spy)
+    monkeypatch.setattr(GazeModel, "batch_nll", gaze_spy)
+    train = tiny_suite.keyword_train[:6]
+    cfg = TrainConfig(lr=1e-3, max_epochs=2, patience=3, batch_size=4,
+                      n_scanpaths_train=2, seed=6)
+    model = JointModel(ModelConfig(text=tiny_text_cfg, gen_hidden=32, l_max=32),
+                       RngState(83, 0))
+    train_joint(model, train, tiny_suite.keyword_dev[:2], tiny_vocab, cfg,
+                generator_state=gen_state)
+    root = RngState(6, 0).substream("joint")
+    want = [(6, root.substream("drop", e, (k, p)).stream_id)
+            for e in (1, 2) for k in range(len(train)) for p in range(2)]
+    assert sorted(seen["joint"]) == sorted(want) and len(set(want)) == len(want)
+
+    records = tiny_suite.gaze_train[:5]
+    gaze = GazeModel(tiny_text_cfg, gen_hidden=32, l_max=32, seed=6)
+    pretrain_generator(gaze, records, tiny_suite.gaze_dev[:2], tiny_vocab, cfg)
+    root = RngState(6, 0).substream("pretrain")
+    want = [(6, root.substream("drop", e, k).stream_id)
+            for e in (1, 2) for k in range(len(records))]
+    assert sorted(seen["pretrain"]) == sorted(want) and len(set(want)) == len(want)
 
 
 def test_a_steps_graph_is_gone_before_the_next_forward(tiny_suite, tiny_vocab,
@@ -638,9 +696,9 @@ def test_a_steps_graph_is_gone_before_the_next_forward(tiny_suite, tiny_vocab,
     previous, alive_at_start = [], []
     loss_pairs = JointModel.loss_pairs
 
-    def spy(self, batch, labels, pair_rngs, drop_rng):
+    def spy(self, batch, labels, pair_rngs, drop_rngs):
         alive_at_start.append(sum(r() is not None for r in previous))
-        loss = loss_pairs(self, batch, labels, pair_rngs, drop_rng)
+        loss = loss_pairs(self, batch, labels, pair_rngs, drop_rngs)
         previous[:] = [weakref.ref(t) for t in _interior_nodes(loss)]
         assert previous
         return loss
