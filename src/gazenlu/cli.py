@@ -26,8 +26,8 @@ import numpy as np
 from .augmentor import GAZE, TEXT_ONLY, ModelConfig, JointModel
 from .corpus import (DatasetSpec, load_dataset, load_gaze_corpus,
                      make_synthetic_suite, write_dataset, write_gaze_corpus)
-from .diffcore import (RngState, atomic_write, checkpoint_hash, load_checkpoint,
-                       no_grad, save_checkpoint)
+from .diffcore import (RngState, ZeroDraws, atomic_write, checkpoint_hash,
+                       load_checkpoint, no_grad, save_checkpoint)
 from .evalkit import (ABLATIONS, EvalReport, Experiment, metric_fn_for,
                       new_report, reports_to_csv, run_ablations, run_crossval,
                       run_lowresource, save_reports, score_instances,
@@ -464,11 +464,24 @@ def cmd_train(args, parser) -> int:
         return _finish(args, run_dir, resolved, None)
 
 
+def _restore(build, ckpt: str):
+    """The model ``build(draws)`` makes, with every parameter read from the
+    checkpoint ``ckpt``. ``draws`` is a ``ZeroDraws``: the load overwrites
+    every parameter and refuses a checkpoint that lacks one, so a random
+    initialisation would be drawn only to be thrown away. A checkpoint
+    whose keys are not the model's fails as one ValueError naming it."""
+    model = build(ZeroDraws())
+    try:
+        model.load_state_dict(load_checkpoint(ckpt))
+    except KeyError as ex:
+        raise ValueError(f"{ckpt}: {ex.args[0]}") from None
+    return model
+
+
 def _load_joint(run_dir: str):
     model_cfg, cfg, vocab = _read_run(run_dir, "joint", ModelConfig)
-    model = JointModel(model_cfg, RngState(cfg.seed, 0).substream("model"))
     ckpt = os.path.join(run_dir, "model.ckpt")
-    model.load_state_dict(load_checkpoint(ckpt))
+    model = _restore(lambda draws: JointModel(model_cfg, draws), ckpt)
     return model, vocab, cfg, ckpt
 
 
@@ -503,11 +516,11 @@ def cmd_evaluate(args, parser) -> int:
 def cmd_generate(args, parser) -> int:
     if args.n_paths < 1:
         raise ValueError(f"--n-paths must be >= 1, got {args.n_paths}")
-    run_cfg, cfg, vocab = _read_run(args.model, "gaze_pretrain", GazeRunConfig)
+    run_cfg, _, vocab = _read_run(args.model, "gaze_pretrain", GazeRunConfig)
     text_cfg = run_cfg.text
-    model = GazeModel(text_cfg, gen_hidden=run_cfg.gen_hidden,
-                      l_max=run_cfg.l_max, seed=cfg.seed)
-    model.load_state_dict(load_checkpoint(os.path.join(args.model, "generator.ckpt")))
+    model = _restore(lambda draws: GazeModel(text_cfg, gen_hidden=run_cfg.gen_hidden,
+                                             l_max=run_cfg.l_max, rng=draws),
+                     os.path.join(args.model, "generator.ckpt"))
     model.eval()
 
     with open(args.input, encoding="utf-8") as f:
@@ -620,14 +633,7 @@ def cmd_report(args, parser) -> int:
 # -- parser --------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gazenlu",
-        description="Scanpath-augmented language understanding pipeline",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("make-synthetic", help="write the synthetic benchmark suite")
+def _make_synthetic_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--n-gaze-train", type=int, default=400)
     p.add_argument("--n-gaze-dev", type=int, default=100)
@@ -637,87 +643,128 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-pairs", type=int, nargs=3, default=[1000, 300, 300],
                    metavar=("TRAIN", "DEV", "TEST"))
     p.add_argument("--out")
-    p.set_defaults(func=cmd_make_synthetic)
 
-    p = sub.add_parser("build-vocab", help="build a subword vocabulary")
+
+def _build_vocab_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--corpus", action="append",
                    help="plain text file, one line per text (repeatable)")
     p.add_argument("--from-synthetic", help="synthetic suite directory")
     p.add_argument("--vocab-size", type=int, default=512)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_vocab)
 
-    p = sub.add_parser("pretrain-gaze", help="fit the generator to fixation data")
+
+def _pretrain_gaze_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--train", required=True, help="gaze corpus TSV")
     p.add_argument("--dev", required=True, help="held-out gaze corpus TSV")
     p.add_argument("--vocab", required=True)
     _add_shared_flags(p)
     p.add_argument("--pretrain-lr", type=float)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_pretrain_gaze)
 
-    def task_parser(name, help_text):
-        q = sub.add_parser(name, help=help_text)
-        q.add_argument("--task", required=True)
-        q.add_argument("--data-dir", required=True)
-        q.add_argument("--vocab", required=True)
-        q.add_argument("--generator", help="pretrained generator checkpoint")
-        _add_shared_flags(q)
-        _add_joint_flags(q)
-        q.add_argument("--out")
-        return q
 
-    p = task_parser("train", "joint fine-tuning on a labeled task")
+def _task_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of every verb that trains a joint model on a task."""
+    p.add_argument("--task", required=True)
+    p.add_argument("--data-dir", required=True)
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--generator", help="pretrained generator checkpoint")
+    _add_shared_flags(p)
+    _add_joint_flags(p)
+    p.add_argument("--out")
+
+
+def _train_flags(p: argparse.ArgumentParser) -> None:
+    _task_flags(p)
     p.add_argument("--k", type=int, help="low-resource training-set size")
     p.add_argument("--data-seed", type=int, help="shuffling seed for --k")
 
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a trained model on a split")
+def _evaluate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="training run directory")
     p.add_argument("--task", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--split", choices=SPLITS, default="test")
     p.add_argument("--n-scanpaths", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("generate", help="sample scanpaths for input texts")
+
+def _generate_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="pretraining run directory")
     p.add_argument("--input", required=True, help="text file, one sentence per line")
     p.add_argument("--n-paths", type=int, default=1)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_generate)
 
-    p = task_parser("crossval", "k-fold cross-validation protocol")
+
+def _crossval_flags(p: argparse.ArgumentParser) -> None:
+    _task_flags(p)
     p.add_argument("--folds", type=int, default=10)
-    p.set_defaults(func=cmd_crossval)
 
-    p = task_parser("lowresource", "low-resource protocol over data seeds")
+
+def _lowresource_flags(p: argparse.ArgumentParser) -> None:
+    _task_flags(p)
     p.add_argument("--ks", type=int, nargs="+", default=[200, 500, 1000])
     p.add_argument("--data-seeds", type=int, nargs="+",
                    default=[111, 222, 333, 444, 555])
-    p.set_defaults(func=cmd_lowresource)
 
-    p = task_parser("sweep", "scanpath-count sweep")
+
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    _task_flags(p)
     p.add_argument("--counts", type=int, nargs="+", default=[1, 3, 5, 7])
     p.add_argument("--seeds", type=int, nargs="+", default=[42])
-    p.set_defaults(func=cmd_sweep)
 
-    p = task_parser("ablate", "full vs frozen vs scratch generator")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("report", help="print a report file; optionally emit CSV")
+def _report_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="report.json path")
     p.add_argument("--csv", help="write flat CSV here")
-    p.set_defaults(func=cmd_report)
 
+
+# verb -> (its help line, the function adding its flags, its handler), in
+# the order ``gazenlu --help`` lists them
+VERBS = {
+    "make-synthetic": ("write the synthetic benchmark suite", _make_synthetic_flags,
+                       cmd_make_synthetic),
+    "build-vocab": ("build a subword vocabulary", _build_vocab_flags, cmd_build_vocab),
+    "pretrain-gaze": ("fit the generator to fixation data", _pretrain_gaze_flags,
+                      cmd_pretrain_gaze),
+    "train": ("joint fine-tuning on a labeled task", _train_flags, cmd_train),
+    "evaluate": ("score a trained model on a split", _evaluate_flags, cmd_evaluate),
+    "generate": ("sample scanpaths for input texts", _generate_flags, cmd_generate),
+    "crossval": ("k-fold cross-validation protocol", _crossval_flags, cmd_crossval),
+    "lowresource": ("low-resource protocol over data seeds", _lowresource_flags,
+                    cmd_lowresource),
+    "sweep": ("scanpath-count sweep", _sweep_flags, cmd_sweep),
+    "ablate": ("full vs frozen vs scratch generator", _task_flags, cmd_ablate),
+    "report": ("print a report file; optionally emit CSV", _report_flags, cmd_report),
+}
+
+
+def build_parser(verbs=VERBS) -> argparse.ArgumentParser:
+    """The parser of the verbs ``verbs``, each with its flags; every verb
+    by default. A parser of fewer verbs still lists every verb in its
+    top-level usage, so what it prints for an argument list that starts
+    with one of its verbs is what the full parser prints."""
+    parser = argparse.ArgumentParser(
+        prog="gazenlu",
+        description="Scanpath-augmented language understanding pipeline",
+    )
+    verbs = list(verbs)
+    every = "{" + ",".join(VERBS) + "}"
+    sub = parser.add_subparsers(dest="verb", required=True,
+                                metavar=None if verbs == list(VERBS) else every)
+    for name in verbs:
+        help_text, add_flags, handler = VERBS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_flags(p)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A call builds the flags of the verb it names only; any other first
+    # argument (--help, an unknown verb, none) gets every verb.
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in VERBS else VERBS)
     args = parser.parse_args(argv)
     try:
         # A diverging run overflows long before it fails; the sampler's and

@@ -72,7 +72,8 @@ def load_parameters(own: dict[str, Tensor], state: dict[str, np.ndarray]) -> Non
     missing = sorted(set(own) - set(state))
     extra = sorted(set(state) - set(own))
     if missing or extra:
-        raise KeyError(f"state mismatch, missing={missing}, unexpected={extra}")
+        raise KeyError(f"state mismatch, missing: {', '.join(missing) or 'none'}; "
+                       f"unexpected: {', '.join(extra) or 'none'}")
     for name, p in own.items():
         arr = np.asarray(state[name])
         if arr.shape != p.data.shape:

@@ -45,6 +45,9 @@ Which path to use depends on how many streams there are and how long:
 Each gives bit for bit the values of the stream's own generator. These
 times are from a 2-core x86-64 machine with numpy 2.4.
 
+A model restored from a checkpoint is built from ``ZeroDraws``, which
+draws nothing, since the checkpoint overwrites every value drawn.
+
 Derived distributions (normal, Gumbel, integers, shuffle) are computed
 here from raw uniforms instead of numpy's distribution methods, so the
 exact draw sequence is pinned by this file rather than by numpy internals.
@@ -316,3 +319,26 @@ class RngState:
         for i, j in zip(range(n - 1, 0, -1), swaps):
             out[i], out[j] = out[j], out[i]
         return out
+
+
+class ZeroDraws:
+    """A draw source that draws nothing, for building a model whose every
+    parameter a checkpoint is about to fill: each substream is itself, and
+    ``uniform`` and ``normal`` return zeros of ``RngState``'s shapes.
+
+    Model constructors draw only through ``substream``, ``uniform`` and
+    ``normal``, and every value they draw becomes a parameter. Loading a
+    state overwrites each parameter and refuses a state that lacks one, so
+    no zero drawn here survives a successful load.
+    """
+
+    __slots__ = ()
+
+    def substream(self, *parts: int | str) -> "ZeroDraws":
+        return self
+
+    def uniform(self, shape=()) -> np.ndarray:
+        return np.zeros(shape)
+
+    def normal(self, shape=()) -> np.ndarray | float:
+        return np.zeros(shape) if shape else 0.0

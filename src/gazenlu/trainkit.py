@@ -350,9 +350,11 @@ class GazeModel(Module):
     """
 
     def __init__(self, text_cfg: TextEncoderConfig, gen_hidden: int = 128,
-                 l_max: int = 32, seed: int = 42):
+                 l_max: int = 32, seed: int = 42, rng: RngState | None = None):
+        """``rng`` draws the initialisation; by default the stream
+        ``RngState(seed, 0)``."""
         super().__init__()
-        root = RngState(seed, 0)
+        root = RngState(seed, 0) if rng is None else rng
         self.gen_encoder = TextEncoder(text_cfg, root.substream("gen_enc"))
         self.generator = ScanpathGenerator(
             GeneratorConfig(text_cfg.d_model, gen_hidden, l_max),

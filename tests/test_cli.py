@@ -1,5 +1,6 @@
 """End-to-end command-line pipeline in a temp directory."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -12,18 +13,20 @@ import subprocess
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gazenlu import trainkit
-from gazenlu.augmentor import ModelConfig
-from gazenlu.cli import (_check_text_only, _from_dict, _model_meta, build_parser,
-                         load_reports, main)
+from gazenlu import cli, trainkit
+from gazenlu.augmentor import JointModel, ModelConfig
+from gazenlu.cli import (VERBS, GazeRunConfig, _check_text_only, _from_dict, _model_meta,
+                         _read_run, _restore, build_parser, load_reports, main)
 from gazenlu.corpus import DatasetSpec, make_synthetic_suite
+from gazenlu.diffcore import RngState, load_checkpoint, save_checkpoint
 from gazenlu.gazegen import GumbelConfig
 from gazenlu.textenc import TextEncoderConfig
-from gazenlu.trainkit import TrainConfig
+from gazenlu.trainkit import GazeModel, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -824,3 +827,119 @@ def test_scripts_call_the_cli_with_flags_it_accepts(tmp_path):
                 pytest.fail(f"{script.name}: gazenlu {' '.join(argv)} does not parse")
             if getattr(args, "text_only", False):
                 _check_text_only(args)
+
+
+def _parse_outcome(parse, argv) -> tuple:
+    """(exit code, stdout, stderr) of ``parse(argv)``, which must exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def _usage_cases():
+    """Per verb: --help, a required flag left out (for a verb that has
+    one) and an unrecognized argument after every required flag; then an
+    unknown verb, no verb and a top-level --help."""
+    full = build_parser()
+    (sub,) = [a for a in full._actions if isinstance(a, argparse._SubParsersAction)]
+    for verb in VERBS:
+        required = [a.option_strings[0] for a in sub.choices[verb]._actions
+                    if a.required]
+        given = [x for flag in required for x in (flag, "x")]
+        yield [verb, "--help"]
+        if required:
+            yield [verb, *given[:-2]]
+        yield [verb, *given, "--no-such-flag"]
+    yield from (["no-such-verb"], [], ["--help"])
+
+
+@pytest.mark.parametrize("argv", list(_usage_cases()), ids=" ".join)
+def test_main_parses_as_the_full_parser_does(argv):
+    """What ``main`` prints and exits with for a usage error or a help
+    request, from the one verb's parser it builds, is byte for byte what
+    the parser of every verb gives."""
+    want = _parse_outcome(build_parser().parse_args, argv)
+    assert _parse_outcome(main, argv) == want
+    assert want[0] in (0, 2)
+
+
+def _gaze_model(run_dir: str, draws) -> GazeModel:
+    run_cfg, _, _ = _read_run(run_dir, "gaze_pretrain", GazeRunConfig)
+    return GazeModel(run_cfg.text, gen_hidden=run_cfg.gen_hidden, l_max=run_cfg.l_max,
+                     rng=draws)
+
+
+def _joint_model(run_dir: str, draws) -> JointModel:
+    return JointModel(_read_run(run_dir, "joint", ModelConfig)[0], draws)
+
+
+def test_restored_models_hold_their_checkpoints_and_draw_nothing(pipeline, monkeypatch):
+    """A model restored from its run's checkpoint holds the checkpoint,
+    array for array, name for name and dtype for dtype, and its build
+    draws no value from any stream."""
+    def no_draw(self, shape=()):
+        raise AssertionError("a restored model drew an initial value")
+
+    monkeypatch.setattr(RngState, "uniform", no_draw)
+    monkeypatch.setattr(RngState, "normal", no_draw)
+    for run, build, name in (("pre", _gaze_model, "generator.ckpt"),
+                             ("train", _joint_model, "model.ckpt")):
+        ckpt = os.path.join(pipeline[run], name)
+        state = _restore(lambda draws: build(pipeline[run], draws), ckpt).state_dict()
+        want = load_checkpoint(ckpt)
+        assert list(state) == list(want)
+        for key, arr in want.items():
+            assert state[key].dtype == arr.dtype and np.array_equal(state[key], arr), key
+
+
+def test_generate_writes_what_a_seeded_model_would(pipeline, tmp_path, monkeypatch):
+    """``generate`` through the restore path writes the file a model
+    initialised from its seed and then loaded writes, byte for byte."""
+    texts = tmp_path / "texts.txt"
+    texts.write_text("aa bb cc dd\nee ff gg\nhh ii\n")
+
+    def generate(out):
+        argv = ["generate", "--model", pipeline["pre"], "--input", str(texts),
+                "--n-paths", "3", "--seed", "5", "--out", str(out)]
+        assert main(argv) == 0
+        return out.read_bytes()
+
+    restored = generate(tmp_path / "restored.jsonl")
+
+    def seeded(build, ckpt):
+        model = build(RngState(7, 0))
+        model.load_state_dict(load_checkpoint(ckpt))
+        return model
+
+    monkeypatch.setattr(cli, "_restore", seeded)
+    assert generate(tmp_path / "seeded.jsonl") == restored
+
+
+@pytest.mark.parametrize("verb", ["generate", "evaluate"])
+def test_checkpoint_key_mismatch_exits_one_naming_the_file_and_keys(
+        pipeline, tmp_path, capsys, verb):
+    """A checkpoint that lacks one of the model's keys and has one it
+    does not know fails with one ``error:`` line, without quotes, that
+    names the checkpoint and both keys."""
+    run = pipeline["pre" if verb == "generate" else "train"]
+    name = "generator.ckpt" if verb == "generate" else "model.ckpt"
+    run_dir = tmp_path / "run"
+    shutil.copytree(run, run_dir)
+    state = load_checkpoint(run_dir / name)
+    dropped = sorted(state)[-1]
+    state["stray.w"] = state.pop(dropped)
+    save_checkpoint(run_dir / name, state)
+    if verb == "generate":
+        texts = tmp_path / "texts.txt"
+        texts.write_text("aa bb\n")
+        argv = ["generate", "--model", str(run_dir), "--input", str(texts),
+                "--out", str(tmp_path / "paths.jsonl")]
+    else:
+        argv = ["evaluate", "--model", str(run_dir), "--task", "keyword",
+                "--data-dir", pipeline["data"], "--out", str(tmp_path / "e")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {run_dir / name}: state mismatch, missing: {dropped}; "
+                   f"unexpected: stray.w\n")

@@ -10,15 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import gru
 
-from gazenlu.diffcore import (GRUCell, Embedding, LayerNorm, Linear, Module,
+from gazenlu.diffcore import (NEG_INF, GRUCell, Embedding, LayerNorm, Linear, Module,
                               ModuleList, RngState, ShapeError, Tensor, add,
                               atomic_write, backward, checkpoint_hash, concat,
                               cross_entropy, dropout, grad_check, gru_step,
                               is_grad_enabled, layer_norm, linear,
                               load_checkpoint, matmul, mix_rows, mse_loss, mul,
                               no_grad, relu, reshape, run_standard_checks,
-                              save_checkpoint, softmax, stream_words, take_rows,
-                              transpose, tsum)
+                              save_checkpoint, softmax, softmax_fwd, stream_words,
+                              take_rows, transpose, tsum)
+from gazenlu.diffcore.tensor import _row_max
 
 
 # -- gradients -----------------------------------------------------------
@@ -155,6 +156,44 @@ def test_softmax_rows_and_mask():
     pm = softmax(x, mask=mask).data
     assert pm[0, 1] == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(pm.sum(axis=-1), 1.0)
+
+
+SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, NEG_INF, 1.0, -1.0]
+
+
+def _bits_or_nan_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape and dtype, NaN where the other is NaN, same bits elsewhere."""
+    nan = np.isnan(a)
+    return (a.shape == b.shape and a.dtype == b.dtype and np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.uint8), b[~nan].view(np.uint8)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (5,), (63,), (64,), (3, 40), (160,), (2, 2, 50)]),
+       width=st.integers(1, 12), dtype=st.sampled_from([np.float32, np.float64]),
+       data=st.data())
+def test_row_max_is_max_and_softmax_keeps_its_bits(lead, width, dtype, data):
+    """``_row_max`` over shapes that take each of its rules: the value of
+    ``max`` in every row, bit for bit where it is not zero, NaN where it
+    is NaN, with NaN, ±0, ±inf, ``NEG_INF``-masked and width-1 rows; and
+    ``softmax_fwd``, which subtracts it, keeps the bits of the softmax
+    that subtracts ``max``, whatever sign a zero maximum takes."""
+    shape = (*lead, width)
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    special = gen.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 0.9]))
+    x = np.where(special, gen.choice(SPECIAL, shape), gen.normal(0, 100, shape)).astype(dtype)
+    masked = gen.random(shape) < data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+    mask = np.where(masked, NEG_INF, 0.0).astype(dtype)
+    with np.errstate(all="ignore"):
+        for z in (x, x + mask, mask):
+            got, want = _row_max(z), z.max(axis=-1, keepdims=True)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+            nonzero = want != 0
+            assert _bits_or_nan_equal(got[nonzero], want[nonzero])
+        ref = np.exp(x + mask - (x + mask).max(axis=-1, keepdims=True))
+        ref /= ref.sum(axis=-1, keepdims=True)
+        assert _bits_or_nan_equal(softmax_fwd(x, mask), ref)
 
 
 def test_cross_entropy_matches_manual():
