@@ -24,14 +24,18 @@ run holds whatever the spread. For the workloads whose runs report
 prints each side's median of it: a change that makes the sampler read
 longer or shorter paths changes the work behind every metric. Every run's
 metrics, and its ``fixations_per_path`` where reported, go to ``--out``
-as JSON lines. A run that fails its output checks stops the script with
-exit code 1.
+as JSON lines. Each line also carries what tells a paired batch apart from
+an in-process A/B: the run's unscaled ``raw`` block from its context line
+(throughput, step p50 and p90, set-up time), and ``minflt``, the minor
+page faults of the benchmark process. A run that fails its output checks
+stops the script with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -57,12 +61,15 @@ def parse_args(argv):
     return args
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; its end-to-end metrics by name, and
-    ``fixations_per_path`` from its context line when it reports one."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    """One benchmark run: its end-to-end metrics by name, and
+    ``fixations_per_path`` from its context line when it reports one; and
+    the context line's ``raw`` block with the run's minor page faults."""
     cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     proc = subprocess.run(cmd, capture_output=True, text=True, cwd=checkout)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if proc.returncode != 0 or not result.get("correct"):
@@ -72,7 +79,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     info = json.loads(lines[-2])["info"] if len(lines) > 1 else {}
     if info.get(PATH_LENGTH) is not None:
         out[PATH_LENGTH] = info[PATH_LENGTH]
-    return out
+    return out, {"raw": info.get("raw"), "minflt": faults}
 
 
 def judge(parent: list[float], change: list[float], higher: bool) -> dict:
@@ -113,12 +120,13 @@ def main(argv=None) -> int:
             seed = args.seed + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for side in order:
-                metrics = run_once(sides[side], workload, seed, args.seconds)
+                metrics, process = run_once(sides[side], workload, seed, args.seconds)
                 runs[side].append(metrics)
                 if args.out:
                     with open(args.out, "a", encoding="utf-8") as f:
                         f.write(json.dumps({"workload": workload, "side": side,
-                                            "seed": seed, "metrics": metrics}) + "\n")
+                                            "seed": seed, "metrics": metrics,
+                                            **process}) + "\n")
         last = args.seed + args.pairs - 1
         print(f"{workload} ({args.pairs} pairs, seeds {args.seed}-{last})")
         for name, (up, bound) in rules.items():

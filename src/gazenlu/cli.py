@@ -355,7 +355,9 @@ def _experiment(args, parser):
     model_cfg = _model_cfg_from_args(args, vocab, spec)
     gen_state = None
     if args.generator:
-        gen_state = load_checkpoint(args.generator)
+        # the keys are checked here, before any run directory exists
+        gen_state = _checked_state(
+            args.generator, JointModel(model_cfg, ZeroDraws()).load_generator_state)
     return spec, splits, vocab, cfg, model_cfg, gen_state
 
 
@@ -464,6 +466,18 @@ def cmd_train(args, parser) -> int:
         return _finish(args, run_dir, resolved, None)
 
 
+def _checked_state(ckpt: str, load) -> dict:
+    """The state the checkpoint ``ckpt`` holds, once ``load(state)`` has
+    taken it. A checkpoint whose keys are not the ones ``load`` fills
+    fails as one ValueError naming it."""
+    state = load_checkpoint(ckpt)
+    try:
+        load(state)
+    except KeyError as ex:
+        raise ValueError(f"{ckpt}: {ex.args[0]}") from None
+    return state
+
+
 def _restore(build, ckpt: str):
     """The model ``build(draws)`` makes, with every parameter read from the
     checkpoint ``ckpt``. ``draws`` is a ``ZeroDraws``: the load overwrites
@@ -471,10 +485,7 @@ def _restore(build, ckpt: str):
     initialisation would be drawn only to be thrown away. A checkpoint
     whose keys are not the model's fails as one ValueError naming it."""
     model = build(ZeroDraws())
-    try:
-        model.load_state_dict(load_checkpoint(ckpt))
-    except KeyError as ex:
-        raise ValueError(f"{ckpt}: {ex.args[0]}") from None
+    _checked_state(ckpt, model.load_state_dict)
     return model
 
 

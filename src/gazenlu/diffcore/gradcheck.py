@@ -272,15 +272,16 @@ def standard_op_checks(dtype=np.float64):
 
     # the Gumbel sampler's node (``gazegen``), relaxed rows forward so
     # finite differences see the gradient: two rows of 3 and 2 words
-    # with caps 3 and 2, so the working set shrinks. Each relaxation checks
-    # the word states, the fixation embedding and half the weights; the
-    # biases' sums are ``linear_bwd``'s, checked above
+    # (l_max 4, the least span that reads 3 words) with caps 3 and 2, so
+    # the working set shrinks. Each relaxation checks the word states, the
+    # fixation embedding and half the weights; the biases' sums are
+    # ``linear_bwd``'s, checked above
     from ..gazegen import (SOFT_CONVOLUTION, STRAIGHT_THROUGH, GeneratorConfig,
                            GumbelConfig, ScanpathGenerator)
     for name, mode, weights in (
             ("sampler", STRAIGHT_THROUGH, ("start", "w_ih")),
             ("sampler_soft", SOFT_CONVOLUTION, ("w_hh", "proj_w", "head_w"))):
-        gen = ScanpathGenerator(GeneratorConfig(d_word=2, d_hidden=2, l_max=3),
+        gen = ScanpathGenerator(GeneratorConfig(d_word=2, d_hidden=2, l_max=4),
                                 rng.substream(name, "gen"))
         for _, p in gen.named_parameters():
             p.data = p.data.astype(d)

@@ -44,7 +44,7 @@ the attention node's, are plain-array kernels here, each written once:
 ``attention_fwd`` and ``attention_bwd``; ``linear_fwd`` and ``linear_bwd``;
 ``mix_rows_fwd`` and ``mix_rows_bwd_w`` (the weights' gradient);
 ``gru_step``, ``gru_gates`` (a step from its projections) and ``gru_bwd``;
-``shift_mass_fwd`` and ``shift_mass_bwd``.
+``move_mass_fwd`` and ``move_mass_bwd``.
 
 numpy hands a one-row product to GEMV, whose sums round differently
 from GEMM's, so ``matmul``, ``linear``, ``gru_step`` and ``gru_seq``
@@ -60,6 +60,7 @@ changing a bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 
@@ -342,48 +343,90 @@ def attention_bwd(g: np.ndarray, live: np.ndarray, saved):
             _packed(np.matmul(attn.transpose(0, 1, 3, 2), gh), live))
 
 
-def _shift_landings(B: int, W: int, offsets: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """(B, K, W) flat index b * W + landing word of each (offset, source)."""
-    land = np.clip(np.arange(W) + offsets[:, None], 0, counts[:, None, None] - 1)
-    return land + (np.arange(B) * W)[:, None, None]
+@functools.lru_cache(maxsize=None)
+def _move_source(W: int, dtype: np.dtype) -> np.ndarray:
+    """(K, 3K + 1) in ``dtype``, K = 2W - 1: q @ it is each row's
+    [q, cumsum q, reversed cumsum q, 0]."""
+    K = 2 * W - 1
+    source = np.zeros((K, 3 * K + 1), dtype=dtype)
+    source[:, :K] = np.eye(K)
+    source[:, K:2 * K] = np.triu(np.ones((K, K)))
+    source[:, 2 * K:3 * K] = np.tril(np.ones((K, K)))
+    return source
 
 
-def shift_mass_fwd(dist: np.ndarray, q: np.ndarray, offsets: np.ndarray,
-                   counts: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _move_tables(W: int):
+    """The gathers of a soft move over rows padded to W words, with
+    K = 2W - 1 offsets -(W-1) .. W-1, for each word count c = 1 .. W.
+
+    ``slots``, (W, W, W): entry [c - 1, i, j] is the source column
+    (``_move_source``) that moves word i to word j: q at offset j - i
+    for an interior landing; the cumsum to offset -i for j = 0, every
+    offset that clamps at the first word; the reversed cumsum from offset
+    c - 1 - i for j = c - 1; the whole sum for a 1-word row; the 0 where
+    i or j is padding. ``window``, (W, 3W - 2): entry [c - 1, p] is the
+    word that position p - (W-1) clamps to."""
+    K = 2 * W - 1
+    c = np.arange(1, W + 1)[:, None, None]
+    i = np.arange(W)[:, None]
+    j = np.arange(W)
+    slots = np.broadcast_to(j - i + W - 1, (W, W, W))
+    slots = np.where(j == 0, K + W - 1 - i, slots)
+    slots = np.where(j == c - 1, 2 * K + W - 2 + c - i, slots)
+    slots = np.where(c == 1, 2 * K - 1, slots)
+    slots = np.where((i >= c) | (j >= c), 3 * K, slots)
+    window = np.clip(np.arange(3 * W - 2) - (W - 1), 0, np.arange(W)[:, None])
+    return slots, window
+
+
+def move_mass_fwd(dist: np.ndarray, q: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """The soft walk's move: each row's mass moved by every offset,
     weighted, landings clamped.
 
-    ``dist`` is (B, W) mass over positions, ``q`` (B, K) weights of the
-    ``offsets`` (K,), and row b's positions are ``0 .. counts[b] - 1``:
+    ``dist`` is (B, W) mass over positions, ``q`` (B, 2W - 1) weights of
+    the offsets -(W-1) .. W-1, and row b's positions are
+    ``0 .. counts[b] - 1``:
 
         out[b, j] = sum of q[b, k] * dist[b, i] over k and i < counts[b]
-                    with clip(i + offsets[k], 0, counts[b] - 1) == j
+                    with clip(i + k, 0, counts[b] - 1) == j
 
-    Padding positions neither send nor receive mass. Each landing's terms
-    are summed in float64.
+    that is, dist[b] @ T[b], with each row's (W, W) transfer T gathered
+    in one call from its [q, cumsum q, reversed cumsum q, 0], by an index
+    that depends only on W and the row's word count, and applied in one
+    batched matmul. Padding positions neither send nor receive mass.
     """
     B, W = dist.shape
-    src = dist * (np.arange(W) < counts[:, None])
-    moved = q[:, :, None] * src[:, None, :]
-    return np.bincount(_shift_landings(B, W, offsets, counts).reshape(-1),
-                       weights=moved.reshape(-1),
-                       minlength=B * W).reshape(B, W).astype(dist.dtype)
+    at = _move_tables(W)[0][counts - 1]
+    at += (np.arange(B) * (6 * W - 2))[:, None, None]
+    source = rows_matmul(q, _move_source(W, q.dtype))
+    return np.matmul(dist[:, None, :], source.reshape(-1)[at])[:, 0, :]
 
 
-def shift_mass_bwd(g: np.ndarray, dist: np.ndarray, q: np.ndarray, offsets: np.ndarray,
-                   counts: np.ndarray, need=(True, True)):
-    """The gradients of ``shift_mass_fwd``'s dist and q, given ``g``, that
-    of its output; None where ``need`` says none is wanted. The gradient
-    is gathered at every landing, a (B, K, W) array."""
-    B, W = dist.shape
-    at = g.reshape(-1)[_shift_landings(B, W, offsets, counts)]
+def move_mass_bwd(g: np.ndarray, dist: np.ndarray, q: np.ndarray, counts: np.ndarray,
+                  need=(True, True)):
+    """The gradients of ``move_mass_fwd``'s dist and q, given ``g``, that
+    of its output, for rows of ``counts`` words; None where ``need`` says
+    none is wanted.
+
+    Both read G, (B, W, 2W - 1): G[b, i, k] is g[b] at the word that
+    offset k moves word i to, a sliding window over g gathered at the
+    clamped positions. d_dist = T @ g is G @ q, so the transfer is not
+    rebuilt, and d_q = dist @ G; padding takes and gives nothing."""
+    B, W = g.shape
+    win = _move_tables(W)[1][counts - 1]
+    win += (np.arange(B) * W)[:, None]
+    g_at = g.reshape(-1)[win]
+    step = g_at.strides[1]
+    windows = np.ascontiguousarray(np.lib.stride_tricks.as_strided(
+        g_at, (B, W, 2 * W - 1), (g_at.strides[0], step, step), writeable=False))
     real = np.arange(W) < counts[:, None]
     gd = gq = None
     if need[0]:
-        gd = np.matmul(q[:, None, :], at)[:, 0, :]
+        gd = np.matmul(windows, q[:, :, None])[:, :, 0]
         gd *= real
     if need[1]:
-        gq = np.matmul(at, (dist * real)[:, :, None])[:, :, 0]
+        gq = np.matmul((dist * real)[:, None, :], windows)[:, 0, :]
     return gd, gq
 
 

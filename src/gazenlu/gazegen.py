@@ -11,9 +11,10 @@ One batched Gumbel-softmax sampler draws every path, in either of two
 relaxations: straight-through (hard one-hot rows forward, relaxed
 gradient backward; under ``no_grad`` these are exact Gumbel-max draws)
 and a soft convolution that transports a whole position distribution
-per step. The sampler runs its step loop on plain arrays and records
-one graph node for the whole call, whose backward is a hand-written
-reverse pass over the steps.
+per step. It decides in word space, reading each step's class scores
+only where they land on the row's words, and STOP. The sampler runs its
+step loop on plain arrays and records one graph node for the whole
+call, whose backward is a hand-written reverse pass over the steps.
 """
 
 from __future__ import annotations
@@ -44,12 +45,12 @@ from .diffcore import (
     mix_rows,
     mix_rows_bwd_w,
     mix_rows_fwd,
+    move_mass_bwd,
+    move_mass_fwd,
     mul,
     op_result,
     reshape,
     rows_matmul,
-    shift_mass_bwd,
-    shift_mass_fwd,
     softmax,
     softmax_bwd,
     softmax_fwd,
@@ -322,32 +323,41 @@ class ScanpathGenerator(Module):
         the whole batch in one ``stream_uniforms`` call, step s reading
         the s-th run of ``n_classes``: the same values as one draw per live
         step, since a stream's draws come in sequence. Each stream is read
-        from its start, so each call takes fresh streams. A step turns
-        into Gumbel noise only the working set's uniforms at the classes
-        its mask leaves open, and gives a masked class noise 0: the mask
-        sends that class's softmax entry, and so its gradient, to exactly
-        0 whatever its value.
+        from its start, so each call takes fresh streams. The padded width
+        W of the word states may not exceed the generator's span.
 
-        ``straight_through``: each step fixates the argmax of logits plus
-        noise (the Gumbel-max draw) and emits its one-hot row, carrying
-        the gradient of the relaxed row: the step's softmax gathered at
-        the words its move classes land on. ``surrogate=True`` keeps the
-        relaxed rows as the forward values (positions still advance by
-        the hard offsets); the analytic gradient of the straight-through
-        rows is exactly the gradient of this surrogate forward, which is
-        what finite differences can see.
+        The offset classes exist only at the head's output: each step
+        decides in word space. A hard, straight-through or entry step
+        gathers its logits and uniforms at the classes l_max - 1 - pos + j
+        of the row's words j = 0 .. W-1, then STOP, turns the uniforms into
+        Gumbel noise and takes a softmax over these W + 1 columns under a
+        mask that closes the padding (and STOP on the entry step, before a
+        word is fixated) and changes only when the working set shrinks. A
+        closed column's softmax entry, and so its gradient, is exactly 0.
+
+        ``straight_through``: each step fixates the argmax word of logits
+        plus noise (the Gumbel-max draw) and emits its one-hot row,
+        carrying the gradient of the relaxed row, the softmax's first W
+        columns. ``surrogate=True`` keeps the relaxed rows as the forward
+        values (positions still advance by the hard choices); the
+        analytic gradient of the straight-through rows is exactly the
+        gradient of this surrogate forward, which is what finite
+        differences can see.
 
         ``soft_convolution``: each row carries a distribution over its
-        words, moved every step by the relaxed offset distribution with
-        landings clamped to the row's word range (``shift_mass_fwd``). The
-        row is emitted as is and its argmax reported as the fixation; the
-        path ends once the expected probability of having stopped
-        reaches SOFT_STOP_MASS.
+        words, entered as the entry step's relaxed row. Each later step
+        decides over the 2W - 1 offsets -(W-1) .. W-1, those a row's own
+        words can reach, plus STOP, and moves the distribution by the
+        relaxed offsets with landings clamped to the row's word range: one
+        gathered (W, W) transfer per row (``move_mass_fwd``). The row is
+        emitted as is and its argmax reported as the fixation; the path
+        ends once the expected probability of having stopped reaches
+        SOFT_STOP_MASS.
 
         Only the rows still reading are stepped. A row leaves the working
         set when it stops or reaches its cap and never returns, so the set
         only shrinks: on the steps where it does, the rows that stay are
-        gathered, and decoding (``decode_logits_batch``), the masks, the
+        gathered, and decoding (``decode_logits_batch``), the mask, the
         history step (``history_step``) and the bookkeeping then run on
         them alone. Step s emits the working set's rows that fixate
         there, (n_s, W) in batch order, so a row that chooses STOP is
@@ -362,10 +372,11 @@ class ScanpathGenerator(Module):
         walks the steps in reverse. Otherwise nothing is kept and the
         rows are a plain tensor.
 
-        A live row whose logits are not finite raises FloatingPointError
-        naming the step.
+        A live row whose logits are not finite, at any class, raises
+        FloatingPointError naming the step.
         """
         B, W, h = word_states.shape
+        self.check_width(W, "word states")
         gc = self.cfg
         C = gc.n_classes
         dt = word_states.dtype
@@ -377,7 +388,11 @@ class ScanpathGenerator(Module):
         if (caps < 1).any():
             raise ValueError("max_fixations must be >= 1")
         uniforms = stream_uniforms(rngs, caps * C).reshape(B, int(caps.max()), C)
-        offsets = np.arange(C - 1) - (gc.l_max - 1)
+        # a soft walk step decides over the offsets a row's words can
+        # reach, then STOP; a hard step over the row's words, then STOP
+        walk_offsets = np.arange(1 - W, W)
+        walk_cols = np.append(walk_offsets + gc.l_max - 1, gc.stop_class)
+        word_cols = np.arange(W + 1)
         parents = (word_states, *self._sampler_params())
         tape: list[_Step] | None = (
             [] if is_grad_enabled() and any(p.requires_grad for p in parents) else None)
@@ -393,75 +408,75 @@ class ScanpathGenerator(Module):
         state = np.zeros((B, h), dtype=dt) + self.start.data
         hid = np.zeros((B, h), dtype=dt)
         positions = np.full(B, -1, dtype=np.int64)
+        # the decision mask over the row's words, then STOP: padding is
+        # closed, and STOP until a word is fixated
+        mask = np.where(word_cols < n_words[:, None], 0.0, NEG_INF).astype(np.float32)
         dist = None     # soft: (n, W) position distribution after entry
         stop_mass = np.zeros(B)
         for step in range(int(caps.max())):
             n = len(ids)
             logits, (attn, x_head) = self.decode_logits_batch(state, ws, n_words)
             if dist is None:
-                mask = self._additive_masks(positions, n_words)
+                # word j's class from each row's position, then STOP
+                cols = (gc.l_max - 1 - positions)[:, None] + word_cols
+                cols[:, W] = gc.stop_class
+                cols += (np.arange(n) * C)[:, None]
+                picked = logits.reshape(-1)[cols]
+                u = uniforms[ids, step].reshape(-1)[cols]
             else:
-                # a soft step moves by any offset shorter than its row, or stops
-                valid = np.concatenate([np.abs(offsets) < n_words[:, None],
-                                        np.ones((n, 1), dtype=bool)], axis=1)
-                mask = np.where(valid, 0.0, NEG_INF).astype(np.float32)
-            # noise on the open classes only; a masked class's is never read
-            r, c = np.nonzero(mask == 0)
-            noise = np.zeros((n, C), dtype=dt)
-            noise[r, c] = gumbel_of(uniforms[ids[r], step, c])
-            z = (logits + noise) * inv_tau
-            if not np.isfinite(z).all():
-                # a NaN row would argmax to class 0, a move off the sentence
+                cols = walk_cols
+                picked = logits[:, cols]
+                u = uniforms[ids, step][:, cols]
+            z = (picked + gumbel_of(u).astype(dt)) * inv_tau
+            if not (np.isfinite(logits).all() and np.isfinite(z).all()):
+                # a NaN row would argmax to word 0, which it never chose; a
+                # NaN logit of a class no decision reads still poisons the
+                # head's gradient
                 raise FloatingPointError(
                     f"sampler step {step}: a live row's logits are not finite "
                     f"(non-finite generator parameters or temperature)")
-            moved = relax = None
+            moved = None
             if dist is None:
                 # a hard step from the current positions; for a soft
                 # path, the entry saccade
                 probs = softmax_fwd(z, mask)
-                hard = probs.argmax(axis=1)
-                live = hard != gc.stop_class
+                fix = probs.argmax(axis=1)
+                live = fix != W
                 stopped[ids[~live]] = True
                 if not live.any():
                     break
-                if soft or surrogate or tape is not None:
-                    # the relaxed row: each (row, move class) that lands on
-                    # a word puts its probability there; no two classes of
-                    # a row land on the same word
-                    landing, ok = self._landings(positions, n_words)
-                    lr, lc = np.nonzero(ok & live[:, None])
-                    relax = (lr, lc, landing[lr, lc])
-                if soft or surrogate:
-                    y_words = np.zeros((n, W), dtype=dt)
-                    y_words[lr, relax[2]] = probs[lr, lc]
+                # the relaxed row: each word's probability
+                y_words = probs[:, :W]
                 if soft:
                     dist = y_words
+                    # a walk step moves by any offset shorter than its row, or stops
+                    mask = np.where(np.append(np.abs(walk_offsets), 0) < n_words[:, None],
+                                    0.0, NEG_INF).astype(np.float32)
+                elif step == 0:
+                    mask[:, W] = 0.0
             else:
                 live = np.ones(n, dtype=bool)
-                p_stop = softmax_fwd(z, mask)[:, gc.stop_class]
-                probs = softmax_fwd(z[:, :C - 1], mask[:, :C - 1])
+                p_stop = softmax_fwd(z, mask)[:, -1]
+                probs = softmax_fwd(z[:, :-1], mask[:, :-1])
                 moved = (dist, n_words)
-                dist = shift_mass_fwd(dist, probs, offsets, n_words)
+                dist = move_mass_fwd(dist, probs, n_words)
                 stop_mass += (1.0 - stop_mass) * p_stop
             if soft:
                 row = dist
                 fix = dist.argmax(axis=1)
                 stopped[ids[stop_mass >= SOFT_STOP_MASS]] = True
+            elif surrogate:
+                row = y_words
             else:
-                fix = positions + hard - (gc.l_max - 1)
-                if surrogate:
-                    row = y_words
-                else:
-                    row = np.zeros((n, W), dtype=dt)
-                    row[live, fix[live]] = 1.0
+                row = np.zeros((n, W), dtype=dt)
+                row[live, fix[live]] = 1.0
             rows.append(row if live.all() else row[live])
             row_mask.append(np.zeros(B, dtype=np.float32))
             row_mask[-1][ids[live]] = 1.0
             fix_rows.append(ids[live])
             fix_at.append(fix[live])
             if tape is not None:
-                tape.append(_Step(ids, ws, attn, x_head, probs, live, relax, moved))
+                tape.append(_Step(ids, ws, attn, x_head, probs, live, cols, moved))
             # every row of the working set has fixated at each step so far
             keep = live & ~stopped[ids] & (step + 1 < caps[ids])
             if not keep.any():
@@ -469,7 +484,7 @@ class ScanpathGenerator(Module):
             if not keep.all():
                 sel = np.flatnonzero(keep)
                 ids, n_words, fix = ids[sel], n_words[sel], fix[sel]
-                ws, hid, row = ws[sel], hid[sel], row[sel]
+                ws, hid, row, mask = ws[sel], hid[sel], row[sel], mask[sel]
                 if soft:
                     dist, stop_mass = row, stop_mass[sel]
             pe = rows_matmul(dist, fix_w[0:W, :]) if soft else fix_w[fix]
@@ -496,7 +511,7 @@ class ScanpathGenerator(Module):
             st.out = slice(a, b)
         node = op_result(
             packed, parents,
-            lambda g: self._reverse_pass(g, tape, parents, soft, inv_tau, offsets),
+            lambda g: self._reverse_pass(g, tape, parents, soft, inv_tau),
             "sampler")
         return SampledBatch(node, mask_arr, fixations, stopped)
 
@@ -508,19 +523,22 @@ class ScanpathGenerator(Module):
                 p.w, p.b, self.head.w, self.head.b)
 
     def _reverse_pass(self, g: np.ndarray, tape: list["_Step"], parents: tuple,
-                      soft: bool, inv_tau: np.ndarray, offsets: np.ndarray) -> tuple:
+                      soft: bool, inv_tau: np.ndarray) -> tuple:
         """The sampler node's backward: ``g`` (N, W) is the gradient of its
         packed rows; one gradient or None per parent.
 
         Only the recurrence is sequential. Walking the steps in reverse,
         each step's state and hidden gradients flow back through its
-        history GRU, its word read, its row (the relaxed row for a hard or
-        entry step, ``shift_mass_bwd`` for a soft walk step), the decision
+        history GRU, its word read, its row (the decision softmax's word
+        columns for a hard or entry step, ``move_mass_bwd`` for a soft
+        walk step, from its saved move probabilities), the decision
         softmax, the head and the attention into the previous working
-        set, scattered by index. Word-state gradients collect as outer
-        products in two (B, 3S, W) and (B, 3S, h) buffers, summed by one
-        batched matmul; each weight's and bias's gradient is one GEMM or
-        one sum over all the steps' stacked terms.
+        set, scattered by index. A decision's gradient reaches class space
+        once, scattered at the classes its columns gathered, for the
+        head's GEMM. Word-state gradients
+        collect as outer products in two (B, 3S, W) and (B, 3S, h)
+        buffers, summed by one batched matmul; each weight's and bias's
+        gradient is one GEMM or one sum over all the steps' stacked terms.
         """
         need = [p.requires_grad for p in parents]
         B, W, h = parents[0].shape
@@ -562,17 +580,15 @@ class ScanpathGenerator(Module):
                 hists.append((inp, d_state, dgi, dgh, h_prev, at, d_pe))
                 if need[0]:
                     P[ids_k, 3 * s + 2], Q[ids_k, 3 * s + 2] = row_k, d_read
-            if st.relax is not None:
-                lr, lc, land = st.relax
-                d_probs = np.zeros((n, C), dtype=dt)
-                d_probs[lr, lc] = d_row[lr, land]
-                d_z = softmax_bwd(st.probs, d_probs)
+            d_logits = np.zeros((n, C), dtype=dt)
+            if st.moved is None:
+                d_probs = np.zeros(st.probs.shape, dtype=dt)
+                d_probs[:, :W] = d_row
+                d_logits.reshape(-1)[st.cols] = softmax_bwd(st.probs, d_probs) * inv_tau
             else:
                 dist_in, n_words = st.moved
-                d_moved, d_q = shift_mass_bwd(d_row, dist_in, st.probs, offsets, n_words)
-                d_z = np.zeros((n, C), dtype=dt)
-                d_z[:, :C - 1] = softmax_bwd(st.probs, d_q)
-            d_logits = d_z * inv_tau
+                d_moved, d_q = move_mass_bwd(d_row, dist_in, st.probs, n_words)
+                d_logits[:, st.cols[:-1]] = softmax_bwd(st.probs, d_q) * inv_tau
             heads.append((st.x_head, d_logits))
             d_x = np.matmul(d_logits, head_w.T)
             d_ctx = d_x[:, :h]
@@ -612,9 +628,13 @@ class _Step:
     ws: np.ndarray          # (n, W, h) their word states
     attn: np.ndarray        # (n, W) attention weights
     x_head: np.ndarray      # (n, 2h) head input: context, then state
-    probs: np.ndarray       # (n, C) decision softmax, or a soft walk's (n, C-1) moves
+    probs: np.ndarray       # hard or entry step: (n, W + 1) decision softmax over
+                            # the row's words, then STOP; soft walk step: (n, 2W - 1)
+                            # move probabilities of offsets -(W-1) .. W-1
     live: np.ndarray        # (n,) the rows that fixate
-    relax: tuple | None     # hard or entry step: (row, class, word) of each landing
+    cols: np.ndarray        # where the decision read the logits: hard or entry
+                            # step, (n, W + 1) flat indices into the (n, C) logits;
+                            # soft walk step, the (2W,) classes of its columns
     moved: tuple | None     # soft walk step: the distribution moved, word counts
     out: slice | None = None    # the rows it emitted, in the node's packed rows
     # the history step after it: which rows it kept, their batch rows, word

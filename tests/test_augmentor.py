@@ -299,12 +299,17 @@ def _prefix_batches(draw):
 
 
 @given(batch=_prefix_batches(), training=st.booleans())
+# gradients up to 6.5, which differ by 1.43e-6 in float32 and 8.9e-16 in
+# float64: the node sums each weight's per-step terms in one GEMM
+@example(batch=((np.arange(6) < np.array([[0], [6], [5], [5], [0], [0]])).astype(np.float32),
+                6), training=False)
 @settings(max_examples=60, deadline=None)
 def test_run_steps_matches_masked_update_per_step(batch, training):
     """Stepping only the rows still reading changes nothing: against the
     per-step masked update over every row, the forward is bit-equal
-    without a graph and within 1e-6 with one, and so is every gradient
-    (eval, and training with dropout). d=16 makes the GRU's products 48
+    without a graph and within 1e-6 with one, and every gradient within
+    1e-6 times the largest reference gradient, or 1e-6 below 1 (eval,
+    and training with dropout). d=16 makes the GRU's products 48
     columns wide, a width at which OpenBLAS's GEMM rounds a row the same
     whatever the number of rows; at some widths (d=38, say) it does not,
     and the forward then agrees only within 1e-6."""
@@ -339,11 +344,12 @@ def test_run_steps_matches_masked_update_per_step(batch, training):
     got, got_grads = run(_scan, True, packed)
     want, want_grads = run(_masked_per_step, True, full)
     assert np.abs(got - want).max(initial=0.0) <= 1e-6
+    scale = max(1.0, *(np.abs(w).max(initial=0.0) for w in want_grads if w is not None))
     for g, w in zip(got_grads, want_grads):
         if w is None or not w.any():
             assert g is None or not g.any()
         else:
-            assert np.abs(g - w).max() <= 1e-6
+            assert np.abs(g - w).max() <= 1e-6 * scale
 
 
 def test_run_steps_rejects_a_mask_that_is_not_a_prefix():

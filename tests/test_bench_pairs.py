@@ -4,6 +4,7 @@ import importlib.util
 import json
 import subprocess
 from pathlib import Path
+from types import SimpleNamespace
 
 _PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -51,12 +52,19 @@ def test_no_regression_bounds_the_median_and_needs_a_spread_within_the_bound():
 
 def test_main_prints_both_verdicts_for_every_metric(monkeypatch, capsys, tmp_path):
     """The benchmark runs faked: the change halves every metric's value,
-    and each run's context line reports its paths' length."""
+    each run's context line reports its paths' length and its unscaled
+    values, and each run adds its seed times 1000 minor faults to the
+    children's count."""
+    faults = [0]
+
     def fake_run(cmd, capture_output, text, cwd):
         scale = 0.5 if Path(cwd) == tmp_path.resolve() else 1.0
         seed = int(cmd[cmd.index("--seed") + 1])
+        faults[0] += 1000 * seed
+        raw = {"throughput": 90.0 * scale + seed, "step_ms_p50_p90": [scale, 2 * scale],
+               "setup_s": 0.25 * scale}
         context = {"info": {"workload": cmd[cmd.index("--workload") + 1],
-                            "fixations_per_path": 4.0 * scale + seed}}
+                            "fixations_per_path": 4.0 * scale + seed, "raw": raw}}
         result = {"correct": True, "metrics": {
             name: {"value": scale * (100 + seed % 3)}
             for name in ("throughput", "step_ms_p50", "setup_s", "peak_rss_mb")}}
@@ -64,6 +72,8 @@ def test_main_prints_both_verdicts_for_every_metric(monkeypatch, capsys, tmp_pat
                                            + json.dumps(result) + "\n", "")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_pairs.resource, "getrusage",
+                        lambda who: SimpleNamespace(ru_minflt=500 + faults[0]))
     out = tmp_path / "runs.jsonl"
     assert bench_pairs.main(["--parent", str(tmp_path / "p"), "--change", str(tmp_path),
                              "--workloads", "train_soft", "--pairs", "3", "--seed", "1",
@@ -80,3 +90,8 @@ def test_main_prints_both_verdicts_for_every_metric(monkeypatch, capsys, tmp_pat
     assert len(runs) == 6
     assert all(r["metrics"]["fixations_per_path"] == (4.0 if r["side"] == "parent" else 2.0)
                + r["seed"] for r in runs)
+    for r in runs:
+        scale = 1.0 if r["side"] == "parent" else 0.5
+        assert r["raw"] == {"throughput": 90.0 * scale + r["seed"],
+                            "step_ms_p50_p90": [scale, 2 * scale], "setup_s": 0.25 * scale}
+        assert r["minflt"] == 1000 * r["seed"]

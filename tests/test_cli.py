@@ -161,6 +161,33 @@ def test_protocol_verb_writes_reports_and_reruns_byte_identical(pipeline, verb):
             assert a == b, name
 
 
+@pytest.mark.parametrize("verb", ["train", "crossval"])
+def test_generator_key_mismatch_fails_before_any_run_directory(
+        pipeline, tmp_path, capsys, monkeypatch, verb):
+    """``--generator`` with one key renamed fails where the file is read,
+    with one ``error:`` line naming the file and both keys, and leaves no
+    run directory behind, given or default."""
+    state = load_checkpoint(os.path.join(pipeline["pre"], "generator.ckpt"))
+    dropped = sorted(state)[0]
+    state["generator.stray.w"] = state.pop(dropped)
+    ckpt = tmp_path / "generator.ckpt"
+    save_checkpoint(ckpt, state)
+    runs = tmp_path / "runs"
+    monkeypatch.setenv("GAZENLU_RUNS", str(runs))
+    common = [verb, "--task", "keyword", "--data-dir", pipeline["data"],
+              "--vocab", pipeline["vocab"], "--generator", str(ckpt),
+              "--d-model", "32", "--n-layers", "1", "--d-ff", "64",
+              "--gen-hidden", "32", "--lr", "1e-3", "--max-epochs", "1",
+              "--batch-size", "8"]
+    out = tmp_path / "out"
+    for argv in (common + ["--out", str(out)], common):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ckpt}: state mismatch, missing: {dropped}; "
+            f"unexpected: generator.stray.w\n")
+    assert not out.exists() and not runs.exists()
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_evaluate_rejects_path_counts_below_one(pipeline, capsys, count):
     out = pipeline["root"] / f"eval_n{count}"
